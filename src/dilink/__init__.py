@@ -10,8 +10,6 @@ digraph perfectly by subdivisions of prescribed orders.
 from .absorber import (
     Absorber,
     AbsorberParams,
-    AbsorberTypeI,
-    AbsorberTypeII,
     absorb_paths,
     absorber_params,
     absorber_size_bound,

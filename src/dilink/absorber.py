@@ -1,13 +1,16 @@
 """Absorber assembly and external-path absorption.
 
 An absorber is a set K of disjoint cover pairs, one ladder per pair, and
-host subdivision(s) carrying every ladder.  Type I embeds all ladders in
-one subdivision of the pattern (at least one per subdivided path); Type
-II spreads them over several pairwise disjoint subdivisions of the same
-pattern, at least one ladder per subdivision.  Once built, any family of
-up to d external paths can be swallowed: each path's endpoints are
-covered by some unused pair, and the pair's ladder absorbs the extended
-path without disturbing branch vertices.
+one or several pairwise disjoint host subdivisions of the pattern whose
+paths carry every ladder.  Its slots name the host paths that must carry
+at least one ladder.  A Type-I absorber has one host, with branch map
+prescribed and ladders on every path; a Type-II absorber has one host
+per tile, with ladders on each host's first path.  Both are built by one
+restart loop that differs only in where branch vertices go and which
+paths the ladder groups are threaded into.  Once built, any family of up
+to d external paths can be swallowed: each path's endpoints are covered
+by some unused pair, and the pair's ladder absorbs the extended path
+without disturbing branch vertices.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .cover import (
     CoverPairSet,
@@ -103,41 +106,27 @@ def absorber_size_bound(n: int, nu: Real, gamma: Real, d: int) -> float:
 
 
 @dataclass(frozen=True)
-class AbsorberTypeI:
-    """All ladders embedded in a single host subdivision."""
+class Absorber:
+    """Cover pairs, one ladder per pair, and pairwise disjoint host
+    subdivisions carrying the ladders.
 
-    pairs: CoverPairSet
-    ladders: tuple[Ladder, ...]
-    host: HSubdivision
-    embedding: Mapping[int, Arc]  # ladder index -> pattern arc of its path
-    d: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "ladders", tuple(self.ladders))
-        object.__setattr__(self, "embedding", dict(self.embedding))
-        if len(self.ladders) != len(self.pairs):
-            raise BadParameter("one ladder per cover pair required")
-        if self.d < 1:
-            raise BadParameter("d must be >= 1")
-
-    def vertices(self) -> frozenset[int]:
-        return self.host.vertices()
-
-
-@dataclass(frozen=True)
-class AbsorberTypeII:
-    """Ladders spread over pairwise disjoint host subdivisions."""
+    embedding maps ladder i to the (host index, pattern arc) slot whose
+    path holds its rungs; slots lists the host paths that must carry at
+    least one ladder.
+    """
 
     pairs: CoverPairSet
     ladders: tuple[Ladder, ...]
     hosts: tuple[HSubdivision, ...]
-    embedding: Mapping[int, tuple[int, Arc]]  # ladder index -> (host, arc)
+    embedding: Mapping[int, tuple[int, Arc]]
     d: int
+    slots: tuple[tuple[int, Arc], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "ladders", tuple(self.ladders))
         object.__setattr__(self, "hosts", tuple(self.hosts))
         object.__setattr__(self, "embedding", dict(self.embedding))
+        object.__setattr__(self, "slots", tuple(self.slots))
         if len(self.ladders) != len(self.pairs):
             raise BadParameter("one ladder per cover pair required")
         if not self.hosts:
@@ -146,13 +135,7 @@ class AbsorberTypeII:
             raise BadParameter("d must be >= 1")
 
     def vertices(self) -> frozenset[int]:
-        out: set[int] = set()
-        for h in self.hosts:
-            out |= h.vertices()
-        return frozenset(out)
-
-
-Absorber = AbsorberTypeI | AbsorberTypeII
+        return frozenset().union(*(h.vertices() for h in self.hosts))
 
 
 def _connector_cap(nu: Fraction) -> int:
@@ -227,6 +210,76 @@ def _thread_group(
     return tuple(full)
 
 
+def _build_absorber(
+    D: Digraph,
+    p: ExpansionParams,
+    d: int,
+    seed: int,
+    max_restarts: int,
+    avoid: set[int],
+    plan_budgets: Sequence[int],
+    budgets: Sequence[int],
+    slots: Sequence[tuple[int, Arc]],
+    thread: Callable[[list[list[Ladder]], set[int], int, random.Random], list],
+) -> Absorber:
+    """The restart loop shared by build_type1_absorber and build_type2_absorber.
+
+    Per restart: a verified d-cover avoiding `avoid` (arcs preferred so
+    most ladders are single arcs), disjoint ladders over its pairs, the
+    rung-interior cap, and a partition of the ladders into one group per
+    budget; `thread` then builds the hosts with group i on slots[i], or
+    raises AbsorberConstructionFailed to restart.  The assembled absorber
+    must validate and respect the size bound.
+    """
+    if d < 1:
+        raise BadParameter("d must be >= 1")
+    n = D.n
+    m = _plan_cover_size(n, p.gamma, d, plan_budgets, len(budgets))
+    cap = _connector_cap(p.nu)
+    removal_cap = int(p.nu * n / 4)
+    size_bound = absorber_size_bound(n, p.nu, p.gamma, d)
+    last = "exhausted restarts"
+    for restart in range(max_restarts):
+        s = (seed * 9_176_941 + restart) & 0xFFFFFFFF
+        rng = random.Random(s ^ 0x5EED)
+        try:
+            K = build_d_cover(
+                D, range(n), d, p.gamma, s, size=m, prefer_arcs=True, avoid=avoid
+            )
+            ladders = build_disjoint_ladders(D, K.pairs, p.nu, s, avoid=avoid)
+        except (CoverConstructionFailed, LadderConstructionFailed) as e:
+            last = str(e)
+            continue
+        rung_interiors = sum(len(r) - 2 for L in ladders for r in rung_paths(L))
+        if rung_interiors > removal_cap:
+            last = f"rung interiors ({rung_interiors}) exceed nu*n/4 = {removal_cap}"
+            continue
+        groups = _partition_ladders(ladders, budgets)
+        if groups is None:
+            last = "ladder partition failed the per-path budgets"
+            continue
+        blocked = set(avoid)
+        for L in ladders:
+            blocked |= L.vertices()
+        try:
+            hosts = thread([[ladders[i] for i in g] for g in groups], blocked, cap, rng)
+        except ConnectionFailed as e:
+            last = f"threading failed at connector {e.index}"
+            continue
+        except AbsorberConstructionFailed as e:
+            last = str(e)
+            continue
+        embedding = {i: slots[gi] for gi, g in enumerate(groups) for i in g}
+        A = Absorber(K, ladders, hosts, embedding, d, slots)
+        if not validate_absorber(D, A):
+            last = "assembled absorber failed validation"
+        elif sum(map(subdivision_order, hosts)) > size_bound:
+            last = "absorber exceeded the guaranteed size bound"
+        else:
+            return A
+    raise AbsorberConstructionFailed(last)
+
+
 def build_type1_absorber(
     D: Digraph,
     H: PatternDigraph,
@@ -236,90 +289,36 @@ def build_type1_absorber(
     d: int,
     seed: int,
     max_restarts: int = 10,
-) -> AbsorberTypeI:
-    """Assemble a Type-I d-absorber whose host branch map is exactly f.
+) -> Absorber:
+    """Assemble a Type-I d-absorber: one host subdivision whose branch map
+    is exactly f, with a ladder group threaded into every path.
 
-    Pipeline per restart: build a verified d-cover avoiding f's images
-    (arcs preferred so most ladders are single arcs), build disjoint
-    ladders over the pairs, partition them into one group per pattern
-    arc within the length budgets, and thread each group plus its branch
-    pair into one subdivided path.  The host's path for arc i ends with
-    at most N_i - 1 vertices so a future absorption can top it up to
-    length exactly N_i.
+    Cover pairs and ladders avoid f's images.  The host's path for arc i
+    ends with at most N_i - 1 vertices so a future absorption can top it
+    up to length exactly N_i.
     """
-    n = D.n
     N = N if isinstance(N, LengthPrescription) else LengthPrescription(tuple(N))
-    arcs = H.arc_order
     if len(N) != H.h:
         raise BadParameter(f"{H.h} lengths required, got {len(N)}")
-    _check_branch_map(H, f, n)
-    if d < 1:
-        raise BadParameter("d must be >= 1")
-    lengths = list(N)
-    images = set(f.values())
-    m = _plan_cover_size(n, p.gamma, d, [l - 4 for l in lengths], H.h)
-    cap = _connector_cap(p.nu)
-    removal_cap = int(p.nu * n / 4)
-    last = "exhausted restarts"
-    for restart in range(max_restarts):
-        s = (seed * 9_176_941 + restart) & 0xFFFFFFFF
-        rng = random.Random(s ^ 0x5EED)
-        try:
-            K = build_d_cover(
-                D, range(n), d, p.gamma, s, size=m, prefer_arcs=True, avoid=images
-            )
-            ladders = build_disjoint_ladders(D, K.pairs, p.nu, s, avoid=images)
-        except (CoverConstructionFailed, LadderConstructionFailed) as e:
-            last = str(e)
-            continue
-        rung_interiors = sum(
-            len(r) - 2 for L in ladders for r in rung_paths(L)
-        )
-        if rung_interiors > removal_cap:
-            last = f"rung interiors ({rung_interiors}) exceed nu*n/4 = {removal_cap}"
-            continue
-        groups = _partition_ladders(ladders, [l - 3 for l in lengths])
-        if groups is None:
-            last = "ladder partition failed the per-path budgets"
-            continue
-        blocked = set(images)
-        for L in ladders:
-            blocked |= L.vertices()
-        paths: dict[Arc, tuple[int, ...]] = {}
-        embedding: dict[int, Arc] = {}
-        ok = True
-        for gi, arc in enumerate(arcs):
-            group = [ladders[i] for i in groups[gi]]
-            try:
-                path = _thread_group(
-                    D, f[arc[0]], group, f[arc[1]], blocked, cap, rng
+    _check_branch_map(H, f, D.n)
+    arcs = H.arc_order
+
+    def thread(groups, blocked, cap, rng):
+        paths = {
+            a: _thread_group(D, f[a[0]], g, f[a[1]], blocked, cap, rng)
+            for a, g in zip(arcs, groups)
+        }
+        for i, (a, l) in enumerate(zip(arcs, N)):
+            if len(paths[a]) > l - 1:
+                raise AbsorberConstructionFailed(
+                    f"path {i} used {len(paths[a])} vertices, over the budget {l - 1}"
                 )
-            except ConnectionFailed as e:
-                last = f"threading path {gi} failed at connector {e.index}"
-                ok = False
-                break
-            if len(path) > lengths[gi] - 1:
-                last = (
-                    f"path {gi} used {len(path)} vertices, over the "
-                    f"budget {lengths[gi] - 1}"
-                )
-                ok = False
-                break
-            paths[arc] = path
-            for idx in groups[gi]:
-                embedding[idx] = arc
-        if not ok:
-            continue
-        host = HSubdivision(H, dict(f), paths)
-        A = AbsorberTypeI(K, tuple(ladders), host, embedding, d)
-        if not validate_absorber(D, A):
-            last = "assembled absorber failed validation"
-            continue
-        if subdivision_order(host) > absorber_size_bound(n, p.nu, p.gamma, d):
-            last = "absorber exceeded the guaranteed size bound"
-            continue
-        return A
-    raise AbsorberConstructionFailed(last)
+        return [HSubdivision(H, dict(f), paths)]
+
+    return _build_absorber(
+        D, p, d, seed, max_restarts, set(f.values()), [l - 4 for l in N],
+        [l - 3 for l in N], [(0, a) for a in arcs], thread,
+    )
 
 
 def build_type2_absorber(
@@ -330,103 +329,51 @@ def build_type2_absorber(
     d: int,
     seed: int,
     max_restarts: int = 10,
-) -> AbsorberTypeII:
-    """Assemble a Type-II d-absorber: one host subdivision per order.
+) -> Absorber:
+    """Assemble a Type-II d-absorber: one host subdivision per order, on
+    randomly placed branch vertices.
 
     Host i carries its ladder group threaded into the path of the first
     pattern arc; every other pattern arc becomes a short path.  Host i
     ends with at most orders[i] - 2 vertices, leaving room to absorb a
     path that tops it up to order exactly orders[i].
     """
-    n = D.n
     k = len(orders)
     if k < 1:
         raise BadParameter("at least one host order required")
     if k > d:
         raise BadParameter(f"k = {k} hosts exceed d = {d}")
-    if d < 1:
-        raise BadParameter("d must be >= 1")
     arcs = H.arc_order
     hv = H.underlying.n
     base = hv + 2 * (H.h - 1) + 2  # branch vertices, short arcs, entry/exit slack
     budgets = [o - 2 - base for o in orders]
-    m = _plan_cover_size(n, p.gamma, d, budgets, k)
-    cap = _connector_cap(p.nu)
-    removal_cap = int(p.nu * n / 4)
-    last = "exhausted restarts"
-    for restart in range(max_restarts):
-        s = (seed * 9_176_941 + restart) & 0xFFFFFFFF
-        rng = random.Random(s ^ 0x5EED)
-        try:
-            K = build_d_cover(D, range(n), d, p.gamma, s, size=m, prefer_arcs=True)
-            ladders = build_disjoint_ladders(D, K.pairs, p.nu, s)
-        except (CoverConstructionFailed, LadderConstructionFailed) as e:
-            last = str(e)
-            continue
-        rung_interiors = sum(len(r) - 2 for L in ladders for r in rung_paths(L))
-        if rung_interiors > removal_cap:
-            last = f"rung interiors ({rung_interiors}) exceed nu*n/4 = {removal_cap}"
-            continue
-        groups = _partition_ladders(ladders, budgets)
-        if groups is None:
-            last = "ladder partition failed the per-host budgets"
-            continue
-        blocked: set[int] = set()
-        for L in ladders:
-            blocked |= L.vertices()
-        hosts: list[HSubdivision] = []
-        embedding: dict[int, tuple[int, Arc]] = {}
-        ok = True
-        for hi in range(k):
-            free = [v for v in range(n) if v not in blocked]
+
+    def thread(groups, blocked, cap, rng):
+        hosts = []
+        for hi, group in enumerate(groups):
+            free = [v for v in range(D.n) if v not in blocked]
             if len(free) < hv:
-                last = "no room left for branch vertices"
-                ok = False
-                break
-            f_i = dict(zip(range(hv), rng.sample(free, hv)))
-            blocked |= set(f_i.values())
-            group = [ladders[i] for i in groups[hi]]
-            paths: dict[Arc, tuple[int, ...]] = {}
-            try:
-                first = arcs[0]
-                paths[first] = _thread_group(
-                    D, f_i[first[0]], group, f_i[first[1]], blocked, cap, rng
+                raise AbsorberConstructionFailed("no room left for branch vertices")
+            f = dict(zip(range(hv), rng.sample(free, hv)))
+            blocked |= set(f.values())
+            paths = {
+                a: _thread_group(
+                    D, f[a[0]], group if a == arcs[0] else (), f[a[1]], blocked, cap, rng
                 )
-                for arc in arcs[1:]:
-                    conn = shortest_path_avoiding(
-                        D, f_i[arc[0]], f_i[arc[1]], blocked, cap, rng
-                    )
-                    if conn is None:
-                        raise ConnectionFailed(arcs.index(arc))
-                    blocked.update(conn[1:-1])
-                    paths[arc] = conn
-            except ConnectionFailed as e:
-                last = f"host {hi} threading failed (piece {e.index})"
-                ok = False
-                break
-            host = HSubdivision(H, f_i, paths)
-            if subdivision_order(host) > orders[hi] - 2:
-                last = (
-                    f"host {hi} used {subdivision_order(host)} vertices, over "
-                    f"the budget {orders[hi] - 2}"
+                for a in arcs
+            }
+            hosts.append(HSubdivision(H, f, paths))
+            if subdivision_order(hosts[-1]) > orders[hi] - 2:
+                raise AbsorberConstructionFailed(
+                    f"host {hi} used {subdivision_order(hosts[-1])} vertices, "
+                    f"over the budget {orders[hi] - 2}"
                 )
-                ok = False
-                break
-            hosts.append(host)
-            for idx in groups[hi]:
-                embedding[idx] = (hi, first)
-        if not ok:
-            continue
-        A = AbsorberTypeII(K, tuple(ladders), tuple(hosts), embedding, d)
-        if not validate_absorber(D, A):
-            last = "assembled absorber failed validation"
-            continue
-        total = sum(subdivision_order(h) for h in hosts)
-        if total > absorber_size_bound(n, p.nu, p.gamma, d):
-            last = "absorber exceeded the guaranteed size bound"
-            continue
-        return A
-    raise AbsorberConstructionFailed(last)
+        return hosts
+
+    return _build_absorber(
+        D, p, d, seed, max_restarts, set(), budgets, budgets,
+        [(hi, arcs[0]) for hi in range(k)], thread,
+    )
 
 
 def validate_absorber(
@@ -457,48 +404,31 @@ def validate_absorber(
         seen |= lv
     if not verify_d_cover(D, A.pairs, range(D.n), A.d):
         ok = fail(f"K is not a {A.d}-cover of the whole vertex set")
-    if isinstance(A, AbsorberTypeI):
-        if not validate_subdivision(D, A.host):
-            ok = fail("host subdivision invalid")
-        covered_arcs: set[Arc] = set()
-        for i, L in enumerate(A.ladders):
-            arc = A.embedding.get(i)
-            if arc is None or arc not in A.host.paths:
-                ok = fail(f"ladder {i} has no host arc assigned")
-                continue
-            if not ladder_on_path(L, A.host.paths[arc]):
-                ok = fail(f"ladder {i} is not embedded in the path of arc {arc}")
-                continue
-            covered_arcs.add(arc)
-        missing = set(A.host.pattern.arc_order) - covered_arcs
-        if missing:
-            ok = fail(f"paths without any ladder: {sorted(missing)}")
-    else:
-        used_hosts: set[int] = set()
-        all_host_vertices: set[int] = set()
-        for hi, host in enumerate(A.hosts):
-            if not validate_subdivision(D, host):
-                ok = fail(f"host {hi} subdivision invalid")
-            hv = host.vertices()
-            if hv & all_host_vertices:
-                ok = fail(f"host {hi} overlaps an earlier host")
-            all_host_vertices |= hv
-        for i, L in enumerate(A.ladders):
-            spot = A.embedding.get(i)
-            if spot is None:
-                ok = fail(f"ladder {i} has no host assigned")
-                continue
-            hi, arc = spot
-            if not 0 <= hi < len(A.hosts) or arc not in A.hosts[hi].paths:
-                ok = fail(f"ladder {i} assigned to a nonexistent host path")
-                continue
-            if not ladder_on_path(L, A.hosts[hi].paths[arc]):
-                ok = fail(f"ladder {i} is not embedded in host {hi}")
-                continue
-            used_hosts.add(hi)
-        missing_hosts = set(range(len(A.hosts))) - used_hosts
-        if missing_hosts:
-            ok = fail(f"hosts without any ladder: {sorted(missing_hosts)}")
+    in_hosts: set[int] = set()
+    for hi, host in enumerate(A.hosts):
+        if not validate_subdivision(D, host):
+            ok = fail(f"host {hi} subdivision invalid")
+        hv = host.vertices()
+        if hv & in_hosts:
+            ok = fail(f"host {hi} overlaps an earlier host")
+        in_hosts |= hv
+    carried: set[tuple[int, Arc]] = set()
+    for i, L in enumerate(A.ladders):
+        spot = A.embedding.get(i)
+        if spot is None:
+            ok = fail(f"ladder {i} has no host path assigned")
+            continue
+        hi, arc = spot
+        if not 0 <= hi < len(A.hosts) or arc not in A.hosts[hi].paths:
+            ok = fail(f"ladder {i} assigned to a nonexistent host path")
+            continue
+        if not ladder_on_path(L, A.hosts[hi].paths[arc]):
+            ok = fail(f"ladder {i} is not embedded in host {hi} arc {arc}")
+            continue
+        carried.add((hi, arc))
+    missing = set(A.slots) - carried
+    if missing:
+        ok = fail(f"host paths without any ladder: {sorted(missing)}")
     return ok
 
 
@@ -532,14 +462,16 @@ def absorb_paths(
     A: Absorber,
     paths: Sequence[Sequence[int]],
     targets: Sequence[Arc] | Sequence[int] | None = None,
-) -> HSubdivision | list[HSubdivision]:
+) -> list[HSubdivision]:
     """Swallow up to d pairwise disjoint external paths into the absorber.
 
     Each path x...y is matched to an unused cover pair (u, v) with arcs
     u->x and y->v, extended to u x...y v, and absorbed through the
-    pair's ladder.  Type I returns the single enlarged subdivision (with
-    targets, path i must land on pattern arc targets[i]); Type II
-    absorbs path i into host i and returns all k hosts.
+    pair's ladder.  A target names where path i must land: a pattern
+    arc of a one-host absorber, a host index of a several-host one.
+    Without targets a one-host absorber may use any pair and a
+    several-host one puts path i into host i.  Returns every host,
+    enlarged by the paths it absorbed.
     """
     plist = [tuple(p) for p in paths]
     if len(plist) > A.d:
@@ -555,51 +487,38 @@ def absorb_paths(
         if pv & taken:
             raise NotDisjoint(f"path {i} meets an earlier path")
         taken |= pv
-    if isinstance(A, AbsorberTypeI):
-        if targets is not None and len(targets) != len(plist):
-            raise BadParameter("one target arc per path required")
-        candidates: list[list[int]] = []
-        for i, p in enumerate(plist):
-            ends = (p[0], p[-1])
-            cand = [
-                j
-                for j, pair in enumerate(A.pairs.pairs)
-                if covers(D, pair, ends)
-                and (targets is None or A.embedding[j] == tuple(targets[i]))
-            ]
-            if not cand:
-                raise NoCoveringPair(i)
-            candidates.append(cand)
-        result = _match_paths_to_pairs(candidates)
-        if isinstance(result, int):
-            raise NoCoveringPair(result)
-        assert len(set(result)) == len(result), "a cover pair was reused"
-        sub = A.host
-        for i, j in enumerate(result):
-            L = A.ladders[j]
-            Q = (L.start,) + plist[i] + (L.end,)
-            sub = absorb_path(D, sub, EmbeddedLadder(L, A.embedding[j]), Q)
-        return sub
-    # Type II: path i belongs to host i
-    if len(plist) > len(A.hosts):
-        raise TooManyPaths(
-            f"{len(plist)} paths exceed the {len(A.hosts)} hosts"
+    part = 1 if len(A.hosts) == 1 else 0  # the slot field a target names
+    if targets is None:
+        if not part and len(plist) > len(A.hosts):
+            raise TooManyPaths(f"{len(plist)} paths exceed the {len(A.hosts)} hosts")
+        targets = range(len(plist)) if not part else [None] * len(plist)
+    keys = [slot[part] for slot in A.slots]
+    if len(targets) != len(plist) or any(
+        t is not None and t not in keys for t in targets
+    ):
+        raise BadParameter(
+            "one target per path required, naming a host path that carries ladders"
         )
-    subs = list(A.hosts)
-    used: set[int] = set()
+    candidates: list[list[int]] = []
     for i, p in enumerate(plist):
-        hi = int(targets[i]) if targets is not None else i
-        ends = (p[0], p[-1])
         cand = [
             j
             for j, pair in enumerate(A.pairs.pairs)
-            if j not in used and A.embedding[j][0] == hi and covers(D, pair, ends)
+            if covers(D, pair, (p[0], p[-1]))
+            and (targets[i] is None or A.embedding[j][part] == targets[i])
         ]
         if not cand:
             raise NoCoveringPair(i)
-        j = cand[0]
-        used.add(j)
+        candidates.append(cand)
+    result = _match_paths_to_pairs(candidates)
+    if isinstance(result, int):
+        raise NoCoveringPair(result)
+    assert len(set(result)) == len(result), "a cover pair was reused"
+    subs = list(A.hosts)
+    for p, j in zip(plist, result):
         L = A.ladders[j]
-        Q = (L.start,) + p + (L.end,)
-        subs[hi] = absorb_path(D, subs[hi], EmbeddedLadder(L, A.embedding[j][1]), Q)
+        hi, arc = A.embedding[j]
+        subs[hi] = absorb_path(
+            D, subs[hi], EmbeddedLadder(L, arc), (L.start,) + p + (L.end,)
+        )
     return subs

@@ -8,7 +8,6 @@ fully deterministic given it.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 
@@ -26,6 +25,8 @@ from .errors import (
     BadParameter,
     CycleNotFound,
     DilinkError,
+    LabelOutOfRange,
+    LoopArc,
     NotOriented,
     PipelineFailed,
     TooLargeForExact,
@@ -38,8 +39,10 @@ from .expansion import (
 )
 from .fileio import (
     absorber_to_json,
+    dump_json,
     format_digraph,
     parse_digraph,
+    parse_ints,
     parse_pattern,
     read_digraph,
     read_pattern,
@@ -119,7 +122,7 @@ def _config_from_args(args, needed_paths: int) -> PipelineConfig:
 def cmd_find_subdivision(args) -> int:
     D = _load_digraph(args.graph)
     H, file_map = read_pattern(args.pattern)
-    lengths = [int(x) for x in args.lengths.split(",")]
+    lengths = parse_ints(args.lengths.split(","), args.lengths)
     if args.branches == "any":
         rng = random.Random(args.seed)
         pool = rng.sample(range(D.n), H.underlying.n)
@@ -127,28 +130,19 @@ def cmd_find_subdivision(args) -> int:
     else:
         f = dict(file_map)
         for piece in filter(None, args.branches.split(",")):
-            a, v = piece.split(":")
-            f[int(a)] = int(v)
+            a, v = parse_ints(piece.split(":"), piece)
+            f[a] = v
     cfg = _config_from_args(args, H.h)
-    sub = nh_linked_embed(D, H, f, lengths, cfg)
-    json.dump(subdivision_to_json(sub), sys.stdout, indent=2, sort_keys=True)
-    print()
+    dump_json(subdivision_to_json(nh_linked_embed(D, H, f, lengths, cfg)), sys.stdout)
     return 0
 
 
 def cmd_tile(args) -> int:
     D = _load_digraph(args.graph)
     H, _ = read_pattern(args.pattern)
-    orders = [int(x) for x in args.orders.split(",")]
-    cfg = _config_from_args(args, len(orders))
-    subs = perfect_tiling(D, H, orders, cfg)
-    json.dump(
-        {"tiles": [subdivision_to_json(s) for s in subs]},
-        sys.stdout,
-        indent=2,
-        sort_keys=True,
-    )
-    print()
+    orders = parse_ints(args.orders.split(","), args.orders)
+    subs = perfect_tiling(D, H, orders, _config_from_args(args, len(orders)))
+    dump_json({"tiles": [subdivision_to_json(s) for s in subs]}, sys.stdout)
     return 0
 
 
@@ -165,38 +159,27 @@ def cmd_build_cover(args) -> int:
 def cmd_absorb_demo(args) -> int:
     D = gen_random_digraph(args.n, args.p, args.seed)
     p = ExpansionParams(args.nu, args.nu, args.gamma)
+    H = single_arc_pattern()
     if args.type == 1:
-        H = single_arc_pattern()
-        f = {0: 0, 1: 1}
-        lengths = [args.length]
+        f, lengths = {0: 0, 1: 1}, [args.length]
         A = build_type1_absorber(D, H, f, lengths, p, args.d, args.seed)
     else:
-        H = single_arc_pattern()
-        A = build_type2_absorber(
-            D, H, [args.length, args.length], p, args.d, args.seed
-        )
+        A = build_type2_absorber(D, H, [args.length] * 2, p, args.d, args.seed)
     print(f"absorber: type {args.type}, |K| = {len(A.pairs)}, "
           f"order {len(A.vertices())}, valid = {validate_absorber(D, A)}",
           file=sys.stderr)
     if args.paths:
-        paths = [
-            tuple(int(x) for x in chunk.split(","))
-            for chunk in args.paths.split(";")
-        ]
+        paths = [tuple(parse_ints(c.split(","), c)) for c in args.paths.split(";")]
     else:
         removal = remove_vertices(D, A.vertices())
         C = hamilton_cycle(removal.digraph, args.seed)
         C = tuple(removal.new_to_old[x] for x in C)
-        count = 1 if args.type == 1 else 2
-        paths = cut_cycle_segments(C, [5] * count, args.seed)
+        paths = cut_cycle_segments(C, [5] * len(A.hosts), args.seed)
         print(f"auto-picked absorbee paths: {[list(p_) for p_ in paths]}",
               file=sys.stderr)
-    result = absorb_paths(D, A, paths)
-    subs = [result] if args.type == 1 else result
-    data = {"absorber": absorber_to_json(A),
-            "result": [subdivision_to_json(s) for s in subs]}
-    json.dump(data, sys.stdout, indent=2, sort_keys=True)
-    print()
+    subs = absorb_paths(D, A, paths)
+    dump_json({"absorber": absorber_to_json(A),
+               "result": [subdivision_to_json(s) for s in subs]}, sys.stdout)
     return 0
 
 
@@ -284,10 +267,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (BadParameter, TooLargeForExact) as e:
+    except (
+        FileNotFoundError, BadParameter, LabelOutOfRange, LoopArc, TooLargeForExact
+    ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except PipelineFailed as e:

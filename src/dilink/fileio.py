@@ -9,9 +9,9 @@ Subdivisions, ladders, and absorbers serialize to plain JSON objects.
 from __future__ import annotations
 
 import json
-from typing import Mapping, TextIO
+from typing import Mapping, Sequence, TextIO
 
-from .absorber import Absorber, AbsorberTypeI, AbsorberTypeII
+from .absorber import Absorber
 from .digraph import Digraph
 from .errors import BadParameter
 from .ladder import Ladder
@@ -32,6 +32,14 @@ def _content_lines(text: str) -> list[str]:
     return out
 
 
+def parse_ints(tokens: Sequence[str], source: str) -> list[int]:
+    """The tokens as integers; BadParameter quoting source otherwise."""
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise BadParameter(f"non-integer value in {source!r}") from None
+
+
 def parse_digraph(text: str) -> Digraph:
     """Parse the edge-list format: "n m" then m lines "u v"."""
     lines = _content_lines(text)
@@ -40,10 +48,7 @@ def parse_digraph(text: str) -> Digraph:
     head = lines[0].split()
     if len(head) != 2:
         raise BadParameter(f"header must be 'n m', got {lines[0]!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise BadParameter(f"non-integer header {lines[0]!r}") from None
+    n, m = parse_ints(head, lines[0])
     arc_lines = [l for l in lines[1:] if not l.startswith("map ")]
     if len(arc_lines) != m:
         raise BadParameter(f"header promises {m} arcs, file has {len(arc_lines)}")
@@ -52,7 +57,10 @@ def parse_digraph(text: str) -> Digraph:
         parts = line.split()
         if len(parts) != 2:
             raise BadParameter(f"arc line must be 'u v', got {line!r}")
-        arcs.append((int(parts[0]), int(parts[1])))
+        try:  # inline: this loop runs once per arc
+            arcs.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise BadParameter(f"non-integer value in {line!r}") from None
     return Digraph(n, arcs)
 
 
@@ -83,7 +91,8 @@ def parse_pattern(text: str) -> tuple[PatternDigraph, dict[int, int]]:
             parts = line.split()
             if len(parts) != 3:
                 raise BadParameter(f"map line must be 'map a v', got {line!r}")
-            branch[int(parts[1])] = int(parts[2])
+            a, v = parse_ints(parts[1:], line)
+            branch[a] = v
         else:
             graph_lines.append(line)
     D = parse_digraph("\n".join(graph_lines))
@@ -114,17 +123,14 @@ def ladder_to_json(L: Ladder) -> dict:
 
 
 def absorber_to_json(A: Absorber) -> dict:
-    out = {
-        "type": 1 if isinstance(A, AbsorberTypeI) else 2,
+    """Type 1 is a one-host absorber, type 2 one with several hosts."""
+    return {
+        "type": 1 if len(A.hosts) == 1 else 2,
         "K": [[u, v] for u, v in A.pairs.pairs],
         "ladders": [ladder_to_json(L) for L in A.ladders],
+        "hosts": [subdivision_to_json(h) for h in A.hosts],
         "d": A.d,
     }
-    if isinstance(A, AbsorberTypeI):
-        out["hosts"] = [subdivision_to_json(A.host)]
-    else:
-        out["hosts"] = [subdivision_to_json(h) for h in A.hosts]
-    return out
 
 
 def dump_json(obj: Mapping, fh: TextIO) -> None:

@@ -163,7 +163,6 @@ def _swap_rungs(
     host: Sequence[int],
     L: Ladder,
     P: Sequence[int],
-    debug: bool = False,
 ) -> tuple[int, ...]:
     """Replace R_0 by P and each R_i by R'_i (ascending even i) inside the
     host vertex sequence.  Raises if preconditions fail."""
@@ -191,9 +190,6 @@ def _swap_rungs(
         if at is None:
             raise NotEmbedded(f"rung {rung} vanished during rewiring")
         work[at : at + len(rung)] = list(alt)
-        if debug:
-            assert len(set(work)) == len(work), "duplicate vertex after swap"
-            assert all(D.has_arc(a, b) for a, b in zip(work, work[1:]))
     if len(set(work)) != len(work):
         raise PathNotDisjoint("rewired path repeats a vertex")
     return tuple(work)
@@ -204,7 +200,6 @@ def absorb_path(
     sub: HSubdivision,
     emb: EmbeddedLadder,
     P: Sequence[int],
-    debug: bool = False,
 ) -> HSubdivision:
     """Absorb the path P into the subdivision via the embedded ladder.
 
@@ -226,7 +221,7 @@ def absorb_path(
         raise PathNotDisjoint(
             f"absorbee interior meets other subdivided paths at {sorted(interior & others)}"
         )
-    new_host = _swap_rungs(D, host, emb.ladder, P, debug=debug)
+    new_host = _swap_rungs(D, host, emb.ladder, P)
     paths = dict(sub.paths)
     paths[emb.host_arc] = new_host
     return HSubdivision(sub.pattern, dict(sub.branch_map), paths)
@@ -237,10 +232,9 @@ def absorb_into_path(
     host: Sequence[int],
     L: Ladder,
     P: Sequence[int],
-    debug: bool = False,
 ) -> tuple[int, ...]:
     """Rung-swap absorption on a bare path: returns a path with the same
     endpoints whose vertex set is V(host) union V(P)."""
     if not validate_path(D, host):
         raise InvalidPath("host is not a valid path of the digraph")
-    return _swap_rungs(D, host, L, P, debug=debug)
+    return _swap_rungs(D, host, L, P)

@@ -1,27 +1,28 @@
 """End-to-end construction pipelines.
 
-Both pipelines share one skeleton: build an absorber (whose host paths
-are deliberately left short of their final size), find a Hamilton cycle
-of the digraph minus the absorber, cut segments of exactly the missing
+Both pipelines run one shared loop: build an absorber (whose host paths are
+deliberately left short of their final size), find a Hamilton cycle of
+the digraph minus the absorber, cut segments of exactly the missing
 sizes from the cycle, and absorb each segment into its designated host
 path.  Because rung-swap absorption adds exactly the absorbed vertices,
 the final subdivisions hit their prescribed path lengths (or orders)
-on the nose.
+on the nose.  The pipelines differ only in their feasibility gates, the
+absorber they build, the segment sizes and the final check.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .absorber import (
+    Absorber,
     absorb_paths,
     absorber_params,
     build_type1_absorber,
     build_type2_absorber,
 )
-from .cycles import DEFAULT_EXACT_CAP, cut_cycle_segments, hamilton_cycle
+from .cycles import cut_cycle_segments, hamilton_cycle
 from .digraph import Digraph, remove_vertices
 from .errors import (
     AbsorberConstructionFailed,
@@ -63,7 +64,6 @@ class PipelineConfig:
     d: int | None = None
     seed: int = 0
     restart_budget: int = 3
-    cycle_exact_cap: int = DEFAULT_EXACT_CAP
 
     def __post_init__(self):
         g = as_fraction(self.gamma)
@@ -99,6 +99,65 @@ def _stage_seed(base: int, restart: int, salt: int) -> int:
     return (base * 1_000_003 + restart * 7919 + salt) & 0xFFFFFFFF
 
 
+def _drive(
+    D: Digraph,
+    cfg: PipelineConfig,
+    what: str,
+    amounts: Sequence[int],
+    build: Callable[[ExpansionParams, int, int], Absorber],
+    sizes: Callable[[Absorber], list[int]],
+    targets: Sequence | None,
+    accept: Callable[[list[HSubdivision]], bool],
+) -> list[HSubdivision]:
+    """The loop both pipelines share, after the gates they share: every
+    requested amount (a length or an order) must reach the minimum
+    prescribed length, and d must allow absorbing one segment per amount.
+
+    Per restart: build the absorber, find a Hamilton cycle of D minus
+    it, and try up to _CUT_TRIES cuts of the cycle into segments of the
+    given sizes until absorb_paths takes one; the enlarged hosts are
+    returned if they pass the final check.  Stage failures trigger a
+    full restart with derived seeds, up to cfg.restart_budget.
+    """
+    p, d = cfg.resolve(D.n)
+    floor = min_prescribed_length(p.nu)
+    for x in amounts:
+        if x < floor:
+            raise PipelineFailed("feasibility", f"{what} {x} below the minimum {floor}")
+    if d < len(amounts):
+        raise PipelineFailed(
+            "feasibility", f"d = {d} cannot absorb {len(amounts)} segments at once"
+        )
+    last_stage, last_msg = "absorber", "no attempt ran"
+    for restart in range(cfg.restart_budget):
+        try:
+            A = build(p, d, _stage_seed(cfg.seed, restart, 1))
+        except AbsorberConstructionFailed as e:
+            last_stage, last_msg = "absorber", str(e)
+            continue
+        removal = remove_vertices(D, A.vertices())
+        try:
+            C_local = hamilton_cycle(removal.digraph, _stage_seed(cfg.seed, restart, 2))
+        except CycleNotFound as e:
+            last_stage, last_msg = "cycle", str(e)
+            continue
+        C = tuple(removal.new_to_old[x] for x in C_local)
+        seg_sizes = sizes(A)
+        for cut in range(_CUT_TRIES):
+            cut_seed = _stage_seed(cfg.seed, restart, 3 + cut)
+            segs = cut_cycle_segments(C, seg_sizes, cut_seed)
+            try:
+                subs = absorb_paths(D, A, segs, targets=targets)
+            except NoCoveringPair as e:
+                last_stage, last_msg = "absorb", str(e)
+                continue
+            if accept(subs):
+                return subs
+            last_stage, last_msg = "validate", "absorbed hosts failed final checks"
+            break
+    raise PipelineFailed(last_stage, last_msg)
+
+
 def nh_linked_embed(
     D: Digraph,
     H: PatternDigraph,
@@ -109,72 +168,29 @@ def nh_linked_embed(
     """Embed an H-subdivision with branch map exactly f and path lengths
     exactly N (one length per pattern arc, in arc order).
 
-    Stages per restart: Type-I absorber around f; Hamilton cycle of the
-    digraph minus the absorber; cut one segment per pattern arc sized to
-    top its host path up to the prescribed length; absorb each segment
-    into its own path.  Stage failures trigger a full restart with a
-    derived seed, up to cfg.restart_budget.
+    Runs the shared loop with a Type-I absorber around f and one
+    segment per pattern arc, sized to top its host path up to the
+    prescribed length and absorbed into that path.
     """
-    n = D.n
     N = N if isinstance(N, LengthPrescription) else LengthPrescription(tuple(N))
     if len(N) != H.h:
         raise BadParameter(f"{H.h} lengths required, got {len(N)}")
-    p, d = cfg.resolve(n)
-    floor = min_prescribed_length(p.nu)
-    for l in N:
-        if l < floor:
-            raise PipelineFailed(
-                "feasibility", f"prescribed length {l} below the minimum {floor}"
-            )
-    if sum(l + 1 for l in N) > n:
+    if sum(l + 1 for l in N) > D.n:
         raise PipelineFailed(
             "feasibility",
-            f"sum of (l_i + 1) is {sum(l + 1 for l in N)}, exceeding n = {n}",
-        )
-    if d < H.h:
-        raise PipelineFailed(
-            "feasibility", f"d = {d} cannot absorb {H.h} segments at once"
+            f"sum of (l_i + 1) is {sum(l + 1 for l in N)}, exceeding n = {D.n}",
         )
     arcs = H.arc_order
-    last_stage, last_msg = "absorber", "no attempt ran"
-    for restart in range(cfg.restart_budget):
-        try:
-            A = build_type1_absorber(
-                D, H, f, N, p, d, _stage_seed(cfg.seed, restart, 1)
-            )
-        except AbsorberConstructionFailed as e:
-            last_stage, last_msg = "absorber", str(e)
-            continue
-        removal = remove_vertices(D, A.vertices())
-        try:
-            C_local = hamilton_cycle(removal.digraph, _stage_seed(cfg.seed, restart, 2))
-        except CycleNotFound as e:
-            last_stage, last_msg = "cycle", str(e)
-            continue
-        C = tuple(removal.new_to_old[x] for x in C_local)
-        sizes = [
-            N.lengths[i] + 1 - len(A.host.paths[arc]) for i, arc in enumerate(arcs)
-        ]
-        done = None
-        for cut in range(_CUT_TRIES):
-            segs = cut_cycle_segments(C, sizes, _stage_seed(cfg.seed, restart, 3 + cut))
-            try:
-                sub = absorb_paths(D, A, segs, targets=arcs)
-            except NoCoveringPair as e:
-                last_stage, last_msg = "absorb", str(e)
-                continue
-            done = sub
-            break
-        if done is None:
-            continue
-        if (
-            validate_subdivision(D, done)
-            and path_lengths(done) == N.lengths
-            and dict(done.branch_map) == dict(f)
-        ):
-            return done
-        last_stage, last_msg = "validate", "absorbed subdivision failed final checks"
-    raise PipelineFailed(last_stage, last_msg)
+    [sub] = _drive(
+        D, cfg, "prescribed length", N.lengths,
+        lambda p, d, seed: build_type1_absorber(D, H, f, N, p, d, seed),
+        lambda A: [l + 1 - len(A.hosts[0].paths[a]) for l, a in zip(N, arcs)],
+        arcs,
+        lambda subs: validate_subdivision(D, subs[0])
+        and path_lengths(subs[0]) == N.lengths
+        and dict(subs[0].branch_map) == dict(f),
+    )
+    return sub
 
 
 def perfect_tiling(
@@ -185,61 +201,21 @@ def perfect_tiling(
 ) -> list[HSubdivision]:
     """Partition V(D) into H-subdivisions of exactly the given orders.
 
-    Same skeleton as nh_linked_embed, but with a Type-II absorber (one
-    host per requested order) and the ENTIRE leftover cycle cut into k
-    segments, so the union of the k enlarged subdivisions is V(D).
+    Runs the shared loop with a Type-II absorber (one host per
+    requested order) and the ENTIRE leftover cycle cut into k segments,
+    so the union of the k enlarged subdivisions is V(D).
     """
-    n = D.n
     orders = [int(x) for x in orders]
-    k = len(orders)
-    if k < 1:
+    if not orders:
         raise BadParameter("at least one order required")
-    if sum(orders) != n:
+    if sum(orders) != D.n:
         raise OrdersDontSumToN(
-            f"orders sum to {sum(orders)}, but the digraph has {n} vertices"
+            f"orders sum to {sum(orders)}, but the digraph has {D.n} vertices"
         )
-    p, d = cfg.resolve(n)
-    floor = min_prescribed_length(p.nu)
-    for o in orders:
-        if o < floor:
-            raise PipelineFailed(
-                "feasibility", f"order {o} below the minimum {floor}"
-            )
-    if d < k:
-        raise PipelineFailed(
-            "feasibility", f"d = {d} cannot absorb {k} segments at once"
-        )
-    last_stage, last_msg = "absorber", "no attempt ran"
-    for restart in range(cfg.restart_budget):
-        try:
-            A = build_type2_absorber(
-                D, H, orders, p, d, _stage_seed(cfg.seed, restart, 1)
-            )
-        except AbsorberConstructionFailed as e:
-            last_stage, last_msg = "absorber", str(e)
-            continue
-        removal = remove_vertices(D, A.vertices())
-        try:
-            C_local = hamilton_cycle(removal.digraph, _stage_seed(cfg.seed, restart, 2))
-        except CycleNotFound as e:
-            last_stage, last_msg = "cycle", str(e)
-            continue
-        C = tuple(removal.new_to_old[x] for x in C_local)
-        sizes = [orders[i] - subdivision_order(A.hosts[i]) for i in range(k)]
-        assert sum(sizes) == len(C), "host budgets must account for every vertex"
-        done = None
-        for cut in range(_CUT_TRIES):
-            segs = cut_cycle_segments(C, sizes, _stage_seed(cfg.seed, restart, 3 + cut))
-            try:
-                subs = absorb_paths(D, A, segs)
-            except NoCoveringPair as e:
-                last_stage, last_msg = "absorb", str(e)
-                continue
-            done = subs
-            break
-        if done is None:
-            continue
-        if validate_tiling(D, done, orders):
-            return list(done)
-        last_stage, last_msg = "validate", "tiling failed final checks"
-    raise PipelineFailed(last_stage, last_msg)
+    return _drive(
+        D, cfg, "order", orders,
+        lambda p, d, seed: build_type2_absorber(D, H, orders, p, d, seed),
+        lambda A: [o - subdivision_order(h) for o, h in zip(orders, A.hosts)],
+        None,
+        lambda subs: validate_tiling(D, subs, orders),
+    )

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from dilink import (
-    AbsorberTypeI,
-    AbsorberTypeII,
+    Absorber,
     CoverPairSet,
     ExpansionParams,
+    HSubdivision,
     absorb_paths,
     absorber_params,
     absorber_size_bound,
@@ -72,18 +72,18 @@ def test_type1_build_structure():
     H = single_arc_pattern()
     f = {0: 0, 1: 1}
     A = build_type1_absorber(D, H, f, [130], P_DEFAULT, d=3, seed=0)
-    assert isinstance(A, AbsorberTypeI)
+    assert len(A.hosts) == 1 and A.slots == ((0, (0, 1)),)
     assert A.d == 3
     assert len(A.ladders) == len(A.pairs)
     assert validate_absorber(D, A)
     # host runs between the branch images and leaves absorption headroom
-    host_path = A.host.paths[(0, 1)]
+    host_path = A.hosts[0].paths[(0, 1)]
     assert host_path[0] == 0 and host_path[-1] == 1
     assert len(host_path) <= 129
-    assert dict(A.host.branch_map) == f
+    assert dict(A.hosts[0].branch_map) == f
     # every ladder really sits on its claimed path
     for i, L in enumerate(A.ladders):
-        assert ladder_on_path(L, A.host.paths[A.embedding[i]])
+        assert ladder_on_path(L, A.hosts[0].paths[A.embedding[i][1]])
     # ladder i joins pair i
     for (u, v), L in zip(A.pairs, A.ladders):
         assert L.start == u and L.end == v
@@ -95,9 +95,9 @@ def test_type1_respects_branch_images():
     f = {0: 10, 1: 20, 2: 30}
     A = build_type1_absorber(D, H, f, [60, 60, 60], P_DEFAULT, d=3, seed=1)
     assert validate_absorber(D, A)
-    assert dict(A.host.branch_map) == f
+    assert dict(A.hosts[0].branch_map) == f
     for arc in H.arc_order:
-        p = A.host.paths[arc]
+        p = A.hosts[0].paths[arc]
         assert p[0] == f[arc[0]] and p[-1] == f[arc[1]]
 
 
@@ -105,7 +105,7 @@ def test_type2_build_structure():
     D = _dense(7)
     H = single_arc_pattern()
     A = build_type2_absorber(D, H, [100, 100], P_DEFAULT, d=3, seed=0)
-    assert isinstance(A, AbsorberTypeII)
+    assert A.slots == ((0, (0, 1)), (1, (0, 1)))
     assert len(A.hosts) == 2
     assert validate_absorber(D, A)
     # hosts are disjoint and leave room to grow to the exact orders
@@ -124,29 +124,85 @@ def test_validate_absorber_catches_tampering():
     A = build_type1_absorber(D, H, {0: 0, 1: 1}, [130], P_DEFAULT, d=3, seed=0)
     # a ladder without its pair can't even be constructed
     with pytest.raises(BadParameter):
-        AbsorberTypeI(A.pairs, A.ladders[:-1], A.host, dict(A.embedding), A.d)
+        Absorber(A.pairs, A.ladders[:-1], A.hosts, dict(A.embedding), A.d, A.slots)
     problems: list[str] = []
     # swap two pairs without touching the ladders: alignment breaks
     flipped = CoverPairSet((A.pairs.pairs[1], A.pairs.pairs[0]) + A.pairs.pairs[2:])
     assert not validate_absorber(
-        D, AbsorberTypeI(flipped, A.ladders, A.host, A.embedding, A.d), problems
+        D, Absorber(flipped, A.ladders, A.hosts, A.embedding, A.d, A.slots), problems
     )
     assert problems
     # point a ladder at the wrong arc: embedding must fail
-    wrong = AbsorberTypeI(A.pairs, A.ladders, A.host, dict(A.embedding) | {0: (9, 9)}, A.d)
+    wrong = Absorber(A.pairs, A.ladders, A.hosts, dict(A.embedding) | {0: (0, (9, 9))}, A.d, A.slots)
     assert not validate_absorber(D, wrong)
     # claim a higher multiplicity than the cover provides
-    greedy = AbsorberTypeI(A.pairs, A.ladders, A.host, A.embedding, 64)
+    greedy = Absorber(A.pairs, A.ladders, A.hosts, A.embedding, 64, A.slots)
     assert not validate_absorber(D, greedy)
+
+
+def test_validate_absorber_flags_a_pattern_arc_without_ladders():
+    D = _dense(3)
+    H = triangle_pattern()
+    A = build_type1_absorber(D, H, {0: 10, 1: 20, 2: 30}, [60] * 3, P_DEFAULT, d=3, seed=1)
+    bare = (2, 0)
+    keep = [i for i in range(len(A.ladders)) if A.embedding[i] != (0, bare)]
+    assert 0 < len(keep) < len(A.ladders)
+    T = Absorber(
+        CoverPairSet(tuple(A.pairs.pairs[i] for i in keep)),
+        tuple(A.ladders[i] for i in keep),
+        A.hosts,
+        {s: A.embedding[i] for s, i in enumerate(keep)},
+        A.d,
+        A.slots,
+    )
+    problems: list[str] = []
+    assert not validate_absorber(D, T, problems)
+    assert any("without any ladder" in p and str(bare) in p for p in problems)
+
+
+def _spare_host(D, H, A, share: bool) -> HSubdivision:
+    """A one-arc subdivision outside A, or sharing its tail with host 0."""
+    inside = A.hosts[0].vertices() if share else frozenset(range(D.n))
+    u, v = next(
+        (u, v) for u, v in sorted(D.arcs)
+        if u in inside and (share or u not in A.vertices()) and v not in A.vertices()
+    )
+    return HSubdivision(H, {0: u, 1: v}, {(0, 1): (u, v)})
+
+
+def test_validate_absorber_flags_a_host_without_ladders():
+    D = _dense(7)
+    H = single_arc_pattern()
+    A = build_type2_absorber(D, H, [100, 100], P_DEFAULT, d=3, seed=0)
+    spare = _spare_host(D, H, A, share=False)
+    T = Absorber(
+        A.pairs, A.ladders, A.hosts + (spare,), A.embedding, A.d, A.slots + ((2, (0, 1)),)
+    )
+    problems: list[str] = []
+    assert not validate_absorber(D, T, problems)
+    assert len(problems) == 1 and "without any ladder" in problems[0]
+
+
+def test_validate_absorber_flags_hosts_that_share_a_vertex():
+    D = _dense(7)
+    H = single_arc_pattern()
+    A = build_type2_absorber(D, H, [100, 100], P_DEFAULT, d=3, seed=0)
+    spare = _spare_host(D, H, A, share=True)
+    T = Absorber(
+        A.pairs, A.ladders, A.hosts + (spare,), A.embedding, A.d, A.slots + ((2, (0, 1)),)
+    )
+    problems: list[str] = []
+    assert not validate_absorber(D, T, problems)
+    assert "host 2 overlaps an earlier host" in problems
 
 
 def test_absorb_paths_type1_roundtrip():
     D = _dense()
     H = single_arc_pattern()
     A = build_type1_absorber(D, H, {0: 0, 1: 1}, [130], P_DEFAULT, d=3, seed=0)
-    missing = 130 + 1 - len(A.host.paths[(0, 1)])
+    missing = 130 + 1 - len(A.hosts[0].paths[(0, 1)])
     segs = _leftover_segments(D, A, [missing])
-    sub = absorb_paths(D, A, segs, targets=[(0, 1)])
+    [sub] = absorb_paths(D, A, segs, targets=[(0, 1)])
     assert validate_subdivision(D, sub)
     assert path_lengths(sub) == (130,)
     assert sub.vertices() == A.vertices() | set(segs[0])
@@ -159,9 +215,9 @@ def test_absorb_paths_type1_multiple_segments():
     N = [55, 60, 65]
     A = build_type1_absorber(D, H, f, N, P_DEFAULT, d=3, seed=2)
     arcs = H.arc_order
-    sizes = [N[i] + 1 - len(A.host.paths[a]) for i, a in enumerate(arcs)]
+    sizes = [N[i] + 1 - len(A.hosts[0].paths[a]) for i, a in enumerate(arcs)]
     segs = _leftover_segments(D, A, sizes, seed=1)
-    sub = absorb_paths(D, A, segs, targets=arcs)
+    [sub] = absorb_paths(D, A, segs, targets=arcs)
     assert validate_subdivision(D, sub)
     assert path_lengths(sub) == tuple(N)
 
@@ -174,27 +230,28 @@ def test_one_path_at_a_time_matches_batch_absorption():
     H = single_arc_pattern()
     A = build_type1_absorber(D, H, {0: 0, 1: 1}, [130], P_DEFAULT, d=3, seed=3)
     segs = _leftover_segments(D, A, [12, 9, 15], seed=3)
-    batch = absorb_paths(D, A, segs)
+    [batch] = absorb_paths(D, A, segs)
     assert batch.vertices() == A.vertices() | {v for s in segs for v in s}
 
     cur = A
     for seg in reversed(segs):
-        out = absorb_paths(D, cur, [seg])
+        [out] = absorb_paths(D, cur, [seg])
         # the splice runs pair.u, seg..., pair.v: read off the pair used
         path = next(p for p in out.paths.values() if seg[0] in p)
         u = path[path.index(seg[0]) - 1]
         v = path[path.index(seg[-1]) + 1]
         j = cur.pairs.pairs.index((u, v))
         keep = [t for t in range(len(cur.pairs)) if t != j]
-        cur = AbsorberTypeI(
+        cur = Absorber(
             CoverPairSet(tuple(cur.pairs.pairs[t] for t in keep)),
             tuple(cur.ladders[t] for t in keep),
-            out,
+            (out,),
             {s: cur.embedding[t] for s, t in enumerate(keep)},
             cur.d,
+            cur.slots,
         )
-    assert cur.host.vertices() == batch.vertices()
-    assert validate_subdivision(D, cur.host)
+    assert cur.hosts[0].vertices() == batch.vertices()
+    assert validate_subdivision(D, cur.hosts[0])
 
 
 def test_absorb_paths_type2_index_alignment():
@@ -220,7 +277,7 @@ def test_absorb_paths_guardrails():
         absorb_paths(D, A, segs)  # 4 paths > d = 3
     with pytest.raises(NotDisjoint):
         absorb_paths(D, A, [segs[0], segs[0]])
-    host_path = A.host.paths[(0, 1)]
+    host_path = A.hosts[0].paths[(0, 1)]
     with pytest.raises(NotDisjoint):
         absorb_paths(D, A, [host_path[1:3]])  # inside the absorber
     from dilink.errors import InvalidPath
@@ -237,6 +294,12 @@ def test_absorb_paths_rejects_unservable_targets():
     segs = _leftover_segments(D, A, [4])
     with pytest.raises(BadParameter):
         absorb_paths(D, A, segs, targets=[(0, 1), (1, 2)])  # count mismatch
+    # several hosts: targets are host indices, one per path
+    A2 = build_type2_absorber(_dense(7), single_arc_pattern(), [100, 100], P_DEFAULT, d=3, seed=0)
+    segs2 = _leftover_segments(_dense(7), A2, [4])
+    for bad in ([], [(0, 1)], [2]):
+        with pytest.raises(BadParameter):
+            absorb_paths(_dense(7), A2, segs2, targets=bad)
 
 
 def test_build_rejects_bad_arguments():

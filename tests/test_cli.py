@@ -153,3 +153,27 @@ def test_absorb_demo_types(capsys):
     assert obj["absorber"]["type"] == 2
     assert len(obj["absorber"]["hosts"]) == 2
     assert len(obj["result"]) == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["3 2\n0 1\n1 x\n", "3 2\n0 1\n1 1\n", "3 2\n0 1\n1 7\n"],
+    ids=["non-integer", "loop", "out-of-range"],
+)
+def test_malformed_digraph_is_exit_2(pattern_file, capsys, text):
+    assert main(["check-degrees", pattern_file(text, "g.txt")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_malformed_branch_map_is_exit_2(graph_file, pattern_file, capsys):
+    g = graph_file(gen_random_digraph(300, 0.7, 0))
+    h = pattern_file("2 1\n0 1\nmap 0 x\nmap 1 17\n")
+    assert main(["find-subdivision", g, "--pattern", h, "--branches", "", "--lengths", "150"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert main(["find-subdivision", g, "--pattern", h, "--branches", "0:x", "--lengths", "150"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_absorb_demo_non_integer_paths_is_exit_2(capsys):
+    assert main(["absorb-demo", "--n", "200", "--length", "130", "--paths", "5,x"]) == 2
+    assert "error:" in capsys.readouterr().err

@@ -103,7 +103,7 @@ def test_absorb_into_path_full_hand_case():
     arcs = set(D.arcs) | {(0, 7), (7, 3), (9, 0), (10, 9), (3, 2), (5, 8)}
     D4 = Digraph(11, arcs)
     host = (10, 9, 0, 1, 6, 4, 3, 2, 5, 8)
-    out = absorb_into_path(D4, host, L, (0, 7, 3), debug=True)
+    out = absorb_into_path(D4, host, L, (0, 7, 3))
     # R_0 became the absorbee, R_2 its alternative, nothing else moved
     assert out == (10, 9, 0, 7, 3, 2, 1, 6, 4, 5, 8)
     assert set(out) == set(host) | {7}
@@ -156,7 +156,7 @@ def test_randomized_swaps_preserve_the_vertex_ledger(k):
     for _ in range(40):
         D, sub, emb, P = make_ladder_instance(rng, k)
         before = sub.vertices()
-        out = absorb_path(D, sub, emb, P, debug=True)
+        out = absorb_path(D, sub, emb, P)
         from dilink import validate_subdivision
 
         assert validate_subdivision(D, out)
