@@ -47,7 +47,6 @@ from .digraph import (
     DegreeProfile,
     Digraph,
     VertexRemoval,
-    build_digraph,
     degree_profile,
     is_strongly_connected,
     remove_vertices,

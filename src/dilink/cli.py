@@ -130,8 +130,10 @@ def cmd_find_subdivision(args) -> int:
     else:
         f = dict(file_map)
         for piece in filter(None, args.branches.split(",")):
-            a, v = parse_ints(piece.split(":"), piece)
-            f[a] = v
+            pair = parse_ints(piece.split(":"), piece)
+            if len(pair) != 2:
+                raise BadParameter(f"branch piece must be 'a:v', got {piece!r}")
+            f[pair[0]] = pair[1]
     cfg = _config_from_args(args, H.h)
     dump_json(subdivision_to_json(nh_linked_embed(D, H, f, lengths, cfg)), sys.stdout)
     return 0

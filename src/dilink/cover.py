@@ -14,6 +14,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .digraph import Digraph
 from .errors import (
     BadParameter,
@@ -74,8 +76,6 @@ def verify_d_cover(
         return True
     if not pairs:
         return False
-    import numpy as np
-
     A = D.bool_matrix()
     us = np.array([p[0] for p in pairs], dtype=np.intp)
     vs = np.array([p[1] for p in pairs], dtype=np.intp)
@@ -136,12 +136,13 @@ def build_d_cover(
             f"need {2 * m} distinct vertices for {m} pairs, have {len(usable)}"
         )
     last_reason = "verification failed"
+    all_arcs = np.argwhere(D.bool_matrix()).tolist() if prefer_arcs else []
     for attempt in range(max_restarts):
         rng = random.Random((seed * 7_654_321 + attempt) & 0xFFFFFFFF)
         pairs: list[Pair] = []
         used: set[int] = set(avoid_set)
         if prefer_arcs:
-            arc_list = sorted(D.arcs)
+            arc_list = all_arcs[:]
             rng.shuffle(arc_list)
             for u, v in arc_list:
                 if len(pairs) == m:

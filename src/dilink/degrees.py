@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .digraph import Digraph, degree_profile
 from .errors import NotOriented, TooSmall
 from .ratio import Real, as_fraction, ceil_frac
@@ -132,9 +134,11 @@ class OrientedReport:
 def oriented_semidegree(D: Digraph, epsilon: Real) -> OrientedReport:
     """Check (a) min semidegree >= (3/8 + eps) n and (b)
     delta+ + delta- + delta >= 3n/2 + eps n, on an oriented digraph."""
-    for u, v in D.arcs:
-        if (v, u) in D.arcs:
-            raise NotOriented(f"digon between {u} and {v}")
+    M = D.bool_matrix()
+    digons = np.argwhere(M & M.T)
+    if len(digons):
+        u, v = digons[0].tolist()
+        raise NotOriented(f"digon between {u} and {v}")
     n = D.n
     eps = as_fraction(epsilon)
     prof = degree_profile(D)

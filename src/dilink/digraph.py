@@ -3,12 +3,18 @@
 Vertices are always 0..n-1.  At most one arc per ordered pair, no loops;
 (u, v) and (v, u) may coexist.  Digraphs are values: every operation that
 "modifies" one returns a new object, so they can be shared freely.
+
+The only stored form is a read-only n x n numpy bool adjacency matrix,
+which suits the dense digraphs (Theta(n) neighbours per vertex) worked on
+here; the arc set, neighbour tuples and bitmasks are derived on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import LabelOutOfRange, LoopArc
 
@@ -18,108 +24,100 @@ Arc = tuple[int, int]
 class Digraph:
     """A loop-free digraph on vertex set {0, ..., n-1}."""
 
-    __slots__ = ("n", "arcs", "_out", "_in", "_matrix", "_out_masks", "_in_masks")
+    __slots__ = ("n", "_matrix", "_arcs", "_out", "_in", "_in_masks")
 
     def __init__(self, n: int, arc_list: Iterable[Arc]):
+        """Arcs are pairs or an (m, 2) int array; duplicates collapse.  The first
+        bad arc in input order raises LoopArc if a loop, else LabelOutOfRange."""
         if not isinstance(n, int) or n < 0:
             raise LabelOutOfRange(f"vertex count must be a nonnegative int, got {n!r}")
-        arcs: set[Arc] = set()
-        for u, v in arc_list:
+        if not isinstance(arc_list, np.ndarray):
+            arc_list = list(arc_list)
+        a = np.asarray(arc_list, dtype=np.intp)
+        if a.size and (a.ndim != 2 or a.shape[1] != 2):
+            raise ValueError(f"arcs must be pairs (u, v), got shape {a.shape}")
+        a = a.reshape(-1, 2)
+        us, vs = a[:, 0], a[:, 1]
+        bad = (us == vs) | (us < 0) | (us >= n) | (vs < 0) | (vs >= n)
+        if bad.any():
+            u, v = a[bad.argmax()].tolist()
             if u == v:
                 raise LoopArc(f"loop arc ({u}, {u}) is not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise LabelOutOfRange(f"arc ({u}, {v}) outside 0..{n - 1}")
-            arcs.add((int(u), int(v)))
+            raise LabelOutOfRange(f"arc ({u}, {v}) outside 0..{n - 1}")
+        m = np.zeros((n, n), dtype=bool)
+        m[us, vs] = True
+        m.flags.writeable = False
         self.n = n
-        self.arcs = frozenset(arcs)
-        out: list[list[int]] = [[] for _ in range(n)]
-        inn: list[list[int]] = [[] for _ in range(n)]
-        for u, v in sorted(arcs):
-            out[u].append(v)
-            inn[v].append(u)
-        for lst in inn:
-            lst.sort()
-        self._out = tuple(tuple(vs) for vs in out)
-        self._in = tuple(tuple(us) for us in inn)
-        self._matrix = None
-        self._out_masks = None
+        self._matrix = m
+        self._arcs = None
+        self._out = None
+        self._in = None
         self._in_masks = None
 
     # -- basic queries ---------------------------------------------------
 
     @property
+    def arcs(self) -> frozenset[Arc]:
+        if self._arcs is None:
+            us, vs = np.nonzero(self._matrix)
+            self._arcs = frozenset(zip(us.tolist(), vs.tolist()))
+        return self._arcs
+
+    @property
     def arc_count(self) -> int:
-        return len(self.arcs)
+        return int(np.count_nonzero(self._matrix))
 
     def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self.arcs
+        return 0 <= u < self.n and 0 <= v < self.n and self._matrix.item(u, v)
 
     def out_neighbors(self, v: int) -> tuple[int, ...]:
+        if self._out is None:
+            self._out = tuple(tuple(np.flatnonzero(r).tolist()) for r in self._matrix)
         return self._out[v]
 
     def in_neighbors(self, v: int) -> tuple[int, ...]:
+        if self._in is None:
+            self._in = tuple(tuple(np.flatnonzero(r).tolist()) for r in self._matrix.T)
         return self._in[v]
 
     def out_degree(self, v: int) -> int:
-        return len(self._out[v])
+        return len(self.out_neighbors(v))
 
     def in_degree(self, v: int) -> int:
-        return len(self._in[v])
+        return len(self.in_neighbors(v))
 
     def vertices(self) -> range:
         return range(self.n)
 
     def reverse(self) -> "Digraph":
         """The digraph with every arc (u, v) replaced by (v, u)."""
-        return Digraph(self.n, [(v, u) for u, v in self.arcs])
+        return Digraph(self.n, np.argwhere(self._matrix.T))
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Digraph)
             and self.n == other.n
-            and self.arcs == other.arcs
+            and np.array_equal(self._matrix, other._matrix)
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.arcs))
+        return hash((self.n, self._matrix.tobytes()))
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, arcs={self.arc_count})"
 
-    # -- cached dense views (internal accelerators) ----------------------
+    # -- dense views -----------------------------------------------------
 
-    def bool_matrix(self):
-        """n x n numpy bool matrix M with M[u, v] true iff arc u->v."""
-        if self._matrix is None:
-            import numpy as np
-
-            m = np.zeros((self.n, self.n), dtype=bool)
-            for u, v in self.arcs:
-                m[u, v] = True
-            self._matrix = m
+    def bool_matrix(self) -> np.ndarray:
+        """The read-only n x n bool matrix M with M[u, v] true iff arc u->v."""
         return self._matrix
 
     def in_masks(self) -> tuple[int, ...]:
         """Per-vertex bitmask of in-neighbors (bit u set iff u->v)."""
         if self._in_masks is None:
-            masks = [0] * self.n
-            for u, v in self.arcs:
-                masks[v] |= 1 << u
-            self._in_masks = tuple(masks)
+            packed = np.packbits(self._matrix.T, axis=1, bitorder="little")
+            self._in_masks = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
         return self._in_masks
-
-    def out_masks(self) -> tuple[int, ...]:
-        if self._out_masks is None:
-            masks = [0] * self.n
-            for u, v in self.arcs:
-                masks[u] |= 1 << v
-            self._out_masks = tuple(masks)
-        return self._out_masks
-
-
-def build_digraph(n: int, arc_list: Iterable[Arc]) -> Digraph:
-    """Build a digraph, collapsing duplicate arcs and rejecting loops."""
-    return Digraph(n, arc_list)
 
 
 @dataclass(frozen=True)
@@ -140,14 +138,13 @@ class DegreeProfile:
 
 
 def degree_profile(D: Digraph) -> DegreeProfile:
-    outs = sorted(D.out_degree(v) for v in D.vertices())
-    ins = sorted(D.in_degree(v) for v in D.vertices())
     if D.n == 0:
         return DegreeProfile((), (), 0, 0, 0, 0)
-    dplus = outs[0]
-    dminus = ins[0]
-    dtotal = min(D.out_degree(v) + D.in_degree(v) for v in D.vertices())
-    return DegreeProfile(tuple(outs), tuple(ins), dplus, dminus, min(dplus, dminus), dtotal)
+    M = D.bool_matrix()
+    outs, ins = M.sum(axis=1), M.sum(axis=0)
+    dplus, dminus = int(outs.min()), int(ins.min())
+    return DegreeProfile(tuple(sorted(outs.tolist())), tuple(sorted(ins.tolist())),
+                         dplus, dminus, min(dplus, dminus), int((outs + ins).min()))
 
 
 @dataclass(frozen=True)
@@ -171,12 +168,7 @@ def remove_vertices(D: Digraph, removed: Iterable[int]) -> VertexRemoval:
             raise LabelOutOfRange(f"vertex {v} outside 0..{D.n - 1}")
     kept = [v for v in D.vertices() if v not in gone]
     old_to_new = {v: i for i, v in enumerate(kept)}
-    arcs = [
-        (old_to_new[u], old_to_new[v])
-        for u, v in D.arcs
-        if u not in gone and v not in gone
-    ]
-    sub = Digraph(len(kept), arcs)
+    sub = Digraph(len(kept), np.argwhere(D.bool_matrix()[np.ix_(kept, kept)]))
     return VertexRemoval(sub, old_to_new, {i: v for v, i in old_to_new.items()})
 
 

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+import numpy as np
+
 from .digraph import Digraph, degree_profile, remove_vertices
 from .errors import BadParameter, TooLargeForExact
 from .ratio import Real, as_fraction, ceil_frac
@@ -113,8 +115,6 @@ def certify_outexpander_exact(
     sizes = _quantified_sizes(n, p.tau)
     if not sizes:
         return ExpansionReport(Verdict.CERTIFIED_EXACT)
-    import numpy as np
-
     M = D.bool_matrix().astype(np.int16)  # M[u, x] == 1 iff arc u->x
     t = _in_count_threshold(p.nu, n)
     for s in sizes:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from typing import Mapping, Sequence, TextIO
 
+import numpy as np
+
 from .absorber import Absorber
 from .digraph import Digraph
 from .errors import BadParameter
@@ -66,7 +68,7 @@ def parse_digraph(text: str) -> Digraph:
 
 def format_digraph(D: Digraph) -> str:
     lines = [f"{D.n} {D.arc_count}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(D.arcs))
+    lines.extend(f"{u} {v}" for u, v in np.argwhere(D.bool_matrix()).tolist())
     return "\n".join(lines) + "\n"
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from .digraph import Digraph
 from .errors import BadParameter
 
@@ -11,13 +13,10 @@ def gen_random_digraph(n: int, p: float, seed: int) -> Digraph:
     arc independently with probability p.  Deterministic given the seed."""
     if not 0.0 <= p <= 1.0:
         raise BadParameter(f"arc probability must lie in [0, 1], got {p}")
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     mat = rng.random((n, n)) < p
     np.fill_diagonal(mat, False)
-    us, vs = np.nonzero(mat)
-    return Digraph(n, zip(us.tolist(), vs.tolist()))
+    return Digraph(n, np.argwhere(mat))
 
 
 def complete_digraph(n: int) -> Digraph:

@@ -170,8 +170,11 @@ def test_malformed_branch_map_is_exit_2(graph_file, pattern_file, capsys):
     h = pattern_file("2 1\n0 1\nmap 0 x\nmap 1 17\n")
     assert main(["find-subdivision", g, "--pattern", h, "--branches", "", "--lengths", "150"]) == 2
     assert "error:" in capsys.readouterr().err
-    assert main(["find-subdivision", g, "--pattern", h, "--branches", "0:x", "--lengths", "150"]) == 2
-    assert "error:" in capsys.readouterr().err
+    h = pattern_file("2 1\n0 1\n", "h_ok.txt")
+    for branches in ("0:x", "0", "0:1:2"):
+        assert main(["find-subdivision", g, "--pattern", h, "--branches", branches,
+                     "--lengths", "150"]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_absorb_demo_non_integer_paths_is_exit_2(capsys):

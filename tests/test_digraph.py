@@ -1,11 +1,12 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from helpers import random_arc_set
 
 from dilink import (
     Digraph,
-    build_digraph,
     complete_digraph,
     degree_profile,
     directed_cycle,
@@ -45,8 +46,38 @@ def test_label_range_enforced():
         Digraph(-1, [])
 
 
+def test_first_bad_arc_in_input_order_is_reported():
+    with pytest.raises(LabelOutOfRange, match=r"\(0, 3\)"):
+        Digraph(3, [(0, 1), (0, 3), (1, 1)])
+    with pytest.raises(LoopArc, match=r"\(1, 1\)"):
+        Digraph(3, [(0, 1), (1, 1), (0, 3)])
+    with pytest.raises(LabelOutOfRange, match=r"\(-1, 2\)"):
+        Digraph(3, [(-1, 2), (2, 5)])
+    with pytest.raises(LoopArc, match=r"\(7, 7\)"):  # a loop wins over the range
+        Digraph(3, [(7, 7)])
+    with pytest.raises(ValueError):
+        Digraph(3, [(0, 1, 2), (1, 2, 0)])
+
+
+def test_has_arc_is_false_outside_the_label_range():
+    D = Digraph(3, [(2, 0)])
+    assert D.has_arc(2, 0)
+    assert not D.has_arc(-1, 0)  # numpy would read row -1, i.e. row 2
+    assert not D.has_arc(2, -3)
+    assert not D.has_arc(0, 3)
+    assert not D.has_arc(3, 0)
+    assert not Digraph(0, []).has_arc(0, 0)
+
+
+def test_bool_matrix_is_read_only():
+    D = Digraph(3, [(0, 1)])
+    with pytest.raises(ValueError):
+        D.bool_matrix()[1, 2] = True
+    assert not D.has_arc(1, 2) and not D.bool_matrix()[1, 2]
+
+
 def test_reverse_and_equality():
-    D = build_digraph(3, [(0, 1), (1, 2)])
+    D = Digraph(3, [(0, 1), (1, 2)])
     R = D.reverse()
     assert R.has_arc(1, 0) and R.has_arc(2, 1) and R.arc_count == 2
     assert R.reverse() == D
@@ -57,14 +88,55 @@ def test_dense_views_agree_with_has_arc():
     rng = random.Random(7)
     D = gen_random_digraph(17, 0.3, 11)
     M = D.bool_matrix()
-    im, om = D.in_masks(), D.out_masks()
+    im = D.in_masks()
     for _ in range(300):
         u, v = rng.randrange(17), rng.randrange(17)
         if u == v:
             continue
         assert bool(M[u, v]) == D.has_arc(u, v)
-        assert bool(om[u] >> v & 1) == D.has_arc(u, v)
         assert bool(im[v] >> u & 1) == D.has_arc(u, v)
+
+    # every view against a from-definition reading of the input arc list
+    inputs = [(0, []), (1, []), (5, []), (2, [(0, 1), (1, 0), (0, 1)])]
+    for n in (3, 8, 17, 30):
+        arcs = random_arc_set(rng, n, rng.uniform(0.1, 0.9))
+        inputs.append((n, arcs + rng.sample(arcs, len(arcs) // 3)))  # with repeats
+    for n, arc_list in inputs:
+        D = Digraph(n, arc_list)
+        arcs = set(arc_list)
+        assert D.arcs == frozenset(arcs) and D.arc_count == len(arcs)
+        M = D.bool_matrix()
+        assert M.shape == (n, n)
+        degrees = []
+        for v in range(n):
+            outs = tuple(sorted(w for u, w in arcs if u == v))
+            ins = tuple(sorted(u for u, w in arcs if w == v))
+            degrees.append((len(outs), len(ins)))
+            assert D.out_neighbors(v) == outs and D.out_degree(v) == len(outs)
+            assert D.in_neighbors(v) == ins and D.in_degree(v) == len(ins)
+            assert D.in_masks()[v] == sum(1 << u for u in ins)
+            for w in range(n):
+                assert bool(M[v, w]) == D.has_arc(v, w) == ((v, w) in arcs)
+        prof = degree_profile(D)
+        assert prof.out_sorted == tuple(sorted(o for o, _ in degrees))
+        assert prof.in_sorted == tuple(sorted(i for _, i in degrees))
+        assert prof.delta_min_total == min((o + i for o, i in degrees), default=0)
+        assert D.reverse().arcs == {(v, u) for u, v in arcs}
+        gone = set(rng.sample(range(n), n // 3))
+        kept = [v for v in range(n) if v not in gone]
+        new = {v: i for i, v in enumerate(kept)}
+        rem = remove_vertices(D, gone)
+        assert rem.digraph.n == len(kept)
+        assert rem.digraph.arcs == {(new[u], new[v]) for u, v in arcs if u in new and v in new}
+        shuffled = list(arcs)
+        rng.shuffle(shuffled)
+        twin = Digraph(n, shuffled)
+        assert twin == D and hash(twin) == hash(D)
+        assert Digraph(n, np.array(shuffled, dtype=np.int64).reshape(-1, 2)) == D
+        if n >= 2:
+            toggled = arcs ^ {(0, 1)}
+            assert Digraph(n, toggled) != D
+        assert Digraph(n + 1, arcs) != D
 
 
 def test_degree_profile():
