@@ -243,9 +243,7 @@ def _build_absorber(
         s = (seed * 9_176_941 + restart) & 0xFFFFFFFF
         rng = random.Random(s ^ 0x5EED)
         try:
-            K = build_d_cover(
-                D, range(n), d, p.gamma, s, size=m, prefer_arcs=True, avoid=avoid
-            )
+            K = build_d_cover(D, range(n), d, p.gamma, s, size=m, avoid=avoid)
             ladders = build_disjoint_ladders(D, K.pairs, p.nu, s, avoid=avoid)
         except (CoverConstructionFailed, LadderConstructionFailed) as e:
             last = str(e)

@@ -4,7 +4,9 @@ A pair (u, v) covers an ordered pair (x, y) when all four vertices are
 distinct and both arcs u->x and y->v exist: any path from x to y can then
 be extended to one from u to v.  A set of disjoint pairs K d-covers U if
 every ordered pair of distinct vertices of U is covered by at least d
-members of K.
+members of K.  `build_d_cover` samples K by pairing each vertex with a
+random free out-neighbour read from the adjacency matrix, and checks it
+with one matrix product in `verify_d_cover`.
 """
 
 from __future__ import annotations
@@ -77,10 +79,11 @@ def verify_d_cover(
     if not pairs:
         return False
     A = D.bool_matrix()
-    us = np.array([p[0] for p in pairs], dtype=np.intp)
-    vs = np.array([p[1] for p in pairs], dtype=np.intp)
-    P = A[us, :].astype(np.int32)  # P[j, x] = arc u_j -> x
-    Q = A[:, vs].astype(np.int32)  # Q[y, j] = arc y -> v_j
+    us, vs = np.array(pairs, dtype=np.intp).T
+    # float64 lets numpy hand the product to BLAS; every entry is a count
+    # of at most m < 2**53 pairs, so each partial sum is exact
+    P = A[us, :].astype(np.float64)  # P[j, x] = arc u_j -> x
+    Q = A[:, vs].astype(np.float64)  # Q[y, j] = arc y -> v_j
     C = (Q @ P).T  # C[x, y] = candidate count before distinctness
     for u, v in pairs:
         if A[u, v]:
@@ -112,64 +115,53 @@ def build_d_cover(
     seed: int,
     *,
     size: int | None = None,
-    prefer_arcs: bool = False,
     avoid: Iterable[int] = (),
     max_restarts: int = 50,
 ) -> CoverPairSet:
     """Sample disjoint pairs until they verifiably d-cover U.
 
     The pair count is min(cover_size_formula, floor(n/2)) unless `size`
-    overrides it.  Pairs avoid `avoid`; vertices outside U are preferred
-    when available.  With prefer_arcs, pairs are drawn from existing arcs
-    first (so each pair later admits a single-arc ladder).  Restarts
-    resample; failure after the budget raises CoverConstructionFailed.
+    overrides it.  Each attempt visits the vertices outside `avoid` in a
+    random order and pairs every one still free with a uniformly random
+    free out-neighbour, or with any free vertex when it has none, so a
+    pair is an arc (and later admits a single-arc ladder) wherever the
+    digraph allows.  Restarts resample; failure after the budget raises
+    CoverConstructionFailed.
     """
     n = D.n
-    uset = set(range(n) if U is None else U)
-    avoid_set = set(avoid)
+    uset = range(n) if U is None else set(U)
     m = size if size is not None else min(cover_size_formula(n, gamma, d), n // 2)
     if m < 1:
         raise CoverConstructionFailed(f"cover size resolved to {m}")
-    usable = [v for v in range(n) if v not in avoid_set]
+    usable = sorted(set(range(n)) - set(avoid))
     if 2 * m > len(usable):
         raise CoverConstructionFailed(
             f"need {2 * m} distinct vertices for {m} pairs, have {len(usable)}"
         )
-    last_reason = "verification failed"
-    all_arcs = np.argwhere(D.bool_matrix()).tolist() if prefer_arcs else []
+    M = D.bool_matrix()
     for attempt in range(max_restarts):
         rng = random.Random((seed * 7_654_321 + attempt) & 0xFFFFFFFF)
+        order = rng.sample(usable, len(usable))
+        free = np.isin(np.arange(n), usable)
         pairs: list[Pair] = []
-        used: set[int] = set(avoid_set)
-        if prefer_arcs:
-            arc_list = all_arcs[:]
-            rng.shuffle(arc_list)
-            for u, v in arc_list:
-                if len(pairs) == m:
-                    break
-                if u in used or v in used:
-                    continue
-                pairs.append((u, v))
-                used.add(u)
-                used.add(v)
-        if len(pairs) < m:
-            outside = [v for v in usable if v not in uset and v not in used]
-            inside = [v for v in usable if v in uset and v not in used]
-            rng.shuffle(outside)
-            rng.shuffle(inside)
-            pool = outside + inside
-            need = 2 * (m - len(pairs))
-            if need > len(pool):
-                last_reason = "not enough unused vertices to finish pairing"
+        for u in order:
+            if len(pairs) == m:
+                break
+            if not free[u]:
                 continue
-            chunk = pool[:need]
-            for i in range(0, need, 2):
-                pairs.append((chunk[i], chunk[i + 1]))
+            free[u] = False
+            # 2m <= |usable| leaves a free vertex for every unfinished pair
+            cand = np.flatnonzero(M[u] & free)
+            if not len(cand):
+                cand = np.flatnonzero(free)
+            v = int(cand[rng.randrange(len(cand))])
+            free[v] = False
+            pairs.append((u, v))
         K = CoverPairSet(tuple(pairs))
         if verify_d_cover(D, K, uset, d):
             return K
     raise CoverConstructionFailed(
-        f"no verified {d}-cover of size {m} after {max_restarts} attempts ({last_reason})"
+        f"no verified {d}-cover of size {m} after {max_restarts} attempts"
     )
 
 

@@ -54,6 +54,14 @@ class Digraph:
         self._in = None
         self._in_masks = None
 
+    @classmethod
+    def _of_matrix(cls, m: np.ndarray) -> "Digraph":
+        """Adopt m, a fresh square bool matrix with a False diagonal, unchecked."""
+        D = cls(0, ())
+        m.flags.writeable = False
+        D.n, D._matrix = len(m), m
+        return D
+
     # -- basic queries ---------------------------------------------------
 
     @property
@@ -91,7 +99,7 @@ class Digraph:
 
     def reverse(self) -> "Digraph":
         """The digraph with every arc (u, v) replaced by (v, u)."""
-        return Digraph(self.n, np.argwhere(self._matrix.T))
+        return Digraph._of_matrix(self._matrix.T.copy())
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -168,7 +176,7 @@ def remove_vertices(D: Digraph, removed: Iterable[int]) -> VertexRemoval:
             raise LabelOutOfRange(f"vertex {v} outside 0..{D.n - 1}")
     kept = [v for v in D.vertices() if v not in gone]
     old_to_new = {v: i for i, v in enumerate(kept)}
-    sub = Digraph(len(kept), np.argwhere(D.bool_matrix()[np.ix_(kept, kept)]))
+    sub = Digraph._of_matrix(D.bool_matrix()[np.ix_(kept, kept)])
     return VertexRemoval(sub, old_to_new, {i: v for v, i in old_to_new.items()})
 
 

@@ -16,7 +16,7 @@ def gen_random_digraph(n: int, p: float, seed: int) -> Digraph:
     rng = np.random.default_rng(seed)
     mat = rng.random((n, n)) < p
     np.fill_diagonal(mat, False)
-    return Digraph(n, np.argwhere(mat))
+    return Digraph._of_matrix(mat)
 
 
 def complete_digraph(n: int) -> Digraph:

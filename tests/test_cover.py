@@ -126,10 +126,36 @@ def test_build_cover_size_override_and_avoid():
     assert verify_d_cover(D, K, range(100), 2)
 
 
-def test_build_cover_prefer_arcs():
+def test_build_cover_pairs_are_arcs():
     D = complete_digraph(30)
-    K = build_d_cover(D, None, 2, 0.5, seed=7, prefer_arcs=True)
+    K = build_d_cover(D, None, 2, 0.5, seed=7)
     assert all(D.has_arc(u, v) for u, v in K)
+    # at density 1/2 every vertex still has free out-neighbours while 20
+    # pairs are drawn, so the fallback is never needed
+    D = gen_random_digraph(100, 0.5, 3)
+    K = build_d_cover(D, range(4), 1, 0.5, seed=7, size=20, avoid={4, 5})
+    assert len(K) == 20 and not (K.vertices() & {4, 5})
+    assert all(D.has_arc(u, v) for u, v in K)
+
+
+def test_build_cover_falls_back_to_a_non_arc_pair():
+    # vertex 0 has no in-arcs and its one out-neighbour, 20, is avoided, so
+    # no pair holding 0 is an arc; pairing all 20 usable vertices puts 0
+    # in a pair all the same, through the any-free-vertex fallback
+    n = 21
+    arcs = [(u, v) for u in range(1, n) for v in range(1, n) if u != v] + [(0, 20)]
+    D = Digraph(n, arcs)
+    U = range(1, 20)
+    for seed in range(5):
+        K = build_d_cover(D, U, 2, 0.5, seed=seed, size=10, avoid={20})
+        assert len(K) == 10
+        flat = [v for p in K for v in p]
+        assert len(set(flat)) == 20 and 20 not in flat
+        [odd] = [p for p in K if 0 in p]
+        assert not D.has_arc(*odd)
+        assert all(D.has_arc(u, v) for u, v in K if 0 not in (u, v))
+        assert verify_d_cover(D, K, U, 2)
+        assert oracle_d_cover(D, K.pairs, U, 2)
 
 
 def test_build_cover_failure_paths():

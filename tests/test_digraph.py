@@ -74,6 +74,11 @@ def test_bool_matrix_is_read_only():
     with pytest.raises(ValueError):
         D.bool_matrix()[1, 2] = True
     assert not D.has_arc(1, 2) and not D.bool_matrix()[1, 2]
+    # digraphs built straight from a matrix hold it read-only as well
+    G = gen_random_digraph(6, 0.5, 1)
+    for E in (G, G.reverse(), remove_vertices(G, [0, 3]).digraph):
+        with pytest.raises(ValueError):
+            E.bool_matrix()[0, 1] = not E.has_arc(0, 1)
 
 
 def test_reverse_and_equality():
