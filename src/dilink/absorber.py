@@ -64,6 +64,7 @@ from .subdivision import (
 # planning constants for the desk-scale builders: a k=0 ladder occupies
 # two vertices and we reserve one more for the connector that follows it
 _PAIR_PLAN_COST = 3
+_RESTARTS = 10  # absorber attempts, each with a fresh cover and ladders
 
 
 def _check_branch_map(H: PatternDigraph, f: Mapping[int, int], n: int) -> None:
@@ -215,7 +216,6 @@ def _build_absorber(
     p: ExpansionParams,
     d: int,
     seed: int,
-    max_restarts: int,
     avoid: set[int],
     plan_budgets: Sequence[int],
     budgets: Sequence[int],
@@ -239,7 +239,7 @@ def _build_absorber(
     removal_cap = int(p.nu * n / 4)
     size_bound = absorber_size_bound(n, p.nu, p.gamma, d)
     last = "exhausted restarts"
-    for restart in range(max_restarts):
+    for restart in range(_RESTARTS):
         s = (seed * 9_176_941 + restart) & 0xFFFFFFFF
         rng = random.Random(s ^ 0x5EED)
         try:
@@ -286,7 +286,6 @@ def build_type1_absorber(
     p: ExpansionParams,
     d: int,
     seed: int,
-    max_restarts: int = 10,
 ) -> Absorber:
     """Assemble a Type-I d-absorber: one host subdivision whose branch map
     is exactly f, with a ladder group threaded into every path.
@@ -314,7 +313,7 @@ def build_type1_absorber(
         return [HSubdivision(H, dict(f), paths)]
 
     return _build_absorber(
-        D, p, d, seed, max_restarts, set(f.values()), [l - 4 for l in N],
+        D, p, d, seed, set(f.values()), [l - 4 for l in N],
         [l - 3 for l in N], [(0, a) for a in arcs], thread,
     )
 
@@ -326,7 +325,6 @@ def build_type2_absorber(
     p: ExpansionParams,
     d: int,
     seed: int,
-    max_restarts: int = 10,
 ) -> Absorber:
     """Assemble a Type-II d-absorber: one host subdivision per order, on
     randomly placed branch vertices.
@@ -369,7 +367,7 @@ def build_type2_absorber(
         return hosts
 
     return _build_absorber(
-        D, p, d, seed, max_restarts, set(), budgets, budgets,
+        D, p, d, seed, set(), budgets, budgets,
         [(hi, arcs[0]) for hi in range(k)], thread,
     )
 

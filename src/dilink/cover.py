@@ -23,12 +23,16 @@ from .errors import (
     BadParameter,
     ConnectionFailed,
     CoverConstructionFailed,
+    LabelOutOfRange,
     LadderConstructionFailed,
 )
 from .ladder import Ladder, single_arc_ladder, validate_ladder
 from .ratio import Real, as_fraction
 
 Pair = tuple[int, int]
+
+_COVER_ATTEMPTS = 50  # samples build_d_cover verifies before giving up
+_CONNECT_ATTEMPTS = 100  # routing orders connect_disjoint_paths tries
 
 
 @dataclass(frozen=True)
@@ -69,11 +73,15 @@ def verify_d_cover(
     D: Digraph, K: CoverPairSet | Sequence[Pair], U: Iterable[int] | None = None, d: int = 1
 ) -> bool:
     """Check that every ordered pair of distinct vertices of U is covered
-    by at least d pairs of K."""
+    by at least d pairs of K.  A label of U or of K outside 0..n-1 raises
+    LabelOutOfRange."""
     pairs = list(K.pairs if isinstance(K, CoverPairSet) else K)
     uset = sorted(range(D.n) if U is None else set(U))
     if d < 0:
         raise BadParameter("d must be nonnegative")
+    for v in [*uset[:1], *uset[-1:], *(v for pair in pairs for v in pair)]:
+        if not 0 <= v < D.n:  # U is sorted, so its ends suffice
+            raise LabelOutOfRange(f"vertex {v} outside 0..{D.n - 1}")
     if len(uset) < 2 or d == 0:
         return True
     if not pairs:
@@ -116,7 +124,6 @@ def build_d_cover(
     *,
     size: int | None = None,
     avoid: Iterable[int] = (),
-    max_restarts: int = 50,
 ) -> CoverPairSet:
     """Sample disjoint pairs until they verifiably d-cover U.
 
@@ -139,7 +146,7 @@ def build_d_cover(
             f"need {2 * m} distinct vertices for {m} pairs, have {len(usable)}"
         )
     M = D.bool_matrix()
-    for attempt in range(max_restarts):
+    for attempt in range(_COVER_ATTEMPTS):
         rng = random.Random((seed * 7_654_321 + attempt) & 0xFFFFFFFF)
         order = rng.sample(usable, len(usable))
         free = np.isin(np.arange(n), usable)
@@ -161,7 +168,7 @@ def build_d_cover(
         if verify_d_cover(D, K, uset, d):
             return K
     raise CoverConstructionFailed(
-        f"no verified {d}-cover of size {m} after {max_restarts} attempts"
+        f"no verified {d}-cover of size {m} after {_COVER_ATTEMPTS} attempts"
     )
 
 
@@ -276,7 +283,7 @@ def _exhaustive_connect(
 
 
 def connect_disjoint_paths(
-    D: Digraph, req: ConnectionRequest, seed: int, attempts: int = 100
+    D: Digraph, req: ConnectionRequest, seed: int
 ) -> list[tuple[int, ...]]:
     """Route every terminal pair by internally disjoint short paths.
 
@@ -290,7 +297,7 @@ def connect_disjoint_paths(
         return []
     terminal_set = {v for t in req.terminals for v in t}
     first_failed = 0
-    for attempt in range(attempts):
+    for attempt in range(_CONNECT_ATTEMPTS):
         rng = random.Random((seed * 2_654_435 + attempt) & 0xFFFFFFFF)
         order = list(range(r))
         rng.shuffle(order)

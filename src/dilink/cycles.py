@@ -17,6 +17,7 @@ from .digraph import Digraph, validate_cycle
 from .errors import BadParameter, CycleNotFound, LabelOutOfRange, SizesExceedCycle
 
 DEFAULT_EXACT_CAP = 14
+_ATTEMPTS = 48  # heuristic restarts before the exact fallback
 _EXACT_BUDGET = 2_000_000
 
 
@@ -105,7 +106,6 @@ def cycle_through_vertex(
     v: int,
     l: int,
     seed: int,
-    attempts: int = 48,
     exact_cap: int = DEFAULT_EXACT_CAP,
 ) -> tuple[int, ...]:
     """A cycle of length exactly l through v, as a vertex tuple starting
@@ -121,7 +121,7 @@ def cycle_through_vertex(
         raise LabelOutOfRange(f"vertex {v} out of range for n={n}")
     if not 2 <= l <= n:
         raise BadParameter(f"cycle length must lie in [2, {n}], got {l}")
-    for attempt in range(attempts):
+    for attempt in range(_ATTEMPTS):
         rng = random.Random((seed * 48_271 + attempt) & 0xFFFFFFFF)
         start = _seed_cycle(D, v, l, rng)
         if start is None:
@@ -147,16 +147,16 @@ def cycle_through_vertex(
             f"no cycle of length {l} through vertex {v} exists", exact=True
         )
     raise CycleNotFound(
-        f"no length-{l} cycle through {v} found within {attempts} attempts",
+        f"no length-{l} cycle through {v} found within {_ATTEMPTS} attempts",
         exact=False,
     )
 
 
-def hamilton_cycle(D: Digraph, seed: int, attempts: int = 48) -> tuple[int, ...]:
+def hamilton_cycle(D: Digraph, seed: int) -> tuple[int, ...]:
     """A Hamilton cycle of D (length n through vertex 0)."""
     if D.n < 2:
         raise BadParameter("a cycle needs at least 2 vertices")
-    return cycle_through_vertex(D, 0, D.n, seed, attempts=attempts)
+    return cycle_through_vertex(D, 0, D.n, seed)
 
 
 def cut_cycle_segments(

@@ -4,7 +4,9 @@ The robust nu-out-neighbourhood of S is the set of vertices with at least
 ceil(nu*n) in-neighbors inside S.  D is a robust (nu, tau)-out-expander if
 |RN+(S)| >= |S| + nu*n for every S with tau*n < |S| < (1-tau)*n (strict,
 exact rational comparisons).  Certification enumerates all subsets up to a
-size cap; the falsifier samples structured candidate sets.
+size cap; the falsifier samples structured candidate sets.  Both, and the
+neighbourhood functions, count in-neighbours inside S one way: as the sum
+of the rows of S in the bool adjacency matrix.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .digraph import Digraph, degree_profile, remove_vertices
-from .errors import BadParameter, TooLargeForExact
+from .errors import BadParameter, LabelOutOfRange, TooLargeForExact
 from .ratio import Real, as_fraction, ceil_frac
 
 DEFAULT_EXACT_CAP = 20
@@ -69,28 +71,23 @@ def _in_count_threshold(nu: Fraction, n: int) -> int:
 
 
 def robust_out_neighbourhood(D: Digraph, S: Iterable[int], nu: Real) -> frozenset[int]:
-    """Vertices with at least ceil(nu*n) in-neighbors inside S."""
+    """Vertices with at least ceil(nu*n) in-neighbors inside S.  A label of
+    S outside 0..n-1 raises LabelOutOfRange."""
     nu = as_fraction(nu)
     if not 0 < nu <= 1:
         raise BadParameter(f"nu must lie in (0, 1], got {nu}")
-    sset = set(S)
-    t = _in_count_threshold(nu, D.n)
-    return frozenset(
-        x for x in D.vertices() if sum(1 for u in D.in_neighbors(x) if u in sset) >= t
-    )
+    rows = sorted(set(S))
+    for v in rows[:1] + rows[-1:]:  # sorted, so the ends suffice
+        if not 0 <= v < D.n:
+            raise LabelOutOfRange(f"vertex {v} outside 0..{D.n - 1}")
+    counts = D.bool_matrix()[rows].sum(axis=0)
+    return frozenset(np.flatnonzero(counts >= _in_count_threshold(nu, D.n)).tolist())
 
 
 def robust_in_neighbourhood(D: Digraph, S: Iterable[int], nu: Real) -> frozenset[int]:
-    """Vertices with at least ceil(nu*n) out-neighbors inside S (the
-    mirror image of the out-neighbourhood under arc reversal)."""
-    nu = as_fraction(nu)
-    if not 0 < nu <= 1:
-        raise BadParameter(f"nu must lie in (0, 1], got {nu}")
-    sset = set(S)
-    t = _in_count_threshold(nu, D.n)
-    return frozenset(
-        x for x in D.vertices() if sum(1 for v in D.out_neighbors(x) if v in sset) >= t
-    )
+    """Vertices with at least ceil(nu*n) out-neighbors inside S: the
+    out-neighbourhood of S in the reversed digraph."""
+    return robust_out_neighbourhood(D.reverse(), S, nu)
 
 
 def _quantified_sizes(n: int, tau: Fraction) -> list[int]:
@@ -167,13 +164,10 @@ def falsify_outexpander_sampled(
         return ExpansionReport(Verdict.NO_COUNTEREXAMPLE_FOUND, sampled_trials=trials)
     t = _in_count_threshold(p.nu, n)
     nu_ceil = ceil_frac(p.nu * n)
-    in_masks = D.in_masks()
-    full = (1 << n) - 1
+    M = D.bool_matrix()
 
-    def violates(mask: int) -> bool:
-        s = mask.bit_count()
-        rn = sum(1 for x in range(n) if (in_masks[x] & mask).bit_count() >= t)
-        return rn < s + nu_ceil
+    def violates(S: list[int]) -> bool:
+        return (M[S].sum(axis=0) >= t).sum() < len(S) + nu_ceil
 
     stream = 0
     done = 0
@@ -187,34 +181,26 @@ def falsify_outexpander_sampled(
             kind = j % 3
             if kind == 0:  # uniform subset at a uniform in-range size
                 s = rng.choice(sizes)
-                mask = 0
-                for v in rng.sample(range(n), s):
-                    mask |= 1 << v
+                S = rng.sample(range(n), s)
             elif kind == 1:  # contiguous segment of the shuffled ordering
                 s = rng.choice(sizes)
                 start = rng.randrange(n)
-                mask = 0
-                for k in range(s):
-                    mask |= 1 << order[(start + k) % n]
+                S = [order[(start + k) % n] for k in range(s)]
             else:  # greedy growth: repeatedly add the most-dominated vertex
-                mask = 1 << rng.randrange(n)
+                S = [rng.randrange(n)]
                 target = rng.choice(sizes)
-                while mask.bit_count() < target:
-                    best, best_score = -1, -1
-                    for v in range(n):
-                        if mask >> v & 1:
-                            continue
-                        score = (in_masks[v] & mask).bit_count()
-                        if score > best_score:
-                            best, best_score = v, score
-                    mask |= 1 << best
-            size = mask.bit_count()
-            if size not in sizes:
-                continue
-            if violates(mask):
-                S = frozenset(v for v in range(n) if mask >> v & 1)
+                counts = M[S[0]].astype(np.int64)  # in-neighbours inside S
+                outside = np.ones(n, dtype=bool)
+                outside[S[0]] = False
+                while len(S) < target:
+                    # argmax takes the lowest label among the best scores
+                    best = int(np.argmax(np.where(outside, counts, -1)))
+                    S.append(best)
+                    counts += M[best]
+                    outside[best] = False
+            if violates(S):
                 return ExpansionReport(
-                    Verdict.REFUTED, counterexample=S, sampled_trials=done + j + 1
+                    Verdict.REFUTED, counterexample=frozenset(S), sampled_trials=done + j + 1
                 )
         done += budget
     return ExpansionReport(Verdict.NO_COUNTEREXAMPLE_FOUND, sampled_trials=trials)

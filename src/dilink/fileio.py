@@ -51,11 +51,8 @@ def parse_digraph(text: str) -> Digraph:
     if len(head) != 2:
         raise BadParameter(f"header must be 'n m', got {lines[0]!r}")
     n, m = parse_ints(head, lines[0])
-    arc_lines = [l for l in lines[1:] if not l.startswith("map ")]
-    if len(arc_lines) != m:
-        raise BadParameter(f"header promises {m} arcs, file has {len(arc_lines)}")
     arcs = []
-    for line in arc_lines:
+    for line in lines[1:]:
         parts = line.split()
         if len(parts) != 2:
             raise BadParameter(f"arc line must be 'u v', got {line!r}")
@@ -63,6 +60,8 @@ def parse_digraph(text: str) -> Digraph:
             arcs.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise BadParameter(f"non-integer value in {line!r}") from None
+    if len(arcs) != m:
+        raise BadParameter(f"header promises {m} arcs, file has {len(arcs)}")
     return Digraph(n, arcs)
 
 

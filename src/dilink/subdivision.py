@@ -153,10 +153,9 @@ def validate_tiling(
     D: Digraph,
     subs: Sequence[HSubdivision],
     orders: Sequence[int],
-    match_orders_as_multiset: bool = False,
 ) -> bool:
     """True iff subs are valid, pairwise vertex-disjoint, cover V(D), and
-    realise the given orders (positionally, or as a multiset if flagged)."""
+    realise the given orders, positionally."""
     if len(subs) != len(orders):
         return False
     used: set[int] = set()
@@ -171,8 +170,6 @@ def validate_tiling(
         got.append(len(verts))
     if used != set(D.vertices()):
         return False
-    if match_orders_as_multiset:
-        return sorted(got) == sorted(orders)
     return got == list(orders)
 
 
@@ -181,17 +178,16 @@ def brute_force_subdivision(
     H: PatternDigraph,
     f: Mapping[int, int],
     lengths: Sequence[int] | LengthPrescription,
-    max_n: int = ORACLE_CAP,
 ) -> HSubdivision | None:
     """Exhaustive search for a subdivision with the exact given lengths.
 
     Backtracks over pattern arcs in arc_order, extending candidate paths
     vertex by vertex in ascending label order, pruning on remaining
     length.  Returns None iff no subdivision exists.  Intended as an
-    oracle; refuses n > max_n.
+    oracle; refuses n > ORACLE_CAP.
     """
-    if D.n > max_n:
-        raise TooLargeForOracle(f"n={D.n} exceeds the oracle cap {max_n}")
+    if D.n > ORACLE_CAP:
+        raise TooLargeForOracle(f"n={D.n} exceeds the oracle cap {ORACLE_CAP}")
     lengths = tuple(lengths)
     arcs = H.arc_order
     if len(lengths) != len(arcs):

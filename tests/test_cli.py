@@ -157,8 +157,8 @@ def test_absorb_demo_types(capsys):
 
 @pytest.mark.parametrize(
     "text",
-    ["3 2\n0 1\n1 x\n", "3 2\n0 1\n1 1\n", "3 2\n0 1\n1 7\n"],
-    ids=["non-integer", "loop", "out-of-range"],
+    ["3 2\n0 1\n1 x\n", "3 2\n0 1\n1 1\n", "3 2\n0 1\n1 7\n", "3 2\n0 1\nmap 0 2\n1 2\n"],
+    ids=["non-integer", "loop", "out-of-range", "map-line"],
 )
 def test_malformed_digraph_is_exit_2(pattern_file, capsys, text):
     assert main(["check-degrees", pattern_file(text, "g.txt")]) == 2

@@ -24,6 +24,7 @@ from dilink.errors import (
     BadParameter,
     ConnectionFailed,
     CoverConstructionFailed,
+    LabelOutOfRange,
     LadderConstructionFailed,
 )
 
@@ -158,13 +159,28 @@ def test_build_cover_falls_back_to_a_non_arc_pair():
         assert oracle_d_cover(D, K.pairs, U, 2)
 
 
+@pytest.mark.parametrize(
+    "K,U",
+    [([(0, 1), (2, 3)], {-1, 4}), ([(0, 1), (2, 3)], {9, 4}), ([(0, 7)], None), ([(-2, 1)], None)],
+    ids=["negative-in-U", "too-large-in-U", "too-large-in-K", "negative-in-K"],
+)
+def test_verify_cover_rejects_labels_outside_the_digraph(K, U):
+    with pytest.raises(LabelOutOfRange):
+        verify_d_cover(complete_digraph(6), K, U, 1)
+
+
+def test_build_cover_rejects_labels_outside_the_digraph():
+    with pytest.raises(LabelOutOfRange):
+        build_d_cover(complete_digraph(6), {9, 4}, 1, 0.5, seed=0, size=2)
+
+
 def test_build_cover_failure_paths():
     with pytest.raises(CoverConstructionFailed):
         # not enough vertices for the requested pair count
         build_d_cover(complete_digraph(6), None, 1, 0.5, seed=0, size=4)
     with pytest.raises(CoverConstructionFailed):
         # a directed cycle cannot d-cover anything much
-        build_d_cover(directed_cycle(20), None, 2, 0.5, seed=0, max_restarts=3)
+        build_d_cover(directed_cycle(20), None, 2, 0.5, seed=0)
 
 
 def test_connection_request_validation():

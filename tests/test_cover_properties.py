@@ -44,7 +44,7 @@ def test_build_d_cover_returns_disjoint_pairs_of_the_exact_size(data):
     d = data.draw(st.integers(0, 2))  # d = 0 always verifies
     seed = data.draw(st.integers(0, 2**32 - 1))
     try:
-        K = build_d_cover(D, U, d, 0.5, seed, size=size, avoid=avoid, max_restarts=3)
+        K = build_d_cover(D, U, d, 0.5, seed, size=size, avoid=avoid)
     except CoverConstructionFailed:
         assert d > 0
         return

@@ -22,7 +22,7 @@ from dilink import (
     robust_out_neighbourhood,
     shrink_params_for_deletion,
 )
-from dilink.errors import BadParameter, TooLargeForExact
+from dilink.errors import BadParameter, LabelOutOfRange, TooLargeForExact
 
 from helpers import oracle_robust_outexpander, random_arc_set
 
@@ -51,6 +51,36 @@ def test_robust_neighbourhoods_by_hand():
     assert robust_in_neighbourhood(D, {1, 2}, "1/2") == robust_out_neighbourhood(
         D.reverse(), {1, 2}, "1/2"
     )
+
+
+def definition_neighbourhoods(D, S, nu):
+    """(RN+, RN-) of S read off has_arc: vertices with at least nu*n
+    in-neighbours, respectively out-neighbours, inside S."""
+    S = set(S)
+    out = {x for x in D.vertices() if sum(D.has_arc(u, x) for u in S) >= nu * D.n}
+    inn = {x for x in D.vertices() if sum(D.has_arc(x, v) for v in S) >= nu * D.n}
+    return out, inn
+
+
+def test_robust_neighbourhoods_match_the_definition():
+    rng = random.Random(85)
+    for _ in range(200):
+        n = rng.randrange(1, 25)
+        D = Digraph(n, random_arc_set(rng, n, rng.uniform(0.1, 0.95)))
+        S = [rng.randrange(n) for _ in range(rng.randrange(0, 2 * n))]  # repeats count once
+        nu = Fraction(rng.randrange(1, n + 1), rng.choice([n, n + 1, 2 * n]))
+        out, inn = definition_neighbourhoods(D, S, nu)
+        assert robust_out_neighbourhood(D, S, nu) == out
+        assert robust_in_neighbourhood(D, S, nu) == inn
+
+
+@pytest.mark.parametrize("S", [{-1}, {0, 5}, {2, -3, 4}, [7]])
+def test_robust_neighbourhoods_reject_labels_outside_the_digraph(S):
+    D = complete_digraph(5)
+    with pytest.raises(LabelOutOfRange):
+        robust_out_neighbourhood(D, S, "1/5")
+    with pytest.raises(LabelOutOfRange):
+        robust_in_neighbourhood(D, S, "1/5")
 
 
 def test_robust_neighbourhood_is_monotone_in_set_and_antitone_in_nu():
@@ -152,8 +182,28 @@ def test_falsifier_agrees_and_counterexamples_verify():
             refuted += 1
             S = rep.counterexample
             assert Fraction(1, 4) * n < len(S) < Fraction(3, 4) * n
-            assert oracle_robust_outexpander(D, Fraction(1, 4), Fraction(1, 4)) is not None
+            # the returned set itself violates the definition
+            out, _ = definition_neighbourhoods(D, S, Fraction(1, 4))
+            assert len(out) < len(S) + Fraction(1, 4) * n
     assert refuted > 20  # the sampler actually finds most violations
+
+
+def test_falsifier_counterexamples_violate_the_definition_at_larger_n():
+    rng = random.Random(8)
+    refuted = 0
+    for trial in range(40):
+        n = rng.randrange(20, 50)
+        D = gen_random_digraph(n, rng.uniform(0.1, 0.6), trial)
+        p = ExpansionParams(Fraction(1, 8), Fraction(1, 5))
+        rep = falsify_outexpander_sampled(D, p, trials=60, seed=trial)
+        if rep.verdict is Verdict.REFUTED:
+            refuted += 1
+            S = rep.counterexample
+            assert 1 <= rep.sampled_trials <= 60
+            assert Fraction(1, 5) * n < len(S) < Fraction(4, 5) * n
+            out, _ = definition_neighbourhoods(D, S, p.nu)
+            assert len(out) < len(S) + p.nu * n
+    assert refuted > 10
 
 
 def test_falsifier_is_deterministic_in_seed_and_trials():

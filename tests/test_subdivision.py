@@ -121,9 +121,8 @@ def test_validate_tiling():
     H = pattern_from_arcs([(0, 1), (1, 0)])
     t1 = HSubdivision(H, {0: 0, 1: 1}, {(0, 1): (0, 3, 1), (1, 0): (1, 0)})
     t2 = HSubdivision(H, {0: 2, 1: 5}, {(0, 1): (2, 4, 5), (1, 0): (5, 2)})
-    assert validate_tiling(D, [t1, t2], [4, 4], match_orders_as_multiset=False) is False
+    assert validate_tiling(D, [t1, t2], [4, 4]) is False
     assert validate_tiling(D, [t1, t2], [3, 3])
-    assert validate_tiling(D, [t1, t2], [3, 3], match_orders_as_multiset=True)
     # not a partition: drop one tile
     assert not validate_tiling(D, [t1], [3])
     # overlapping tiles
