@@ -28,12 +28,7 @@ from .cover import (
     shortest_path_avoiding,
     verify_d_cover,
 )
-from .cycles import (
-    DEFAULT_EXACT_CAP,
-    cut_cycle_segments,
-    cycle_through_vertex,
-    hamilton_cycle,
-)
+from .cycles import cut_cycle_segments, hamilton_cycle
 from .degrees import (
     ConditionReport,
     OrientedReport,

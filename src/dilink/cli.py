@@ -99,7 +99,7 @@ def cmd_certify_expander(args) -> int:
     D = _load_digraph(args.graph)
     p = ExpansionParams(args.nu, args.tau)
     if args.exact:
-        report = certify_outexpander_exact(D, p, max_exact_n=args.exact_cap)
+        report = certify_outexpander_exact(D, p, max_exact_n=args.max_exact_n)
     else:
         report = falsify_outexpander_sampled(D, p, trials=args.trials, seed=args.seed)
     print(f"verdict: {report.verdict.value}")
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--nu", type=str, required=True)
     q.add_argument("--tau", type=str, required=True)
     q.add_argument("--exact", action="store_true")
-    q.add_argument("--exact-cap", type=int, default=20)
+    q.add_argument("--exact-cap", dest="max_exact_n", type=int, default=20)
     q.add_argument("--trials", type=int, default=2000)
     q.add_argument("--seed", type=int, default=0)
     q.set_defaults(func=cmd_certify_expander)

@@ -1,11 +1,13 @@
-"""Fixed-length cycle search: a randomized insertion heuristic with an
-exhaustive backtracking fallback at small n.
+"""Hamilton cycles: a random 1-factor joined into one cycle by patching.
 
-The heuristic seeds a digon or triangle through the required vertex and
-repeatedly splices in an outside vertex x between some consecutive pair
-a -> b of the current cycle with a -> x -> b, growing the length by one
-per step.  On dense digraphs this almost always reaches the target; on
-small instances a complete search settles existence either way.
+A 1-factor (one chosen out-arc and in-arc per vertex) is a perfect
+matching of the out-copy/in-copy bipartite graph: greedy in random order,
+then completed along alternating paths.  A failed alternating-path search
+reaches a set violating Hall's condition, which proves that no Hamilton
+cycle exists.  Karp's two-arc exchange (SIAM J. Comput. 1979) then merges
+cycles: for a on the smallest cycle and b off it, a -> succ(b) and
+b -> succ(a) replace a -> succ(a) and b -> succ(b).  A stalled patching
+draws a fresh 1-factor; at n <= 14 a complete search settles existence.
 """
 
 from __future__ import annotations
@@ -13,11 +15,13 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .digraph import Digraph, validate_cycle
-from .errors import BadParameter, CycleNotFound, LabelOutOfRange, SizesExceedCycle
+import numpy as np
 
-DEFAULT_EXACT_CAP = 14
-_ATTEMPTS = 48  # heuristic restarts before the exact fallback
+from .digraph import Digraph, validate_cycle
+from .errors import BadParameter, CycleNotFound, SizesExceedCycle
+
+_EXACT_CAP = 14  # largest n on which a stalled search falls back to backtracking
+_ATTEMPTS = 48  # fresh 1-factors before giving up or falling back
 _EXACT_BUDGET = 2_000_000
 
 
@@ -25,138 +29,133 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def _seed_cycle(D: Digraph, v: int, l: int, rng: random.Random) -> list[int] | None:
-    """A starter cycle through v: a digon if possible (mandatory when
-    l = 2), otherwise a triangle."""
-    outs = list(D.out_neighbors(v))
-    rng.shuffle(outs)
-    for w in outs:
-        if D.has_arc(w, v):
-            return [v, w]
-    if l == 2:
-        return None
-    for a in outs:
-        bs = [b for b in D.out_neighbors(a) if b != v and D.has_arc(b, v)]
-        if bs:
-            return [v, a, rng.choice(bs)]
-    return None
+def _augment(M: np.ndarray, succ: np.ndarray, pred: np.ndarray, u: int) -> None:
+    """Match out-copy u along a shortest alternating path, found by a BFS
+    that expands a whole level at once; raise CycleNotFound(exact=True)
+    with the Hall violator when there is none."""
+    parent = np.full(len(M), -1, dtype=np.intp)  # in-copy -> out-copy that reached it
+    seen = np.zeros(len(M), dtype=bool)
+    frontier = np.array([u], dtype=np.intp)
+    reached = 1
+    while len(frontier):
+        hits = M[frontier] & ~seen
+        new = np.flatnonzero(hits.any(axis=0))
+        parent[new] = frontier[hits[:, new].argmax(axis=0)]
+        seen[new] = True
+        open_ = new[pred[new] < 0]
+        if len(open_):
+            v = int(open_[0])
+            while v >= 0:
+                a = int(parent[v])
+                nxt = int(succ[a])
+                succ[a], pred[v] = v, a
+                v = nxt
+            return
+        frontier = pred[new]
+        reached += len(new)
+    raise CycleNotFound(
+        f"no 1-factor: the vertices S reached from vertex {u} by alternating "
+        f"paths have |S| = {reached} > |N+(S)| = {reached - 1}",
+        exact=True,
+    )
 
 
-def _grow_by_insertion(
-    D: Digraph, cycle: list[int], l: int, rng: random.Random
-) -> list[int] | None:
-    """Splice outside vertices into the cycle until it has length l."""
-    inside = set(cycle)
-    while len(cycle) < l:
-        outside = [x for x in range(D.n) if x not in inside]
-        rng.shuffle(outside)
-        placed = False
-        for x in outside:
-            spots = list(range(len(cycle)))
-            rng.shuffle(spots)
-            for i in spots:
-                a = cycle[i]
-                b = cycle[(i + 1) % len(cycle)]
-                if D.has_arc(a, x) and D.has_arc(x, b):
-                    cycle.insert(i + 1, x)
-                    inside.add(x)
-                    placed = True
-                    break
-            if placed:
-                break
-        if not placed:
-            return None
-    return cycle
+def _one_factor(M: np.ndarray, rng: random.Random) -> np.ndarray:
+    """succ with an arc v -> succ[v] for every v and succ a permutation."""
+    n = len(M)
+    succ = np.full(n, -1, dtype=np.intp)
+    pred = np.full(n, -1, dtype=np.intp)
+    free = np.ones(n, dtype=bool)
+    for u in rng.sample(range(n), n):
+        cand = np.flatnonzero(M[u] & free)
+        if len(cand):
+            v = int(cand[rng.randrange(len(cand))])
+            succ[u], pred[v], free[v] = v, u, False
+    for u in np.flatnonzero(succ < 0).tolist():
+        _augment(M, succ, pred, u)
+    return succ
 
 
-def _exact_cycle_search(
-    D: Digraph, v: int, l: int, budget: int = _EXACT_BUDGET
-) -> tuple[int, ...] | None:
-    """Complete backtracking search for a length-l cycle through v.
+def _patch(M: np.ndarray, succ: np.ndarray, rng: random.Random) -> bool:
+    """Merge the cycles of succ in place into one; False if stalled."""
+    nxt, label = succ.tolist(), np.full(len(succ), -1, dtype=np.intp)
+    for s in range(len(nxt)):  # label a cycle by its smallest vertex
+        v = s
+        while label[v] < 0:
+            label[v], v = s, nxt[v]
+    while True:
+        sizes = np.bincount(label, minlength=len(label))
+        if np.count_nonzero(sizes) == 1:
+            return True
+        c = int(np.where(sizes > 0, sizes, len(label) + 1).argmin())
+        A = np.flatnonzero(label == c)
+        ok = M[A][:, succ] & M[:, succ[A]].T & (label != c)
+        hits = np.flatnonzero(ok)
+        if not len(hits):
+            return False
+        i, b = divmod(int(hits[rng.randrange(len(hits))]), len(label))
+        a = int(A[i])
+        succ[a], succ[b] = succ[b], succ[a]
+        label[label == label[b]] = c
+
+
+def _exact_cycle_search(D: Digraph, budget: int = _EXACT_BUDGET) -> tuple[int, ...] | None:
+    """Complete backtracking search for a Hamilton cycle through 0.
     Raises _BudgetExceeded when the node budget runs out."""
     spent = 0
-    path = [v]
-    onpath = {v}
+    path = [0]
 
     def dfs() -> tuple[int, ...] | None:
         nonlocal spent
         spent += 1
         if spent > budget:
             raise _BudgetExceeded
-        tip = path[-1]
-        if len(path) == l:
-            return tuple(path) if D.has_arc(tip, v) else None
-        for w in D.out_neighbors(tip):
-            if w in onpath:
-                continue
-            path.append(w)
-            onpath.add(w)
-            got = dfs()
-            if got is not None:
-                return got
-            path.pop()
-            onpath.remove(w)
+        if len(path) == D.n:
+            return tuple(path) if D.has_arc(path[-1], 0) else None
+        for w in D.out_neighbors(path[-1]):
+            if w not in path:
+                path.append(w)
+                got = dfs()
+                if got is not None:
+                    return got
+                path.pop()
         return None
 
     return dfs()
 
 
-def cycle_through_vertex(
-    D: Digraph,
-    v: int,
-    l: int,
-    seed: int,
-    exact_cap: int = DEFAULT_EXACT_CAP,
-) -> tuple[int, ...]:
-    """A cycle of length exactly l through v, as a vertex tuple starting
-    at v.
+def hamilton_cycle(D: Digraph, seed: int) -> tuple[int, ...]:
+    """A Hamilton cycle of D as a vertex tuple starting at 0.
 
-    Heuristic-first with restarts; when the digraph is small enough
-    (n <= exact_cap) a failed heuristic falls back to a complete search,
-    so the resulting CycleNotFound carries exact=True only if absence
-    was actually proven.
+    CycleNotFound carries exact=True only when absence is proven: D has
+    no 1-factor, or n <= 14 and the complete search found none.
     """
     n = D.n
-    if not 0 <= v < n:
-        raise LabelOutOfRange(f"vertex {v} out of range for n={n}")
-    if not 2 <= l <= n:
-        raise BadParameter(f"cycle length must lie in [2, {n}], got {l}")
+    if n < 2:
+        raise BadParameter("a cycle needs at least 2 vertices")
+    M = D.bool_matrix()
     for attempt in range(_ATTEMPTS):
         rng = random.Random((seed * 48_271 + attempt) & 0xFFFFFFFF)
-        start = _seed_cycle(D, v, l, rng)
-        if start is None:
-            break  # no digon/triangle through v; restarts cannot help
-        if len(start) > l:
-            continue
-        grown = _grow_by_insertion(D, start, l, rng)
-        if grown is not None:
-            assert validate_cycle(D, grown)
-            return tuple(grown)
-    if n <= exact_cap:
+        succ = _one_factor(M, rng)
+        if _patch(M, succ, rng):
+            nxt = succ.tolist()
+            C = [0]
+            while len(C) < n:
+                C.append(nxt[C[-1]])
+            assert validate_cycle(D, C)
+            return tuple(C)
+    if n <= _EXACT_CAP:
         try:
-            got = _exact_cycle_search(D, v, l)
+            got = _exact_cycle_search(D)
         except _BudgetExceeded:
-            raise CycleNotFound(
-                f"no length-{l} cycle through {v} found (search truncated)",
-                exact=False,
-            ) from None
+            raise CycleNotFound("no Hamilton cycle found (search truncated)") from None
         if got is not None:
             assert validate_cycle(D, got)
             return got
-        raise CycleNotFound(
-            f"no cycle of length {l} through vertex {v} exists", exact=True
-        )
+        raise CycleNotFound("no Hamilton cycle exists", exact=True)
     raise CycleNotFound(
-        f"no length-{l} cycle through {v} found within {_ATTEMPTS} attempts",
-        exact=False,
+        f"no Hamilton cycle found: patching stalled on {_ATTEMPTS} 1-factors"
     )
-
-
-def hamilton_cycle(D: Digraph, seed: int) -> tuple[int, ...]:
-    """A Hamilton cycle of D (length n through vertex 0)."""
-    if D.n < 2:
-        raise BadParameter("a cycle needs at least 2 vertices")
-    return cycle_through_vertex(D, 0, D.n, seed)
 
 
 def cut_cycle_segments(

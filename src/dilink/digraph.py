@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import LabelOutOfRange, LoopArc
+from .errors import BadParameter, LabelOutOfRange, LoopArc
 
 Arc = tuple[int, int]
 
@@ -27,13 +27,17 @@ class Digraph:
     __slots__ = ("n", "_matrix", "_arcs", "_out", "_in", "_in_masks")
 
     def __init__(self, n: int, arc_list: Iterable[Arc]):
-        """Arcs are pairs or an (m, 2) int array; duplicates collapse.  The first
-        bad arc in input order raises LoopArc if a loop, else LabelOutOfRange."""
+        """Arcs are integer pairs or an (m, 2) int array; duplicates collapse.
+        Non-integer labels raise BadParameter; the first bad arc in input
+        order raises LoopArc if a loop, else LabelOutOfRange."""
         if not isinstance(n, int) or n < 0:
             raise LabelOutOfRange(f"vertex count must be a nonnegative int, got {n!r}")
         if not isinstance(arc_list, np.ndarray):
             arc_list = list(arc_list)
-        a = np.asarray(arc_list, dtype=np.intp)
+        a = np.asarray(arc_list)
+        if a.size and a.dtype.kind not in "iu":
+            raise BadParameter(f"arc labels must be integers, got dtype {a.dtype}")
+        a = a.astype(np.intp, copy=False)
         if a.size and (a.ndim != 2 or a.shape[1] != 2):
             raise ValueError(f"arcs must be pairs (u, v), got shape {a.shape}")
         a = a.reshape(-1, 2)

@@ -139,7 +139,7 @@ def _drive(
         try:
             C_local = hamilton_cycle(removal.digraph, _stage_seed(cfg.seed, restart, 2))
         except CycleNotFound as e:
-            last_stage, last_msg = "cycle", str(e)
+            last_stage, last_msg = "cycle", f"in D - V(A), relabelled in order: {e}"
             continue
         C = tuple(removal.new_to_old[x] for x in C_local)
         seg_sizes = sizes(A)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from dilink import (
     Digraph,
@@ -214,6 +214,18 @@ def oracle_connect(D: Digraph, terminals, forbidden, max_order: int):
         return False
 
     return list(chosen) if place(0, set()) else None
+
+
+def oracle_has_hamilton_cycle(D: Digraph) -> bool:
+    """Whether some ordering of the vertices, starting at 0, is a directed
+    cycle (closing arc included); every ordering is tried."""
+    if D.n < 2:
+        return False
+    for rest in permutations(range(1, D.n)):
+        seq = (0, *rest)
+        if all(D.has_arc(seq[i], seq[(i + 1) % D.n]) for i in range(D.n)):
+            return True
+    return False
 
 
 def random_arc_set(rng: random.Random, n: int, density: float):

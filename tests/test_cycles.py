@@ -1,72 +1,83 @@
+import random
+import time
+
+import numpy as np
 import pytest
+from helpers import oracle_has_hamilton_cycle, random_arc_set
 
 from dilink import (
+    Digraph,
     complete_digraph,
     cut_cycle_segments,
-    cycle_through_vertex,
     directed_cycle,
     directed_path,
     gen_random_digraph,
     hamilton_cycle,
     validate_cycle,
 )
-from dilink.errors import BadParameter, CycleNotFound, LabelOutOfRange, SizesExceedCycle
+from dilink.errors import BadParameter, CycleNotFound, SizesExceedCycle
 
 
-def test_every_length_on_complete_digraph():
-    D = complete_digraph(9)
-    for l in range(2, 10):
-        C = cycle_through_vertex(D, 4, l, seed=0)
-        assert len(C) == l
-        assert C[0] == 4
-        assert validate_cycle(D, C)
+def _two_complete_digraphs(k: int) -> Digraph:
+    """Disjoint complete digraphs on 0..k-1 and k..2k-1: a 1-factor
+    exists, a Hamilton cycle does not."""
+    return Digraph(
+        2 * k,
+        [(u + s, v + s) for s in (0, k) for u in range(k) for v in range(k) if u != v],
+    )
 
 
-def test_directed_cycle_admits_only_full_length():
-    D = directed_cycle(8)
-    C = cycle_through_vertex(D, 3, 8, seed=0)
-    assert set(C) == set(range(8)) and C[0] == 3
-    for l in (2, 3, 5, 7):
-        with pytest.raises(CycleNotFound) as e:
-            cycle_through_vertex(D, 3, l, seed=0)
-        assert e.value.exact  # n = 8 <= cap, so absence is proven
+def test_directed_cycle_is_its_own_hamilton_cycle():
+    assert hamilton_cycle(directed_cycle(8), seed=0) == tuple(range(8))
 
 
 def test_acyclic_digraph_has_no_cycles():
-    D = directed_path(6)
     with pytest.raises(CycleNotFound) as e:
-        cycle_through_vertex(D, 0, 3, seed=0)
-    assert e.value.exact
+        hamilton_cycle(directed_path(6), seed=0)
+    assert e.value.exact  # vertex 5 has no out-arc, so there is no 1-factor
 
 
 def test_exactness_flag_is_honest_above_the_cap():
-    # 20 vertices, no arcs at all beyond a single path: nothing to find,
-    # but the complete search is not allowed to run.
-    D = directed_path(20)
+    # absence is proven by the complete search at n = 10 ...
     with pytest.raises(CycleNotFound) as e:
-        cycle_through_vertex(D, 0, 5, seed=0)
+        hamilton_cycle(_two_complete_digraphs(5), seed=0)
+    assert e.value.exact
+    # ... but at n = 20 patching stalls and nothing is proven
+    with pytest.raises(CycleNotFound) as e:
+        hamilton_cycle(_two_complete_digraphs(10), seed=0)
     assert not e.value.exact
-    # raising the cap turns the same failure into a proof
-    with pytest.raises(CycleNotFound) as e2:
-        cycle_through_vertex(D, 0, 5, seed=0, exact_cap=20)
-    assert e2.value.exact
+    # a missing 1-factor is a proof at any n
+    with pytest.raises(CycleNotFound) as e:
+        hamilton_cycle(directed_path(20), seed=0)
+    assert e.value.exact
+
+
+def test_no_one_factor_names_the_hall_violator():
+    M = gen_random_digraph(30, 0.5, 1).bool_matrix().copy()
+    M[7, :] = False
+    with pytest.raises(CycleNotFound, match=r"vertex 7 .*\|S\| = 1 > \|N\+\(S\)\| = 0") as e:
+        hamilton_cycle(Digraph(30, np.argwhere(M)), seed=0)
+    assert e.value.exact
+    # vertices 0, 1 and 2 send arcs only to 3 and 4
+    M = gen_random_digraph(30, 0.5, 2).bool_matrix().copy()
+    M[:3, :] = False
+    M[:3, 3:5] = True
+    with pytest.raises(CycleNotFound, match=r"\|S\| = 3 > \|N\+\(S\)\| = 2") as e:
+        hamilton_cycle(Digraph(30, np.argwhere(M)), seed=0)
+    assert e.value.exact
 
 
 def test_argument_guards():
-    D = complete_digraph(5)
-    with pytest.raises(LabelOutOfRange):
-        cycle_through_vertex(D, 5, 3, seed=0)
-    with pytest.raises(BadParameter):
-        cycle_through_vertex(D, 0, 1, seed=0)
-    with pytest.raises(BadParameter):
-        cycle_through_vertex(D, 0, 6, seed=0)
+    for n in (0, 1):
+        with pytest.raises(BadParameter):
+            hamilton_cycle(complete_digraph(n), seed=0)
 
 
 def test_dense_random_digraphs_reach_long_cycles():
     for seed in range(6):
         D = gen_random_digraph(120, 0.5, seed)
-        C = cycle_through_vertex(D, 7, 100, seed=seed)
-        assert len(C) == 100 and C[0] == 7
+        C = hamilton_cycle(D, seed=seed)
+        assert len(C) == 120 and C[0] == 0
         assert validate_cycle(D, C)
 
 
@@ -75,15 +86,38 @@ def test_hamilton_cycle_dense():
     C = hamilton_cycle(D, seed=0)
     assert sorted(C) == list(range(150))
     assert validate_cycle(D, C)
-    with pytest.raises(BadParameter):
-        hamilton_cycle(complete_digraph(1), seed=0)
 
 
 def test_search_is_deterministic_in_seed():
     D = gen_random_digraph(60, 0.4, 9)
-    a = cycle_through_vertex(D, 2, 40, seed=5)
-    b = cycle_through_vertex(D, 2, 40, seed=5)
-    assert a == b
+    assert hamilton_cycle(D, seed=5) == hamilton_cycle(D, seed=5)
+
+
+def test_hamilton_cycle_agrees_with_permutation_oracle():
+    rng = random.Random(6)
+    found = absent = 0
+    for _ in range(320):
+        n = rng.randint(2, 8)
+        D = Digraph(n, random_arc_set(rng, n, rng.uniform(0.2, 0.8)))
+        try:
+            C = hamilton_cycle(D, seed=rng.randrange(1000))
+        except CycleNotFound as e:
+            assert e.exact
+            assert not oracle_has_hamilton_cycle(D)
+            absent += 1
+        else:
+            assert len(C) == n and validate_cycle(D, C)
+            found += 1
+    assert found >= 50 and absent >= 50
+
+
+def test_sparse_and_dense_random_digraphs_are_hamiltonian():
+    start = time.perf_counter()
+    for n, p in ((1000, 0.7), (2000, 0.3), (1000, 0.03), (2000, 0.02), (1000, 0.015)):
+        D = gen_random_digraph(n, p, 0)
+        C = hamilton_cycle(D, seed=0)
+        assert len(C) == n and validate_cycle(D, C)
+    assert time.perf_counter() - start < 5
 
 
 def test_cut_segments_basic_and_wraparound():

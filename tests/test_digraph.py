@@ -59,6 +59,14 @@ def test_first_bad_arc_in_input_order_is_reported():
         Digraph(3, [(0, 1, 2), (1, 2, 0)])
 
 
+def test_non_integer_labels_are_rejected():
+    with pytest.raises(BadParameter):
+        Digraph(3, [(0, 1), (0, 1.5)])
+    with pytest.raises(BadParameter):
+        Digraph(3, np.array([[0.0, 1.0], [1.0, 2.0]]))
+    assert Digraph(3, np.array([[0, 1], [1, 2]], dtype=np.int32)).arcs == {(0, 1), (1, 2)}
+
+
 def test_has_arc_is_false_outside_the_label_range():
     D = Digraph(3, [(2, 0)])
     assert D.has_arc(2, 0)

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dilink import (
+    Digraph,
     PipelineConfig,
     gen_random_digraph,
     min_prescribed_length,
@@ -112,3 +114,18 @@ def test_sparse_digraph_fails_with_stage_report():
     with pytest.raises(PipelineFailed) as e:
         nh_linked_embed(D, H, {0: 0, 1: 1}, [60], cfg)
     assert e.value.stage in ("absorber", "cycle", "absorb", "validate")
+
+
+def test_leftover_without_a_one_factor_fails_at_the_cycle_stage_with_a_proof():
+    # a threshold digraph (arc u -> v iff rank(u) + rank(v) >= 0.85n, plus
+    # 2% random arcs): the absorber takes high-rank vertices first, and a
+    # low-rank vertex left behind has out-degree 0 in D - V(A)
+    n = 400
+    rng = np.random.default_rng(2)
+    r = rng.permutation(n)
+    M = (r[:, None] + r[None, :] >= 0.85 * n) | (rng.random((n, n)) < 0.02)
+    np.fill_diagonal(M, False)
+    cfg = PipelineConfig(gamma="1/2", nu="3/4", tau="3/4", d=3, seed=2)
+    with pytest.raises(PipelineFailed, match=r"no 1-factor: .* vertex \d+ ") as e:
+        perfect_tiling(Digraph(n, np.argwhere(M)), single_arc_pattern(), [200, 200], cfg)
+    assert e.value.stage == "cycle"
