@@ -5,12 +5,13 @@ one or several pairwise disjoint host subdivisions of the pattern whose
 paths carry every ladder.  Its slots name the host paths that must carry
 at least one ladder.  A Type-I absorber has one host, with branch map
 prescribed and ladders on every path; a Type-II absorber has one host
-per tile, with ladders on each host's first path.  Both are built by one
-restart loop that differs only in where branch vertices go and which
-paths the ladder groups are threaded into.  Once built, any family of up
-to d external paths can be swallowed: each path's endpoints are covered
-by some unused pair, and the pair's ladder absorbs the extended path
-without disturbing branch vertices.
+per tile, with ladders on each host's first path.  Both builders make
+one attempt per seed, shared code that differs only in where branch
+vertices go and which paths the ladder groups are threaded into; a
+failed step raises, and only the pipelines retry.  Once built, any
+family of up to d external paths can be swallowed: each path's endpoints
+are covered by some unused pair, and the pair's ladder absorbs the
+extended path without disturbing branch vertices.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from .subdivision import (
 # planning constants for the desk-scale builders: a k=0 ladder occupies
 # two vertices and we reserve one more for the connector that follows it
 _PAIR_PLAN_COST = 3
-_RESTARTS = 10  # absorber attempts, each with a fresh cover and ladders
 
 
 def _check_branch_map(H: PatternDigraph, f: Mapping[int, int], n: int) -> None:
@@ -222,60 +222,48 @@ def _build_absorber(
     slots: Sequence[tuple[int, Arc]],
     thread: Callable[[list[list[Ladder]], set[int], int, random.Random], list],
 ) -> Absorber:
-    """The restart loop shared by build_type1_absorber and build_type2_absorber.
+    """The one attempt shared by build_type1_absorber and build_type2_absorber.
 
-    Per restart: a verified d-cover avoiding `avoid` (arcs preferred so
-    most ladders are single arcs), disjoint ladders over its pairs, the
-    rung-interior cap, and a partition of the ladders into one group per
-    budget; `thread` then builds the hosts with group i on slots[i], or
-    raises AbsorberConstructionFailed to restart.  The assembled absorber
-    must validate and respect the size bound.
+    A verified d-cover avoiding `avoid` (arcs preferred so most ladders
+    are single arcs), disjoint ladders over its pairs, the rung-interior
+    cap, and a partition of the ladders into one group per budget;
+    `thread` then builds the hosts with group i on slots[i].  The absorber
+    must validate and respect the size bound.  A failed step raises
+    AbsorberConstructionFailed with its reason; nothing here retries.
     """
     if d < 1:
         raise BadParameter("d must be >= 1")
     n = D.n
     m = _plan_cover_size(n, p.gamma, d, plan_budgets, len(budgets))
-    cap = _connector_cap(p.nu)
     removal_cap = int(p.nu * n / 4)
-    size_bound = absorber_size_bound(n, p.nu, p.gamma, d)
-    last = "exhausted restarts"
-    for restart in range(_RESTARTS):
-        s = (seed * 9_176_941 + restart) & 0xFFFFFFFF
-        rng = random.Random(s ^ 0x5EED)
-        try:
-            K = build_d_cover(D, range(n), d, p.gamma, s, size=m, avoid=avoid)
-            ladders = build_disjoint_ladders(D, K.pairs, p.nu, s, avoid=avoid)
-        except (CoverConstructionFailed, LadderConstructionFailed) as e:
-            last = str(e)
-            continue
-        rung_interiors = sum(len(r) - 2 for L in ladders for r in rung_paths(L))
-        if rung_interiors > removal_cap:
-            last = f"rung interiors ({rung_interiors}) exceed nu*n/4 = {removal_cap}"
-            continue
-        groups = _partition_ladders(ladders, budgets)
-        if groups is None:
-            last = "ladder partition failed the per-path budgets"
-            continue
-        blocked = set(avoid)
-        for L in ladders:
-            blocked |= L.vertices()
-        try:
-            hosts = thread([[ladders[i] for i in g] for g in groups], blocked, cap, rng)
-        except ConnectionFailed as e:
-            last = f"threading failed at connector {e.index}"
-            continue
-        except AbsorberConstructionFailed as e:
-            last = str(e)
-            continue
-        embedding = {i: slots[gi] for gi, g in enumerate(groups) for i in g}
-        A = Absorber(K, ladders, hosts, embedding, d, slots)
-        if not validate_absorber(D, A):
-            last = "assembled absorber failed validation"
-        elif sum(map(subdivision_order, hosts)) > size_bound:
-            last = "absorber exceeded the guaranteed size bound"
-        else:
-            return A
-    raise AbsorberConstructionFailed(last)
+    s = (seed * 9_176_941) & 0xFFFFFFFF
+    rng = random.Random(s ^ 0x5EED)
+    try:
+        K = build_d_cover(D, range(n), d, p.gamma, s, size=m, avoid=avoid)
+        ladders = build_disjoint_ladders(D, K.pairs, p.nu, s, avoid=avoid)
+    except (CoverConstructionFailed, LadderConstructionFailed) as e:
+        raise AbsorberConstructionFailed(str(e))
+    rung_interiors = sum(len(r) - 2 for L in ladders for r in rung_paths(L))
+    if rung_interiors > removal_cap:
+        raise AbsorberConstructionFailed(
+            f"rung interiors ({rung_interiors}) exceed nu*n/4 = {removal_cap}"
+        )
+    groups = _partition_ladders(ladders, budgets)
+    if groups is None:
+        raise AbsorberConstructionFailed("ladder partition failed the per-path budgets")
+    blocked = set(avoid).union(*(L.vertices() for L in ladders))
+    cap = _connector_cap(p.nu)
+    try:
+        hosts = thread([[ladders[i] for i in g] for g in groups], blocked, cap, rng)
+    except ConnectionFailed as e:
+        raise AbsorberConstructionFailed(f"threading failed at connector {e.index}")
+    embedding = {i: slots[gi] for gi, g in enumerate(groups) for i in g}
+    A = Absorber(K, ladders, hosts, embedding, d, slots)
+    if not validate_absorber(D, A):
+        raise AbsorberConstructionFailed("assembled absorber failed validation")
+    if sum(map(subdivision_order, hosts)) > absorber_size_bound(n, p.nu, p.gamma, d):
+        raise AbsorberConstructionFailed("absorber exceeded the guaranteed size bound")
+    return A
 
 
 def build_type1_absorber(

@@ -33,6 +33,8 @@ Pair = tuple[int, int]
 
 _COVER_ATTEMPTS = 50  # samples build_d_cover verifies before giving up
 _CONNECT_ATTEMPTS = 100  # routing orders connect_disjoint_paths tries
+_EXHAUSTIVE_BUDGET = 400_000  # path extensions _exhaustive_connect may explore
+_LADDER_TRIES = 400  # row samples _sample_ladder draws per ladder
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,8 @@ def build_d_cover(
     free out-neighbour, or with any free vertex when it has none, so a
     pair is an arc (and later admits a single-arc ladder) wherever the
     digraph allows.  Restarts resample; failure after the budget raises
-    CoverConstructionFailed.
+    CoverConstructionFailed, and so, after the first failed sample, does a
+    vertex of U with fewer than d out- or in-neighbours outside `avoid`.
     """
     n = D.n
     uset = range(n) if U is None else set(U)
@@ -167,6 +170,15 @@ def build_d_cover(
         K = CoverPairSet(tuple(pairs))
         if verify_d_cover(D, K, uset, d):
             return K
+        if attempt == 0:  # verify_d_cover has checked the labels of U
+            us = sorted(uset)
+            for way, deg in (("out", M[np.ix_(us, usable)].sum(1)),
+                             ("in", M[np.ix_(usable, us)].sum(0))):
+                if deg.min() < d:
+                    raise CoverConstructionFailed(
+                        f"no {d}-cover exists: vertex {us[deg.argmin()]} has only "
+                        f"{deg.min()} {way}-neighbours outside avoid"
+                    )
     raise CoverConstructionFailed(
         f"no verified {d}-cover of size {m} after {_COVER_ATTEMPTS} attempts"
     )
@@ -236,9 +248,7 @@ def shortest_path_avoiding(
     return None
 
 
-def _exhaustive_connect(
-    D: Digraph, req: ConnectionRequest, budget: int = 400_000
-) -> list[tuple[int, ...]] | None:
+def _exhaustive_connect(D: Digraph, req: ConnectionRequest) -> list[tuple[int, ...]] | None:
     """Complete search for small instances.  Returns None when no family
     of disjoint paths exists within the order bound (or budget runs out)."""
     terminals = req.terminals
@@ -251,7 +261,7 @@ def _exhaustive_connect(
         while stack:
             path = stack.pop()
             spent[0] += 1
-            if spent[0] > budget:
+            if spent[0] > _EXHAUSTIVE_BUDGET:
                 return
             tip = path[-1]
             if D.has_arc(tip, t):
@@ -380,10 +390,9 @@ def _sample_ladder(
     used: set[int],
     max_size: int,
     rng: random.Random,
-    tries: int = 400,
 ) -> Ladder | None:
     """Randomly sample rows and connectors for a k >= 1 ladder from u to v."""
-    for _ in range(tries):
+    for _ in range(_LADDER_TRIES):
         taken = set(used) | {u, v}
         lower = [u]
         upper = [v]

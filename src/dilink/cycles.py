@@ -22,7 +22,7 @@ from .errors import BadParameter, CycleNotFound, SizesExceedCycle
 
 _EXACT_CAP = 14  # largest n on which a stalled search falls back to backtracking
 _ATTEMPTS = 48  # fresh 1-factors before giving up or falling back
-_EXACT_BUDGET = 2_000_000
+_EXACT_BUDGET = 2_000_000  # search nodes _exact_cycle_search may visit
 
 
 class _BudgetExceeded(Exception):
@@ -99,7 +99,7 @@ def _patch(M: np.ndarray, succ: np.ndarray, rng: random.Random) -> bool:
         label[label == label[b]] = c
 
 
-def _exact_cycle_search(D: Digraph, budget: int = _EXACT_BUDGET) -> tuple[int, ...] | None:
+def _exact_cycle_search(D: Digraph) -> tuple[int, ...] | None:
     """Complete backtracking search for a Hamilton cycle through 0.
     Raises _BudgetExceeded when the node budget runs out."""
     spent = 0
@@ -108,7 +108,7 @@ def _exact_cycle_search(D: Digraph, budget: int = _EXACT_BUDGET) -> tuple[int, .
     def dfs() -> tuple[int, ...] | None:
         nonlocal spent
         spent += 1
-        if spent > budget:
+        if spent > _EXACT_BUDGET:
             raise _BudgetExceeded
         if len(path) == D.n:
             return tuple(path) if D.has_arc(path[-1], 0) else None

@@ -59,7 +59,7 @@ class EndpointMismatch(DilinkError):
 
 
 class CoverConstructionFailed(DilinkError):
-    """Could not build a verified covering pair set within the retry budget."""
+    """No verified covering pair set exists, or none was found in the budget."""
 
 
 class ConnectionFailed(DilinkError):
@@ -79,7 +79,7 @@ class LadderConstructionFailed(DilinkError):
 
 
 class AbsorberConstructionFailed(DilinkError):
-    """Absorber assembly failed after exhausting its retry budget."""
+    """One absorber attempt failed; the message names the step and why."""
 
 
 class TooManyPaths(DilinkError):
@@ -119,8 +119,11 @@ class OrdersDontSumToN(DilinkError):
 
 
 class PipelineFailed(DilinkError):
-    """An end-to-end pipeline failed; ``stage`` names the failing step."""
+    """An end-to-end pipeline failed.  ``attempts`` holds one (stage, reason)
+    per attempt, in order (a gate that refuses the input is the only entry),
+    and ``stage`` names the step at which the last one failed."""
 
-    def __init__(self, stage: str, message: str = ""):
+    def __init__(self, stage: str, message: str = "", attempts: tuple = ()):
         self.stage = stage
+        self.attempts = tuple(attempts) or ((stage, message),)
         super().__init__(message or f"pipeline failed at stage {stage!r}")

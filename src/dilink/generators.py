@@ -14,7 +14,10 @@ def gen_random_digraph(n: int, p: float, seed: int) -> Digraph:
     if not 0.0 <= p <= 1.0:
         raise BadParameter(f"arc probability must lie in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
-    mat = rng.random((n, n)) < p
+    mat = np.empty((n, n), dtype=bool)
+    # 64-row blocks: the doubles of one n x n draw, without an 8n^2-byte temporary
+    for lo in range(0, n, 64):
+        np.less(rng.random((min(64, n - lo), n)), p, out=mat[lo:lo + 64])
     np.fill_diagonal(mat, False)
     return Digraph._of_matrix(mat)
 

@@ -45,9 +45,6 @@ from .subdivision import (
     validate_tiling,
 )
 
-_CUT_TRIES = 8
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """Knobs for the construction pipelines.
@@ -55,7 +52,8 @@ class PipelineConfig:
     nu and tau default to values derived from gamma (in which case the
     ordering 0 < nu <= tau <= gamma/16 is enforced); d defaults to the
     theory value ceil(64/nu^2), which desk-scale runs will usually
-    override with something small.
+    override with something small.  restart_budget counts whole attempts
+    (absorber, Hamilton cycle, cut, absorption), each on fresh seeds.
     """
 
     gamma: Real
@@ -113,11 +111,11 @@ def _drive(
     requested amount (a length or an order) must reach the minimum
     prescribed length, and d must allow absorbing one segment per amount.
 
-    Per restart: build the absorber, find a Hamilton cycle of D minus
-    it, and try up to _CUT_TRIES cuts of the cycle into segments of the
-    given sizes until absorb_paths takes one; the enlarged hosts are
-    returned if they pass the final check.  Stage failures trigger a
-    full restart with derived seeds, up to cfg.restart_budget.
+    Each of cfg.restart_budget attempts builds the absorber, finds a
+    Hamilton cycle of D minus it, cuts the cycle once into segments of
+    the given sizes and absorbs them, returning the enlarged hosts if they
+    pass the final check.  This is the only retry loop: a failed stage ends
+    the attempt, and PipelineFailed lists every attempt's stage and reason.
     """
     p, d = cfg.resolve(D.n)
     floor = min_prescribed_length(p.nu)
@@ -128,34 +126,33 @@ def _drive(
         raise PipelineFailed(
             "feasibility", f"d = {d} cannot absorb {len(amounts)} segments at once"
         )
-    last_stage, last_msg = "absorber", "no attempt ran"
+    attempts: list[tuple[str, str]] = []
     for restart in range(cfg.restart_budget):
         try:
             A = build(p, d, _stage_seed(cfg.seed, restart, 1))
         except AbsorberConstructionFailed as e:
-            last_stage, last_msg = "absorber", str(e)
+            attempts.append(("absorber", str(e)))
             continue
         removal = remove_vertices(D, A.vertices())
         try:
             C_local = hamilton_cycle(removal.digraph, _stage_seed(cfg.seed, restart, 2))
         except CycleNotFound as e:
-            last_stage, last_msg = "cycle", f"in D - V(A), relabelled in order: {e}"
+            attempts.append(("cycle", f"in D - V(A), relabelled in order: {e}"))
             continue
         C = tuple(removal.new_to_old[x] for x in C_local)
-        seg_sizes = sizes(A)
-        for cut in range(_CUT_TRIES):
-            cut_seed = _stage_seed(cfg.seed, restart, 3 + cut)
-            segs = cut_cycle_segments(C, seg_sizes, cut_seed)
-            try:
-                subs = absorb_paths(D, A, segs, targets=targets)
-            except NoCoveringPair as e:
-                last_stage, last_msg = "absorb", str(e)
-                continue
-            if accept(subs):
-                return subs
-            last_stage, last_msg = "validate", "absorbed hosts failed final checks"
-            break
-    raise PipelineFailed(last_stage, last_msg)
+        segs = cut_cycle_segments(C, sizes(A), _stage_seed(cfg.seed, restart, 3))
+        try:
+            subs = absorb_paths(D, A, segs, targets=targets)
+        except NoCoveringPair as e:
+            attempts.append(("absorb", str(e)))
+            continue
+        if accept(subs):
+            return subs
+        attempts.append(("validate", "absorbed hosts failed final checks"))
+    stage, reason = attempts[-1]
+    if len(attempts) > 1:
+        reason += f" (earlier attempts: {'; '.join(f'{s}: {r}' for s, r in attempts[:-1])})"
+    raise PipelineFailed(stage, reason, attempts)
 
 
 def nh_linked_embed(

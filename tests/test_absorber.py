@@ -11,6 +11,7 @@ from dilink import (
     absorb_paths,
     absorber_params,
     absorber_size_bound,
+    build_d_cover,
     build_type1_absorber,
     build_type2_absorber,
     cut_cycle_segments,
@@ -317,9 +318,15 @@ def test_build_rejects_bad_arguments():
         build_type2_absorber(D, H, [], P_DEFAULT, d=3, seed=0)
 
 
-def test_build_fails_cleanly_when_budget_is_hopeless():
+def test_build_fails_cleanly_when_budget_is_hopeless(monkeypatch):
     D = _dense()
     H = single_arc_pattern()
-    # a length-30 path cannot host enough cover pairs for d=3
-    with pytest.raises(AbsorberConstructionFailed):
+    calls = []
+    monkeypatch.setattr(
+        "dilink.absorber.build_d_cover", lambda *a, **k: calls.append(1) or build_d_cover(*a, **k)
+    )
+    # a length-30 path cannot host enough cover pairs for d=3; the builder
+    # makes one attempt and says which step failed
+    with pytest.raises(AbsorberConstructionFailed, match="no verified 3-cover of size 8"):
         build_type1_absorber(D, H, {0: 0, 1: 1}, [30], P_DEFAULT, d=3, seed=0)
+    assert len(calls) == 1

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from dilink import (
@@ -181,6 +182,35 @@ def test_build_cover_failure_paths():
     with pytest.raises(CoverConstructionFailed):
         # a directed cycle cannot d-cover anything much
         build_d_cover(directed_cycle(20), None, 2, 0.5, seed=0)
+
+
+@pytest.mark.parametrize("way", ["out", "in"])
+def test_build_cover_names_a_vertex_no_pair_can_cover(way, monkeypatch):
+    # every pair covering (x, 0) needs its own out-neighbour of 0 (and every
+    # pair covering (0, y) its own in-neighbour), so without them no sample
+    # can verify and the sampler stops after its first
+    M = gen_random_digraph(200, 0.7, 0).bool_matrix().copy()
+    if way == "out":
+        M[0, :] = False
+    else:
+        M[:, 0] = False
+    samples = []
+    monkeypatch.setattr(
+        "dilink.cover.verify_d_cover", lambda *a: samples.append(1) or verify_d_cover(*a)
+    )
+    with pytest.raises(
+        CoverConstructionFailed, match=rf"vertex 0 has only 0 {way}-neighbours"
+    ):
+        build_d_cover(Digraph(200, np.argwhere(M)), None, 3, 0.5, seed=0)
+    assert len(samples) == 1
+
+
+def test_build_cover_counts_only_neighbours_outside_avoid():
+    # 0 -> 1 and 0 -> 2 only; with 1 avoided, 0 has one usable out-neighbour
+    arcs = [(u, v) for u in range(1, 20) for v in range(20) if u != v]
+    D = Digraph(20, arcs + [(0, 1), (0, 2)])
+    with pytest.raises(CoverConstructionFailed, match="vertex 0 has only 1 out-"):
+        build_d_cover(D, None, 2, 0.5, seed=0, size=8, avoid={1})
 
 
 def test_connection_request_validation():

@@ -253,3 +253,13 @@ def test_random_digraph_is_seeded():
     assert A == B
     assert A != C
     assert all(u != v for u, v in A.arcs)
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 300])
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 1.0])
+def test_random_digraph_matches_one_whole_matrix_draw(n, p):
+    # the generator fills its matrix in row blocks; the draws must be the
+    # ones a single n x n draw of the same seed would give
+    want = np.random.default_rng(7).random((n, n)) < p
+    np.fill_diagonal(want, False)
+    assert np.array_equal(gen_random_digraph(n, p, 7).bool_matrix(), want)

@@ -6,6 +6,7 @@ import pytest
 from dilink import (
     Digraph,
     PipelineConfig,
+    build_d_cover,
     gen_random_digraph,
     min_prescribed_length,
     nh_linked_embed,
@@ -69,6 +70,7 @@ def test_embedding_feasibility_gates():
     with pytest.raises(PipelineFailed) as e:
         nh_linked_embed(D, H, f, [floor - 1, 60, 60], CFG)
     assert e.value.stage == "feasibility"
+    assert e.value.attempts == (("feasibility", str(e.value)),)  # no attempt ran
     with pytest.raises(PipelineFailed) as e2:
         nh_linked_embed(D, H, f, [100, 100, 100], CFG)  # sum(l+1) > n
     assert e2.value.stage == "feasibility"
@@ -116,16 +118,62 @@ def test_sparse_digraph_fails_with_stage_report():
     assert e.value.stage in ("absorber", "cycle", "absorb", "validate")
 
 
-def test_leftover_without_a_one_factor_fails_at_the_cycle_stage_with_a_proof():
-    # a threshold digraph (arc u -> v iff rank(u) + rank(v) >= 0.85n, plus
-    # 2% random arcs): the absorber takes high-rank vertices first, and a
-    # low-rank vertex left behind has out-degree 0 in D - V(A)
-    n = 400
-    rng = np.random.default_rng(2)
+def _threshold_digraph(seed, n=400):
+    # arc u -> v iff rank(u) + rank(v) >= 0.85n, plus 2% random arcs
+    rng = np.random.default_rng(seed)
     r = rng.permutation(n)
     M = (r[:, None] + r[None, :] >= 0.85 * n) | (rng.random((n, n)) < 0.02)
     np.fill_diagonal(M, False)
+    return Digraph(n, np.argwhere(M))
+
+
+def _two_disjoint_halves(half):
+    M = np.zeros((2 * half, 2 * half), dtype=bool)
+    M[:half, :half] = gen_random_digraph(half, 0.7, 0).bool_matrix()
+    M[half:, half:] = gen_random_digraph(half, 0.7, 1).bool_matrix()
+    return Digraph(2 * half, np.argwhere(M))
+
+
+def test_leftover_without_a_one_factor_fails_at_the_cycle_stage_with_a_proof():
+    # on a threshold digraph the absorber takes high-rank vertices first,
+    # and a low-rank vertex left behind has out-degree 0 in D - V(A)
     cfg = PipelineConfig(gamma="1/2", nu="3/4", tau="3/4", d=3, seed=2)
     with pytest.raises(PipelineFailed, match=r"no 1-factor: .* vertex \d+ ") as e:
-        perfect_tiling(Digraph(n, np.argwhere(M)), single_arc_pattern(), [200, 200], cfg)
+        perfect_tiling(_threshold_digraph(2), single_arc_pattern(), [200, 200], cfg)
     assert e.value.stage == "cycle"
+
+
+def test_pipeline_failure_keeps_every_attempt():
+    # the last attempt fails at the absorber, so only the history shows
+    # the earlier proofs that the leftover had no 1-factor
+    cfg = PipelineConfig(gamma="1/2", nu="3/4", tau="3/4", d=3, seed=3)
+    with pytest.raises(PipelineFailed) as e:
+        perfect_tiling(_threshold_digraph(3), single_arc_pattern(), [200, 200], cfg)
+    assert len(e.value.attempts) == 3
+    assert e.value.stage == "absorber" == e.value.attempts[-1][0]
+    assert str(e.value).startswith(e.value.attempts[-1][1])
+    assert any("no 1-factor" in reason for _, reason in e.value.attempts[:-1])
+    assert "no 1-factor" in str(e.value)
+
+
+def test_retries_do_not_multiply(monkeypatch):
+    # no cover of two disjoint halves exists, so every attempt fails at the
+    # absorber, and each attempt samples covers exactly once
+    calls = []
+    monkeypatch.setattr(
+        "dilink.absorber.build_d_cover", lambda *a, **k: calls.append(1) or build_d_cover(*a, **k)
+    )
+    cfg = PipelineConfig(gamma="1/2", nu="3/4", tau="3/4", d=3, seed=0, restart_budget=2)
+    with pytest.raises(PipelineFailed) as e:
+        perfect_tiling(_two_disjoint_halves(100), single_arc_pattern(), [100, 100], cfg)
+    assert e.value.stage == "absorber"
+    assert [s for s, _ in e.value.attempts] == ["absorber", "absorber"]
+    assert len(calls) == 2
+
+
+def test_uncoverable_vertex_fails_at_the_absorber_stage():
+    M = gen_random_digraph(200, 0.7, 0).bool_matrix().copy()
+    M[0, :] = False
+    with pytest.raises(PipelineFailed, match="vertex 0 has only 0 out-neighbours") as e:
+        perfect_tiling(Digraph(200, np.argwhere(M)), single_arc_pattern(), [100, 100], CFG)
+    assert e.value.stage == "absorber"
