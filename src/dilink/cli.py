@@ -32,6 +32,7 @@ from .errors import (
     TooLargeForExact,
 )
 from .expansion import (
+    DEFAULT_EXACT_CAP,
     ExpansionParams,
     Verdict,
     certify_outexpander_exact,
@@ -210,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--nu", type=str, required=True)
     q.add_argument("--tau", type=str, required=True)
     q.add_argument("--exact", action="store_true")
-    q.add_argument("--exact-cap", dest="max_exact_n", type=int, default=20)
+    q.add_argument("--exact-cap", dest="max_exact_n", type=int, default=DEFAULT_EXACT_CAP)
     q.add_argument("--trials", type=int, default=2000)
     q.add_argument("--seed", type=int, default=0)
     q.set_defaults(func=cmd_certify_expander)

@@ -3,16 +3,16 @@
 The robust nu-out-neighbourhood of S is the set of vertices with at least
 ceil(nu*n) in-neighbors inside S.  D is a robust (nu, tau)-out-expander if
 |RN+(S)| >= |S| + nu*n for every S with tau*n < |S| < (1-tau)*n (strict,
-exact rational comparisons).  Certification enumerates all subsets up to a
-size cap; the falsifier samples structured candidate sets.  Both, and the
-neighbourhood functions, count in-neighbours inside S one way: as the sum
-of the rows of S in the bool adjacency matrix.
+exact rational comparisons).  Certification decides every subset at once,
+up to a size cap, from a subset-sum table of matrix rows; the falsifier
+samples structured candidate sets.  Both, and the neighbourhood functions,
+count in-neighbours inside S one way: as the sum of the rows of S in the
+bool adjacency matrix.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,6 +25,7 @@ from .errors import BadParameter, LabelOutOfRange, TooLargeForExact
 from .ratio import Real, as_fraction, ceil_frac
 
 DEFAULT_EXACT_CAP = 20
+_TABLE_BITS = 14  # low vertices of the subset-sum table; one block is 2^14 x n counts
 
 
 @dataclass(frozen=True)
@@ -90,21 +91,25 @@ def robust_in_neighbourhood(D: Digraph, S: Iterable[int], nu: Real) -> frozenset
     return robust_out_neighbourhood(D.reverse(), S, nu)
 
 
-def _quantified_sizes(n: int, tau: Fraction) -> list[int]:
-    lo = tau * n
-    hi = (1 - tau) * n
-    return [s for s in range(n + 1) if lo < s < hi]
+def _quantified_sizes(n: int, tau: Fraction) -> range:
+    """Sizes s with tau*n < s < (1-tau)*n."""
+    return range(int(tau * n) + 1, ceil_frac((1 - tau) * n))
 
 
 def certify_outexpander_exact(
     D: Digraph, p: ExpansionParams, max_exact_n: int = DEFAULT_EXACT_CAP
 ) -> ExpansionReport:
-    """Decide the robust (nu, tau)-out-expansion property by enumerating
-    every subset in the quantified size range.
+    """Decide the robust (nu, tau)-out-expansion property by computing the
+    in-neighbour counts of every subset from a subset-sum table.
 
-    Refutation reports a minimum-size counterexample (the first, in
-    lexicographic order of the sorted vertex tuple, among the smallest
-    violating sets).  Raises TooLargeForExact above the subset cap.
+    The table holds the row sums of all 2^b subsets of vertices 0..b-1
+    (b = min(n, 14)), built by b doublings; each of the 2^(n-b) subsets of
+    the other vertices adds its own row sum to the whole table, one block
+    of 2^b x n counts at a time.  That is about 2^n * n byte additions, in
+    2^b * n bytes of memory.  Refutation reports a minimum-size
+    counterexample: the first, in lexicographic order of the sorted vertex
+    tuple, among the smallest violating sets.  Raises TooLargeForExact
+    above the subset cap.
     """
     n = D.n
     if n > max_exact_n:
@@ -112,20 +117,36 @@ def certify_outexpander_exact(
     sizes = _quantified_sizes(n, p.tau)
     if not sizes:
         return ExpansionReport(Verdict.CERTIFIED_EXACT)
-    M = D.bool_matrix().astype(np.int16)  # M[u, x] == 1 iff arc u->x
     t = _in_count_threshold(p.nu, n)
-    for s in sizes:
-        need = s + ceil_frac(p.nu * n)
-        for chunk in _combination_chunks(n, s, 4096):
-            rows = np.array(chunk, dtype=np.intp)  # (c, s) vertex indices
-            counts = M[rows].sum(axis=1)  # (c, n): in-degrees from S
-            rn_sizes = (counts >= t).sum(axis=1)
-            bad = np.nonzero(rn_sizes < need)[0]
-            if bad.size:
-                return ExpansionReport(
-                    Verdict.REFUTED, counterexample=frozenset(chunk[int(bad[0])])
-                )
-    return ExpansionReport(Verdict.CERTIFIED_EXACT)
+    need = np.zeros(n + 1, dtype=np.int64)  # least |RN+(S)| by |S|; 0 outside the range
+    need[sizes] = np.array(sizes) + t
+    dt = np.min_scalar_type(n)  # holds every in-count, so no sum can wrap
+    M = D.bool_matrix().astype(dt)  # M[u, x] == 1 iff arc u->x
+    b = min(n, _TABLE_BITS)
+    # Bit j of a column stands for vertex b-1-j and bit i of a block for
+    # vertex n-1-i, so the key (column << (n-b)) | block weighs vertex v as
+    # 2^(n-1-v): among sets of one size, the largest key is the
+    # lexicographically first sorted tuple.
+    low = np.zeros((n, 1 << b), dtype=dt)  # low[x, column]: in-neighbours of x
+    pop = np.zeros(1 << b, dtype=np.int64)  # pop[column]: the set's size
+    for j in range(b):
+        low[:, 1 << j : 2 << j] = low[:, : 1 << j] + M[b - 1 - j][:, None]
+        pop[1 << j : 2 << j] = pop[: 1 << j] + 1
+    best = (n + 1, 0)  # (size, -key) of the best violating set; size n + 1 while none
+    for block in range(1 << (n - b)):
+        rows = [n - 1 - i for i in range(n - b) if block >> i & 1]
+        counts = low + M[rows].sum(axis=0, dtype=dt)[:, None]
+        size = pop + len(rows)
+        bad = np.flatnonzero((counts >= t).sum(axis=0, dtype=dt) < need[size])
+        if bad.size:
+            s = int(size[bad].min())
+            best = min(best, (s, -((int(bad[size[bad] == s][-1]) << (n - b)) | block)))
+    if best[0] > n:
+        return ExpansionReport(Verdict.CERTIFIED_EXACT)
+    return ExpansionReport(
+        Verdict.REFUTED,
+        counterexample=frozenset(v for v in range(n) if -best[1] >> (n - 1 - v) & 1),
+    )
 
 
 def certify_inexpander_exact(
@@ -134,15 +155,6 @@ def certify_inexpander_exact(
     """Exact decision of the robust (nu, tau)-in-expansion property,
     computed as out-expansion of the reversed digraph."""
     return certify_outexpander_exact(D.reverse(), p, max_exact_n)
-
-
-def _combination_chunks(n: int, s: int, chunk: int):
-    it = itertools.combinations(range(n), s)
-    while True:
-        block = list(itertools.islice(it, chunk))
-        if not block:
-            return
-        yield block
 
 
 def falsify_outexpander_sampled(

@@ -167,15 +167,17 @@ def nh_linked_embed(
 
     Runs the shared loop with a Type-I absorber around f and one
     segment per pattern arc, sized to top its host path up to the
-    prescribed length and absorbed into that path.
+    prescribed length and absorbed into that path.  Fails at stage
+    "feasibility" when the subdivision's vertex count, sum(l_i - 1) +
+    |V(H)|, exceeds n; a subdivision of exactly n vertices is attempted.
     """
     N = N if isinstance(N, LengthPrescription) else LengthPrescription(tuple(N))
     if len(N) != H.h:
         raise BadParameter(f"{H.h} lengths required, got {len(N)}")
-    if sum(l + 1 for l in N) > D.n:
+    order = sum(l - 1 for l in N) + H.underlying.n
+    if order > D.n:
         raise PipelineFailed(
-            "feasibility",
-            f"sum of (l_i + 1) is {sum(l + 1 for l in N)}, exceeding n = {D.n}",
+            "feasibility", f"the subdivision has {order} vertices, exceeding n = {D.n}"
         )
     arcs = H.arc_order
     [sub] = _drive(

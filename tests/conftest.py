@@ -3,6 +3,15 @@ import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # one seeded profile, so every property test repeats exactly in tier-1
+    settings.register_profile("dilink", max_examples=200, derandomize=True, deadline=None)
+    settings.load_profile("dilink")
+
 
 def pytest_terminal_summary(terminalreporter):
     """Print the acceptance scorecard (one line per criterion) after the

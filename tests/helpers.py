@@ -12,6 +12,8 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import numpy as np
+
 from dilink import (
     Digraph,
     EmbeddedLadder,
@@ -160,6 +162,35 @@ def oracle_robust_outexpander(D: Digraph, nu, tau):
             if rn < size + nu * n:
                 return frozenset(S)
     return None
+
+
+def oracle_min_violating_set(D: Digraph, nu, tau):
+    """The (size, lex)-minimum set violating robust out-expansion, or None.
+
+    Every subset S is a bitmask; vertex x has popcount(S & in-mask of x)
+    in-neighbours inside S, taken for all masks at once.  Comparisons are
+    cross-multiplied, so exact.  Fast enough for n <= 20, where
+    oracle_robust_outexpander is not.
+    """
+    nu, tau = Fraction(nu), Fraction(tau)
+    n = D.n
+    masks = np.arange(1 << n, dtype=np.int64)
+    size = np.bitwise_count(masks).astype(np.int64)
+    reach = np.zeros(1 << n, dtype=np.int64)  # |RN+(S)| for every S
+    for x in range(n):
+        in_mask = sum(1 << u for u in D.in_neighbors(x))
+        reach += np.bitwise_count(masks & in_mask) * nu.denominator >= nu.numerator * n
+    in_range = (tau.numerator * n < size * tau.denominator) & (
+        size * tau.denominator < (tau.denominator - tau.numerator) * n
+    )
+    bad = in_range & (reach * nu.denominator < size * nu.denominator + nu.numerator * n)
+    if not bad.any():
+        return None
+    s = size[bad].min()
+    first = min(
+        tuple(v for v in range(n) if m >> v & 1) for m in masks[bad & (size == s)].tolist()
+    )
+    return frozenset(first)
 
 
 def oracle_d_cover(D: Digraph, pairs, U, d: int) -> bool:

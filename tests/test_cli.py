@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dilink import complete_digraph, directed_cycle, gen_random_digraph
+from dilink import EXPANSION_EXACT_CAP, complete_digraph, directed_cycle, gen_random_digraph
 from dilink.cli import main
 from dilink.fileio import format_digraph, parse_digraph, write_digraph
 
@@ -80,6 +80,13 @@ def test_certify_expander_verdicts(graph_file, capsys):
 def test_certify_expander_cap_is_usage_error(graph_file, capsys):
     big = graph_file(gen_random_digraph(30, 0.5, 0))
     assert main(["certify-expander", big, "--nu", "1/6", "--tau", "1/6", "--exact"]) == 2
+    assert "error:" in capsys.readouterr().err
+    # the default cap is the library's: n = cap is decided, n = cap + 1 refused
+    at_cap = graph_file(complete_digraph(EXPANSION_EXACT_CAP), "cap.txt")
+    assert main(["certify-expander", at_cap, "--nu", "1/6", "--tau", "1/6", "--exact"]) == 0
+    assert "verdict: certified-exact" in capsys.readouterr().out
+    above = graph_file(complete_digraph(EXPANSION_EXACT_CAP + 1), "above.txt")
+    assert main(["certify-expander", above, "--nu", "1/6", "--tau", "1/6", "--exact"]) == 2
     assert "error:" in capsys.readouterr().err
 
 

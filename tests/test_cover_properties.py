@@ -4,14 +4,12 @@ definition checker, and the sampler's shape guarantees."""
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from dilink import Digraph, build_d_cover, verify_d_cover
 from dilink.errors import CoverConstructionFailed
 
 from helpers import oracle_d_cover
-
-PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
 
 @st.composite
@@ -22,7 +20,6 @@ def digraphs(draw, max_n=10):
     return Digraph(n, arcs)
 
 
-@PROPERTY
 @given(st.data())
 def test_verify_d_cover_agrees_with_the_definition(data):
     D = data.draw(digraphs())
@@ -34,7 +31,6 @@ def test_verify_d_cover_agrees_with_the_definition(data):
     assert verify_d_cover(D, pairs, U, d) == oracle_d_cover(D, pairs, U, d)
 
 
-@PROPERTY
 @given(st.data())
 def test_build_d_cover_returns_disjoint_pairs_of_the_exact_size(data):
     D = data.draw(digraphs(max_n=12))

@@ -24,7 +24,7 @@ from dilink import (
 )
 from dilink.errors import BadParameter, LabelOutOfRange, TooLargeForExact
 
-from helpers import oracle_robust_outexpander, random_arc_set
+from helpers import oracle_min_violating_set, oracle_robust_outexpander, random_arc_set
 
 
 def test_params_validation():
@@ -138,11 +138,17 @@ def test_directed_cycle_is_refuted_with_reverifying_counterexample():
 
 
 def test_empty_quantifier_range_certifies_vacuously():
-    # tau = 1/2 leaves no sizes with tau*n < s < (1-tau)*n
-    p = ExpansionParams("1/2", "1/2")
-    assert certify_outexpander_exact(directed_cycle(4), p).verdict is (
-        Verdict.CERTIFIED_EXACT
-    )
+    # tau = 1/2 leaves no sizes with tau*n < s < (1-tau)*n; n <= 1 leaves none at all
+    cases = [(directed_cycle(4), ExpansionParams("1/2", "1/2"))]
+    cases += [(Digraph(n, []), ExpansionParams("1/6", "1/6")) for n in (0, 1)]
+    for D, p in cases:
+        assert oracle_min_violating_set(D, p.nu, p.tau) is None
+        for rep in (
+            certify_outexpander_exact(D, p),
+            certify_inexpander_exact(D, p),
+            certify_survives_deletion(D, p, ()),
+        ):
+            assert rep.verdict is Verdict.CERTIFIED_EXACT
 
 
 def test_exact_cap_is_enforced():
@@ -165,6 +171,35 @@ def test_certifier_matches_definition_checker(nu, tau):
         else:
             assert rep.verdict is Verdict.REFUTED
             assert rep.counterexample == expected  # same (size, lex) minimum
+
+
+@pytest.mark.parametrize("n", [13, 14, 15, 17])
+def test_exact_certifiers_match_the_oracle_across_the_table_block(n):
+    # the subset-sum table holds 2^14 sets: n = 13, 14 take one block, 15 and 17 take 2 and 8
+    p = ExpansionParams("1/5", "1/5")
+    q = shrink_params_for_deletion(p)
+    for density, verdict in ((0.97, Verdict.CERTIFIED_EXACT), (0.6, Verdict.REFUTED)):
+        D = gen_random_digraph(n, density, n)
+        rep = certify_outexpander_exact(D, p)
+        assert rep.verdict is verdict
+        assert rep.counterexample == oracle_min_violating_set(D, p.nu, p.tau)
+        rep = certify_inexpander_exact(D, p)
+        assert rep.counterexample == oracle_min_violating_set(D.reverse(), p.nu, p.tau)
+        rep = certify_survives_deletion(D, p, ())
+        assert rep.counterexample == oracle_min_violating_set(D, q.nu, q.tau)
+
+
+def test_counterexample_from_a_later_table_block():
+    # at n = 17 vertex 14 lies outside the table's 2^14 block; it has no out-arcs, and
+    # vertex 15 reaches only 0..6, so {0, 1, 2, 15} violates too but ranks lower
+    n = 17
+    D = Digraph(n, [
+        (u, x) for u in range(n) if u != 14
+        for x in (range(7) if u == 15 else range(n)) if x != u
+    ])
+    p = ExpansionParams("1/5", "1/5")
+    assert oracle_min_violating_set(D, p.nu, p.tau) == {0, 1, 2, 14}
+    assert certify_outexpander_exact(D, p).counterexample == {0, 1, 2, 14}
 
 
 def test_falsifier_agrees_and_counterexamples_verify():

@@ -72,11 +72,21 @@ def test_embedding_feasibility_gates():
     assert e.value.stage == "feasibility"
     assert e.value.attempts == (("feasibility", str(e.value)),)  # no attempt ran
     with pytest.raises(PipelineFailed) as e2:
-        nh_linked_embed(D, H, f, [100, 100, 100], CFG)  # sum(l+1) > n
+        nh_linked_embed(D, H, f, [100, 100, 101], CFG)  # sum(l-1) + |V(H)| = 301 > n
     assert e2.value.stage == "feasibility"
     with pytest.raises(PipelineFailed) as e3:
         nh_linked_embed(D, H, f, [60, 60, 60], PipelineConfig(gamma="1/2", nu="3/4", d=2))
     assert e3.value.stage == "feasibility"  # d < number of pattern arcs
+
+
+def test_embedding_gate_is_the_exact_vertex_count():
+    # sum(l - 1) + |V(H)| = 300 = n: the gate admits it and the subdivision spans D
+    D = gen_random_digraph(300, 0.7, 0)
+    f = {0: 0, 1: 1, 2: 2}
+    sub = nh_linked_embed(D, triangle_pattern(), f, [100, 100, 100], CFG)
+    assert validate_subdivision(D, sub)
+    assert path_lengths(sub) == (100, 100, 100)
+    assert len(sub.vertices()) == 300
 
 
 def test_perfect_tiling_two_pieces():
