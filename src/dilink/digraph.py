@@ -28,8 +28,9 @@ class Digraph:
 
     def __init__(self, n: int, arc_list: Iterable[Arc]):
         """Arcs are integer pairs or an (m, 2) int array; duplicates collapse.
-        Non-integer labels raise BadParameter; the first bad arc in input
-        order raises LoopArc if a loop, else LabelOutOfRange."""
+        Non-integer labels, and an n too large for an n x n array, raise
+        BadParameter; the first bad arc in input order raises LoopArc if a
+        loop, else LabelOutOfRange."""
         if not isinstance(n, int) or n < 0:
             raise LabelOutOfRange(f"vertex count must be a nonnegative int, got {n!r}")
         if not isinstance(arc_list, np.ndarray):
@@ -48,7 +49,10 @@ class Digraph:
             if u == v:
                 raise LoopArc(f"loop arc ({u}, {u}) is not allowed")
             raise LabelOutOfRange(f"arc ({u}, {v}) outside 0..{n - 1}")
-        m = np.zeros((n, n), dtype=bool)
+        try:
+            m = np.zeros((n, n), dtype=bool)
+        except ValueError:  # n * n past what numpy can index
+            raise BadParameter(f"vertex count {n} is too large") from None
         m[us, vs] = True
         m.flags.writeable = False
         self.n = n

@@ -1,21 +1,28 @@
 """Text and JSON interchange for digraphs and the structures built on them.
 
-Digraphs travel as edge lists: a header line "n m", then m lines "u v",
-with '#' starting a comment.  Pattern files reuse the same layout and may
-append "map a v" lines pairing a pattern vertex with a host vertex.
+Digraphs travel as edge lists: a header line "n m", then m lines "u v".
+Lines are split as str.splitlines splits them, '#' starts a comment that
+runs to the end of its line, and blank lines are skipped.  Tokens are
+separated by whitespace (what str.split splits on), and each integer
+token is an optional sign followed by ASCII digits: '1_0', '٢', '0x1'
+and '1.5' are not integers.  Arc labels must lie in 0..n-1, so a label
+beyond int64 is out of range.  Pattern files reuse the same layout and
+may append "map a v" lines pairing a pattern vertex with a host vertex.
 Subdivisions, ladders, and absorbers serialize to plain JSON objects.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from typing import Mapping, Sequence, TextIO
+import re
+from typing import Iterable, Mapping, NoReturn, Sequence, TextIO
 
 import numpy as np
 
 from .absorber import Absorber
 from .digraph import Digraph
-from .errors import BadParameter
+from .errors import BadParameter, LabelOutOfRange
 from .ladder import Ladder
 from .subdivision import (
     HSubdivision,
@@ -24,45 +31,80 @@ from .subdivision import (
     subdivision_order,
 )
 
+_INT = re.compile(r"[+-]?[0-9]+")
+_INT64 = np.iinfo(np.int64)
 
-def _content_lines(text: str) -> list[str]:
-    out = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append(line)
-    return out
+
+def _content(line: str) -> str:
+    """The line without its comment and surrounding whitespace."""
+    return line.split("#", 1)[0].strip()
+
+
+def _content_lines(lines: Iterable[str]) -> list[str]:
+    return [c for c in map(_content, lines) if c]
+
+
+def _check_ints(tokens: Sequence[str], source: str) -> None:
+    if not all(_INT.fullmatch(t.strip()) for t in tokens):
+        raise BadParameter(f"non-integer value in {source!r}")
 
 
 def parse_ints(tokens: Sequence[str], source: str) -> list[int]:
-    """The tokens as integers; BadParameter quoting source otherwise."""
+    """The tokens as integers, each an optional sign and ASCII digits
+    (surrounding whitespace ignored); BadParameter quoting source otherwise."""
+    _check_ints(tokens, source)
     try:
         return [int(t) for t in tokens]
-    except ValueError:
-        raise BadParameter(f"non-integer value in {source!r}") from None
+    except ValueError:  # past int()'s limit of sys.get_int_max_str_digits()
+        raise BadParameter(f"integer too long in {source!r}") from None
 
 
-def parse_digraph(text: str) -> Digraph:
-    """Parse the edge-list format: "n m" then m lines "u v"."""
-    lines = _content_lines(text)
-    if not lines:
-        raise BadParameter("empty digraph file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise BadParameter(f"header must be 'n m', got {lines[0]!r}")
-    n, m = parse_ints(head, lines[0])
-    arcs = []
-    for line in lines[1:]:
+def _fits_int64(token: str) -> bool:
+    """Whether an integer token's value lies in int64; a long token is
+    refused before int() sees it."""
+    return len(token.lstrip("+-0")) <= 19 and _INT64.min <= int(token) <= _INT64.max
+
+
+def _reject_arc_lines(lines: Sequence[str], n: int, why: str) -> NoReturn:
+    """Name the first arc line that np.loadtxt could not read; why is
+    loadtxt's own complaint, for a file in which this scan finds none."""
+    for line in _content_lines(lines):
         parts = line.split()
         if len(parts) != 2:
             raise BadParameter(f"arc line must be 'u v', got {line!r}")
-        try:  # inline: this loop runs once per arc
-            arcs.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise BadParameter(f"non-integer value in {line!r}") from None
-    if len(arcs) != m:
-        raise BadParameter(f"header promises {m} arcs, file has {len(arcs)}")
-    return Digraph(n, arcs)
+        _check_ints(parts, line)
+        if not all(map(_fits_int64, parts)):
+            raise LabelOutOfRange(f"arc line {line!r} has a label outside 0..{n - 1}")
+    raise BadParameter(f"unreadable arc lines: {why}")
+
+
+def parse_digraph(text: str) -> Digraph:
+    """Parse the edge-list format: "n m" then m lines "u v".
+
+    Every line after the header goes through one np.loadtxt call.  Only
+    when that fails does a line-by-line scan run, to raise BadParameter
+    (or LabelOutOfRange for a label beyond int64) naming the first bad
+    line; Digraph then reports the first loop or label outside 0..n-1.
+    """
+    lines = text.splitlines()
+    i = next((i for i, line in enumerate(lines) if _content(line)), None)
+    if i is None:
+        raise BadParameter("empty digraph file")
+    header = _content(lines[i])
+    head = header.split()
+    if len(head) != 2:
+        raise BadParameter(f"header must be 'n m', got {header!r}")
+    n, m = parse_ints(head, header)
+    # a leading "0 0" row fixes the width at two columns and keeps a file
+    # without arcs from loadtxt's no-data warning; it is dropped below
+    body = itertools.chain(["0 0"], itertools.islice(lines, i + 1, None))
+    try:
+        a = np.loadtxt(body, dtype=np.int64, comments="#", ndmin=2)[1:]
+    except ValueError as e:
+        _reject_arc_lines(lines[i + 1 :], n, str(e))
+    if len(a) != m:
+        raise BadParameter(f"header promises {m} arcs, file has {len(a)}")
+    return Digraph(n, a)
 
 
 def format_digraph(D: Digraph) -> str:
@@ -84,7 +126,7 @@ def write_digraph(D: Digraph, path: str) -> None:
 def parse_pattern(text: str) -> tuple[PatternDigraph, dict[int, int]]:
     """Parse a pattern file: edge list plus optional "map a v" lines
     giving a (partial or full) branch map."""
-    lines = _content_lines(text)
+    lines = _content_lines(text.splitlines())
     branch: dict[int, int] = {}
     graph_lines = []
     for line in lines:

@@ -21,6 +21,7 @@ from dilink import (
     Ladder,
     pattern_from_arcs,
 )
+from dilink.errors import BadParameter, LabelOutOfRange, LoopArc
 
 # filled by the acceptance tests, echoed by conftest's terminal-summary hook
 ACCEPTANCE_LINES: list[str] = []
@@ -257,6 +258,54 @@ def oracle_has_hamilton_cycle(D: Digraph) -> bool:
         if all(D.has_arc(seq[i], seq[(i + 1) % D.n]) for i in range(D.n)):
             return True
     return False
+
+
+def _reference_int(token: str, line: str) -> int:
+    """Digit by digit, so no length limit applies."""
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    if not digits or any(c not in "0123456789" for c in digits):
+        raise BadParameter(f"non-integer value in {line!r}")
+    value = 0
+    for c in digits:
+        value = 10 * value + "0123456789".index(c)
+    return -value if token[0] == "-" else value
+
+
+def reference_parse_digraph(text: str) -> Digraph:
+    """The edge-list format read one line at a time, from its definition:
+    a header "n m", then m lines "u v", '#' comments and blank lines
+    skipped, each token an optional sign and ASCII digits.  Lines are
+    checked in order (shape, then integers, then int64 range), then the
+    arc count, then each arc in input order for a loop or a label
+    outside 0..n-1."""
+    lines = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            lines.append(line)
+    if not lines:
+        raise BadParameter("empty digraph file")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise BadParameter(f"header must be 'n m', got {lines[0]!r}")
+    n, m = (_reference_int(t, lines[0]) for t in head)
+    arcs = []
+    for line in lines[1:]:
+        parts = line.split()
+        if len(parts) != 2:
+            raise BadParameter(f"arc line must be 'u v', got {line!r}")
+        u, v = (_reference_int(t, line) for t in parts)
+        if not all(-(2**63) <= x < 2**63 for x in (u, v)):
+            raise LabelOutOfRange(f"label beyond int64 in {line!r}")
+        arcs.append((u, v))
+    if len(arcs) != m:
+        raise BadParameter(f"header promises {m} arcs, file has {len(arcs)}")
+    for u, v in arcs:
+        if u == v:
+            raise LoopArc(f"loop arc ({u}, {u})")
+        if not (0 <= u < n and 0 <= v < n):
+            raise LabelOutOfRange(f"arc ({u}, {v}) outside 0..{n - 1}")
+    return Digraph(n, arcs)
 
 
 def random_arc_set(rng: random.Random, n: int, density: float):

@@ -164,8 +164,18 @@ def test_absorb_demo_types(capsys):
 
 @pytest.mark.parametrize(
     "text",
-    ["3 2\n0 1\n1 x\n", "3 2\n0 1\n1 1\n", "3 2\n0 1\n1 7\n", "3 2\n0 1\nmap 0 2\n1 2\n"],
-    ids=["non-integer", "loop", "out-of-range", "map-line"],
+    [
+        "3 2\n0 1\n1 x\n",
+        "3 2\n0 1\n1 1\n",
+        "3 2\n0 1\n1 7\n",
+        "3 2\n0 1\nmap 0 2\n1 2\n",
+        "12 1\n1_0 2\n",
+        "3 1\n\u0662 1\n",
+        "3 1\n0 99999999999999999999999\n",
+        "99999999999999999999 0\n",
+    ],
+    ids=["non-integer", "loop", "out-of-range", "map-line", "underscore", "non-ascii-digit",
+         "label-beyond-int64", "oversized-n"],
 )
 def test_malformed_digraph_is_exit_2(pattern_file, capsys, text):
     assert main(["check-degrees", pattern_file(text, "g.txt")]) == 2

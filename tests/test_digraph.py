@@ -44,6 +44,8 @@ def test_label_range_enforced():
         Digraph(3, [(0, 3)])
     with pytest.raises(LabelOutOfRange):
         Digraph(-1, [])
+    with pytest.raises(BadParameter, match="too large"):  # numpy refuses the shape
+        Digraph(10**20, [])
 
 
 def test_first_bad_arc_in_input_order_is_reported():

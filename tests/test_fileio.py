@@ -21,7 +21,7 @@ from dilink.fileio import (
     subdivision_to_json,
     write_digraph,
 )
-from dilink.errors import BadParameter
+from dilink.errors import BadParameter, LabelOutOfRange
 from dilink.pipeline import PipelineConfig
 
 
@@ -58,6 +58,34 @@ def test_parse_digraph_diagnostics():
         parse_digraph("3 5\n0 1\n1 2\n")
     with pytest.raises(BadParameter, match="arc line"):
         parse_digraph("3 1\n0 1 2\n")
+    with pytest.raises(BadParameter, match="arc line"):  # one column throughout
+        parse_digraph("3 1\n0\n")
+    with pytest.raises(BadParameter, match="promises 0 arcs, file has 1"):
+        parse_digraph("3 0\n0 1\n")
+    with pytest.raises(BadParameter, match="too large"):
+        parse_digraph("99999999999999999999 0\n")
+
+
+def test_parse_digraph_token_grammar():
+    """An integer token is an optional sign and ASCII digits, and an arc
+    label beyond int64 is out of range, named by its line."""
+    assert parse_digraph("+3 1\n+0 02\n").arcs == {(0, 2)}
+    assert parse_digraph("3 1\r\n0\u20032 # em space\r\n").arcs == {(0, 2)}
+    for bad in ("1_0 2", "\u0662 1", "0x1 2", "1e0 2", "- 1", "+-1 2"):
+        with pytest.raises(BadParameter, match="non-integer"):
+            parse_digraph(f"12 1\n{bad}\n")
+    with pytest.raises(BadParameter, match="non-integer"):
+        parse_digraph("1_2 0\n")
+    with pytest.raises(LabelOutOfRange, match="'0 99999999999999999999999'"):
+        parse_digraph("3 1\n0 99999999999999999999999\n")
+    with pytest.raises(LabelOutOfRange, match="'-9223372036854775809 1'"):
+        parse_digraph("3 2\n0 1\n-9223372036854775809 1\n")
+    long = "9" * 5000  # past int()'s default limit of 4300 digits
+    with pytest.raises(LabelOutOfRange):
+        parse_digraph(f"3 1\n0 {long}\n")
+    with pytest.raises(BadParameter, match="too long"):
+        parse_digraph(f"{long} 0\n")
+    assert parse_digraph(f"3 1\n{'0' * 5000}1 2\n").arcs == {(1, 2)}
 
 
 def test_parse_pattern_with_branch_map():
