@@ -6,12 +6,14 @@ paths carry every ladder.  Its slots name the host paths that must carry
 at least one ladder.  A Type-I absorber has one host, with branch map
 prescribed and ladders on every path; a Type-II absorber has one host
 per tile, with ladders on each host's first path.  Both builders make
-one attempt per seed, shared code that differs only in where branch
-vertices go and which paths the ladder groups are threaded into; a
-failed step raises, and only the pipelines retry.  Once built, any
-family of up to d external paths can be swallowed: each path's endpoints
-are covered by some unused pair, and the pair's ladder absorbs the
-extended path without disturbing branch vertices.
+one attempt per seed: K is grown until it d-covers V(D), so its size
+follows the digraph, and its ladders are dealt round robin over the
+slots; the builders differ only in where branch vertices go.  A failed
+step raises, and only the pipelines retry.  Once built, any family of
+up to d external paths whose endpoints are covered by unused pairs can
+be swallowed: each pair's ladder absorbs its extended path without
+disturbing branch vertices.  cut_absorbable_segments cuts a cycle
+where every segment has such a pair on its slot.
 """
 
 from __future__ import annotations
@@ -22,12 +24,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from .cover import (
     CoverPairSet,
-    build_d_cover,
     build_disjoint_ladders,
-    cover_size_formula,
     covers,
+    grow_d_cover,
     shortest_path_avoiding,
     verify_d_cover,
 )
@@ -42,6 +45,7 @@ from .errors import (
     LadderConstructionFailed,
     NoCoveringPair,
     NotDisjoint,
+    SizesExceedCycle,
     TooManyPaths,
 )
 from .expansion import ExpansionParams
@@ -61,10 +65,6 @@ from .subdivision import (
     subdivision_order,
     validate_subdivision,
 )
-
-# planning constants for the desk-scale builders: a k=0 ladder occupies
-# two vertices and we reserve one more for the connector that follows it
-_PAIR_PLAN_COST = 3
 
 
 def _check_branch_map(H: PatternDigraph, f: Mapping[int, int], n: int) -> None:
@@ -145,44 +145,6 @@ def _connector_cap(nu: Fraction) -> int:
     return max(3, min(int(2 / nu + 1), 8))
 
 
-def _plan_cover_size(
-    n: int, gamma: Real, d: int, interior_budgets: Sequence[int], groups: int
-) -> int:
-    """Pair count: the formula value capped by floor(n/2) and by what the
-    group budgets can host at 3 planned vertices per pair."""
-    formula_cap = min(cover_size_formula(n, gamma, d), n // 2)
-    budget_cap = sum(max(0, b) // _PAIR_PLAN_COST for b in interior_budgets)
-    m = min(formula_cap, budget_cap)
-    if m < max(groups, d + 2):
-        raise AbsorberConstructionFailed(
-            f"budget admits only {m} cover pairs; need at least "
-            f"max(groups={groups}, d+2={d + 2})"
-        )
-    return m
-
-
-def _partition_ladders(
-    ladders: Sequence[Ladder], budgets: Sequence[int]
-) -> list[list[int]] | None:
-    """Greedy bin-fill of ladder indices into one group per budget, largest
-    ladder first into the roomiest group; every group must end nonempty."""
-    costs = [len(L.vertices()) + 1 for L in ladders]
-    order = sorted(range(len(ladders)), key=lambda i: (-costs[i], i))
-    remaining = list(budgets)
-    groups: list[list[int]] = [[] for _ in budgets]
-    for idx in order:
-        gi = max(range(len(budgets)), key=lambda g: remaining[g])
-        if remaining[gi] < costs[idx]:
-            return None
-        groups[gi].append(idx)
-        remaining[gi] -= costs[idx]
-    if any(not g for g in groups):
-        return None
-    for g in groups:
-        g.sort()
-    return groups
-
-
 def _thread_group(
     D: Digraph,
     start: int,
@@ -217,47 +179,41 @@ def _build_absorber(
     d: int,
     seed: int,
     avoid: set[int],
-    plan_budgets: Sequence[int],
-    budgets: Sequence[int],
     slots: Sequence[tuple[int, Arc]],
     thread: Callable[[list[list[Ladder]], set[int], int, random.Random], list],
 ) -> Absorber:
     """The one attempt shared by build_type1_absorber and build_type2_absorber.
 
-    A verified d-cover avoiding `avoid` (arcs preferred so most ladders
-    are single arcs), disjoint ladders over its pairs, the rung-interior
-    cap, and a partition of the ladders into one group per budget;
-    `thread` then builds the hosts with group i on slots[i].  The absorber
-    must validate and respect the size bound.  A failed step raises
-    AbsorberConstructionFailed with its reason; nothing here retries.
+    A d-cover of V(D) grown pair by pair outside `avoid` until it covers
+    (arcs preferred, so most ladders are single arcs), disjoint ladders
+    over its pairs, the rung-interior cap, and the ladders dealt round
+    robin into one group per slot; `thread` then builds the hosts with
+    group i on slots[i] and checks their budgets.  The absorber must
+    validate and respect the size bound.  A failed step raises
+    AbsorberConstructionFailed with its reason, exact when no d-cover
+    exists; nothing here retries.
     """
-    if d < 1:
-        raise BadParameter("d must be >= 1")
     n = D.n
-    m = _plan_cover_size(n, p.gamma, d, plan_budgets, len(budgets))
     removal_cap = int(p.nu * n / 4)
     s = (seed * 9_176_941) & 0xFFFFFFFF
     rng = random.Random(s ^ 0x5EED)
     try:
-        K = build_d_cover(D, range(n), d, p.gamma, s, size=m, avoid=avoid)
+        K = grow_d_cover(D, d, s, avoid=avoid)
         ladders = build_disjoint_ladders(D, K.pairs, p.nu, s, avoid=avoid)
     except (CoverConstructionFailed, LadderConstructionFailed) as e:
-        raise AbsorberConstructionFailed(str(e))
+        raise AbsorberConstructionFailed(str(e), e.exact)
     rung_interiors = sum(len(r) - 2 for L in ladders for r in rung_paths(L))
     if rung_interiors > removal_cap:
         raise AbsorberConstructionFailed(
             f"rung interiors ({rung_interiors}) exceed nu*n/4 = {removal_cap}"
         )
-    groups = _partition_ladders(ladders, budgets)
-    if groups is None:
-        raise AbsorberConstructionFailed("ladder partition failed the per-path budgets")
     blocked = set(avoid).union(*(L.vertices() for L in ladders))
     cap = _connector_cap(p.nu)
     try:
-        hosts = thread([[ladders[i] for i in g] for g in groups], blocked, cap, rng)
+        hosts = thread([ladders[g::len(slots)] for g in range(len(slots))], blocked, cap, rng)
     except ConnectionFailed as e:
         raise AbsorberConstructionFailed(f"threading failed at connector {e.index}")
-    embedding = {i: slots[gi] for gi, g in enumerate(groups) for i in g}
+    embedding = {i: slots[i % len(slots)] for i in range(len(ladders))}
     A = Absorber(K, ladders, hosts, embedding, d, slots)
     if not validate_absorber(D, A):
         raise AbsorberConstructionFailed("assembled absorber failed validation")
@@ -300,10 +256,7 @@ def build_type1_absorber(
                 )
         return [HSubdivision(H, dict(f), paths)]
 
-    return _build_absorber(
-        D, p, d, seed, set(f.values()), [l - 4 for l in N],
-        [l - 3 for l in N], [(0, a) for a in arcs], thread,
-    )
+    return _build_absorber(D, p, d, seed, set(f.values()), [(0, a) for a in arcs], thread)
 
 
 def build_type2_absorber(
@@ -329,8 +282,6 @@ def build_type2_absorber(
         raise BadParameter(f"k = {k} hosts exceed d = {d}")
     arcs = H.arc_order
     hv = H.underlying.n
-    base = hv + 2 * (H.h - 1) + 2  # branch vertices, short arcs, entry/exit slack
-    budgets = [o - 2 - base for o in orders]
 
     def thread(groups, blocked, cap, rng):
         hosts = []
@@ -354,34 +305,30 @@ def build_type2_absorber(
                 )
         return hosts
 
-    return _build_absorber(
-        D, p, d, seed, set(), budgets, budgets,
-        [(hi, arcs[0]) for hi in range(k)], thread,
-    )
+    return _build_absorber(D, p, d, seed, set(), [(hi, arcs[0]) for hi in range(k)], thread)
 
 
 def validate_absorber(
     D: Digraph, A: Absorber, problems: list[str] | None = None
 ) -> bool:
-    """Re-check every structural invariant of the absorber against D."""
+    """Re-check every structural invariant of the absorber against D.
+
+    K's d-cover is verified afresh by verify_d_cover's matrix product,
+    independently of the incremental count that grew it."""
     notes: list[str] = [] if problems is None else problems
 
     def fail(msg: str) -> bool:
         notes.append(msg)
         return False
 
-    ok = True
-    if len(A.ladders) != len(A.pairs):
-        ok = fail("ladder/pair count mismatch")
+    ok = True  # Absorber itself holds one ladder per pair
     seen: set[int] = set()
-    for i, L in enumerate(A.ladders):
+    for i, ((u, v), L) in enumerate(zip(A.pairs, A.ladders)):
         if not validate_ladder(D, L):
             ok = fail(f"ladder {i} invalid")
             continue
-        if i < len(A.pairs.pairs):
-            u, v = A.pairs.pairs[i]
-            if L.start != u or L.end != v:
-                ok = fail(f"ladder {i} does not run {u}->{v}")
+        if L.start != u or L.end != v:
+            ok = fail(f"ladder {i} does not run {u}->{v}")
         lv = L.vertices()
         if lv & seen:
             ok = fail(f"ladder {i} overlaps an earlier ladder")
@@ -439,6 +386,35 @@ def _match_paths_to_pairs(
         if not augment(i, set()):
             return i
     return [j for j in assignment if j is not None]
+
+
+def cut_absorbable_segments(
+    D: Digraph, A: Absorber, C: Sequence[int], sizes: Sequence[int], seed: int = 0
+) -> list[tuple[int, ...]]:
+    """Cut consecutive subpaths of the given vertex counts from a cycle C
+    outside the absorber, segment i for slot i, at a seed-chosen offset
+    where the ends of each segment are covered by a pair whose ladder
+    sits on its slot.  Every offset is tested at once; NoCoveringPair(i)
+    says that no offset serves segments 0..i together.
+    """
+    if len(sizes) > len(A.slots):
+        raise TooManyPaths(f"{len(sizes)} segments exceed the {len(A.slots)} slots")
+    if sum(sizes) > len(C):
+        raise SizesExceedCycle(f"segment sizes sum to {sum(sizes)} > {len(C)} cycle vertices")
+    M = D.bool_matrix()
+    C = np.asarray(C, dtype=np.intp)
+    pairs = np.array(A.pairs.pairs, dtype=np.intp).reshape(-1, 2)
+    works = np.ones(len(C), dtype=bool)  # works[o]: offset o serves the segments so far
+    start = 0
+    for i, (slot, size) in enumerate(zip(A.slots, sizes)):
+        us, vs = pairs[[j for j, at in A.embedding.items() if at == slot]].T
+        x, y = np.roll(C, -start), np.roll(C, 1 - start - size)  # the ends, by offset
+        works &= (size > 1) & (M[np.ix_(us, x)] & M[np.ix_(y, vs)].T).any(axis=0)
+        if not works.any():
+            raise NoCoveringPair(i, f"no cycle offset gives segments 0..{i} covering pairs")
+        start += size
+    ring = np.roll(C, -random.Random(seed).choice(np.flatnonzero(works).tolist())).tolist()
+    return [tuple(ring[e - size:e]) for e, size in zip(np.cumsum(sizes).tolist(), sizes)]
 
 
 def absorb_paths(

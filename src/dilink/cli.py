@@ -151,10 +151,8 @@ def cmd_tile(args) -> int:
 
 def cmd_build_cover(args) -> int:
     D = _load_digraph(args.graph)
-    formula = cover_size_formula(D.n, args.gamma, args.d)
-    m = min(formula, D.n // 2)
-    K = build_d_cover(D, range(D.n), args.d, args.gamma, args.seed, size=m)
-    print(f"formula m = {formula} (capped: {m})")
+    K = build_d_cover(D, range(D.n), args.d, args.gamma, args.seed)
+    print(f"formula m = {cover_size_formula(D.n, args.gamma, args.d)} (capped: {len(K)})")
     for u, v in K.pairs:
         print(f"{u} {v}")
     return 0

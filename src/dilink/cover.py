@@ -4,13 +4,16 @@ A pair (u, v) covers an ordered pair (x, y) when all four vertices are
 distinct and both arcs u->x and y->v exist: any path from x to y can then
 be extended to one from u to v.  A set of disjoint pairs K d-covers U if
 every ordered pair of distinct vertices of U is covered by at least d
-members of K.  `build_d_cover` samples K by pairing each vertex with a
-random free out-neighbour read from the adjacency matrix, and checks it
-with one matrix product in `verify_d_cover`.
+members of K.  Pairs are drawn by pairing each vertex with a random free
+out-neighbour read from the adjacency matrix.  `build_d_cover` draws a
+fixed number and checks them with one matrix product in
+`verify_d_cover`; `grow_d_cover` draws one at a time, adds each pair's
+coverage to a count matrix, and stops as soon as the pairs d-cover.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -31,7 +34,6 @@ from .ratio import Real, as_fraction
 
 Pair = tuple[int, int]
 
-_COVER_ATTEMPTS = 50  # samples build_d_cover verifies before giving up
 _CONNECT_ATTEMPTS = 100  # routing orders connect_disjoint_paths tries
 _EXHAUSTIVE_BUDGET = 400_000  # path extensions _exhaustive_connect may explore
 _LADDER_TRIES = 400  # row samples _sample_ladder draws per ladder
@@ -86,22 +88,16 @@ def verify_d_cover(
             raise LabelOutOfRange(f"vertex {v} outside 0..{D.n - 1}")
     if len(uset) < 2 or d == 0:
         return True
-    if not pairs:
-        return False
     A = D.bool_matrix()
-    us, vs = np.array(pairs, dtype=np.intp).T
+    us, vs = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    j = np.arange(len(pairs))
     # float64 lets numpy hand the product to BLAS; every entry is a count
     # of at most m < 2**53 pairs, so each partial sum is exact
-    P = A[us, :].astype(np.float64)  # P[j, x] = arc u_j -> x
-    Q = A[:, vs].astype(np.float64)  # Q[y, j] = arc y -> v_j
-    C = (Q @ P).T  # C[x, y] = candidate count before distinctness
-    for u, v in pairs:
-        if A[u, v]:
-            C[v, :] -= A[:, v]  # x = v_j collides
-            C[:, u] -= A[u, :]  # y = u_j collides
-            C[v, u] += 1  # both at once: subtracted twice
+    P = A[us, :].astype(np.float64)  # P[j, x] = arc u_j -> x, with x != v_j
+    Q = A[:, vs].astype(np.float64)  # Q[y, j] = arc y -> v_j, with y != u_j
+    P[j, vs] = Q[us, j] = 0
     idx = np.array(uset, dtype=np.intp)
-    sub = C[np.ix_(idx, idx)]
+    sub = Q[idx] @ P[:, idx]  # sub[y, x] = pairs covering (x, y), for x, y in U
     np.fill_diagonal(sub, d)  # ignore x == y
     return bool(sub.min() >= d)
 
@@ -117,6 +113,41 @@ def cover_size_formula(n: int, gamma: Real, d: int) -> int:
     return math.ceil(24 * g**-2 * (d * math.log(24 * d * g**-2) + 2 * math.log(n)))
 
 
+def _random_pairs(M: np.ndarray, usable: list[int], seed: int):
+    """Disjoint pairs drawn one at a time: the vertices of `usable` in a
+    random order, each still free paired with a uniformly random free
+    out-neighbour, or with any free vertex when it has none, so a pair is
+    an arc (and later admits a single-arc ladder) wherever it can be."""
+    rng = random.Random((seed * 7_654_321) & 0xFFFFFFFF)
+    free = np.zeros(len(M), dtype=bool)
+    free[usable] = True
+    for u in rng.sample(usable, len(usable)):
+        if not free[u]:
+            continue
+        free[u] = False
+        cand = np.flatnonzero(M[u] & free)
+        if not len(cand):
+            cand = np.flatnonzero(free)
+        if len(cand):  # only the last vertex of an odd count stays single
+            v = int(cand[rng.randrange(len(cand))])
+            free[v] = False
+            yield u, v
+
+
+def _fail_without_cover(M: np.ndarray, us: list[int], usable: list[int], d: int, why: str):
+    """Raise CoverConstructionFailed(why), or an exact one when a vertex of
+    us has fewer than d out- or in-neighbours in `usable`: each pair inside
+    `usable` covering (x, y) brings its own in-neighbour of x and
+    out-neighbour of y, so then no d-cover of us exists."""
+    for way, deg in (("out", M[np.ix_(us, usable)].sum(1)), ("in", M[np.ix_(usable, us)].sum(0))):
+        if deg.min() < d:
+            raise CoverConstructionFailed(
+                f"no {d}-cover exists: vertex {us[deg.argmin()]} has only "
+                f"{deg.min()} {way}-neighbours outside avoid", exact=True,
+            )
+    raise CoverConstructionFailed(why)
+
+
 def build_d_cover(
     D: Digraph,
     U: Iterable[int] | None,
@@ -127,61 +158,60 @@ def build_d_cover(
     size: int | None = None,
     avoid: Iterable[int] = (),
 ) -> CoverPairSet:
-    """Sample disjoint pairs until they verifiably d-cover U.
+    """Sample disjoint pairs, once, and check that they d-cover U.
 
     The pair count is min(cover_size_formula, floor(n/2)) unless `size`
-    overrides it.  Each attempt visits the vertices outside `avoid` in a
-    random order and pairs every one still free with a uniformly random
-    free out-neighbour, or with any free vertex when it has none, so a
-    pair is an arc (and later admits a single-arc ladder) wherever the
-    digraph allows.  Restarts resample; failure after the budget raises
-    CoverConstructionFailed, and so, after the first failed sample, does a
-    vertex of U with fewer than d out- or in-neighbours outside `avoid`.
+    overrides it; the pairs are the first ones grow_d_cover would draw
+    outside `avoid`.  A sample that does not verify raises
+    CoverConstructionFailed, with exact=True when a vertex of U has fewer
+    than d out- or in-neighbours outside `avoid`.
     """
     n = D.n
     uset = range(n) if U is None else set(U)
     m = size if size is not None else min(cover_size_formula(n, gamma, d), n // 2)
-    if m < 1:
-        raise CoverConstructionFailed(f"cover size resolved to {m}")
     usable = sorted(set(range(n)) - set(avoid))
-    if 2 * m > len(usable):
-        raise CoverConstructionFailed(
-            f"need {2 * m} distinct vertices for {m} pairs, have {len(usable)}"
-        )
+    if not 1 <= m <= len(usable) // 2:
+        raise CoverConstructionFailed(f"{len(usable)} vertices outside avoid make no {m} pairs")
     M = D.bool_matrix()
-    for attempt in range(_COVER_ATTEMPTS):
-        rng = random.Random((seed * 7_654_321 + attempt) & 0xFFFFFFFF)
-        order = rng.sample(usable, len(usable))
-        free = np.isin(np.arange(n), usable)
-        pairs: list[Pair] = []
-        for u in order:
-            if len(pairs) == m:
-                break
-            if not free[u]:
-                continue
-            free[u] = False
-            # 2m <= |usable| leaves a free vertex for every unfinished pair
-            cand = np.flatnonzero(M[u] & free)
-            if not len(cand):
-                cand = np.flatnonzero(free)
-            v = int(cand[rng.randrange(len(cand))])
-            free[v] = False
-            pairs.append((u, v))
-        K = CoverPairSet(tuple(pairs))
-        if verify_d_cover(D, K, uset, d):
-            return K
-        if attempt == 0:  # verify_d_cover has checked the labels of U
-            us = sorted(uset)
-            for way, deg in (("out", M[np.ix_(us, usable)].sum(1)),
-                             ("in", M[np.ix_(usable, us)].sum(0))):
-                if deg.min() < d:
-                    raise CoverConstructionFailed(
-                        f"no {d}-cover exists: vertex {us[deg.argmin()]} has only "
-                        f"{deg.min()} {way}-neighbours outside avoid"
-                    )
-    raise CoverConstructionFailed(
-        f"no verified {d}-cover of size {m} after {_COVER_ATTEMPTS} attempts"
-    )
+    K = CoverPairSet(tuple(itertools.islice(_random_pairs(M, usable, seed), m)))
+    if verify_d_cover(D, K, uset, d):
+        return K
+    # verify_d_cover has checked the labels of U
+    _fail_without_cover(M, sorted(uset), usable, d, f"the {m} sampled pairs are no {d}-cover")
+
+
+def grow_d_cover(D: Digraph, d: int, seed: int, *, avoid: Iterable[int] = ()) -> CoverPairSet:
+    """The shortest run of random pairs outside `avoid` that d-covers V(D).
+
+    Pairs come from the same arc-preferring pairing as build_d_cover's, one
+    at a time.  C[x, y] counts the pairs so far covering (x, y), its
+    diagonal preset to d; pair (u, v) adds the outer product of the arcs
+    u -> x (x != v) with the arcs y -> v (y != u), and growth stops once
+    min C >= d.  Running out of pairs raises CoverConstructionFailed,
+    exact when a degree or pair count proves that no such cover exists.
+    """
+    if d < 1:
+        raise BadParameter("d must be >= 1")
+    n = D.n
+    M = D.bool_matrix()
+    usable = sorted(set(range(n)) - set(avoid))
+    if n >= 2 and 2 * d > len(usable):  # else no count exceeds n <= MAX_ORDER < 2**16
+        why = f"{len(usable)} vertices outside avoid make fewer than {d} pairs"
+        raise CoverConstructionFailed(f"no {d}-cover exists: {why}", exact=True)
+    C = np.zeros((n, n), dtype=np.uint16)
+    np.fill_diagonal(C, d)
+    pairs: list[Pair] = []
+    draws = _random_pairs(M, usable, seed)
+    while n >= 2 and C.min() < d:
+        pair = next(draws, None)
+        if pair is None:
+            why = f"all {len(pairs)} pairs are no {d}-cover"
+            _fail_without_cover(M, list(range(n)), usable, d, why)
+        pairs.append(pair)
+        x, y = M[pair[0]].copy(), M[:, pair[1]].copy()
+        x[pair[1]] = y[pair[0]] = False
+        C += np.outer(x, y)
+    return CoverPairSet(tuple(pairs))
 
 
 @dataclass(frozen=True)

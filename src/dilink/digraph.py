@@ -19,6 +19,7 @@ import numpy as np
 from .errors import BadParameter, LabelOutOfRange, LoopArc
 
 Arc = tuple[int, int]
+MAX_ORDER = 1 << 15  # largest n Digraph() accepts: its bool matrix is then 1 GiB
 
 
 class Digraph:
@@ -28,11 +29,13 @@ class Digraph:
 
     def __init__(self, n: int, arc_list: Iterable[Arc]):
         """Arcs are integer pairs or an (m, 2) int array; duplicates collapse.
-        Non-integer labels, and an n too large for an n x n array, raise
-        BadParameter; the first bad arc in input order raises LoopArc if a
-        loop, else LabelOutOfRange."""
+        Non-integer labels, and an n above MAX_ORDER, raise BadParameter;
+        the first bad arc in input order raises LoopArc if a loop, else
+        LabelOutOfRange."""
         if not isinstance(n, int) or n < 0:
             raise LabelOutOfRange(f"vertex count must be a nonnegative int, got {n!r}")
+        if n > MAX_ORDER:
+            raise BadParameter(f"vertex count {n} is too large: the bound is {MAX_ORDER}")
         if not isinstance(arc_list, np.ndarray):
             arc_list = list(arc_list)
         a = np.asarray(arc_list)
@@ -49,10 +52,7 @@ class Digraph:
             if u == v:
                 raise LoopArc(f"loop arc ({u}, {u}) is not allowed")
             raise LabelOutOfRange(f"arc ({u}, {v}) outside 0..{n - 1}")
-        try:
-            m = np.zeros((n, n), dtype=bool)
-        except ValueError:  # n * n past what numpy can index
-            raise BadParameter(f"vertex count {n} is too large") from None
+        m = np.zeros((n, n), dtype=bool)
         m[us, vs] = True
         m.flags.writeable = False
         self.n = n

@@ -7,7 +7,13 @@ carry that information as an attribute.
 
 
 class DilinkError(Exception):
-    """Base class for all dilink errors."""
+    """Base class for all dilink errors.  ``exact`` is True only when the
+    message proves that what was sought does not exist, so that no retry
+    can find it."""
+
+    def __init__(self, message: str = "", exact: bool = False):
+        self.exact = exact
+        super().__init__(message)
 
 
 class LoopArc(DilinkError):
@@ -59,7 +65,7 @@ class EndpointMismatch(DilinkError):
 
 
 class CoverConstructionFailed(DilinkError):
-    """No verified covering pair set exists, or none was found in the budget."""
+    """No verified covering pair set was found, or none exists (exact)."""
 
 
 class ConnectionFailed(DilinkError):
@@ -99,15 +105,8 @@ class NotDisjoint(DilinkError):
 
 
 class CycleNotFound(DilinkError):
-    """No cycle of the requested length was found.
-
-    ``exact`` is True only when an exhaustive search completed, i.e. the
-    answer is a certificate of nonexistence rather than a search failure.
-    """
-
-    def __init__(self, message: str = "", exact: bool = False):
-        self.exact = exact
-        super().__init__(message or "no cycle of the requested length found")
+    """No cycle of the requested length was found; exact when a Hall
+    violator or a completed exhaustive search proves that none exists."""
 
 
 class SizesExceedCycle(DilinkError):

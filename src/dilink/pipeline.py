@@ -3,11 +3,12 @@
 Both pipelines run one shared loop: build an absorber (whose host paths are
 deliberately left short of their final size), find a Hamilton cycle of
 the digraph minus the absorber, cut segments of exactly the missing
-sizes from the cycle, and absorb each segment into its designated host
-path.  Because rung-swap absorption adds exactly the absorbed vertices,
-the final subdivisions hit their prescribed path lengths (or orders)
-on the nose.  The pipelines differ only in their feasibility gates, the
-absorber they build, the segment sizes and the final check.
+sizes from the cycle where each one's ends have a covering pair on its
+host path, and absorb each segment into that path.  Because rung-swap
+absorption adds exactly the absorbed vertices, the final subdivisions
+hit their prescribed path lengths (or orders) on the nose.  The
+pipelines differ only in their feasibility gates, the absorber they
+build, the segment sizes and the final check.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from .absorber import (
     absorber_params,
     build_type1_absorber,
     build_type2_absorber,
+    cut_absorbable_segments,
 )
-from .cycles import cut_cycle_segments, hamilton_cycle
+from .cycles import hamilton_cycle
 from .digraph import Digraph, remove_vertices
 from .errors import (
     AbsorberConstructionFailed,
@@ -112,10 +114,11 @@ def _drive(
     prescribed length, and d must allow absorbing one segment per amount.
 
     Each of cfg.restart_budget attempts builds the absorber, finds a
-    Hamilton cycle of D minus it, cuts the cycle once into segments of
-    the given sizes and absorbs them, returning the enlarged hosts if they
-    pass the final check.  This is the only retry loop: a failed stage ends
-    the attempt, and PipelineFailed lists every attempt's stage and reason.
+    Hamilton cycle of D minus it, cuts the cycle once into absorbable
+    segments of the given sizes and absorbs them, returning the enlarged
+    hosts if they pass the final check.  This is the only retry loop: a
+    failed stage ends the attempt, an exact one (a proof about the input)
+    ends the loop, and PipelineFailed lists every attempt's stage and reason.
     """
     p, d = cfg.resolve(D.n)
     floor = min_prescribed_length(p.nu)
@@ -132,6 +135,8 @@ def _drive(
             A = build(p, d, _stage_seed(cfg.seed, restart, 1))
         except AbsorberConstructionFailed as e:
             attempts.append(("absorber", str(e)))
+            if e.exact:
+                break
             continue
         removal = remove_vertices(D, A.vertices())
         try:
@@ -140,8 +145,10 @@ def _drive(
             attempts.append(("cycle", f"in D - V(A), relabelled in order: {e}"))
             continue
         C = tuple(removal.new_to_old[x] for x in C_local)
-        segs = cut_cycle_segments(C, sizes(A), _stage_seed(cfg.seed, restart, 3))
         try:
+            segs = cut_absorbable_segments(
+                D, A, C, sizes(A), _stage_seed(cfg.seed, restart, 3)
+            )
             subs = absorb_paths(D, A, segs, targets=targets)
         except NoCoveringPair as e:
             attempts.append(("absorb", str(e)))

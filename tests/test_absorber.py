@@ -11,11 +11,12 @@ from dilink import (
     absorb_paths,
     absorber_params,
     absorber_size_bound,
-    build_d_cover,
     build_type1_absorber,
     build_type2_absorber,
+    covers,
     cut_cycle_segments,
     gen_random_digraph,
+    grow_d_cover,
     hamilton_cycle,
     ladder_on_path,
     path_lengths,
@@ -27,11 +28,13 @@ from dilink import (
     validate_subdivision,
     validate_tiling,
 )
+from dilink.absorber import cut_absorbable_segments
 from dilink.errors import (
     AbsorberConstructionFailed,
     BadParameter,
     NoCoveringPair,
     NotDisjoint,
+    SizesExceedCycle,
     TooManyPaths,
 )
 
@@ -269,6 +272,41 @@ def test_absorb_paths_type2_index_alignment():
         assert set(segs[i]) <= s.vertices()
 
 
+def _leftover_cycle(D, A, seed=0):
+    removal = remove_vertices(D, A.vertices())
+    return tuple(removal.new_to_old[x] for x in hamilton_cycle(removal.digraph, seed))
+
+
+def test_cut_absorbable_segments_serves_every_slot():
+    D = _dense(7)
+    A = build_type2_absorber(D, single_arc_pattern(), [100, 100], P_DEFAULT, d=3, seed=0)
+    C = _leftover_cycle(D, A)
+    sizes = [100 - subdivision_order(h) for h in A.hosts]
+    for seed in range(5):
+        segs = cut_absorbable_segments(D, A, C, sizes, seed)
+        assert [len(s) for s in segs] == sizes
+        at = C.index(segs[0][0])  # consecutive along the cycle, in order
+        assert [v for s in segs for v in s] == [C[(at + j) % len(C)] for j in range(sum(sizes))]
+        for slot, seg in zip(A.slots, segs):
+            assert any(covers(D, A.pairs.pairs[j], (seg[0], seg[-1]))
+                       for j, at_slot in A.embedding.items() if at_slot == slot)
+        subs = absorb_paths(D, A, segs)
+        assert validate_tiling(D, subs, [100, 100])
+
+
+def test_cut_absorbable_segments_guardrails():
+    D = _dense(7)
+    A = build_type2_absorber(D, single_arc_pattern(), [100, 100], P_DEFAULT, d=3, seed=0)
+    C = _leftover_cycle(D, A)
+    with pytest.raises(NoCoveringPair) as e:
+        cut_absorbable_segments(D, A, C, [4, 1])  # one vertex has no two ends to cover
+    assert e.value.index == 1
+    with pytest.raises(SizesExceedCycle):
+        cut_absorbable_segments(D, A, C, [len(C), 2])
+    with pytest.raises(TooManyPaths):
+        cut_absorbable_segments(D, A, C, [4, 4, 4])  # two slots only
+
+
 def test_absorb_paths_guardrails():
     D = _dense()
     H = single_arc_pattern()
@@ -323,10 +361,10 @@ def test_build_fails_cleanly_when_budget_is_hopeless(monkeypatch):
     H = single_arc_pattern()
     calls = []
     monkeypatch.setattr(
-        "dilink.absorber.build_d_cover", lambda *a, **k: calls.append(1) or build_d_cover(*a, **k)
+        "dilink.absorber.grow_d_cover", lambda *a, **k: calls.append(1) or grow_d_cover(*a, **k)
     )
-    # a length-30 path cannot host enough cover pairs for d=3; the builder
-    # makes one attempt and says which step failed
-    with pytest.raises(AbsorberConstructionFailed, match="no verified 3-cover of size 8"):
+    # a length-30 path cannot carry the ladders of a 3-cover; the builder
+    # grows one cover, threads it once and says which step failed
+    with pytest.raises(AbsorberConstructionFailed, match="path 0 used 54 vertices, over the budget 29"):
         build_type1_absorber(D, H, {0: 0, 1: 1}, [30], P_DEFAULT, d=3, seed=0)
     assert len(calls) == 1

@@ -483,3 +483,27 @@ def test_criterion_11_degree_checker_cross_validation():
             f"complete/cycle families as expected, {trials} arc-addition "
             f"trials x4 checkers, {violations} monotonicity violations")
     assert ok
+
+
+# --------------------------------------------------------------------------
+# 12. end-to-end perfect tiling into many tiles of the minimum order
+
+
+def test_criterion_12_tiling_into_many_tiles():
+    D = gen_random_digraph(1000, 0.7, 0)
+    H = single_arc_pattern()
+    orders = [50] * 20  # the minimum prescribed length at nu = 3/4
+    good = 0
+    for seed in range(50):
+        cfg = PipelineConfig(gamma="1/2", nu="3/4", tau="3/4", d=20,
+                             seed=seed, restart_budget=3)
+        try:
+            subs = perfect_tiling(D, H, orders, cfg)
+        except DilinkError:
+            continue
+        if validate_tiling(D, subs, orders):
+            good += 1
+    ok = good >= 48
+    _report(12, "many tiles", ok,
+            f"{good}/50 seeds tiled D(1000, 0.7) into 20 tiles of order 50 exactly")
+    assert ok

@@ -173,9 +173,10 @@ def test_absorb_demo_types(capsys):
         "3 1\n\u0662 1\n",
         "3 1\n0 99999999999999999999999\n",
         "99999999999999999999 0\n",
+        "3000000000 0\n",  # rejected by the bound on n, before any n x n matrix
     ],
     ids=["non-integer", "loop", "out-of-range", "map-line", "underscore", "non-ascii-digit",
-         "label-beyond-int64", "oversized-n"],
+         "label-beyond-int64", "oversized-n", "n-above-the-bound"],
 )
 def test_malformed_digraph_is_exit_2(pattern_file, capsys, text):
     assert main(["check-degrees", pattern_file(text, "g.txt")]) == 2

@@ -16,6 +16,7 @@ from dilink import (
     covers,
     directed_cycle,
     gen_random_digraph,
+    grow_d_cover,
     shortest_path_avoiding,
     validate_ladder,
     validate_path,
@@ -211,6 +212,36 @@ def test_build_cover_counts_only_neighbours_outside_avoid():
     D = Digraph(20, arcs + [(0, 1), (0, 2)])
     with pytest.raises(CoverConstructionFailed, match="vertex 0 has only 1 out-"):
         build_d_cover(D, None, 2, 0.5, seed=0, size=8, avoid={1})
+
+
+def test_grow_cover_stops_once_it_covers():
+    D = gen_random_digraph(300, 0.7, 0)
+    for seed in range(3):
+        K = grow_d_cover(D, 3, seed, avoid={0, 1})
+        assert not K.vertices() & {0, 1}
+        assert verify_d_cover(D, K, None, 3)
+        assert not verify_d_cover(D, K.pairs[:-1], None, 3)
+        assert len(K) < 60  # a small fraction of the 150 pairs D holds
+
+
+def test_grow_cover_failures_say_whether_they_prove_anything():
+    M = gen_random_digraph(200, 0.7, 0).bool_matrix().copy()
+    M[:, 0] = False
+    with pytest.raises(CoverConstructionFailed, match="vertex 0 has only 0 in-neighbours") as e:
+        grow_d_cover(Digraph(200, np.argwhere(M)), 3, 0)
+    assert e.value.exact
+    with pytest.raises(CoverConstructionFailed, match="make fewer than 4 pairs") as e:
+        grow_d_cover(complete_digraph(9), 4, 0, avoid={7, 8})
+    assert e.value.exact
+    # two disjoint halves: every vertex has enough neighbours, but no pair
+    # covers (x, y) across the halves, which no degree count proves
+    halves = Digraph(40, [(u, v) for u in range(40) for v in range(40)
+                          if u != v and (u < 20) == (v < 20)])
+    with pytest.raises(CoverConstructionFailed, match="all 20 pairs are no 1-cover") as e:
+        grow_d_cover(halves, 1, 0)
+    assert not e.value.exact
+    with pytest.raises(BadParameter):
+        grow_d_cover(halves, 0, 0)
 
 
 def test_connection_request_validation():

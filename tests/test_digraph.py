@@ -18,6 +18,7 @@ from dilink import (
     validate_cycle,
     validate_path,
 )
+from dilink.digraph import MAX_ORDER
 from dilink.errors import BadParameter, LabelOutOfRange, LoopArc
 
 
@@ -44,8 +45,10 @@ def test_label_range_enforced():
         Digraph(3, [(0, 3)])
     with pytest.raises(LabelOutOfRange):
         Digraph(-1, [])
-    with pytest.raises(BadParameter, match="too large"):  # numpy refuses the shape
+    with pytest.raises(BadParameter, match="too large"):  # above MAX_ORDER
         Digraph(10**20, [])
+    with pytest.raises(BadParameter, match=f"the bound is {MAX_ORDER}"):
+        Digraph(MAX_ORDER + 1, [(0, 1)])  # refused before an n x n matrix is allocated
 
 
 def test_first_bad_arc_in_input_order_is_reported():

@@ -6,8 +6,8 @@ import pytest
 from dilink import (
     Digraph,
     PipelineConfig,
-    build_d_cover,
     gen_random_digraph,
+    grow_d_cover,
     min_prescribed_length,
     nh_linked_embed,
     path_lengths,
@@ -128,12 +128,16 @@ def test_sparse_digraph_fails_with_stage_report():
     assert e.value.stage in ("absorber", "cycle", "absorb", "validate")
 
 
-def _threshold_digraph(seed, n=400):
-    # arc u -> v iff rank(u) + rank(v) >= 0.85n, plus 2% random arcs
-    rng = np.random.default_rng(seed)
-    r = rng.permutation(n)
-    M = (r[:, None] + r[None, :] >= 0.85 * n) | (rng.random((n, n)) < 0.02)
-    np.fill_diagonal(M, False)
+def _starved_digraph(seed, n=400, s=150):
+    # D(n, 0.7) whose s vertices in S send arcs only into a set T of s - 3.
+    # On a host path every S vertex but the path's last is followed by a T
+    # vertex, so with two single-arc hosts D - V(A) keeps more S vertices
+    # than T vertices: their out-neighbours violate Hall's condition, and
+    # no 1-factor exists whenever the absorber builds
+    M = gen_random_digraph(n, 0.7, seed).bool_matrix().copy()
+    r = np.random.default_rng(seed).permutation(n)
+    S, T = r[:s], r[s:2 * s - 3]
+    M[np.ix_(S, np.setdiff1d(np.arange(n), T))] = False
     return Digraph(n, np.argwhere(M))
 
 
@@ -145,20 +149,18 @@ def _two_disjoint_halves(half):
 
 
 def test_leftover_without_a_one_factor_fails_at_the_cycle_stage_with_a_proof():
-    # on a threshold digraph the absorber takes high-rank vertices first,
-    # and a low-rank vertex left behind has out-degree 0 in D - V(A)
-    cfg = PipelineConfig(gamma="1/2", nu="3/4", tau="3/4", d=3, seed=2)
+    cfg = PipelineConfig(gamma="1/2", nu="3/4", tau="3/4", d=3, seed=1)
     with pytest.raises(PipelineFailed, match=r"no 1-factor: .* vertex \d+ ") as e:
-        perfect_tiling(_threshold_digraph(2), single_arc_pattern(), [200, 200], cfg)
+        perfect_tiling(_starved_digraph(1), single_arc_pattern(), [200, 200], cfg)
     assert e.value.stage == "cycle"
 
 
 def test_pipeline_failure_keeps_every_attempt():
     # the last attempt fails at the absorber, so only the history shows
     # the earlier proofs that the leftover had no 1-factor
-    cfg = PipelineConfig(gamma="1/2", nu="3/4", tau="3/4", d=3, seed=3)
+    cfg = PipelineConfig(gamma="1/2", nu="3/4", tau="3/4", d=3, seed=5)
     with pytest.raises(PipelineFailed) as e:
-        perfect_tiling(_threshold_digraph(3), single_arc_pattern(), [200, 200], cfg)
+        perfect_tiling(_starved_digraph(1), single_arc_pattern(), [200, 200], cfg)
     assert len(e.value.attempts) == 3
     assert e.value.stage == "absorber" == e.value.attempts[-1][0]
     assert str(e.value).startswith(e.value.attempts[-1][1])
@@ -168,10 +170,10 @@ def test_pipeline_failure_keeps_every_attempt():
 
 def test_retries_do_not_multiply(monkeypatch):
     # no cover of two disjoint halves exists, so every attempt fails at the
-    # absorber, and each attempt samples covers exactly once
+    # absorber, and each attempt grows a cover exactly once
     calls = []
     monkeypatch.setattr(
-        "dilink.absorber.build_d_cover", lambda *a, **k: calls.append(1) or build_d_cover(*a, **k)
+        "dilink.absorber.grow_d_cover", lambda *a, **k: calls.append(1) or grow_d_cover(*a, **k)
     )
     cfg = PipelineConfig(gamma="1/2", nu="3/4", tau="3/4", d=3, seed=0, restart_budget=2)
     with pytest.raises(PipelineFailed) as e:
@@ -187,3 +189,4 @@ def test_uncoverable_vertex_fails_at_the_absorber_stage():
     with pytest.raises(PipelineFailed, match="vertex 0 has only 0 out-neighbours") as e:
         perfect_tiling(Digraph(200, np.argwhere(M)), single_arc_pattern(), [100, 100], CFG)
     assert e.value.stage == "absorber"
+    assert len(e.value.attempts) == 1  # a proof about the input ends the retries
