@@ -101,7 +101,6 @@ from .fileio import (
     read_digraph,
     read_pattern,
     subdivision_to_json,
-    write_digraph,
 )
 from .generators import (
     complete_digraph,
@@ -111,12 +110,10 @@ from .generators import (
     rotational_tournament,
 )
 from .ladder import (
-    EmbeddedLadder,
     Ladder,
     absorb_into_path,
     absorb_path,
     alternative_rung_paths,
-    is_embedded,
     ladder_on_path,
     rung_paths,
     single_arc_ladder,

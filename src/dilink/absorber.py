@@ -2,18 +2,20 @@
 
 An absorber is a set K of disjoint cover pairs, one ladder per pair, and
 one or several pairwise disjoint host subdivisions of the pattern whose
-paths carry every ladder.  Its slots name the host paths that must carry
-at least one ladder.  A Type-I absorber has one host, with branch map
-prescribed and ladders on every path; a Type-II absorber has one host
-per tile, with ladders on each host's first path.  Both builders make
-one attempt per seed: K is grown until it d-covers V(D), so its size
-follows the digraph, and its ladders are dealt round robin over the
-slots; the builders differ only in where branch vertices go.  A failed
-step raises, and only the pipelines retry.  Once built, any family of
-up to d external paths whose endpoints are covered by unused pairs can
-be swallowed: each pair's ladder absorbs its extended path without
-disturbing branch vertices.  cut_absorbable_segments cuts a cycle
-where every segment has such a pair on its slot.
+paths carry every ladder.  A slot (host index, pattern arc) names one
+host path; embedding gives each ladder's slot, and slots lists those
+that must carry at least one ladder.  A Type-I absorber has one host,
+with branch map prescribed and a slot per pattern arc; a Type-II
+absorber has one host per tile, with a slot on each host's first path.
+Both builders make one attempt per seed: K is grown until it d-covers
+V(D), so its size follows the digraph, and its ladders are dealt round
+robin over the slots; the builders differ only in where branch vertices
+go.  A failed step raises, and only the pipelines retry.  Once built,
+any family of up to d external paths whose endpoints are covered by
+unused pairs can be swallowed, each into the slot it names or into any
+slot: each pair's ladder absorbs its extended path without disturbing
+branch vertices.  cut_absorbable_segments cuts a cycle where every
+segment has such a pair on its slot.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import numpy as np
 from .cover import (
     CoverPairSet,
     build_disjoint_ladders,
-    covers,
     grow_d_cover,
     shortest_path_avoiding,
     verify_d_cover,
@@ -50,7 +51,6 @@ from .errors import (
 )
 from .expansion import ExpansionParams
 from .ladder import (
-    EmbeddedLadder,
     Ladder,
     absorb_path,
     ladder_on_path,
@@ -388,6 +388,22 @@ def _match_paths_to_pairs(
     return [j for j in assignment if j is not None]
 
 
+def _covering(
+    D: Digraph, A: Absorber, x: Sequence[int], y: Sequence[int], slot: tuple[int, Arc] | None
+) -> np.ndarray:
+    """cov[j, t]: A's pair j = (u, v) covers the ends (x[t], y[t]), that
+    is u->x[t] and y[t]->v with x[t] != y[t], and its ladder sits on
+    `slot` (any slot when None).  covers() for every pair and end at
+    once; the ends lie outside the absorber, so they miss u and v."""
+    u, v = np.array(A.pairs.pairs, dtype=np.intp).reshape(-1, 2).T
+    x, y = np.asarray(x, dtype=np.intp), np.asarray(y, dtype=np.intp)
+    M = D.bool_matrix()
+    cov = M[np.ix_(u, x)] & M[np.ix_(y, v)].T & (x != y)
+    if slot is not None:
+        cov &= np.array([A.embedding[j] == slot for j in range(len(u))], dtype=bool)[:, None]
+    return cov
+
+
 def cut_absorbable_segments(
     D: Digraph, A: Absorber, C: Sequence[int], sizes: Sequence[int], seed: int = 0
 ) -> list[tuple[int, ...]]:
@@ -401,15 +417,12 @@ def cut_absorbable_segments(
         raise TooManyPaths(f"{len(sizes)} segments exceed the {len(A.slots)} slots")
     if sum(sizes) > len(C):
         raise SizesExceedCycle(f"segment sizes sum to {sum(sizes)} > {len(C)} cycle vertices")
-    M = D.bool_matrix()
     C = np.asarray(C, dtype=np.intp)
-    pairs = np.array(A.pairs.pairs, dtype=np.intp).reshape(-1, 2)
     works = np.ones(len(C), dtype=bool)  # works[o]: offset o serves the segments so far
     start = 0
     for i, (slot, size) in enumerate(zip(A.slots, sizes)):
-        us, vs = pairs[[j for j, at in A.embedding.items() if at == slot]].T
         x, y = np.roll(C, -start), np.roll(C, 1 - start - size)  # the ends, by offset
-        works &= (size > 1) & (M[np.ix_(us, x)] & M[np.ix_(y, vs)].T).any(axis=0)
+        works &= (size > 1) & _covering(D, A, x, y, slot).any(axis=0)
         if not works.any():
             raise NoCoveringPair(i, f"no cycle offset gives segments 0..{i} covering pairs")
         start += size
@@ -421,24 +434,29 @@ def absorb_paths(
     D: Digraph,
     A: Absorber,
     paths: Sequence[Sequence[int]],
-    targets: Sequence[Arc] | Sequence[int] | None = None,
+    slots: Sequence[tuple[int, Arc]] | None = None,
 ) -> list[HSubdivision]:
     """Swallow up to d pairwise disjoint external paths into the absorber.
 
     Each path x...y is matched to an unused cover pair (u, v) with arcs
     u->x and y->v, extended to u x...y v, and absorbed through the
-    pair's ladder.  A target names where path i must land: a pattern
-    arc of a one-host absorber, a host index of a several-host one.
-    Without targets a one-host absorber may use any pair and a
-    several-host one puts path i into host i.  Returns every host,
-    enlarged by the paths it absorbed.
+    pair's ladder into the host path that carries it.  slots[i], one of
+    A.slots, names the host path that must take path i; without slots
+    any pair may serve any path.  Returns every host, enlarged by the
+    paths it absorbed.
     """
     plist = [tuple(p) for p in paths]
     if len(plist) > A.d:
         raise TooManyPaths(f"{len(plist)} paths exceed d = {A.d}")
+    if slots is not None and (
+        len(slots) != len(plist) or any(s not in A.slots for s in slots)
+    ):
+        raise BadParameter("one slot per path required, each one of the absorber's slots")
     av = A.vertices()
     taken: set[int] = set()
     for i, p in enumerate(plist):
+        if any(not 0 <= v < D.n for v in p):
+            raise LabelOutOfRange(f"path {i} has a label outside 0..{D.n - 1}")
         if not validate_path(D, p):
             raise InvalidPath(f"path {i} is not a valid path of the digraph")
         pv = set(p)
@@ -447,29 +465,12 @@ def absorb_paths(
         if pv & taken:
             raise NotDisjoint(f"path {i} meets an earlier path")
         taken |= pv
-    part = 1 if len(A.hosts) == 1 else 0  # the slot field a target names
-    if targets is None:
-        if not part and len(plist) > len(A.hosts):
-            raise TooManyPaths(f"{len(plist)} paths exceed the {len(A.hosts)} hosts")
-        targets = range(len(plist)) if not part else [None] * len(plist)
-    keys = [slot[part] for slot in A.slots]
-    if len(targets) != len(plist) or any(
-        t is not None and t not in keys for t in targets
-    ):
-        raise BadParameter(
-            "one target per path required, naming a host path that carries ladders"
-        )
     candidates: list[list[int]] = []
     for i, p in enumerate(plist):
-        cand = [
-            j
-            for j, pair in enumerate(A.pairs.pairs)
-            if covers(D, pair, (p[0], p[-1]))
-            and (targets[i] is None or A.embedding[j][part] == targets[i])
-        ]
-        if not cand:
+        cov = _covering(D, A, [p[0]], [p[-1]], None if slots is None else slots[i])
+        candidates.append(np.flatnonzero(cov[:, 0]).tolist())
+        if not candidates[i]:
             raise NoCoveringPair(i)
-        candidates.append(cand)
     result = _match_paths_to_pairs(candidates)
     if isinstance(result, int):
         raise NoCoveringPair(result)
@@ -478,7 +479,5 @@ def absorb_paths(
     for p, j in zip(plist, result):
         L = A.ladders[j]
         hi, arc = A.embedding[j]
-        subs[hi] = absorb_path(
-            D, subs[hi], EmbeddedLadder(L, arc), (L.start,) + p + (L.end,)
-        )
+        subs[hi] = absorb_path(D, subs[hi], L, arc, (L.start,) + p + (L.end,))
     return subs

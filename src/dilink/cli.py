@@ -25,6 +25,7 @@ from .errors import (
     BadParameter,
     CycleNotFound,
     DilinkError,
+    InvalidPath,
     LabelOutOfRange,
     LoopArc,
     NotOriented,
@@ -270,7 +271,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (
-        FileNotFoundError, BadParameter, LabelOutOfRange, LoopArc, TooLargeForExact
+        FileNotFoundError, BadParameter, InvalidPath, LabelOutOfRange, LoopArc,
+        TooLargeForExact,
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -177,10 +177,6 @@ def falsify_outexpander_sampled(
     t = _in_count_threshold(p.nu, n)
     nu_ceil = ceil_frac(p.nu * n)
     M = D.bool_matrix()
-
-    def violates(S: list[int]) -> bool:
-        return (M[S].sum(axis=0) >= t).sum() < len(S) + nu_ceil
-
     stream = 0
     done = 0
     while done < trials:
@@ -194,14 +190,16 @@ def falsify_outexpander_sampled(
             if kind == 0:  # uniform subset at a uniform in-range size
                 s = rng.choice(sizes)
                 S = rng.sample(range(n), s)
+                counts = M[S].sum(axis=0)  # in-neighbours inside S
             elif kind == 1:  # contiguous segment of the shuffled ordering
                 s = rng.choice(sizes)
                 start = rng.randrange(n)
                 S = [order[(start + k) % n] for k in range(s)]
+                counts = M[S].sum(axis=0)
             else:  # greedy growth: repeatedly add the most-dominated vertex
                 S = [rng.randrange(n)]
                 target = rng.choice(sizes)
-                counts = M[S[0]].astype(np.int64)  # in-neighbours inside S
+                counts = M[S[0]].astype(np.int64)  # kept up to date as S grows
                 outside = np.ones(n, dtype=bool)
                 outside[S[0]] = False
                 while len(S) < target:
@@ -210,7 +208,7 @@ def falsify_outexpander_sampled(
                     S.append(best)
                     counts += M[best]
                     outside[best] = False
-            if violates(S):
+            if (counts >= t).sum() < len(S) + nu_ceil:
                 return ExpansionReport(
                     Verdict.REFUTED, counterexample=frozenset(S), sampled_trials=done + j + 1
                 )

@@ -118,11 +118,6 @@ def read_digraph(path: str) -> Digraph:
         return parse_digraph(fh.read())
 
 
-def write_digraph(D: Digraph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_digraph(D))
-
-
 def parse_pattern(text: str) -> tuple[PatternDigraph, dict[int, int]]:
     """Parse a pattern file: edge list plus optional "map a v" lines
     giving a (partial or full) branch map."""

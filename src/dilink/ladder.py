@@ -124,14 +124,6 @@ def alternative_rung_paths(L: Ladder) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class EmbeddedLadder:
-    """A ladder whose rungs all lie on the host path of one pattern arc."""
-
-    ladder: Ladder
-    host_arc: Arc
-
-
 def _find_segment(path: Sequence[int], seg: Sequence[int]) -> int | None:
     """Index where seg occurs as a contiguous run of path, or None."""
     try:
@@ -147,15 +139,6 @@ def _find_segment(path: Sequence[int], seg: Sequence[int]) -> int | None:
 def ladder_on_path(L: Ladder, path: Sequence[int]) -> bool:
     """True iff every rung of L occurs as a contiguous run of the path."""
     return all(_find_segment(path, r) is not None for r in rung_paths(L))
-
-
-def is_embedded(L: Ladder, sub: HSubdivision) -> Arc | None:
-    """The pattern arc whose path carries every rung of L as a contiguous
-    subpath, or None if there is no such arc."""
-    for arc in sub.pattern.arc_order:
-        if ladder_on_path(L, sub.paths[arc]):
-            return arc
-    return None
 
 
 def _swap_rungs(
@@ -198,32 +181,33 @@ def _swap_rungs(
 def absorb_path(
     D: Digraph,
     sub: HSubdivision,
-    emb: EmbeddedLadder,
+    L: Ladder,
+    arc: Arc,
     P: Sequence[int],
 ) -> HSubdivision:
-    """Absorb the path P into the subdivision via the embedded ladder.
+    """Absorb the path P into the subdivision via the ladder L, whose
+    rungs lie on the path of the pattern arc `arc`.
 
     P must run from the ladder's start to its end and be internally
     disjoint from the whole subdivision.  The result is a subdivision
     with the same pattern and branch map whose vertex set is
-    V(sub) union V(P); only the host arc's path changes.
+    V(sub) union V(P); only arc's path changes.
     """
-    if emb.host_arc not in sub.paths:
-        raise NotEmbedded(f"pattern arc {emb.host_arc} not present in subdivision")
-    host = sub.paths[emb.host_arc]
+    if arc not in sub.paths:
+        raise NotEmbedded(f"pattern arc {arc} not present in subdivision")
+    host = sub.paths[arc]
     P = tuple(P)
     interior = set(P[1:-1])
     others = set()
-    for arc, path in sub.paths.items():
-        if arc != emb.host_arc:
+    for a, path in sub.paths.items():
+        if a != arc:
             others.update(path)
     if interior & others:
         raise PathNotDisjoint(
             f"absorbee interior meets other subdivided paths at {sorted(interior & others)}"
         )
-    new_host = _swap_rungs(D, host, emb.ladder, P)
     paths = dict(sub.paths)
-    paths[emb.host_arc] = new_host
+    paths[arc] = _swap_rungs(D, host, L, P)
     return HSubdivision(sub.pattern, dict(sub.branch_map), paths)
 
 

@@ -34,7 +34,7 @@ from .errors import (
     OrdersDontSumToN,
     PipelineFailed,
 )
-from .expansion import ExpansionParams, derive_params_from_degrees
+from .expansion import ExpansionParams
 from .ratio import Real, as_fraction
 from .subdivision import (
     HSubdivision,
@@ -51,16 +51,16 @@ from .subdivision import (
 class PipelineConfig:
     """Knobs for the construction pipelines.
 
-    nu and tau default to values derived from gamma (in which case the
-    ordering 0 < nu <= tau <= gamma/16 is enforced); d defaults to the
-    theory value ceil(64/nu^2), which desk-scale runs will usually
-    override with something small.  restart_budget counts whole attempts
-    (absorber, Hamilton cycle, cut, absorption), each on fresh seeds.
+    nu and tau are the expansion parameters the absorber is built for;
+    d defaults to the theory value ceil(64/nu^2), which desk-scale runs
+    will usually override with something small.  restart_budget counts
+    whole attempts (absorber, Hamilton cycle, cut, absorption), each on
+    fresh seeds.
     """
 
     gamma: Real
-    nu: Real | None = None
-    tau: Real | None = None
+    nu: Real
+    tau: Real
     d: int | None = None
     seed: int = 0
     restart_budget: int = 3
@@ -75,22 +75,9 @@ class PipelineConfig:
         if self.d is not None and self.d < 1:
             raise BadParameter("d must be >= 1")
 
-    def resolve(self, n: int) -> tuple[ExpansionParams, int]:
-        """Concrete (ExpansionParams, d) for an n-vertex instance."""
-        if self.nu is None and self.tau is None:
-            p = derive_params_from_degrees(n, self.gamma)
-            if not 0 < p.nu <= p.tau <= self.gamma / 16:
-                raise BadParameter(
-                    "derived parameters violate nu <= tau <= gamma/16"
-                )
-        else:
-            tau = as_fraction(self.tau) if self.tau is not None else None
-            nu = as_fraction(self.nu) if self.nu is not None else None
-            if nu is None:
-                nu = tau * tau
-            if tau is None:
-                tau = nu
-            p = ExpansionParams(nu, tau, self.gamma)
+    def resolve(self) -> tuple[ExpansionParams, int]:
+        """Concrete (ExpansionParams, d)."""
+        p = ExpansionParams(self.nu, self.tau, self.gamma)
         d = self.d if self.d is not None else absorber_params(p.nu).d
         return p, d
 
@@ -106,7 +93,6 @@ def _drive(
     amounts: Sequence[int],
     build: Callable[[ExpansionParams, int, int], Absorber],
     sizes: Callable[[Absorber], list[int]],
-    targets: Sequence | None,
     accept: Callable[[list[HSubdivision]], bool],
 ) -> list[HSubdivision]:
     """The loop both pipelines share, after the gates they share: every
@@ -115,12 +101,13 @@ def _drive(
 
     Each of cfg.restart_budget attempts builds the absorber, finds a
     Hamilton cycle of D minus it, cuts the cycle once into absorbable
-    segments of the given sizes and absorbs them, returning the enlarged
+    segments of the given sizes, one per slot, and absorbs each into its
+    slot, returning the enlarged
     hosts if they pass the final check.  This is the only retry loop: a
     failed stage ends the attempt, an exact one (a proof about the input)
     ends the loop, and PipelineFailed lists every attempt's stage and reason.
     """
-    p, d = cfg.resolve(D.n)
+    p, d = cfg.resolve()
     floor = min_prescribed_length(p.nu)
     for x in amounts:
         if x < floor:
@@ -149,7 +136,7 @@ def _drive(
             segs = cut_absorbable_segments(
                 D, A, C, sizes(A), _stage_seed(cfg.seed, restart, 3)
             )
-            subs = absorb_paths(D, A, segs, targets=targets)
+            subs = absorb_paths(D, A, segs, A.slots)
         except NoCoveringPair as e:
             attempts.append(("absorb", str(e)))
             continue
@@ -191,7 +178,6 @@ def nh_linked_embed(
         D, cfg, "prescribed length", N.lengths,
         lambda p, d, seed: build_type1_absorber(D, H, f, N, p, d, seed),
         lambda A: [l + 1 - len(A.hosts[0].paths[a]) for l, a in zip(N, arcs)],
-        arcs,
         lambda subs: validate_subdivision(D, subs[0])
         and path_lengths(subs[0]) == N.lengths
         and dict(subs[0].branch_map) == dict(f),
@@ -222,6 +208,5 @@ def perfect_tiling(
         D, cfg, "order", orders,
         lambda p, d, seed: build_type2_absorber(D, H, orders, p, d, seed),
         lambda A: [o - subdivision_order(h) for o, h in zip(orders, A.hosts)],
-        None,
         lambda subs: validate_tiling(D, subs, orders),
     )

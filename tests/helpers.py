@@ -16,7 +16,6 @@ import numpy as np
 
 from dilink import (
     Digraph,
-    EmbeddedLadder,
     HSubdivision,
     Ladder,
     pattern_from_arcs,
@@ -64,8 +63,9 @@ def make_ladder_instance(rng: random.Random, k: int, shape: str | None = None):
     """A random digraph holding a pattern subdivision with a ladder
     embedded in one of its paths, plus an internally disjoint absorbee.
 
-    Returns (D, sub, emb, P) where emb names the ladder and its host arc
-    and P runs from the ladder's start to its end.
+    Returns (D, sub, L, arc, P) where L is the ladder, arc the pattern
+    arc whose path carries it, and P runs from the ladder's start to its
+    end.
     """
     if shape is None:
         shape = rng.choice(sorted(PATTERN_SHAPES))
@@ -136,7 +136,7 @@ def make_ladder_instance(rng: random.Random, k: int, shape: str | None = None):
         {i: perm[b] for i, b in enumerate(branch)},
         {a: rl(p) for a, p in paths.items()},
     )
-    return D, sub, EmbeddedLadder(L, tuple(host_arc)), rl(P)
+    return D, sub, L, tuple(host_arc), rl(P)
 
 
 # --------------------------------------------------------------------------
@@ -211,6 +211,50 @@ def oracle_d_cover(D: Digraph, pairs, U, d: int) -> bool:
             if hits < d:
                 return False
     return True
+
+
+def oracle_subdivision(D: Digraph, sub: HSubdivision) -> bool:
+    """Definition check: the branch map sends the pattern's vertices to
+    distinct vertices of D, each pattern arc ab has a path of D from
+    f(a) to f(b) with at least one arc, and no vertex lies on two of
+    these paths or on a path and a branch vertex, except as the path's
+    own ends."""
+    H = sub.pattern.underlying
+    f = dict(sub.branch_map)
+    if sorted(f) != list(range(H.n)) or sorted(sub.paths) != sorted(H.arcs):
+        return False
+    used: set[int] = set()
+    for v in f.values():
+        if not 0 <= v < D.n or v in used:
+            return False
+        used.add(v)
+    for (a, b), path in sub.paths.items():
+        if len(path) < 2 or path[0] != f[a] or path[-1] != f[b]:
+            return False
+        if not all(D.has_arc(u, v) for u, v in zip(path, path[1:])):
+            return False
+        for v in path[1:-1]:
+            if not 0 <= v < D.n or v in used:
+                return False
+            used.add(v)
+    return True
+
+
+def oracle_tiling(D: Digraph, subs, orders) -> bool:
+    """Definition check: one subdivision per order, each valid by
+    oracle_subdivision, the i-th on exactly orders[i] vertices, and
+    every vertex of D in exactly one of them."""
+    if len(subs) != len(orders):
+        return False
+    seen: list[int] = []
+    for sub, order in zip(subs, orders):
+        if not oracle_subdivision(D, sub):
+            return False
+        vs = {v for path in sub.paths.values() for v in path}
+        if len(vs) != order:
+            return False
+        seen.extend(vs)
+    return sorted(seen) == list(range(D.n))
 
 
 def oracle_connect(D: Digraph, terminals, forbidden, max_order: int):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from dilink import (
     validate_subdivision,
     validate_tiling,
 )
-from dilink.absorber import cut_absorbable_segments
+from dilink.absorber import _covering, cut_absorbable_segments
 from dilink.errors import (
     AbsorberConstructionFailed,
     BadParameter,
@@ -206,7 +207,7 @@ def test_absorb_paths_type1_roundtrip():
     A = build_type1_absorber(D, H, {0: 0, 1: 1}, [130], P_DEFAULT, d=3, seed=0)
     missing = 130 + 1 - len(A.hosts[0].paths[(0, 1)])
     segs = _leftover_segments(D, A, [missing])
-    [sub] = absorb_paths(D, A, segs, targets=[(0, 1)])
+    [sub] = absorb_paths(D, A, segs, [(0, (0, 1))])
     assert validate_subdivision(D, sub)
     assert path_lengths(sub) == (130,)
     assert sub.vertices() == A.vertices() | set(segs[0])
@@ -221,7 +222,7 @@ def test_absorb_paths_type1_multiple_segments():
     arcs = H.arc_order
     sizes = [N[i] + 1 - len(A.hosts[0].paths[a]) for i, a in enumerate(arcs)]
     segs = _leftover_segments(D, A, sizes, seed=1)
-    [sub] = absorb_paths(D, A, segs, targets=arcs)
+    [sub] = absorb_paths(D, A, segs, A.slots)
     assert validate_subdivision(D, sub)
     assert path_lengths(sub) == tuple(N)
 
@@ -264,7 +265,7 @@ def test_absorb_paths_type2_index_alignment():
     A = build_type2_absorber(D, H, [100, 100], P_DEFAULT, d=3, seed=0)
     sizes = [100 - subdivision_order(A.hosts[0]), 100 - subdivision_order(A.hosts[1])]
     segs = _leftover_segments(D, A, sizes, seed=5)
-    subs = absorb_paths(D, A, segs)
+    subs = absorb_paths(D, A, segs, A.slots)
     assert len(subs) == 2
     for i, s in enumerate(subs):
         assert validate_subdivision(D, s)
@@ -275,6 +276,33 @@ def test_absorb_paths_type2_index_alignment():
 def _leftover_cycle(D, A, seed=0):
     removal = remove_vertices(D, A.vertices())
     return tuple(removal.new_to_old[x] for x in hamilton_cycle(removal.digraph, seed))
+
+
+def test_absorb_paths_puts_each_path_into_its_slot():
+    # cut for the slots in reverse order, so segment 0 has a pair on host 1
+    D = _dense(7)
+    A = build_type2_absorber(D, single_arc_pattern(), [100, 100], P_DEFAULT, d=3, seed=0)
+    flipped = dataclasses.replace(A, slots=A.slots[::-1])
+    sizes = [100 - subdivision_order(h) for h in A.hosts[::-1]]
+    segs = cut_absorbable_segments(D, flipped, _leftover_cycle(D, A), sizes, seed=2)
+    subs = absorb_paths(D, A, segs, flipped.slots)
+    assert set(segs[0]) <= subs[1].vertices() and set(segs[1]) <= subs[0].vertices()
+    assert validate_tiling(D, subs, [100, 100])
+
+
+def test_covering_agrees_with_covers():
+    D = _dense(7)
+    A = build_type2_absorber(D, single_arc_pattern(), [100, 100], P_DEFAULT, d=3, seed=0)
+    rng = random.Random(4)
+    outside = sorted(set(range(D.n)) - A.vertices())
+    x = [rng.choice(outside) for _ in range(300)]
+    y = [rng.choice(outside) if t % 5 else x[t] for t in range(300)]  # some x == y
+    for slot in (None,) + A.slots:
+        cov = _covering(D, A, x, y, slot)
+        assert cov.shape == (len(A.pairs), 300)
+        for j, pair in enumerate(A.pairs.pairs):
+            on = slot is None or A.embedding[j] == slot
+            assert cov[j].tolist() == [on and covers(D, pair, e) for e in zip(x, y)]
 
 
 def test_cut_absorbable_segments_serves_every_slot():
@@ -290,7 +318,7 @@ def test_cut_absorbable_segments_serves_every_slot():
         for slot, seg in zip(A.slots, segs):
             assert any(covers(D, A.pairs.pairs[j], (seg[0], seg[-1]))
                        for j, at_slot in A.embedding.items() if at_slot == slot)
-        subs = absorb_paths(D, A, segs)
+        subs = absorb_paths(D, A, segs, A.slots)
         assert validate_tiling(D, subs, [100, 100])
 
 
@@ -332,13 +360,13 @@ def test_absorb_paths_rejects_unservable_targets():
     A = build_type1_absorber(D, H, {0: 0, 1: 1, 2: 2}, N, P_DEFAULT, d=3, seed=2)
     segs = _leftover_segments(D, A, [4])
     with pytest.raises(BadParameter):
-        absorb_paths(D, A, segs, targets=[(0, 1), (1, 2)])  # count mismatch
-    # several hosts: targets are host indices, one per path
+        absorb_paths(D, A, segs, [(0, (0, 1)), (0, (1, 2))])  # count mismatch
+    # a slot is (host index, pattern arc); an arc or a host index alone is none
     A2 = build_type2_absorber(_dense(7), single_arc_pattern(), [100, 100], P_DEFAULT, d=3, seed=0)
     segs2 = _leftover_segments(_dense(7), A2, [4])
-    for bad in ([], [(0, 1)], [2]):
+    for bad in ([], [(0, 1)], [2], [(2, (0, 1))], [(0, (1, 0))], [[0, (0, 1)]]):
         with pytest.raises(BadParameter):
-            absorb_paths(_dense(7), A2, segs2, targets=bad)
+            absorb_paths(_dense(7), A2, segs2, bad)
 
 
 def test_build_rejects_bad_arguments():

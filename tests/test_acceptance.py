@@ -73,9 +73,9 @@ def test_criterion_01_ladder_swap_correctness():
     rng = random.Random(11)
     trials, good = 1000, 0
     for t in range(trials):
-        D, sub, emb, P = make_ladder_instance(rng, k=t % 5)
+        D, sub, L, arc, P = make_ladder_instance(rng, k=t % 5)
         assert D.n <= 200
-        out = absorb_path(D, sub, emb, P)
+        out = absorb_path(D, sub, L, arc, P)
         if (
             validate_subdivision(D, out)
             and dict(out.branch_map) == dict(sub.branch_map)

@@ -4,14 +4,14 @@ import pytest
 
 from dilink import EXPANSION_EXACT_CAP, complete_digraph, directed_cycle, gen_random_digraph
 from dilink.cli import main
-from dilink.fileio import format_digraph, parse_digraph, write_digraph
+from dilink.fileio import format_digraph, parse_digraph
 
 
 @pytest.fixture
 def graph_file(tmp_path):
     def save(D, name="g.txt"):
         path = tmp_path / name
-        write_digraph(D, str(path))
+        path.write_text(format_digraph(D))
         return str(path)
 
     return save
@@ -198,3 +198,13 @@ def test_malformed_branch_map_is_exit_2(graph_file, pattern_file, capsys):
 def test_absorb_demo_non_integer_paths_is_exit_2(capsys):
     assert main(["absorb-demo", "--n", "200", "--length", "130", "--paths", "5,x"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_absorb_demo_out_of_range_path_label_is_exit_2(capsys):
+    assert main(["absorb-demo", "--n", "200", "--length", "130", "--paths", "0,999999"]) == 2
+    assert "error: path 0 has a label outside 0..199" in capsys.readouterr().err
+
+
+def test_absorb_demo_path_repeating_a_vertex_is_exit_2(capsys):
+    assert main(["absorb-demo", "--n", "200", "--length", "130", "--paths", "0,1,0"]) == 2
+    assert "error: path 0 is not a valid path" in capsys.readouterr().err

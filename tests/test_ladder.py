@@ -4,14 +4,11 @@ import pytest
 
 from dilink import (
     Digraph,
-    EmbeddedLadder,
-    HSubdivision,
     Ladder,
     absorb_into_path,
     absorb_path,
     alternative_rung_paths,
     complete_digraph,
-    is_embedded,
     ladder_on_path,
     rung_paths,
     single_arc_ladder,
@@ -79,12 +76,8 @@ def test_ladder_on_path_and_embedding_lookup():
     path = (0, 1, 6, 4, 3) + (2, 5)
     assert ladder_on_path(L, path)
     assert not ladder_on_path(L, (0, 1, 6, 4))  # second rung missing
-    sub = HSubdivision(
-        __import__("dilink").single_arc_pattern(),
-        {0: 0, 1: 5},
-        {(0, 1): path},
-    )
-    assert is_embedded(L, sub) == (0, 1)
+    assert ladder_on_path(L, (9, 2, 5, 0, 1, 6, 4, 3))  # rungs in either order
+    assert not ladder_on_path(L, (0, 1, 6, 3, 4, 2, 5))  # first rung broken up
 
 
 def test_absorb_into_path_hand_case():
@@ -132,8 +125,7 @@ def test_random_ladders_satisfy_the_swap_disjointness_facts(k):
     one-by-one swap argument leans on."""
     rng = random.Random(7700 + k)
     for _ in range(25):
-        _, _, emb, _ = make_ladder_instance(rng, k)
-        L = emb.ladder
+        _, _, L, _, _ = make_ladder_instance(rng, k)
         rungs = rung_paths(L)
         alts = alternative_rung_paths(L)
         for fam in (rungs, alts):
@@ -154,9 +146,9 @@ def test_random_ladders_satisfy_the_swap_disjointness_facts(k):
 def test_randomized_swaps_preserve_the_vertex_ledger(k):
     rng = random.Random(1000 + k)
     for _ in range(40):
-        D, sub, emb, P = make_ladder_instance(rng, k)
+        D, sub, L, arc, P = make_ladder_instance(rng, k)
         before = sub.vertices()
-        out = absorb_path(D, sub, emb, P)
+        out = absorb_path(D, sub, L, arc, P)
         from dilink import validate_subdivision
 
         assert validate_subdivision(D, out)
@@ -164,42 +156,39 @@ def test_randomized_swaps_preserve_the_vertex_ledger(k):
         assert out.vertices() == before | set(P)
         # only the host arc's path changed ...
         for a, p in sub.paths.items():
-            if a != emb.host_arc:
+            if a != arc:
                 assert out.paths[a] == p
         # ... and it grew by exactly the swap ledger: P and the
         # alternatives came in, the original rungs went out
-        L = emb.ladder
         swapped_in = len(P) if L.k == 0 else len(P) + sum(
             len(a) for a in alternative_rung_paths(L)
         )
         growth = swapped_in - sum(len(r) for r in rung_paths(L))
-        host = emb.host_arc
-        assert len(out.paths[host]) - len(sub.paths[host]) == growth
+        assert len(out.paths[arc]) - len(sub.paths[arc]) == growth
         assert growth == len(set(P) - before)
 
 
 def test_absorb_path_rejects_interior_collisions_with_other_paths():
     rng = random.Random(99)
-    D, sub, emb, P = make_ladder_instance(rng, 1, shape="triangle")
+    D, sub, L, arc, P = make_ladder_instance(rng, 1, shape="triangle")
     if len(P) <= 2:
         P = None
     # steal an interior vertex from a different path
-    other_arcs = [a for a in sub.paths if a != emb.host_arc]
+    other_arcs = [a for a in sub.paths if a != arc]
     victim = sub.paths[other_arcs[0]]
     mid = victim[1]
-    bad = (P or (emb.ladder.start, emb.ladder.end))[:1] + (mid,) + (emb.ladder.end,)
+    bad = (P or (L.start, L.end))[:1] + (mid,) + (L.end,)
     arcs = set(D.arcs) | {(bad[0], mid), (mid, bad[-1])}
     D2 = Digraph(D.n, arcs)
     with pytest.raises(PathNotDisjoint):
-        absorb_path(D2, sub, emb, bad)
+        absorb_path(D2, sub, L, arc, bad)
 
 
 def test_absorb_path_requires_known_host_arc():
     rng = random.Random(5)
-    D, sub, emb, P = make_ladder_instance(rng, 0, shape="arc")
-    rogue = EmbeddedLadder(emb.ladder, (7, 8))
+    D, sub, L, _, P = make_ladder_instance(rng, 0, shape="arc")
     with pytest.raises(NotEmbedded):
-        absorb_path(D, sub, rogue, P)
+        absorb_path(D, sub, L, (7, 8), P)
 
 
 def test_single_arc_swap_on_complete_digraph():

@@ -24,20 +24,20 @@ CFG = PipelineConfig(gamma="1/2", nu="3/4", tau="3/4", d=3, seed=0)
 
 def test_config_validation_and_resolution():
     with pytest.raises(BadParameter):
-        PipelineConfig(gamma=0)
+        PipelineConfig(gamma=0, nu="1/4", tau="1/4")
     with pytest.raises(BadParameter):
-        PipelineConfig(gamma="1/2", restart_budget=0)
+        PipelineConfig(gamma="1/2", nu="1/4", tau="1/4", restart_budget=0)
     with pytest.raises(BadParameter):
-        PipelineConfig(gamma="1/2", d=0)
-    # explicit nu fills tau and vice versa
-    p, d = PipelineConfig(gamma="1/2", nu="1/4", d=5).resolve(100)
-    assert (p.nu, p.tau, d) == (Fraction(1, 4), Fraction(1, 4), 5)
-    p2, _ = PipelineConfig(gamma="1/2", tau="1/4", d=5).resolve(100)
-    assert (p2.nu, p2.tau) == (Fraction(1, 16), Fraction(1, 4))
-    # nothing given: degree-driven defaults, d from the absorption theory
-    p3, d3 = PipelineConfig(gamma="1/2").resolve(100)
-    assert p3.tau == Fraction(1, 32) and p3.nu == Fraction(1, 32) ** 2
-    assert d3 == 64 * 32**4  # ceil(64 / nu^2)
+        PipelineConfig(gamma="1/2", nu="1/4", tau="1/4", d=0)
+    with pytest.raises(TypeError):
+        PipelineConfig(gamma="1/2", nu="1/4")  # nu and tau are both required
+    with pytest.raises(BadParameter):
+        PipelineConfig(gamma="1/2", nu="1/2", tau="1/4").resolve()  # nu > tau
+    p, d = PipelineConfig(gamma="1/2", nu="1/4", tau="1/2", d=5).resolve()
+    assert (p.nu, p.tau, p.gamma, d) == (Fraction(1, 4), Fraction(1, 2), Fraction(1, 2), 5)
+    # no d given: the absorption theory's ceil(64 / nu^2)
+    _, d2 = PipelineConfig(gamma="1/2", nu="1/4", tau="1/4").resolve()
+    assert d2 == 64 * 16
 
 
 def test_subdivision_embedding_single_arc():
@@ -75,7 +75,7 @@ def test_embedding_feasibility_gates():
         nh_linked_embed(D, H, f, [100, 100, 101], CFG)  # sum(l-1) + |V(H)| = 301 > n
     assert e2.value.stage == "feasibility"
     with pytest.raises(PipelineFailed) as e3:
-        nh_linked_embed(D, H, f, [60, 60, 60], PipelineConfig(gamma="1/2", nu="3/4", d=2))
+        nh_linked_embed(D, H, f, [60, 60, 60], PipelineConfig(gamma="1/2", nu="3/4", tau="3/4", d=2))
     assert e3.value.stage == "feasibility"  # d < number of pattern arcs
 
 
