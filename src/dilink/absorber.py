@@ -4,18 +4,21 @@ An absorber is a set K of disjoint cover pairs, one ladder per pair, and
 one or several pairwise disjoint host subdivisions of the pattern whose
 paths carry every ladder.  A slot (host index, pattern arc) names one
 host path; embedding gives each ladder's slot, and slots lists those
-that must carry at least one ladder.  A Type-I absorber has one host,
-with branch map prescribed and a slot per pattern arc; a Type-II
-absorber has one host per tile, with a slot on each host's first path.
-Both builders make one attempt per seed: K is grown until it d-covers
-V(D), so its size follows the digraph, and its ladders are dealt round
-robin over the slots; the builders differ only in where branch vertices
-go.  A failed step raises, and only the pipelines retry.  Once built,
-any family of up to d external paths whose endpoints are covered by
-unused pairs can be swallowed, each into the slot it names or into any
-slot: each pair's ladder absorbs its extended path without disturbing
-branch vertices.  cut_absorbable_segments cuts a cycle where every
-segment has such a pair on its slot.
+that must carry at least one ladder.  Both builders run one assembly and
+differ only in their branch maps and slots: a Type-I absorber has one
+host on the prescribed branch map with a slot per pattern arc; a
+Type-II absorber has k hosts on branch vertices drawn at random, with a
+slot on each host's first path.  Each makes one attempt per seed: K is
+grown until it d-covers V(D), so its size follows the digraph, and its
+ladders are dealt round robin over the slots.  Neither builder knows
+the lengths or orders the hosts must reach; the pipelines check that
+each slot leaves room to absorb a segment.  A failed step raises, and
+only the pipelines retry.  Once built, any family of up to d external
+paths whose endpoints are covered by unused pairs can be swallowed,
+each into the slot it names or into any slot: each pair's ladder
+absorbs its extended path without disturbing branch vertices.
+cut_absorbable_segments cuts a cycle where every segment has such a
+pair on its slot.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -60,7 +63,6 @@ from .ladder import (
 from .ratio import Real, as_fraction, ceil_frac
 from .subdivision import (
     HSubdivision,
-    LengthPrescription,
     PatternDigraph,
     subdivision_order,
     validate_subdivision,
@@ -175,28 +177,30 @@ def _thread_group(
 
 def _build_absorber(
     D: Digraph,
+    H: PatternDigraph,
+    maps: Sequence[Mapping[int, int]],
+    slots: Sequence[tuple[int, Arc]],
     p: ExpansionParams,
     d: int,
     seed: int,
-    avoid: set[int],
-    slots: Sequence[tuple[int, Arc]],
-    thread: Callable[[list[list[Ladder]], set[int], int, random.Random], list],
 ) -> Absorber:
     """The one attempt shared by build_type1_absorber and build_type2_absorber.
 
-    A d-cover of V(D) grown pair by pair outside `avoid` until it covers
+    A d-cover of V(D) grown pair by pair outside every branch image
     (arcs preferred, so most ladders are single arcs), disjoint ladders
-    over its pairs, the rung-interior cap, and the ladders dealt round
-    robin into one group per slot; `thread` then builds the hosts with
-    group i on slots[i] and checks their budgets.  The absorber must
-    validate and respect the size bound.  A failed step raises
-    AbsorberConstructionFailed with its reason, exact when no d-cover
-    exists; nothing here retries.
+    over its pairs, the rung-interior cap, and one host per branch map
+    maps[i]: every pattern arc is threaded in turn, slots[g] with ladder
+    group g (the ladders dealt round robin over the slots) and any other
+    arc with none.  The absorber must validate and respect the size
+    bound.  A failed step raises AbsorberConstructionFailed with its
+    reason, exact when no d-cover exists; nothing here retries, and how
+    much room each host leaves is for the caller to judge.
     """
     n = D.n
     removal_cap = int(p.nu * n / 4)
     s = (seed * 9_176_941) & 0xFFFFFFFF
     rng = random.Random(s ^ 0x5EED)
+    avoid = set().union(*(f.values() for f in maps))
     try:
         K = grow_d_cover(D, d, s, avoid=avoid)
         ladders = build_disjoint_ladders(D, K.pairs, p.nu, s, avoid=avoid)
@@ -207,10 +211,17 @@ def _build_absorber(
         raise AbsorberConstructionFailed(
             f"rung interiors ({rung_interiors}) exceed nu*n/4 = {removal_cap}"
         )
-    blocked = set(avoid).union(*(L.vertices() for L in ladders))
+    blocked = avoid.union(*(L.vertices() for L in ladders))
     cap = _connector_cap(p.nu)
+    groups = {slot: ladders[g::len(slots)] for g, slot in enumerate(slots)}
     try:
-        hosts = thread([ladders[g::len(slots)] for g in range(len(slots))], blocked, cap, rng)
+        hosts = [
+            HSubdivision(H, dict(f), {
+                a: _thread_group(D, f[a[0]], groups.get((hi, a), ()), f[a[1]], blocked, cap, rng)
+                for a in H.arc_order
+            })
+            for hi, f in enumerate(maps)
+        ]
     except ConnectionFailed as e:
         raise AbsorberConstructionFailed(f"threading failed at connector {e.index}")
     embedding = {i: slots[i % len(slots)] for i in range(len(ladders))}
@@ -226,86 +237,41 @@ def build_type1_absorber(
     D: Digraph,
     H: PatternDigraph,
     f: Mapping[int, int],
-    N: LengthPrescription | Sequence[int],
     p: ExpansionParams,
     d: int,
     seed: int,
 ) -> Absorber:
     """Assemble a Type-I d-absorber: one host subdivision whose branch map
-    is exactly f, with a ladder group threaded into every path.
-
-    Cover pairs and ladders avoid f's images.  The host's path for arc i
-    ends with at most N_i - 1 vertices so a future absorption can top it
-    up to length exactly N_i.
+    is exactly f, with a ladder group threaded into every path, so each
+    pattern arc is a slot.  Cover pairs and ladders avoid f's images.
     """
-    N = N if isinstance(N, LengthPrescription) else LengthPrescription(tuple(N))
-    if len(N) != H.h:
-        raise BadParameter(f"{H.h} lengths required, got {len(N)}")
     _check_branch_map(H, f, D.n)
-    arcs = H.arc_order
-
-    def thread(groups, blocked, cap, rng):
-        paths = {
-            a: _thread_group(D, f[a[0]], g, f[a[1]], blocked, cap, rng)
-            for a, g in zip(arcs, groups)
-        }
-        for i, (a, l) in enumerate(zip(arcs, N)):
-            if len(paths[a]) > l - 1:
-                raise AbsorberConstructionFailed(
-                    f"path {i} used {len(paths[a])} vertices, over the budget {l - 1}"
-                )
-        return [HSubdivision(H, dict(f), paths)]
-
-    return _build_absorber(D, p, d, seed, set(f.values()), [(0, a) for a in arcs], thread)
+    return _build_absorber(D, H, [f], [(0, a) for a in H.arc_order], p, d, seed)
 
 
 def build_type2_absorber(
     D: Digraph,
     H: PatternDigraph,
-    orders: Sequence[int],
+    k: int,
     p: ExpansionParams,
     d: int,
     seed: int,
 ) -> Absorber:
-    """Assemble a Type-II d-absorber: one host subdivision per order, on
-    randomly placed branch vertices.
-
-    Host i carries its ladder group threaded into the path of the first
-    pattern arc; every other pattern arc becomes a short path.  Host i
-    ends with at most orders[i] - 2 vertices, leaving room to absorb a
-    path that tops it up to order exactly orders[i].
+    """Assemble a Type-II d-absorber: k disjoint host subdivisions on
+    branch vertices drawn uniformly from V(D) (seeded by seed) before the
+    cover is grown, which then avoids them as Type I avoids f's images.
+    Host i carries its ladder group on the path of the first pattern
+    arc, the slot (i, first arc); every other pattern arc becomes a short
+    path.  Needs 1 <= k <= d and k |V(H)| <= n.
     """
-    k = len(orders)
-    if k < 1:
-        raise BadParameter("at least one host order required")
-    if k > d:
-        raise BadParameter(f"k = {k} hosts exceed d = {d}")
-    arcs = H.arc_order
     hv = H.underlying.n
-
-    def thread(groups, blocked, cap, rng):
-        hosts = []
-        for hi, group in enumerate(groups):
-            free = [v for v in range(D.n) if v not in blocked]
-            if len(free) < hv:
-                raise AbsorberConstructionFailed("no room left for branch vertices")
-            f = dict(zip(range(hv), rng.sample(free, hv)))
-            blocked |= set(f.values())
-            paths = {
-                a: _thread_group(
-                    D, f[a[0]], group if a == arcs[0] else (), f[a[1]], blocked, cap, rng
-                )
-                for a in arcs
-            }
-            hosts.append(HSubdivision(H, f, paths))
-            if subdivision_order(hosts[-1]) > orders[hi] - 2:
-                raise AbsorberConstructionFailed(
-                    f"host {hi} used {subdivision_order(hosts[-1])} vertices, "
-                    f"over the budget {orders[hi] - 2}"
-                )
-        return hosts
-
-    return _build_absorber(D, p, d, seed, set(), [(hi, arcs[0]) for hi in range(k)], thread)
+    if not 1 <= k <= d:
+        raise BadParameter(f"k = {k} hosts must lie in 1..d = {d}")
+    if k * hv > D.n:
+        raise BadParameter(f"{k} hosts need {k * hv} branch vertices, more than n = {D.n}")
+    images = random.Random(seed).sample(range(D.n), k * hv)
+    maps = [dict(zip(range(hv), images[i * hv:(i + 1) * hv])) for i in range(k)]
+    return _build_absorber(D, H, maps, [(i, H.arc_order[0]) for i in range(k)], p, d, seed)
 
 
 def validate_absorber(
@@ -430,6 +396,27 @@ def cut_absorbable_segments(
     return [tuple(ring[e - size:e]) for e, size in zip(np.cumsum(sizes).tolist(), sizes)]
 
 
+def check_paths(
+    D: Digraph, paths: Sequence[Sequence[int]], d: int
+) -> list[tuple[int, ...]]:
+    """The checks absorb_paths makes before it looks at an absorber: at
+    most d paths, each a valid path of D, pairwise disjoint.  Returns the
+    paths as tuples."""
+    plist = [tuple(p) for p in paths]
+    if len(plist) > d:
+        raise TooManyPaths(f"{len(plist)} paths exceed d = {d}")
+    taken: set[int] = set()
+    for i, p in enumerate(plist):
+        if any(not 0 <= v < D.n for v in p):
+            raise LabelOutOfRange(f"path {i} has a label outside 0..{D.n - 1}")
+        if not validate_path(D, p):
+            raise InvalidPath(f"path {i} is not a valid path of the digraph")
+        if taken.intersection(p):
+            raise NotDisjoint(f"path {i} meets an earlier path")
+        taken.update(p)
+    return plist
+
+
 def absorb_paths(
     D: Digraph,
     A: Absorber,
@@ -445,26 +432,15 @@ def absorb_paths(
     any pair may serve any path.  Returns every host, enlarged by the
     paths it absorbed.
     """
-    plist = [tuple(p) for p in paths]
-    if len(plist) > A.d:
-        raise TooManyPaths(f"{len(plist)} paths exceed d = {A.d}")
+    plist = check_paths(D, paths, A.d)
     if slots is not None and (
         len(slots) != len(plist) or any(s not in A.slots for s in slots)
     ):
         raise BadParameter("one slot per path required, each one of the absorber's slots")
     av = A.vertices()
-    taken: set[int] = set()
     for i, p in enumerate(plist):
-        if any(not 0 <= v < D.n for v in p):
-            raise LabelOutOfRange(f"path {i} has a label outside 0..{D.n - 1}")
-        if not validate_path(D, p):
-            raise InvalidPath(f"path {i} is not a valid path of the digraph")
-        pv = set(p)
-        if pv & av:
+        if av.intersection(p):
             raise NotDisjoint(f"path {i} meets the absorber")
-        if pv & taken:
-            raise NotDisjoint(f"path {i} meets an earlier path")
-        taken |= pv
     candidates: list[list[int]] = []
     for i, p in enumerate(plist):
         cov = _covering(D, A, [p[0]], [p[-1]], None if slots is None else slots[i])

@@ -11,7 +11,13 @@ import argparse
 import random
 import sys
 
-from .absorber import absorb_paths, build_type1_absorber, build_type2_absorber, validate_absorber
+from .absorber import (
+    absorb_paths,
+    build_type1_absorber,
+    build_type2_absorber,
+    check_paths,
+    validate_absorber,
+)
 from .cover import build_d_cover, cover_size_formula
 from .cycles import cut_cycle_segments, hamilton_cycle
 from .degrees import (
@@ -28,9 +34,12 @@ from .errors import (
     InvalidPath,
     LabelOutOfRange,
     LoopArc,
+    NotDisjoint,
     NotOriented,
+    OrdersDontSumToN,
     PipelineFailed,
     TooLargeForExact,
+    TooManyPaths,
 )
 from .expansion import (
     DEFAULT_EXACT_CAP,
@@ -161,19 +170,21 @@ def cmd_build_cover(args) -> int:
 
 def cmd_absorb_demo(args) -> int:
     D = gen_random_digraph(args.n, args.p, args.seed)
+    paths = None
+    if args.paths:
+        paths = check_paths(
+            D, [parse_ints(c.split(","), c) for c in args.paths.split(";")], args.d
+        )
     p = ExpansionParams(args.nu, args.nu, args.gamma)
     H = single_arc_pattern()
     if args.type == 1:
-        f, lengths = {0: 0, 1: 1}, [args.length]
-        A = build_type1_absorber(D, H, f, lengths, p, args.d, args.seed)
+        A = build_type1_absorber(D, H, {0: 0, 1: 1}, p, args.d, args.seed)
     else:
-        A = build_type2_absorber(D, H, [args.length] * 2, p, args.d, args.seed)
+        A = build_type2_absorber(D, H, 2, p, args.d, args.seed)
     print(f"absorber: type {args.type}, |K| = {len(A.pairs)}, "
           f"order {len(A.vertices())}, valid = {validate_absorber(D, A)}",
           file=sys.stderr)
-    if args.paths:
-        paths = [tuple(parse_ints(c.split(","), c)) for c in args.paths.split(";")]
-    else:
+    if paths is None:
         removal = remove_vertices(D, A.vertices())
         C = hamilton_cycle(removal.digraph, args.seed)
         C = tuple(removal.new_to_old[x] for x in C)
@@ -249,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=int, default=300)
     q.add_argument("--p", type=float, default=0.6)
     q.add_argument("--type", type=int, choices=(1, 2), default=1)
-    q.add_argument("--length", type=int, default=150)
     q.add_argument("--d", type=int, default=3)
     q.add_argument("--nu", type=str, default="0.75")
     q.add_argument("--gamma", type=str, default="0.5")
@@ -272,7 +282,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (
         FileNotFoundError, BadParameter, InvalidPath, LabelOutOfRange, LoopArc,
-        TooLargeForExact,
+        NotDisjoint, OrdersDontSumToN, TooLargeForExact, TooManyPaths,
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

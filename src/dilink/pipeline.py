@@ -1,14 +1,14 @@
 """End-to-end construction pipelines.
 
-Both pipelines run one shared loop: build an absorber (whose host paths are
-deliberately left short of their final size), find a Hamilton cycle of
-the digraph minus the absorber, cut segments of exactly the missing
-sizes from the cycle where each one's ends have a covering pair on its
-host path, and absorb each segment into that path.  Because rung-swap
-absorption adds exactly the absorbed vertices, the final subdivisions
-hit their prescribed path lengths (or orders) on the nose.  The
-pipelines differ only in their feasibility gates, the absorber they
-build, the segment sizes and the final check.
+Both pipelines run one shared loop: build an absorber, check that each
+of its host paths is short enough to leave room for a segment, find a
+Hamilton cycle of the digraph minus the absorber, cut segments of
+exactly the missing sizes from the cycle where each one's ends have a
+covering pair on its host path, and absorb each segment into that path.
+Because rung-swap absorption adds exactly the absorbed vertices, the
+final subdivisions hit their prescribed path lengths (or orders) on the
+nose.  The pipelines differ only in their feasibility gates, the
+absorber they build, the segment sizes and the final check.
 """
 
 from __future__ import annotations
@@ -99,13 +99,17 @@ def _drive(
     requested amount (a length or an order) must reach the minimum
     prescribed length, and d must allow absorbing one segment per amount.
 
-    Each of cfg.restart_budget attempts builds the absorber, finds a
-    Hamilton cycle of D minus it, cuts the cycle once into absorbable
-    segments of the given sizes, one per slot, and absorbs each into its
-    slot, returning the enlarged
-    hosts if they pass the final check.  This is the only retry loop: a
-    failed stage ends the attempt, an exact one (a proof about the input)
-    ends the loop, and PipelineFailed lists every attempt's stage and reason.
+    Each of cfg.restart_budget attempts builds the absorber and reads
+    off sizes(A), the room each slot leaves: the number of vertices its
+    segment must bring.  A slot with room below 2 (a segment needs two
+    ends to cover) ends the attempt at stage "absorber"; this is the only
+    room check, and it runs before any vertex is removed.  Otherwise the
+    attempt finds a Hamilton cycle of D minus the absorber, cuts the
+    cycle once into absorbable segments of those sizes, one per slot, and
+    absorbs each into its slot, returning the enlarged hosts if they pass
+    the final check.  This is the only retry loop: a failed stage ends
+    the attempt, an exact one (a proof about the input) ends the loop,
+    and PipelineFailed lists every attempt's stage and reason.
     """
     p, d = cfg.resolve()
     floor = min_prescribed_length(p.nu)
@@ -125,6 +129,11 @@ def _drive(
             if e.exact:
                 break
             continue
+        room = sizes(A)
+        i = min(range(len(room)), key=room.__getitem__)
+        if room[i] < 2:
+            attempts.append(("absorber", f"slot {A.slots[i]} has room {room[i]}, below 2"))
+            continue
         removal = remove_vertices(D, A.vertices())
         try:
             C_local = hamilton_cycle(removal.digraph, _stage_seed(cfg.seed, restart, 2))
@@ -133,9 +142,7 @@ def _drive(
             continue
         C = tuple(removal.new_to_old[x] for x in C_local)
         try:
-            segs = cut_absorbable_segments(
-                D, A, C, sizes(A), _stage_seed(cfg.seed, restart, 3)
-            )
+            segs = cut_absorbable_segments(D, A, C, room, _stage_seed(cfg.seed, restart, 3))
             subs = absorb_paths(D, A, segs, A.slots)
         except NoCoveringPair as e:
             attempts.append(("absorb", str(e)))
@@ -176,7 +183,7 @@ def nh_linked_embed(
     arcs = H.arc_order
     [sub] = _drive(
         D, cfg, "prescribed length", N.lengths,
-        lambda p, d, seed: build_type1_absorber(D, H, f, N, p, d, seed),
+        lambda p, d, seed: build_type1_absorber(D, H, f, p, d, seed),
         lambda A: [l + 1 - len(A.hosts[0].paths[a]) for l, a in zip(N, arcs)],
         lambda subs: validate_subdivision(D, subs[0])
         and path_lengths(subs[0]) == N.lengths
@@ -206,7 +213,7 @@ def perfect_tiling(
         )
     return _drive(
         D, cfg, "order", orders,
-        lambda p, d, seed: build_type2_absorber(D, H, orders, p, d, seed),
+        lambda p, d, seed: build_type2_absorber(D, H, len(orders), p, d, seed),
         lambda A: [o - subdivision_order(h) for o, h in zip(orders, A.hosts)],
         lambda subs: validate_tiling(D, subs, orders),
     )

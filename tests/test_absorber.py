@@ -17,7 +17,6 @@ from dilink import (
     covers,
     cut_cycle_segments,
     gen_random_digraph,
-    grow_d_cover,
     hamilton_cycle,
     ladder_on_path,
     path_lengths,
@@ -31,7 +30,6 @@ from dilink import (
 )
 from dilink.absorber import _covering, cut_absorbable_segments
 from dilink.errors import (
-    AbsorberConstructionFailed,
     BadParameter,
     NoCoveringPair,
     NotDisjoint,
@@ -76,7 +74,7 @@ def test_type1_build_structure():
     D = _dense()
     H = single_arc_pattern()
     f = {0: 0, 1: 1}
-    A = build_type1_absorber(D, H, f, [130], P_DEFAULT, d=3, seed=0)
+    A = build_type1_absorber(D, H, f, P_DEFAULT, d=3, seed=0)
     assert len(A.hosts) == 1 and A.slots == ((0, (0, 1)),)
     assert A.d == 3
     assert len(A.ladders) == len(A.pairs)
@@ -98,7 +96,7 @@ def test_type1_respects_branch_images():
     D = _dense(3)
     H = triangle_pattern()
     f = {0: 10, 1: 20, 2: 30}
-    A = build_type1_absorber(D, H, f, [60, 60, 60], P_DEFAULT, d=3, seed=1)
+    A = build_type1_absorber(D, H, f, P_DEFAULT, d=3, seed=1)
     assert validate_absorber(D, A)
     assert dict(A.hosts[0].branch_map) == f
     for arc in H.arc_order:
@@ -109,7 +107,7 @@ def test_type1_respects_branch_images():
 def test_type2_build_structure():
     D = _dense(7)
     H = single_arc_pattern()
-    A = build_type2_absorber(D, H, [100, 100], P_DEFAULT, d=3, seed=0)
+    A = build_type2_absorber(D, H, 2, P_DEFAULT, d=3, seed=0)
     assert A.slots == ((0, (0, 1)), (1, (0, 1)))
     assert len(A.hosts) == 2
     assert validate_absorber(D, A)
@@ -126,7 +124,7 @@ def test_type2_build_structure():
 def test_validate_absorber_catches_tampering():
     D = _dense()
     H = single_arc_pattern()
-    A = build_type1_absorber(D, H, {0: 0, 1: 1}, [130], P_DEFAULT, d=3, seed=0)
+    A = build_type1_absorber(D, H, {0: 0, 1: 1}, P_DEFAULT, d=3, seed=0)
     # a ladder without its pair can't even be constructed
     with pytest.raises(BadParameter):
         Absorber(A.pairs, A.ladders[:-1], A.hosts, dict(A.embedding), A.d, A.slots)
@@ -148,7 +146,7 @@ def test_validate_absorber_catches_tampering():
 def test_validate_absorber_flags_a_pattern_arc_without_ladders():
     D = _dense(3)
     H = triangle_pattern()
-    A = build_type1_absorber(D, H, {0: 10, 1: 20, 2: 30}, [60] * 3, P_DEFAULT, d=3, seed=1)
+    A = build_type1_absorber(D, H, {0: 10, 1: 20, 2: 30}, P_DEFAULT, d=3, seed=1)
     bare = (2, 0)
     keep = [i for i in range(len(A.ladders)) if A.embedding[i] != (0, bare)]
     assert 0 < len(keep) < len(A.ladders)
@@ -178,7 +176,7 @@ def _spare_host(D, H, A, share: bool) -> HSubdivision:
 def test_validate_absorber_flags_a_host_without_ladders():
     D = _dense(7)
     H = single_arc_pattern()
-    A = build_type2_absorber(D, H, [100, 100], P_DEFAULT, d=3, seed=0)
+    A = build_type2_absorber(D, H, 2, P_DEFAULT, d=3, seed=0)
     spare = _spare_host(D, H, A, share=False)
     T = Absorber(
         A.pairs, A.ladders, A.hosts + (spare,), A.embedding, A.d, A.slots + ((2, (0, 1)),)
@@ -191,7 +189,7 @@ def test_validate_absorber_flags_a_host_without_ladders():
 def test_validate_absorber_flags_hosts_that_share_a_vertex():
     D = _dense(7)
     H = single_arc_pattern()
-    A = build_type2_absorber(D, H, [100, 100], P_DEFAULT, d=3, seed=0)
+    A = build_type2_absorber(D, H, 2, P_DEFAULT, d=3, seed=0)
     spare = _spare_host(D, H, A, share=True)
     T = Absorber(
         A.pairs, A.ladders, A.hosts + (spare,), A.embedding, A.d, A.slots + ((2, (0, 1)),)
@@ -204,7 +202,7 @@ def test_validate_absorber_flags_hosts_that_share_a_vertex():
 def test_absorb_paths_type1_roundtrip():
     D = _dense()
     H = single_arc_pattern()
-    A = build_type1_absorber(D, H, {0: 0, 1: 1}, [130], P_DEFAULT, d=3, seed=0)
+    A = build_type1_absorber(D, H, {0: 0, 1: 1}, P_DEFAULT, d=3, seed=0)
     missing = 130 + 1 - len(A.hosts[0].paths[(0, 1)])
     segs = _leftover_segments(D, A, [missing])
     [sub] = absorb_paths(D, A, segs, [(0, (0, 1))])
@@ -218,7 +216,7 @@ def test_absorb_paths_type1_multiple_segments():
     H = triangle_pattern()
     f = {0: 0, 1: 1, 2: 2}
     N = [55, 60, 65]
-    A = build_type1_absorber(D, H, f, N, P_DEFAULT, d=3, seed=2)
+    A = build_type1_absorber(D, H, f, P_DEFAULT, d=3, seed=2)
     arcs = H.arc_order
     sizes = [N[i] + 1 - len(A.hosts[0].paths[a]) for i, a in enumerate(arcs)]
     segs = _leftover_segments(D, A, sizes, seed=1)
@@ -233,7 +231,7 @@ def test_one_path_at_a_time_matches_batch_absorption():
     the vertex set of the batched call, even in the opposite order."""
     D = _dense(3)
     H = single_arc_pattern()
-    A = build_type1_absorber(D, H, {0: 0, 1: 1}, [130], P_DEFAULT, d=3, seed=3)
+    A = build_type1_absorber(D, H, {0: 0, 1: 1}, P_DEFAULT, d=3, seed=3)
     segs = _leftover_segments(D, A, [12, 9, 15], seed=3)
     [batch] = absorb_paths(D, A, segs)
     assert batch.vertices() == A.vertices() | {v for s in segs for v in s}
@@ -262,7 +260,7 @@ def test_one_path_at_a_time_matches_batch_absorption():
 def test_absorb_paths_type2_index_alignment():
     D = _dense(7)
     H = single_arc_pattern()
-    A = build_type2_absorber(D, H, [100, 100], P_DEFAULT, d=3, seed=0)
+    A = build_type2_absorber(D, H, 2, P_DEFAULT, d=3, seed=0)
     sizes = [100 - subdivision_order(A.hosts[0]), 100 - subdivision_order(A.hosts[1])]
     segs = _leftover_segments(D, A, sizes, seed=5)
     subs = absorb_paths(D, A, segs, A.slots)
@@ -281,7 +279,7 @@ def _leftover_cycle(D, A, seed=0):
 def test_absorb_paths_puts_each_path_into_its_slot():
     # cut for the slots in reverse order, so segment 0 has a pair on host 1
     D = _dense(7)
-    A = build_type2_absorber(D, single_arc_pattern(), [100, 100], P_DEFAULT, d=3, seed=0)
+    A = build_type2_absorber(D, single_arc_pattern(), 2, P_DEFAULT, d=3, seed=0)
     flipped = dataclasses.replace(A, slots=A.slots[::-1])
     sizes = [100 - subdivision_order(h) for h in A.hosts[::-1]]
     segs = cut_absorbable_segments(D, flipped, _leftover_cycle(D, A), sizes, seed=2)
@@ -292,7 +290,7 @@ def test_absorb_paths_puts_each_path_into_its_slot():
 
 def test_covering_agrees_with_covers():
     D = _dense(7)
-    A = build_type2_absorber(D, single_arc_pattern(), [100, 100], P_DEFAULT, d=3, seed=0)
+    A = build_type2_absorber(D, single_arc_pattern(), 2, P_DEFAULT, d=3, seed=0)
     rng = random.Random(4)
     outside = sorted(set(range(D.n)) - A.vertices())
     x = [rng.choice(outside) for _ in range(300)]
@@ -307,7 +305,7 @@ def test_covering_agrees_with_covers():
 
 def test_cut_absorbable_segments_serves_every_slot():
     D = _dense(7)
-    A = build_type2_absorber(D, single_arc_pattern(), [100, 100], P_DEFAULT, d=3, seed=0)
+    A = build_type2_absorber(D, single_arc_pattern(), 2, P_DEFAULT, d=3, seed=0)
     C = _leftover_cycle(D, A)
     sizes = [100 - subdivision_order(h) for h in A.hosts]
     for seed in range(5):
@@ -324,7 +322,7 @@ def test_cut_absorbable_segments_serves_every_slot():
 
 def test_cut_absorbable_segments_guardrails():
     D = _dense(7)
-    A = build_type2_absorber(D, single_arc_pattern(), [100, 100], P_DEFAULT, d=3, seed=0)
+    A = build_type2_absorber(D, single_arc_pattern(), 2, P_DEFAULT, d=3, seed=0)
     C = _leftover_cycle(D, A)
     with pytest.raises(NoCoveringPair) as e:
         cut_absorbable_segments(D, A, C, [4, 1])  # one vertex has no two ends to cover
@@ -338,7 +336,7 @@ def test_cut_absorbable_segments_guardrails():
 def test_absorb_paths_guardrails():
     D = _dense()
     H = single_arc_pattern()
-    A = build_type1_absorber(D, H, {0: 0, 1: 1}, [130], P_DEFAULT, d=3, seed=0)
+    A = build_type1_absorber(D, H, {0: 0, 1: 1}, P_DEFAULT, d=3, seed=0)
     segs = _leftover_segments(D, A, [4, 4, 4, 4])
     with pytest.raises(TooManyPaths):
         absorb_paths(D, A, segs)  # 4 paths > d = 3
@@ -357,12 +355,12 @@ def test_absorb_paths_rejects_unservable_targets():
     D = _dense(11, n=260)
     H = triangle_pattern()
     N = [55, 60, 65]
-    A = build_type1_absorber(D, H, {0: 0, 1: 1, 2: 2}, N, P_DEFAULT, d=3, seed=2)
+    A = build_type1_absorber(D, H, {0: 0, 1: 1, 2: 2}, P_DEFAULT, d=3, seed=2)
     segs = _leftover_segments(D, A, [4])
     with pytest.raises(BadParameter):
         absorb_paths(D, A, segs, [(0, (0, 1)), (0, (1, 2))])  # count mismatch
     # a slot is (host index, pattern arc); an arc or a host index alone is none
-    A2 = build_type2_absorber(_dense(7), single_arc_pattern(), [100, 100], P_DEFAULT, d=3, seed=0)
+    A2 = build_type2_absorber(_dense(7), single_arc_pattern(), 2, P_DEFAULT, d=3, seed=0)
     segs2 = _leftover_segments(_dense(7), A2, [4])
     for bad in ([], [(0, 1)], [2], [(2, (0, 1))], [(0, (1, 0))], [[0, (0, 1)]]):
         with pytest.raises(BadParameter):
@@ -373,26 +371,12 @@ def test_build_rejects_bad_arguments():
     D = _dense()
     H = single_arc_pattern()
     with pytest.raises(BadParameter):
-        build_type1_absorber(D, H, {0: 0, 1: 1}, [60, 60], P_DEFAULT, 3, 0)
+        build_type1_absorber(D, H, {0: 0}, P_DEFAULT, 3, 0)
     with pytest.raises(BadParameter):
-        build_type1_absorber(D, H, {0: 0}, [60], P_DEFAULT, 3, 0)
+        build_type1_absorber(D, H, {0: 0, 1: 0}, P_DEFAULT, 3, 0)
     with pytest.raises(BadParameter):
-        build_type1_absorber(D, H, {0: 0, 1: 0}, [60], P_DEFAULT, 3, 0)
+        build_type2_absorber(D, H, 2, P_DEFAULT, d=1, seed=0)  # k > d
     with pytest.raises(BadParameter):
-        build_type2_absorber(D, H, [100, 100], P_DEFAULT, d=1, seed=0)  # k > d
-    with pytest.raises(BadParameter):
-        build_type2_absorber(D, H, [], P_DEFAULT, d=3, seed=0)
-
-
-def test_build_fails_cleanly_when_budget_is_hopeless(monkeypatch):
-    D = _dense()
-    H = single_arc_pattern()
-    calls = []
-    monkeypatch.setattr(
-        "dilink.absorber.grow_d_cover", lambda *a, **k: calls.append(1) or grow_d_cover(*a, **k)
-    )
-    # a length-30 path cannot carry the ladders of a 3-cover; the builder
-    # grows one cover, threads it once and says which step failed
-    with pytest.raises(AbsorberConstructionFailed, match="path 0 used 54 vertices, over the budget 29"):
-        build_type1_absorber(D, H, {0: 0, 1: 1}, [30], P_DEFAULT, d=3, seed=0)
-    assert len(calls) == 1
+        build_type2_absorber(D, H, 0, P_DEFAULT, d=3, seed=0)
+    with pytest.raises(BadParameter):  # k |V(H)| = 202 branch vertices > n = 200
+        build_type2_absorber(D, H, 101, P_DEFAULT, d=101, seed=0)

@@ -298,14 +298,14 @@ def test_criterion_07_absorber_validity_and_size():
     for seed in range(50):
         rng = random.Random(seed)
         x, y = rng.sample(range(400), 2)
-        A = build_type1_absorber(D, H, {0: x, 1: y}, [350], p, d=8, seed=seed)
+        A = build_type1_absorber(D, H, {0: x, 1: y}, p, d=8, seed=seed)
         built += 1
         if not validate_absorber(D, A):
             invalid += 1
         if len(A.vertices()) > bound:
             oversize += 1
     for seed in range(50):
-        A = build_type2_absorber(D, H, [190, 190], p, d=8, seed=seed)
+        A = build_type2_absorber(D, H, 2, p, d=8, seed=seed)
         built += 1
         if not validate_absorber(D, A):
             invalid += 1

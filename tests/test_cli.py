@@ -132,8 +132,9 @@ def test_tile_json(graph_file, pattern_file, capsys):
 def test_tile_bad_orders_is_usage_error(graph_file, pattern_file, capsys):
     g = graph_file(gen_random_digraph(200, 0.7, 2))
     h = pattern_file("2 1\n0 1\n")
-    assert main(["tile", g, "--pattern", h, "--orders", "80,110"]) == 3
-    # OrdersDontSumToN is a construction-level failure, not argparse usage
+    assert main(["tile", g, "--pattern", h, "--orders", "80,110"]) == 2
+    # orders that do not sum to n are malformed input, refused before any construction
+    assert "error: orders sum to 190" in capsys.readouterr().err
 
 
 def test_missing_file_is_exit_2(capsys):
@@ -195,16 +196,20 @@ def test_malformed_branch_map_is_exit_2(graph_file, pattern_file, capsys):
         assert "error:" in capsys.readouterr().err
 
 
-def test_absorb_demo_non_integer_paths_is_exit_2(capsys):
-    assert main(["absorb-demo", "--n", "200", "--length", "130", "--paths", "5,x"]) == 2
-    assert "error:" in capsys.readouterr().err
-
-
-def test_absorb_demo_out_of_range_path_label_is_exit_2(capsys):
-    assert main(["absorb-demo", "--n", "200", "--length", "130", "--paths", "0,999999"]) == 2
-    assert "error: path 0 has a label outside 0..199" in capsys.readouterr().err
-
-
-def test_absorb_demo_path_repeating_a_vertex_is_exit_2(capsys):
-    assert main(["absorb-demo", "--n", "200", "--length", "130", "--paths", "0,1,0"]) == 2
-    assert "error: path 0 is not a valid path" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "paths, message",
+    [
+        ("5,x", "error:"),
+        ("0,999999", "error: path 0 has a label outside 0..199"),
+        ("0,1,0", "error: path 0 is not a valid path"),
+        ("0,1", "error: path 0 meets the absorber"),  # 0 and 1 are its branch vertices
+        ("5;6;7;8", "error: 4 paths exceed d = 3"),
+    ],
+    ids=["non-integer", "out-of-range", "repeated-vertex", "meets-the-absorber", "too-many"],
+)
+def test_absorb_demo_bad_paths_is_exit_2(capsys, paths, message):
+    assert main(["absorb-demo", "--n", "200", "--paths", paths]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    # only meeting the absorber needs it built; every other check comes first
+    assert ("absorber:" in err) == (paths == "0,1")

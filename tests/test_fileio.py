@@ -115,7 +115,7 @@ def test_subdivision_json_shape():
 def test_absorber_and_ladder_json_shape():
     D = gen_random_digraph(200, 0.7, 0)
     p = ExpansionParams("3/4", "3/4", "1/2")
-    A = build_type1_absorber(D, single_arc_pattern(), {0: 0, 1: 1}, [130], p, d=3, seed=0)
+    A = build_type1_absorber(D, single_arc_pattern(), {0: 0, 1: 1}, p, d=3, seed=0)
     obj = absorber_to_json(A)
     assert obj["type"] == 1
     assert obj["d"] == 3

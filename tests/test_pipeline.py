@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -149,10 +150,14 @@ def _two_disjoint_halves(half):
 
 
 def test_leftover_without_a_one_factor_fails_at_the_cycle_stage_with_a_proof():
+    # whichever attempts build an absorber, each one that reaches the
+    # cycle stage ends with a Hall violator as its proof
     cfg = PipelineConfig(gamma="1/2", nu="3/4", tau="3/4", d=3, seed=1)
-    with pytest.raises(PipelineFailed, match=r"no 1-factor: .* vertex \d+ ") as e:
+    with pytest.raises(PipelineFailed) as e:
         perfect_tiling(_starved_digraph(1), single_arc_pattern(), [200, 200], cfg)
-    assert e.value.stage == "cycle"
+    proofs = [reason for stage, reason in e.value.attempts if stage == "cycle"]
+    assert proofs
+    assert all(re.search(r"no 1-factor: .* vertex \d+ ", reason) for reason in proofs)
 
 
 def test_pipeline_failure_keeps_every_attempt():
@@ -181,6 +186,27 @@ def test_retries_do_not_multiply(monkeypatch):
     assert e.value.stage == "absorber"
     assert [s for s, _ in e.value.attempts] == ["absorber", "absorber"]
     assert len(calls) == 2
+
+
+def test_a_slot_without_room_fails_at_the_absorber_before_the_cycle(monkeypatch):
+    # a length-50 path cannot carry the ladders of a 3-cover of D(300, 0.7):
+    # each attempt grows one cover, finds that its slot leaves no room for
+    # a segment, and ends before any vertex is removed
+    calls = []
+    monkeypatch.setattr(
+        "dilink.absorber.grow_d_cover",
+        lambda *a, **k: calls.append("cover") or grow_d_cover(*a, **k),
+    )
+    for name in ("remove_vertices", "hamilton_cycle"):
+        monkeypatch.setattr(f"dilink.pipeline.{name}", lambda *a, name=name: calls.append(name))
+    with pytest.raises(PipelineFailed) as e:
+        D = gen_random_digraph(300, 0.7, 0)
+        nh_linked_embed(D, single_arc_pattern(), {0: 0, 1: 1}, [50], CFG)
+    assert e.value.stage == "absorber"
+    assert len(e.value.attempts) == 3 and calls == ["cover"] * 3
+    for stage, reason in e.value.attempts:
+        assert stage == "absorber"
+        assert re.fullmatch(r"slot \(0, \(0, 1\)\) has room -?\d+, below 2", reason)
 
 
 def test_uncoverable_vertex_fails_at_the_absorber_stage():
