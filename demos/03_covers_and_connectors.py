@@ -22,13 +22,15 @@ from dilink.errors import ConnectionFailed
 
 D = gen_random_digraph(400, 0.6, seed=0)
 
-# the probabilistic size bound is huge; the builder caps it at n/2 pairs
-# (a pair uses two vertices, so that's every vertex) and then verifies
+# the probabilistic size bound is huge, far above the n/2 disjoint pairs
+# D holds; the builder instead draws random pairs one at a time and stops
+# at the first prefix that 3-covers
 m = cover_size_formula(400, "0.5", 3)
-print(f"formula says {m} pairs; capped at {400 // 2}")
-K = build_d_cover(D, range(400), d=3, gamma="0.5", seed=0)
-print(f"built {len(K)} disjoint pairs, verified 3-cover:",
-      verify_d_cover(D, K, range(400), 3))
+print(f"formula says {m} pairs; D holds at most {400 // 2}")
+K = build_d_cover(D, d=3, seed=0)
+print(f"grew {len(K)} disjoint pairs, verified 3-cover:",
+      verify_d_cover(D, K, range(400), 3),
+      "| one pair fewer covers:", verify_d_cover(D, K.pairs[:-1], range(400), 3))
 
 # spot-check the definition on one ordered pair by hand
 x, y = 17, 341

@@ -25,7 +25,6 @@ from .cover import (
     connect_disjoint_paths,
     cover_size_formula,
     covers,
-    grow_d_cover,
     shortest_path_avoiding,
     verify_d_cover,
 )

@@ -33,8 +33,8 @@ import numpy as np
 
 from .cover import (
     CoverPairSet,
+    build_d_cover,
     build_disjoint_ladders,
-    grow_d_cover,
     shortest_path_avoiding,
     verify_d_cover,
 )
@@ -202,7 +202,7 @@ def _build_absorber(
     rng = random.Random(s ^ 0x5EED)
     avoid = set().union(*(f.values() for f in maps))
     try:
-        K = grow_d_cover(D, d, s, avoid=avoid)
+        K = build_d_cover(D, d, s, avoid=avoid)
         ladders = build_disjoint_ladders(D, K.pairs, p.nu, s, avoid=avoid)
     except (CoverConstructionFailed, LadderConstructionFailed) as e:
         raise AbsorberConstructionFailed(str(e), e.exact)

@@ -161,8 +161,9 @@ def cmd_tile(args) -> int:
 
 def cmd_build_cover(args) -> int:
     D = _load_digraph(args.graph)
-    K = build_d_cover(D, range(D.n), args.d, args.gamma, args.seed)
-    print(f"formula m = {cover_size_formula(D.n, args.gamma, args.d)} (capped: {len(K)})")
+    m = cover_size_formula(D.n, args.gamma, args.d)
+    K = build_d_cover(D, args.d, args.seed)
+    print(f"formula m = {m} (grown: {len(K)})")
     for u, v in K.pairs:
         print(f"{u} {v}")
     return 0

@@ -5,15 +5,15 @@ distinct and both arcs u->x and y->v exist: any path from x to y can then
 be extended to one from u to v.  A set of disjoint pairs K d-covers U if
 every ordered pair of distinct vertices of U is covered by at least d
 members of K.  Pairs are drawn by pairing each vertex with a random free
-out-neighbour read from the adjacency matrix.  `build_d_cover` draws a
-fixed number and checks them with one matrix product in
-`verify_d_cover`; `grow_d_cover` draws one at a time, adds each pair's
-coverage to a count matrix, and stops as soon as the pairs d-cover.
+out-neighbour read from the adjacency matrix.  `build_d_cover` first
+checks the degrees for a proof that no d-cover exists, then draws pairs
+one at a time, adds each pair's coverage to a count matrix, and stops at
+the shortest prefix that d-covers; `verify_d_cover` checks any pair set
+with one matrix product.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -134,79 +134,49 @@ def _random_pairs(M: np.ndarray, usable: list[int], seed: int):
             yield u, v
 
 
-def _fail_without_cover(M: np.ndarray, us: list[int], usable: list[int], d: int, why: str):
-    """Raise CoverConstructionFailed(why), or an exact one when a vertex of
-    us has fewer than d out- or in-neighbours in `usable`: each pair inside
-    `usable` covering (x, y) brings its own in-neighbour of x and
-    out-neighbour of y, so then no d-cover of us exists."""
-    for way, deg in (("out", M[np.ix_(us, usable)].sum(1)), ("in", M[np.ix_(usable, us)].sum(0))):
-        if deg.min() < d:
-            raise CoverConstructionFailed(
-                f"no {d}-cover exists: vertex {us[deg.argmin()]} has only "
-                f"{deg.min()} {way}-neighbours outside avoid", exact=True,
-            )
-    raise CoverConstructionFailed(why)
-
-
-def build_d_cover(
-    D: Digraph,
-    U: Iterable[int] | None,
-    d: int,
-    gamma: Real,
-    seed: int,
-    *,
-    size: int | None = None,
-    avoid: Iterable[int] = (),
-) -> CoverPairSet:
-    """Sample disjoint pairs, once, and check that they d-cover U.
-
-    The pair count is min(cover_size_formula, floor(n/2)) unless `size`
-    overrides it; the pairs are the first ones grow_d_cover would draw
-    outside `avoid`.  A sample that does not verify raises
-    CoverConstructionFailed, with exact=True when a vertex of U has fewer
-    than d out- or in-neighbours outside `avoid`.
-    """
-    n = D.n
-    uset = range(n) if U is None else set(U)
-    m = size if size is not None else min(cover_size_formula(n, gamma, d), n // 2)
-    usable = sorted(set(range(n)) - set(avoid))
-    if not 1 <= m <= len(usable) // 2:
-        raise CoverConstructionFailed(f"{len(usable)} vertices outside avoid make no {m} pairs")
-    M = D.bool_matrix()
-    K = CoverPairSet(tuple(itertools.islice(_random_pairs(M, usable, seed), m)))
-    if verify_d_cover(D, K, uset, d):
-        return K
-    # verify_d_cover has checked the labels of U
-    _fail_without_cover(M, sorted(uset), usable, d, f"the {m} sampled pairs are no {d}-cover")
-
-
-def grow_d_cover(D: Digraph, d: int, seed: int, *, avoid: Iterable[int] = ()) -> CoverPairSet:
+def build_d_cover(D: Digraph, d: int, seed: int, *, avoid: Iterable[int] = ()) -> CoverPairSet:
     """The shortest run of random pairs outside `avoid` that d-covers V(D).
 
-    Pairs come from the same arc-preferring pairing as build_d_cover's, one
-    at a time.  C[x, y] counts the pairs so far covering (x, y), its
-    diagonal preset to d; pair (u, v) adds the outer product of the arcs
-    u -> x (x != v) with the arcs y -> v (y != u), and growth stops once
-    min C >= d.  Running out of pairs raises CoverConstructionFailed,
-    exact when a degree or pair count proves that no such cover exists.
+    Infeasibility is proved first, before any pair is drawn: each pair
+    outside `avoid` covering (x, y) brings its own in-neighbour of x and
+    out-neighbour of y, so fewer than 2d usable vertices, or a vertex
+    with fewer than d out- or in-neighbours outside `avoid`, raises
+    CoverConstructionFailed with exact=True.  Otherwise pairs come one at
+    a time from the arc-preferring pairing.  C[x, y] counts the pairs so
+    far covering (x, y), its diagonal preset to d; pair (u, v) adds the
+    outer product of the arcs u -> x (x != v) with the arcs y -> v
+    (y != u), and growth stops once min C >= d.  Running out of pairs
+    raises the plain CoverConstructionFailed.  A label of `avoid` outside
+    0..n-1 raises LabelOutOfRange.
     """
     if d < 1:
         raise BadParameter("d must be >= 1")
     n = D.n
+    avoid = set(avoid)
+    for v in avoid:
+        if not 0 <= v < n:
+            raise LabelOutOfRange(f"vertex {v} outside 0..{n - 1}")
+    if n < 2:
+        return CoverPairSet(())
     M = D.bool_matrix()
-    usable = sorted(set(range(n)) - set(avoid))
-    if n >= 2 and 2 * d > len(usable):  # else no count exceeds n <= MAX_ORDER < 2**16
+    usable = sorted(set(range(n)) - avoid)
+    if 2 * d > len(usable):  # else no count exceeds n <= MAX_ORDER < 2**16
         why = f"{len(usable)} vertices outside avoid make fewer than {d} pairs"
         raise CoverConstructionFailed(f"no {d}-cover exists: {why}", exact=True)
+    for way, deg in (("out", M[:, usable].sum(1)), ("in", M[usable].sum(0))):
+        if deg.min() < d:
+            raise CoverConstructionFailed(
+                f"no {d}-cover exists: vertex {deg.argmin()} has only "
+                f"{deg.min()} {way}-neighbours outside avoid", exact=True,
+            )
     C = np.zeros((n, n), dtype=np.uint16)
     np.fill_diagonal(C, d)
     pairs: list[Pair] = []
     draws = _random_pairs(M, usable, seed)
-    while n >= 2 and C.min() < d:
+    while C.min() < d:
         pair = next(draws, None)
         if pair is None:
-            why = f"all {len(pairs)} pairs are no {d}-cover"
-            _fail_without_cover(M, list(range(n)), usable, d, why)
+            raise CoverConstructionFailed(f"all {len(pairs)} pairs are no {d}-cover")
         pairs.append(pair)
         x, y = M[pair[0]].copy(), M[:, pair[1]].copy()
         x[pair[1]] = y[pair[0]] = False
@@ -418,7 +388,7 @@ def _sample_ladder(
     v: int,
     k: int,
     used: set[int],
-    max_size: int,
+    max_vertices: int,
     rng: random.Random,
 ) -> Ladder | None:
     """Randomly sample rows and connectors for a k >= 1 ladder from u to v."""
@@ -452,7 +422,7 @@ def _sample_ladder(
             continue
         connectors: dict[int, tuple[int, ...]] = {}
         for j in range(1, 2 * k, 2):
-            room = max_size - (4 * k + 2) - sum(
+            room = max_vertices - (4 * k + 2) - sum(
                 len(q) - 2 for q in connectors.values()
             )
             q = shortest_path_avoiding(
@@ -466,7 +436,7 @@ def _sample_ladder(
         if not ok:
             continue
         L = Ladder(tuple(lower), tuple(upper), connectors)
-        if len(L.vertices()) <= max_size and validate_ladder(D, L):
+        if len(L.vertices()) <= max_vertices and validate_ladder(D, L):
             return L
     return None
 

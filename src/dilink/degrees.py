@@ -2,7 +2,8 @@
 
 All checkers index sorted degree sequences 1-based (d_1 is the smallest)
 and evaluate real thresholds exactly: a degree satisfies ">= gamma*n" iff
-it is >= ceil(gamma*n), computed in exact rational arithmetic.
+it is >= ceil(gamma*n), computed in exact rational arithmetic.  A
+slack margin gamma outside (0, 1) raises BadParameter.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .digraph import Digraph, degree_profile
-from .errors import NotOriented, TooSmall
+from .errors import BadParameter, NotOriented, TooSmall
 from .ratio import Real, as_fraction, ceil_frac
 
 
@@ -36,6 +37,14 @@ class ConditionReport:
 
 
 _OK = ConditionReport(True)
+
+
+def _margin(gamma: Real) -> Fraction:
+    """gamma as a Fraction, which must lie in (0, 1)."""
+    g = as_fraction(gamma)
+    if not 0 < g < 1:
+        raise BadParameter(f"gamma must lie in (0, 1), got {gamma}")
+    return g
 
 
 def nash_williams(D: Digraph) -> ConditionReport:
@@ -69,7 +78,7 @@ def asymptotic_nash_williams(D: Digraph, gamma: Real) -> ConditionReport:
     n = D.n
     if n < 1:
         raise TooSmall("empty digraph")
-    g = ceil_frac(as_fraction(gamma) * n)
+    g = ceil_frac(_margin(gamma) * n)
     prof = degree_profile(D)
     dout, din = prof.out_sorted, prof.in_sorted
 
@@ -94,7 +103,7 @@ def posa_type(D: Digraph, gamma: Real) -> ConditionReport:
     n = D.n
     if n < 3:
         raise TooSmall(f"need at least 3 vertices, got {n}")
-    frac_g = as_fraction(gamma)
+    frac_g = _margin(gamma)
     g = ceil_frac(frac_g * n)
     prof = degree_profile(D)
     dout, din = prof.out_sorted, prof.in_sorted
@@ -134,13 +143,13 @@ class OrientedReport:
 def oriented_semidegree(D: Digraph, epsilon: Real) -> OrientedReport:
     """Check (a) min semidegree >= (3/8 + eps) n and (b)
     delta+ + delta- + delta >= 3n/2 + eps n, on an oriented digraph."""
+    eps = as_fraction(epsilon)
     M = D.bool_matrix()
     digons = np.argwhere(M & M.T)
     if len(digons):
         u, v = digons[0].tolist()
         raise NotOriented(f"digon between {u} and {v}")
     n = D.n
-    eps = as_fraction(epsilon)
     prof = degree_profile(D)
     semi_ok = prof.delta_zero >= ceil_frac((Fraction(3, 8) + eps) * n)
     total = prof.delta_plus + prof.delta_minus + prof.delta_min_total

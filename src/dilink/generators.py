@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .digraph import Digraph
+from .digraph import MAX_ORDER, Digraph
 from .errors import BadParameter
 
 
 def gen_random_digraph(n: int, p: float, seed: int) -> Digraph:
     """Binomial random digraph: each ordered pair (u, v), u != v, is an
-    arc independently with probability p.  Deterministic given the seed."""
+    arc independently with probability p.  Deterministic given the seed;
+    an n outside 0..MAX_ORDER raises BadParameter before any allocation."""
+    if not 0 <= n <= MAX_ORDER:
+        raise BadParameter(f"vertex count must lie in 0..{MAX_ORDER}, got {n}")
     if not 0.0 <= p <= 1.0:
         raise BadParameter(f"arc probability must lie in [0, 1], got {p}")
     rng = np.random.default_rng(seed)

@@ -207,26 +207,29 @@ def test_criterion_04_inexpansion_from_outexpansion():
 
 
 # --------------------------------------------------------------------------
-# 5. cover construction: success rate, verification, and pinned size
+# 5. cover construction: success rate, verification, shortest prefix, size bound
 
 
 def test_criterion_05_cover_construction_size_and_validity():
     D = gen_random_digraph(500, 0.5, 0)
     formula = cover_size_formula(500, "0.4", 8)
     assert formula == 10373  # frozen: ceil(24 * gamma^-2 * (d ln(24 d gamma^-2) + 2 ln n))
-    capped = min(formula, 500 // 2)
-    succeeded, bad = 0, 0
+    bound = min(formula, 500 // 2)
+    succeeded, bad, unneeded, oversized, sizes = 0, 0, 0, 0, []
     for seed in range(100):
         try:
-            K = build_d_cover(D, range(500), 8, "0.4", seed)
+            K = build_d_cover(D, 8, seed)
         except CoverConstructionFailed:
             continue
         succeeded += 1
-        if len(K) != capped or not verify_d_cover(D, K, range(500), 8):
-            bad += 1
-    ok = succeeded >= 99 and bad == 0
+        sizes.append(len(K))
+        bad += not verify_d_cover(D, K, range(500), 8)
+        unneeded += verify_d_cover(D, K.pairs[:-1], range(500), 8)
+        oversized += len(K) > bound
+    ok = succeeded >= 99 and bad == unneeded == oversized == 0
     _report(5, "cover construction", ok,
-            f"{succeeded}/100 seeds built, {bad} invalid, size pinned at {capped}")
+            f"{succeeded}/100 seeds built, {bad} invalid, {unneeded} with an unneeded "
+            f"last pair, sizes {min(sizes, default=0)}-{max(sizes, default=0)} <= {bound}")
     assert ok
 
 

@@ -1,8 +1,16 @@
 import json
+import re
 
 import pytest
 
-from dilink import EXPANSION_EXACT_CAP, complete_digraph, directed_cycle, gen_random_digraph
+from dilink import (
+    EXPANSION_EXACT_CAP,
+    complete_digraph,
+    cover_size_formula,
+    directed_cycle,
+    gen_random_digraph,
+    verify_d_cover,
+)
 from dilink.cli import main
 from dilink.fileio import format_digraph, parse_digraph
 
@@ -55,6 +63,20 @@ def test_check_degrees_optional_conditions(graph_file, capsys):
     assert "skipped (digon present)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "option", [["--gamma", "-1"], ["--gamma", "2"], ["--epsilon", "x"]],
+    ids=["negative-gamma", "gamma-above-1", "unparsable-epsilon"],
+)
+def test_check_degrees_bad_parameter_is_exit_2(graph_file, capsys, option):
+    assert main(["check-degrees", graph_file(complete_digraph(10)), *option]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_gen_random_bad_order_is_exit_2(capsys):
+    assert main(["gen-random", "--n", "-1", "--p", "0.5"]) == 2
+    assert "error: vertex count" in capsys.readouterr().err
+
+
 def test_check_degrees_reads_stdin(capsys, monkeypatch):
     import io
 
@@ -94,11 +116,12 @@ def test_build_cover_output(graph_file, capsys):
     path = graph_file(gen_random_digraph(100, 0.7, 0))
     assert main(["build-cover", path, "--d", "3", "--gamma", "0.5"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0].startswith("formula m = ")
-    assert "(capped: 50)" in lines[0]
+    head = re.fullmatch(r"formula m = (\d+) \(grown: (\d+)\)", lines[0])
+    assert head and int(head[1]) == cover_size_formula(100, "0.5", 3)
     pairs = [tuple(map(int, l.split())) for l in lines[1:]]
-    assert len(pairs) == 50
-    assert all(len(p) == 2 for p in pairs)
+    assert len(pairs) == int(head[2]) and all(len(p) == 2 for p in pairs)
+    D = gen_random_digraph(100, 0.7, 0)
+    assert verify_d_cover(D, pairs, None, 3) and not verify_d_cover(D, pairs[:-1], None, 3)
 
 
 def test_find_subdivision_json(graph_file, pattern_file, capsys):

@@ -16,12 +16,12 @@ from dilink import (
     covers,
     directed_cycle,
     gen_random_digraph,
-    grow_d_cover,
     shortest_path_avoiding,
     validate_ladder,
     validate_path,
     verify_d_cover,
 )
+from dilink.cover import _random_pairs
 from dilink.errors import (
     BadParameter,
     ConnectionFailed,
@@ -115,50 +115,43 @@ def test_formula_frozen_values():
 
 def test_build_cover_on_complete_digraph():
     D = complete_digraph(20)
-    K = build_d_cover(D, None, 2, 0.5, seed=1)
-    assert len(K) == min(cover_size_formula(20, 0.5, 2), 10)
+    K = build_d_cover(D, 2, seed=1)
+    assert 1 <= len(K) <= 10
     assert verify_d_cover(D, K, range(20), 2)
     assert oracle_d_cover(D, K.pairs, range(20), 2)
-
-
-def test_build_cover_size_override_and_avoid():
-    D = gen_random_digraph(100, 0.7, 5)
-    K = build_d_cover(D, None, 2, 0.5, seed=3, size=30, avoid={0, 1, 2})
-    assert len(K) == 30
-    assert not (K.vertices() & {0, 1, 2})
-    assert verify_d_cover(D, K, range(100), 2)
+    assert not oracle_d_cover(D, K.pairs[:-1], range(20), 2)
 
 
 def test_build_cover_pairs_are_arcs():
     D = complete_digraph(30)
-    K = build_d_cover(D, None, 2, 0.5, seed=7)
+    K = build_d_cover(D, 2, seed=7)
     assert all(D.has_arc(u, v) for u, v in K)
-    # at density 1/2 every vertex still has free out-neighbours while 20
-    # pairs are drawn, so the fallback is never needed
+    # at density 1/2 every vertex still has free out-neighbours while a
+    # 1-cover is grown, so the fallback is never needed
     D = gen_random_digraph(100, 0.5, 3)
-    K = build_d_cover(D, range(4), 1, 0.5, seed=7, size=20, avoid={4, 5})
-    assert len(K) == 20 and not (K.vertices() & {4, 5})
+    K = build_d_cover(D, 1, seed=7, avoid={4, 5})
+    assert not (K.vertices() & {4, 5})
     assert all(D.has_arc(u, v) for u, v in K)
 
 
 def test_build_cover_falls_back_to_a_non_arc_pair():
-    # vertex 0 has no in-arcs and its one out-neighbour, 20, is avoided, so
-    # no pair holding 0 is an arc; pairing all 20 usable vertices puts 0
-    # in a pair all the same, through the any-free-vertex fallback
+    # vertex 0 has no in-arcs and its one out-neighbour, 20, is not usable,
+    # so no pair holding 0 is an arc; pairing all 20 usable vertices puts
+    # 0 in a pair all the same, through the any-free-vertex fallback
     n = 21
     arcs = [(u, v) for u in range(1, n) for v in range(1, n) if u != v] + [(0, 20)]
     D = Digraph(n, arcs)
     U = range(1, 20)
     for seed in range(5):
-        K = build_d_cover(D, U, 2, 0.5, seed=seed, size=10, avoid={20})
-        assert len(K) == 10
-        flat = [v for p in K for v in p]
+        pairs = list(_random_pairs(D.bool_matrix(), list(range(20)), seed))
+        assert len(pairs) == 10
+        flat = [v for p in pairs for v in p]
         assert len(set(flat)) == 20 and 20 not in flat
-        [odd] = [p for p in K if 0 in p]
+        [odd] = [p for p in pairs if 0 in p]
         assert not D.has_arc(*odd)
-        assert all(D.has_arc(u, v) for u, v in K if 0 not in (u, v))
-        assert verify_d_cover(D, K, U, 2)
-        assert oracle_d_cover(D, K.pairs, U, 2)
+        assert all(D.has_arc(u, v) for u, v in pairs if 0 not in (u, v))
+        assert verify_d_cover(D, pairs, U, 2)
+        assert oracle_d_cover(D, pairs, U, 2)
 
 
 @pytest.mark.parametrize(
@@ -172,38 +165,48 @@ def test_verify_cover_rejects_labels_outside_the_digraph(K, U):
 
 
 def test_build_cover_rejects_labels_outside_the_digraph():
-    with pytest.raises(LabelOutOfRange):
-        build_d_cover(complete_digraph(6), {9, 4}, 1, 0.5, seed=0, size=2)
+    for avoid in ({9, 4}, {-1}):
+        with pytest.raises(LabelOutOfRange):
+            build_d_cover(complete_digraph(6), 1, seed=0, avoid=avoid)
 
 
 def test_build_cover_failure_paths():
-    with pytest.raises(CoverConstructionFailed):
-        # not enough vertices for the requested pair count
-        build_d_cover(complete_digraph(6), None, 1, 0.5, seed=0, size=4)
-    with pytest.raises(CoverConstructionFailed):
-        # a directed cycle cannot d-cover anything much
-        build_d_cover(directed_cycle(20), None, 2, 0.5, seed=0)
+    # a directed cycle gives every vertex one out-neighbour, and too few
+    # usable vertices hold fewer than d pairs: both are proofs
+    with pytest.raises(CoverConstructionFailed, match="vertex 0 has only 1 out-") as e:
+        build_d_cover(directed_cycle(20), 2, seed=0)
+    assert e.value.exact
+    with pytest.raises(CoverConstructionFailed, match="make fewer than 4 pairs") as e:
+        build_d_cover(complete_digraph(9), 4, 0, avoid={7, 8})
+    assert e.value.exact
+    # below two vertices there is no ordered pair to cover
+    assert len(build_d_cover(Digraph(1, []), 3, seed=0)) == 0
 
 
 @pytest.mark.parametrize("way", ["out", "in"])
 def test_build_cover_names_a_vertex_no_pair_can_cover(way, monkeypatch):
     # every pair covering (x, 0) needs its own out-neighbour of 0 (and every
-    # pair covering (0, y) its own in-neighbour), so without them no sample
-    # can verify and the sampler stops after its first
+    # pair covering (0, y) its own in-neighbour), so without them no cover
+    # exists, and the builder says so before it draws a single pair
     M = gen_random_digraph(200, 0.7, 0).bool_matrix().copy()
     if way == "out":
         M[0, :] = False
     else:
         M[:, 0] = False
-    samples = []
-    monkeypatch.setattr(
-        "dilink.cover.verify_d_cover", lambda *a: samples.append(1) or verify_d_cover(*a)
-    )
+    draws = []
+
+    def counted(*args):
+        for pair in _random_pairs(*args):
+            draws.append(pair)
+            yield pair
+
+    monkeypatch.setattr("dilink.cover._random_pairs", counted)
     with pytest.raises(
         CoverConstructionFailed, match=rf"vertex 0 has only 0 {way}-neighbours"
-    ):
-        build_d_cover(Digraph(200, np.argwhere(M)), None, 3, 0.5, seed=0)
-    assert len(samples) == 1
+    ) as e:
+        build_d_cover(Digraph(200, np.argwhere(M)), 3, seed=0)
+    assert e.value.exact
+    assert draws == []
 
 
 def test_build_cover_counts_only_neighbours_outside_avoid():
@@ -211,13 +214,13 @@ def test_build_cover_counts_only_neighbours_outside_avoid():
     arcs = [(u, v) for u in range(1, 20) for v in range(20) if u != v]
     D = Digraph(20, arcs + [(0, 1), (0, 2)])
     with pytest.raises(CoverConstructionFailed, match="vertex 0 has only 1 out-"):
-        build_d_cover(D, None, 2, 0.5, seed=0, size=8, avoid={1})
+        build_d_cover(D, 2, seed=0, avoid={1})
 
 
 def test_grow_cover_stops_once_it_covers():
     D = gen_random_digraph(300, 0.7, 0)
     for seed in range(3):
-        K = grow_d_cover(D, 3, seed, avoid={0, 1})
+        K = build_d_cover(D, 3, seed, avoid={0, 1})
         assert not K.vertices() & {0, 1}
         assert verify_d_cover(D, K, None, 3)
         assert not verify_d_cover(D, K.pairs[:-1], None, 3)
@@ -228,20 +231,17 @@ def test_grow_cover_failures_say_whether_they_prove_anything():
     M = gen_random_digraph(200, 0.7, 0).bool_matrix().copy()
     M[:, 0] = False
     with pytest.raises(CoverConstructionFailed, match="vertex 0 has only 0 in-neighbours") as e:
-        grow_d_cover(Digraph(200, np.argwhere(M)), 3, 0)
-    assert e.value.exact
-    with pytest.raises(CoverConstructionFailed, match="make fewer than 4 pairs") as e:
-        grow_d_cover(complete_digraph(9), 4, 0, avoid={7, 8})
+        build_d_cover(Digraph(200, np.argwhere(M)), 3, 0)
     assert e.value.exact
     # two disjoint halves: every vertex has enough neighbours, but no pair
     # covers (x, y) across the halves, which no degree count proves
     halves = Digraph(40, [(u, v) for u in range(40) for v in range(40)
                           if u != v and (u < 20) == (v < 20)])
     with pytest.raises(CoverConstructionFailed, match="all 20 pairs are no 1-cover") as e:
-        grow_d_cover(halves, 1, 0)
+        build_d_cover(halves, 1, 0)
     assert not e.value.exact
     with pytest.raises(BadParameter):
-        grow_d_cover(halves, 0, 0)
+        build_d_cover(halves, 0, 0)
 
 
 def test_connection_request_validation():

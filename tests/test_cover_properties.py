@@ -1,12 +1,12 @@
 """Property tests for d-covers: the matrix verifier against the
-definition checker, and the sampler's and the grower's guarantees."""
+definition checker, and the cover builder's guarantees."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
-from dilink import Digraph, build_d_cover, grow_d_cover, verify_d_cover
+from dilink import Digraph, build_d_cover, verify_d_cover
 from dilink.errors import CoverConstructionFailed
 
 from helpers import oracle_d_cover
@@ -31,26 +31,6 @@ def test_verify_d_cover_agrees_with_the_definition(data):
     assert verify_d_cover(D, pairs, U, d) == oracle_d_cover(D, pairs, U, d)
 
 
-@given(st.data())
-def test_build_d_cover_returns_disjoint_pairs_of_the_exact_size(data):
-    D = data.draw(digraphs(max_n=12))
-    avoid = data.draw(st.sets(st.integers(0, D.n - 1), max_size=D.n - 2))
-    size = data.draw(st.integers(1, (D.n - len(avoid)) // 2))
-    U = data.draw(st.sets(st.integers(0, D.n - 1)))
-    d = data.draw(st.integers(0, 2))  # d = 0 always verifies
-    seed = data.draw(st.integers(0, 2**32 - 1))
-    try:
-        K = build_d_cover(D, U, d, 0.5, seed, size=size, avoid=avoid)
-    except CoverConstructionFailed:
-        assert d > 0
-        return
-    flat = [v for p in K for v in p]
-    assert len(K) == size
-    assert len(set(flat)) == len(flat) == 2 * size
-    assert set(flat) <= set(range(D.n)) - avoid
-    assert oracle_d_cover(D, K.pairs, U, d)
-
-
 @st.composite
 def dense_digraphs(draw, max_n=12):
     # complete digraphs less a few arcs, so that most instances have a cover
@@ -61,7 +41,7 @@ def dense_digraphs(draw, max_n=12):
 
 
 @given(st.data())
-def test_grow_d_cover_stops_at_the_shortest_covering_prefix(data):
+def test_build_d_cover_grows_the_shortest_covering_prefix(data):
     D = data.draw(dense_digraphs())
     avoid = data.draw(st.sets(st.integers(0, D.n - 1), max_size=D.n // 2))
     d = data.draw(st.integers(1, 2))
@@ -72,14 +52,15 @@ def test_grow_d_cover_stops_at_the_shortest_covering_prefix(data):
         for x in range(D.n)
     )
     try:
-        K = grow_d_cover(D, d, seed, avoid=avoid)
+        K = build_d_cover(D, d, seed, avoid=avoid)
     except CoverConstructionFailed as e:
         assert e.exact == provably_none  # a proof exactly when the degrees give one
         return
+    assert not provably_none
     flat = [v for p in K for v in p]
     assert len(set(flat)) == len(flat)
-    assert not set(flat) & avoid
-    assert oracle_d_cover(D, K.pairs, range(D.n), d)
-    assert not oracle_d_cover(D, K.pairs[:-1], range(D.n), d)
-    # the same pairing as build_d_cover's: its first len(K) pairs are K
-    assert build_d_cover(D, None, d, 0.5, seed, size=len(K), avoid=avoid) == K
+    assert set(flat) <= usable
+    prefixes = (K.pairs[:-1], K.pairs)
+    covered = [oracle_d_cover(D, P, range(D.n), d) for P in prefixes]
+    assert covered == [False, True]  # the shortest covering prefix
+    assert [verify_d_cover(D, P, None, d) for P in prefixes] == covered

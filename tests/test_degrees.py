@@ -16,7 +16,7 @@ from dilink import (
     posa_type,
     rotational_tournament,
 )
-from dilink.errors import NotOriented, TooSmall
+from dilink.errors import BadParameter, NotOriented, TooSmall
 
 
 def test_complete_satisfies_paired_condition():
@@ -54,6 +54,13 @@ def test_asymptotic_variant_needs_real_slack():
     rep = asymptotic_nash_williams(complete_digraph(6), "9/10")
     assert not rep.satisfied
     assert rep.failing_index == 1
+
+
+@pytest.mark.parametrize("gamma", [0, 1, "-1/2", 2])
+def test_slack_conditions_reject_gamma_outside_the_unit_interval(gamma):
+    for check in (asymptotic_nash_williams, posa_type):
+        with pytest.raises(BadParameter, match="gamma must lie in"):
+            check(complete_digraph(6), gamma)
 
 
 def test_sorted_growth_condition():

@@ -260,6 +260,13 @@ def test_random_digraph_is_seeded():
     assert all(u != v for u, v in A.arcs)
 
 
+@pytest.mark.parametrize("n", [-1, MAX_ORDER + 1])
+def test_random_digraph_checks_the_order_before_allocating(n, monkeypatch):
+    monkeypatch.setattr("dilink.generators.np", None)  # any numpy call would fail
+    with pytest.raises(BadParameter, match="vertex count"):
+        gen_random_digraph(n, 0.5, 0)
+
+
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 300])
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 1.0])
 def test_random_digraph_matches_one_whole_matrix_draw(n, p):

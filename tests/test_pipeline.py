@@ -7,8 +7,8 @@ import pytest
 from dilink import (
     Digraph,
     PipelineConfig,
+    build_d_cover,
     gen_random_digraph,
-    grow_d_cover,
     min_prescribed_length,
     nh_linked_embed,
     path_lengths,
@@ -178,7 +178,7 @@ def test_retries_do_not_multiply(monkeypatch):
     # absorber, and each attempt grows a cover exactly once
     calls = []
     monkeypatch.setattr(
-        "dilink.absorber.grow_d_cover", lambda *a, **k: calls.append(1) or grow_d_cover(*a, **k)
+        "dilink.absorber.build_d_cover", lambda *a, **k: calls.append(1) or build_d_cover(*a, **k)
     )
     cfg = PipelineConfig(gamma="1/2", nu="3/4", tau="3/4", d=3, seed=0, restart_budget=2)
     with pytest.raises(PipelineFailed) as e:
@@ -194,8 +194,8 @@ def test_a_slot_without_room_fails_at_the_absorber_before_the_cycle(monkeypatch)
     # a segment, and ends before any vertex is removed
     calls = []
     monkeypatch.setattr(
-        "dilink.absorber.grow_d_cover",
-        lambda *a, **k: calls.append("cover") or grow_d_cover(*a, **k),
+        "dilink.absorber.build_d_cover",
+        lambda *a, **k: calls.append("cover") or build_d_cover(*a, **k),
     )
     for name in ("remove_vertices", "hamilton_cycle"):
         monkeypatch.setattr(f"dilink.pipeline.{name}", lambda *a, name=name: calls.append(name))
