@@ -40,17 +40,44 @@ def dense_digraphs(draw, max_n=12):
     return Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and (u, v) not in gone])
 
 
+def _provably_none(D, d, usable):
+    # the degree proof: too few usable vertices, or a vertex short of
+    # d out- or in-neighbours outside avoid
+    return 2 * d > len(usable) or any(
+        len(set(D.out_neighbors(x)) & usable) < d or len(set(D.in_neighbors(x)) & usable) < d
+        for x in range(D.n)
+    )
+
+
 @given(st.data())
-def test_build_d_cover_grows_the_shortest_covering_prefix(data):
+def test_build_d_cover_returns_disjoint_pairs_of_the_exact_size(data):
+    D = data.draw(dense_digraphs())
+    avoid = data.draw(st.sets(st.integers(0, D.n - 1), max_size=D.n - 2))
+    d = data.draw(st.integers(1, 2))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    usable = set(range(D.n)) - avoid
+    try:
+        K = build_d_cover(D, d, seed, avoid=avoid)
+    except CoverConstructionFailed as e:
+        assert e.exact == _provably_none(D, d, usable)
+        return
+    flat = [v for p in K for v in p]
+    assert all(len(p) == 2 for p in K)
+    assert len(set(flat)) == len(flat) == 2 * len(K)
+    assert set(flat) <= usable
+    assert oracle_d_cover(D, K.pairs, range(D.n), d)
+    assert build_d_cover(D, d, seed, avoid=avoid) == K  # the seed fixes the pairs
+
+
+@given(st.data())
+def test_grow_d_cover_stops_at_the_shortest_covering_prefix(data):
+    # build_d_cover grows its cover pair by pair and stops once it covers
     D = data.draw(dense_digraphs())
     avoid = data.draw(st.sets(st.integers(0, D.n - 1), max_size=D.n // 2))
     d = data.draw(st.integers(1, 2))
     seed = data.draw(st.integers(0, 2**32 - 1))
     usable = set(range(D.n)) - avoid
-    provably_none = 2 * d > len(usable) or any(
-        len(set(D.out_neighbors(x)) & usable) < d or len(set(D.in_neighbors(x)) & usable) < d
-        for x in range(D.n)
-    )
+    provably_none = _provably_none(D, d, usable)
     try:
         K = build_d_cover(D, d, seed, avoid=avoid)
     except CoverConstructionFailed as e:
