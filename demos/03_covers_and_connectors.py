@@ -4,21 +4,21 @@ Covering pairs and disjoint connector paths
 
 Two small pieces of machinery that the absorber construction depends on:
 a d-cover (disjoint vertex pairs so that every ordered pair (x, y) has
-many pairs (u, v) with arcs u->x and y->v), and families of short
-internally disjoint paths between prescribed terminal pairs.
+many pairs (u, v) with arcs u->x and y->v), and short internally
+disjoint paths between prescribed terminal pairs, routed one at a time.
 """
 
+import random
+
 from dilink import (
-    ConnectionRequest,
     Digraph,
     build_d_cover,
-    connect_disjoint_paths,
     cover_size_formula,
     covers,
     gen_random_digraph,
+    shortest_path_avoiding,
     verify_d_cover,
 )
-from dilink.errors import ConnectionFailed
 
 D = gen_random_digraph(400, 0.6, seed=0)
 
@@ -37,17 +37,27 @@ x, y = 17, 341
 witnesses = [uv for uv in K.pairs if covers(D, uv, (x, y))]
 print(f"pair ({x}, {y}) is covered by {len(witnesses)} pairs, e.g. {witnesses[:3]}")
 
-# connectors: five terminal pairs routed by internally disjoint paths of
-# at most 5 vertices each
+# connectors: five terminal pairs routed one after another by shortest
+# paths of at most 5 vertices, as the absorber threads its host paths:
+# the terminals are blocked first, then each path's interior
 G = gen_random_digraph(100, 0.5, seed=3)
 pairs = ((0, 50), (1, 60), (2, 70), (3, 80), (4, 90))
-paths = connect_disjoint_paths(G, ConnectionRequest(pairs, frozenset(), max_order=5), seed=0)
-for (s, t), path in zip(pairs, paths):
+
+
+def route(D, pairs, max_order, rng):
+    blocked = {v for pair in pairs for v in pair}
+    paths = []
+    for s, t in pairs:
+        path = shortest_path_avoiding(D, s, t, blocked, max_order, rng)
+        paths.append(path)
+        if path is not None:
+            blocked.update(path[1:-1])
+    return paths
+
+
+for (s, t), path in zip(pairs, route(G, pairs, 5, random.Random(0))):
     print(f"  {s} -> {t}: {path}")
 
-# an impossible request fails with the index of the stuck pair
+# an impossible request leaves None for the stuck pair
 H = Digraph(6, [(0, 1), (1, 2), (3, 4)])  # vertex 5 is isolated
-try:
-    connect_disjoint_paths(H, ConnectionRequest(((0, 2), (5, 4)), frozenset()), seed=0)
-except ConnectionFailed as e:
-    print("doomed request failed at pair index", e.index)
+print("doomed request:", route(H, ((0, 2), (5, 4)), 4, random.Random(0)))

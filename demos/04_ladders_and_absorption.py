@@ -11,10 +11,12 @@ absorbed, every old vertex stays, and the endpoints never move.
 
 from dilink import (
     Digraph,
+    HSubdivision,
     Ladder,
-    absorb_into_path,
+    absorb_path,
     alternative_rung_paths,
     rung_paths,
+    single_arc_pattern,
     validate_ladder,
 )
 
@@ -36,8 +38,10 @@ print("alternative rungs:", alternative_rung_paths(L))
 # now embed the ladder in a longer host path and absorb 0 -> 7 -> 3.
 # the host must contain every rung back to back; vertex 7 is new.
 D = Digraph(11, set(arcs) | {(0, 7), (7, 3), (9, 0), (10, 9), (3, 2), (5, 8)})
+# the host is the one path of a subdivided single arc 10 -> 8
 host = (10, 9, 0, 1, 6, 4, 3, 2, 5, 8)
-out = absorb_into_path(D, host, L, (0, 7, 3))
+sub = HSubdivision(single_arc_pattern(), {0: host[0], 1: host[-1]}, {(0, 1): host})
+out = absorb_path(D, sub, L, (0, 1), (0, 7, 3)).paths[(0, 1)]
 print("\nhost before:", host)
 print("host after: ", out)
 print("same endpoints, same vertices plus the absorbee:",

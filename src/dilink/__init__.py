@@ -18,11 +18,9 @@ from .absorber import (
     validate_absorber,
 )
 from .cover import (
-    ConnectionRequest,
     CoverPairSet,
     build_d_cover,
     build_disjoint_ladders,
-    connect_disjoint_paths,
     cover_size_formula,
     covers,
     shortest_path_avoiding,
@@ -51,7 +49,6 @@ from .digraph import (
 from .errors import (
     AbsorberConstructionFailed,
     BadParameter,
-    ConnectionFailed,
     CoverConstructionFailed,
     CycleNotFound,
     DegenerateLadder,
@@ -110,7 +107,6 @@ from .generators import (
 )
 from .ladder import (
     Ladder,
-    absorb_into_path,
     absorb_path,
     alternative_rung_paths,
     ladder_on_path,

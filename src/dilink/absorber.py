@@ -42,7 +42,6 @@ from .digraph import Arc, Digraph, validate_path
 from .errors import (
     AbsorberConstructionFailed,
     BadParameter,
-    ConnectionFailed,
     CoverConstructionFailed,
     InvalidPath,
     LabelOutOfRange,
@@ -158,7 +157,8 @@ def _thread_group(
 ) -> tuple[int, ...]:
     """One subdivided path: start, then every rung of every ladder in
     order, then end, with short connectors routed between consecutive
-    pieces.  Connector interiors are added to blocked as they are used."""
+    pieces.  Connector interiors are added to blocked as they are used;
+    a connector that cannot be routed raises AbsorberConstructionFailed."""
     blocks: list[tuple[int, ...]] = []
     for L in ladder_group:
         blocks.extend(rung_paths(L))
@@ -167,7 +167,7 @@ def _thread_group(
     for bi, block in enumerate(blocks + [(end,)]):
         conn = shortest_path_avoiding(D, prev, block[0], blocked, cap, rng)
         if conn is None:
-            raise ConnectionFailed(bi)
+            raise AbsorberConstructionFailed(f"threading failed at connector {bi}")
         blocked.update(conn[1:-1])
         full.extend(conn[1:])
         full.extend(block[1:])
@@ -214,16 +214,13 @@ def _build_absorber(
     blocked = avoid.union(*(L.vertices() for L in ladders))
     cap = _connector_cap(p.nu)
     groups = {slot: ladders[g::len(slots)] for g, slot in enumerate(slots)}
-    try:
-        hosts = [
-            HSubdivision(H, dict(f), {
-                a: _thread_group(D, f[a[0]], groups.get((hi, a), ()), f[a[1]], blocked, cap, rng)
-                for a in H.arc_order
-            })
-            for hi, f in enumerate(maps)
-        ]
-    except ConnectionFailed as e:
-        raise AbsorberConstructionFailed(f"threading failed at connector {e.index}")
+    hosts = [
+        HSubdivision(H, dict(f), {
+            a: _thread_group(D, f[a[0]], groups.get((hi, a), ()), f[a[1]], blocked, cap, rng)
+            for a in H.arc_order
+        })
+        for hi, f in enumerate(maps)
+    ]
     embedding = {i: slots[i % len(slots)] for i in range(len(ladders))}
     A = Absorber(K, ladders, hosts, embedding, d, slots)
     if not validate_absorber(D, A):

@@ -40,6 +40,7 @@ from .errors import (
     PipelineFailed,
     TooLargeForExact,
     TooManyPaths,
+    TooSmall,
 )
 from .expansion import (
     DEFAULT_EXACT_CAP,
@@ -283,7 +284,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (
         FileNotFoundError, BadParameter, InvalidPath, LabelOutOfRange, LoopArc,
-        NotDisjoint, OrdersDontSumToN, TooLargeForExact, TooManyPaths,
+        NotDisjoint, OrdersDontSumToN, TooLargeForExact, TooManyPaths, TooSmall,
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

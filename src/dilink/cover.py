@@ -1,4 +1,4 @@
-"""Covering pairs, d-covers, and disjoint routing utilities.
+"""Covering pairs, d-covers, short routes and ladders.
 
 A pair (u, v) covers an ordered pair (x, y) when all four vertices are
 distinct and both arcs u->x and y->v exist: any path from x to y can then
@@ -9,14 +9,16 @@ out-neighbour read from the adjacency matrix.  `build_d_cover` first
 checks the degrees for a proof that no d-cover exists, then draws pairs
 one at a time, adds each pair's coverage to a count matrix, and stops at
 the shortest prefix that d-covers; `verify_d_cover` checks any pair set
-with one matrix product.
+with one matrix product.  `shortest_path_avoiding` is the one router:
+ladder connectors and the absorber's threading both route through it,
+one path at a time, blocking each path's interior before the next.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,7 +26,6 @@ import numpy as np
 from .digraph import Digraph
 from .errors import (
     BadParameter,
-    ConnectionFailed,
     CoverConstructionFailed,
     LabelOutOfRange,
     LadderConstructionFailed,
@@ -34,8 +35,6 @@ from .ratio import Real, as_fraction
 
 Pair = tuple[int, int]
 
-_CONNECT_ATTEMPTS = 100  # routing orders connect_disjoint_paths tries
-_EXHAUSTIVE_BUDGET = 400_000  # path extensions _exhaustive_connect may explore
 _LADDER_TRIES = 400  # row samples _sample_ladder draws per ladder
 
 
@@ -110,6 +109,8 @@ def cover_size_formula(n: int, gamma: Real, d: int) -> int:
         raise BadParameter(f"gamma must lie in (0, 1), got {gamma}")
     if d < 1:
         raise BadParameter("d must be >= 1")
+    if n < 1:
+        raise BadParameter(f"n must be >= 1, got {n}")
     return math.ceil(24 * g**-2 * (d * math.log(24 * d * g**-2) + 2 * math.log(n)))
 
 
@@ -184,27 +185,6 @@ def build_d_cover(D: Digraph, d: int, seed: int, *, avoid: Iterable[int] = ()) -
     return CoverPairSet(tuple(pairs))
 
 
-@dataclass(frozen=True)
-class ConnectionRequest:
-    """Terminal pairs to join by internally disjoint paths whose interior
-    avoids `forbidden`; each path order (vertex count) <= max_order."""
-
-    terminals: tuple[Pair, ...]
-    forbidden: frozenset[int] = field(default_factory=frozenset)
-    max_order: int = 4
-
-    def __post_init__(self):
-        object.__setattr__(self, "terminals", tuple(tuple(t) for t in self.terminals))
-        object.__setattr__(self, "forbidden", frozenset(self.forbidden))
-        flat = [v for t in self.terminals for v in t]
-        if len(set(flat)) != len(flat):
-            raise BadParameter("terminal vertices must be pairwise distinct")
-        if set(flat) & self.forbidden:
-            raise BadParameter("terminals may not be forbidden")
-        if self.max_order < 2:
-            raise BadParameter("max_order must be at least 2")
-
-
 def shortest_path_avoiding(
     D: Digraph,
     s: int,
@@ -246,90 +226,6 @@ def shortest_path_avoiding(
             break
         frontier = nxt
     return None
-
-
-def _exhaustive_connect(D: Digraph, req: ConnectionRequest) -> list[tuple[int, ...]] | None:
-    """Complete search for small instances.  Returns None when no family
-    of disjoint paths exists within the order bound (or budget runs out)."""
-    terminals = req.terminals
-    base_block = set(req.forbidden) | {v for t in terminals for v in t}
-    spent = [0]
-
-    def paths_from(s: int, t: int, used: set[int]):
-        # all simple s->t paths of order <= max_order avoiding used
-        stack = [(s,)]
-        while stack:
-            path = stack.pop()
-            spent[0] += 1
-            if spent[0] > _EXHAUSTIVE_BUDGET:
-                return
-            tip = path[-1]
-            if D.has_arc(tip, t):
-                yield path + (t,)
-            if len(path) >= req.max_order - 1:
-                continue
-            for w in D.out_neighbors(tip):
-                if w == t or w in base_block or w in used or w in path:
-                    continue
-                stack.append(path + (w,))
-
-    out: list[tuple[int, ...]] = []
-
-    def solve(i: int, used: set[int]) -> bool:
-        if i == len(terminals):
-            return True
-        s, t = terminals[i]
-        for path in paths_from(s, t, used):
-            interior = set(path[1:-1])
-            out.append(path)
-            if solve(i + 1, used | interior):
-                return True
-            out.pop()
-        return False
-
-    if solve(0, set()):
-        return out
-    return None
-
-
-def connect_disjoint_paths(
-    D: Digraph, req: ConnectionRequest, seed: int
-) -> list[tuple[int, ...]]:
-    """Route every terminal pair by internally disjoint short paths.
-
-    Tries randomized shortest-path routing in shuffled request orders;
-    on small instances (n <= 12) falls back to a complete search before
-    giving up.  Raises ConnectionFailed with the index of the first
-    unroutable pair.
-    """
-    r = len(req.terminals)
-    if r == 0:
-        return []
-    terminal_set = {v for t in req.terminals for v in t}
-    first_failed = 0
-    for attempt in range(_CONNECT_ATTEMPTS):
-        rng = random.Random((seed * 2_654_435 + attempt) & 0xFFFFFFFF)
-        order = list(range(r))
-        rng.shuffle(order)
-        blocked = set(req.forbidden) | terminal_set
-        found: dict[int, tuple[int, ...]] = {}
-        ok = True
-        for i in order:
-            s, t = req.terminals[i]
-            path = shortest_path_avoiding(D, s, t, blocked, req.max_order, rng)
-            if path is None:
-                first_failed = i
-                ok = False
-                break
-            found[i] = path
-            blocked.update(path[1:-1])
-        if ok:
-            return [found[i] for i in range(r)]
-    if D.n <= 12:
-        exact = _exhaustive_connect(D, req)
-        if exact is not None:
-            return exact
-    raise ConnectionFailed(first_failed)
 
 
 def build_disjoint_ladders(

@@ -68,14 +68,6 @@ class CoverConstructionFailed(DilinkError):
     """No verified covering pair set was found, or none exists (exact)."""
 
 
-class ConnectionFailed(DilinkError):
-    """A disjoint-path connection request could not be routed."""
-
-    def __init__(self, index: int, message: str = ""):
-        self.index = index
-        super().__init__(message or f"could not route terminal pair #{index}")
-
-
 class LadderConstructionFailed(DilinkError):
     """A ladder could not be built for a terminal pair."""
 

@@ -210,15 +210,3 @@ def absorb_path(
     paths[arc] = _swap_rungs(D, host, L, P)
     return HSubdivision(sub.pattern, dict(sub.branch_map), paths)
 
-
-def absorb_into_path(
-    D: Digraph,
-    host: Sequence[int],
-    L: Ladder,
-    P: Sequence[int],
-) -> tuple[int, ...]:
-    """Rung-swap absorption on a bare path: returns a path with the same
-    endpoints whose vertex set is V(host) union V(P)."""
-    if not validate_path(D, host):
-        raise InvalidPath("host is not a valid path of the digraph")
-    return _swap_rungs(D, host, L, P)

@@ -18,7 +18,6 @@ from helpers import (
 )
 
 from dilink import (
-    ConnectionRequest,
     Digraph,
     ExpansionParams,
     HSubdivision,
@@ -35,7 +34,6 @@ from dilink import (
     certify_outexpander_exact,
     certify_survives_deletion,
     complete_digraph,
-    connect_disjoint_paths,
     cover_size_formula,
     degree_profile,
     deletion_tolerance,
@@ -49,6 +47,7 @@ from dilink import (
     path_lengths,
     perfect_tiling,
     posa_type,
+    shortest_path_avoiding,
     single_arc_pattern,
     triangle_pattern,
     validate_absorber,
@@ -57,7 +56,7 @@ from dilink import (
     validate_tiling,
     verify_d_cover,
 )
-from dilink.errors import ConnectionFailed, CoverConstructionFailed, DilinkError
+from dilink.errors import CoverConstructionFailed, DilinkError
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -237,6 +236,20 @@ def test_criterion_05_cover_construction_size_and_validity():
 # 6. disjoint connector routing, plus oracle agreement at tiny scale
 
 
+def _route_in_turn(D, pairs, max_order, rng):
+    """Route the pairs one after another as the absorber threads its
+    hosts: every terminal blocked first, then each path's interior."""
+    blocked = {v for pair in pairs for v in pair}
+    paths = []
+    for s, t in pairs:
+        path = shortest_path_avoiding(D, s, t, blocked, max_order, rng)
+        if path is None:
+            return None
+        paths.append(path)
+        blocked.update(path[1:-1])
+    return paths
+
+
 def test_criterion_06_disjoint_connector_routing():
     D = gen_random_digraph(100, 0.5, 0)
     succeeded, bad = 0, 0
@@ -244,11 +257,8 @@ def test_criterion_06_disjoint_connector_routing():
         rng = random.Random(seed)
         terms = rng.sample(range(100), 10)
         pairs = tuple((terms[2 * i], terms[2 * i + 1]) for i in range(5))
-        try:
-            paths = connect_disjoint_paths(
-                D, ConnectionRequest(pairs, frozenset(), max_order=5), seed
-            )
-        except ConnectionFailed:
+        paths = _route_in_turn(D, pairs, 5, random.Random(seed))
+        if paths is None:
             continue
         succeeded += 1
         seen: set = set()
@@ -263,28 +273,34 @@ def test_criterion_06_disjoint_connector_routing():
                 bad += 1
             seen |= set(path)
 
+    # the router finds a path exactly when a complete search does
     rng = random.Random(66)
-    oracle_hits, agreed = 0, 0
+    trials, oracle_hits, agreed, absent_agreed = 0, 0, 0, 0
     while oracle_hits < 500:
         n = rng.randint(4, 9)
         T = gen_random_digraph(n, rng.uniform(0.3, 0.9), rng.randrange(1 << 30))
-        r = rng.randint(1, 3)
-        if 2 * r > n:
-            continue
-        terms = rng.sample(range(n), 2 * r)
-        pairs = tuple((terms[2 * i], terms[2 * i + 1]) for i in range(r))
-        if oracle_connect(T, pairs, frozenset(), 4) is None:
+        s, t = rng.sample(range(n), 2)
+        blocked = set(rng.sample(range(n), rng.randint(0, n - 2))) - {s, t}
+        cap = rng.randint(2, 5)
+        expected = oracle_connect(T, ((s, t),), blocked, cap)
+        path = shortest_path_avoiding(T, s, t, blocked, cap, random.Random(trials))
+        trials += 1
+        if expected is None:
+            absent_agreed += path is None
             continue
         oracle_hits += 1
-        try:
-            connect_disjoint_paths(T, ConnectionRequest(pairs, frozenset(), max_order=4), 0)
-            agreed += 1
-        except ConnectionFailed:
-            pass
-    ok = succeeded >= 99 and bad == 0 and agreed == 500
+        agreed += (
+            path is not None
+            and validate_path(T, path)
+            and (path[0], path[-1]) == (s, t)
+            and len(path) <= cap
+            and not set(path[1:-1]) & blocked
+        )
+    absent = trials - oracle_hits
+    ok = succeeded >= 99 and bad == 0 and agreed == 500 and absent_agreed == absent
     _report(6, "connector routing", ok,
-            f"{succeeded}/100 seeds routed ({bad} invalid), oracle agreement "
-            f"{agreed}/500 at n<=9")
+            f"{succeeded}/100 seeds routed in turn ({bad} invalid), oracle agreement "
+            f"{agreed}/500 paths and {absent_agreed}/{absent} absences at n<=9")
     assert ok
 
 
@@ -405,13 +421,10 @@ def test_criterion_10_tiny_scale_oracle_equivalence():
         none_cases += 1
         # constructive routing must not conjure a witness the exhaustive
         # search proved absent
-        try:
-            paths = connect_disjoint_paths(
-                D, ConnectionRequest(((x, y),), frozenset(), max_order=l + 1), t
-            )
-        except DilinkError:
+        path = shortest_path_avoiding(D, x, y, {x, y}, l + 1, random.Random(t))
+        if path is None:
             continue
-        cand = HSubdivision(H, {0: x, 1: y}, {(0, 1): tuple(paths[0])})
+        cand = HSubdivision(H, {0: x, 1: y}, {(0, 1): path})
         if validate_subdivision(D, cand) and path_lengths(cand) == (l,):
             contradictions += 1
     ok = bad_witness == 0 and contradictions == 0 and found + none_cases == 300

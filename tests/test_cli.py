@@ -170,6 +170,21 @@ def test_bad_parameter_is_exit_2(graph_file, capsys):
     assert main(["certify-expander", k6, "--nu", "0", "--tau", "1/6", "--exact"]) == 2
 
 
+@pytest.mark.parametrize(
+    "text, command, message",
+    [
+        ("0 0\n", ["build-cover", "--d", "3", "--gamma", "0.5"], "error: n must be >= 1"),
+        ("0 0\n", ["check-degrees"], "error: need at least 3 vertices, got 0"),
+        ("2 0\n", ["check-degrees"], "error: need at least 3 vertices, got 2"),
+    ],
+    ids=["build-cover-empty", "check-degrees-empty", "check-degrees-two-vertices"],
+)
+def test_too_small_digraph_is_exit_2(pattern_file, capsys, text, command, message):
+    path = pattern_file(text, "g.txt")
+    assert main([command[0], path, *command[1:]]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_absorb_demo_types(capsys):
     assert main(["absorb-demo", "--seed", "1"]) == 0
     captured = capsys.readouterr()
