@@ -16,10 +16,11 @@ from .absorber import (
     build_type1_absorber,
     build_type2_absorber,
     check_paths,
+    cut_absorbable_segments,
     validate_absorber,
 )
 from .cover import build_d_cover, cover_size_formula
-from .cycles import cut_cycle_segments, hamilton_cycle
+from .cycles import hamilton_cycle
 from .degrees import (
     asymptotic_nash_williams,
     nash_williams,
@@ -136,8 +137,9 @@ def cmd_find_subdivision(args) -> int:
     H, file_map = read_pattern(args.pattern)
     lengths = parse_ints(args.lengths.split(","), args.lengths)
     if args.branches == "any":
-        rng = random.Random(args.seed)
-        pool = rng.sample(range(D.n), H.underlying.n)
+        if H.underlying.n > D.n:
+            raise BadParameter(f"the pattern has {H.underlying.n} vertices, more than n = {D.n}")
+        pool = random.Random(args.seed).sample(range(D.n), H.underlying.n)
         f = dict(zip(range(H.underlying.n), pool))
     else:
         f = dict(file_map)
@@ -172,7 +174,7 @@ def cmd_build_cover(args) -> int:
 
 def cmd_absorb_demo(args) -> int:
     D = gen_random_digraph(args.n, args.p, args.seed)
-    paths = None
+    paths, slots = None, None
     if args.paths:
         paths = check_paths(
             D, [parse_ints(c.split(","), c) for c in args.paths.split(";")], args.d
@@ -190,10 +192,11 @@ def cmd_absorb_demo(args) -> int:
         removal = remove_vertices(D, A.vertices())
         C = hamilton_cycle(removal.digraph, args.seed)
         C = tuple(removal.new_to_old[x] for x in C)
-        paths = cut_cycle_segments(C, [5] * len(A.hosts), args.seed)
+        slots = A.slots
+        paths = cut_absorbable_segments(D, A, C, [5] * len(slots), args.seed)
         print(f"auto-picked absorbee paths: {[list(p_) for p_ in paths]}",
               file=sys.stderr)
-    subs = absorb_paths(D, A, paths)
+    subs = absorb_paths(D, A, paths, slots)
     dump_json({"absorber": absorber_to_json(A),
                "result": [subdivision_to_json(s) for s in subs]}, sys.stdout)
     return 0

@@ -104,6 +104,7 @@ def _exact_cycle_search(D: Digraph) -> tuple[int, ...] | None:
     Raises _BudgetExceeded when the node budget runs out."""
     spent = 0
     path = [0]
+    out = [D.out_neighbors(v) for v in D.vertices()]
 
     def dfs() -> tuple[int, ...] | None:
         nonlocal spent
@@ -112,7 +113,7 @@ def _exact_cycle_search(D: Digraph) -> tuple[int, ...] | None:
             raise _BudgetExceeded
         if len(path) == D.n:
             return tuple(path) if D.has_arc(path[-1], 0) else None
-        for w in D.out_neighbors(path[-1]):
+        for w in out[path[-1]]:
             if w not in path:
                 path.append(w)
                 got = dfs()

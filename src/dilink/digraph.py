@@ -6,7 +6,9 @@ Vertices are always 0..n-1.  At most one arc per ordered pair, no loops;
 
 The only stored form is a read-only n x n numpy bool adjacency matrix,
 which suits the dense digraphs (Theta(n) neighbours per vertex) worked on
-here; the arc set, neighbour tuples and bitmasks are derived on first use.
+here.  Every other view (the arc set, neighbour tuples, degrees, bitmasks)
+is computed from the matrix each time it is asked for; nothing else is
+stored.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ MAX_ORDER = 1 << 15  # largest n Digraph() accepts: its bool matrix is then 1 Gi
 class Digraph:
     """A loop-free digraph on vertex set {0, ..., n-1}."""
 
-    __slots__ = ("n", "_matrix", "_arcs", "_out", "_in", "_in_masks")
+    __slots__ = ("n", "_matrix")
 
     def __init__(self, n: int, arc_list: Iterable[Arc]):
         """Arcs are integer pairs or an (m, 2) int array; duplicates collapse.
@@ -57,10 +59,6 @@ class Digraph:
         m.flags.writeable = False
         self.n = n
         self._matrix = m
-        self._arcs = None
-        self._out = None
-        self._in = None
-        self._in_masks = None
 
     @classmethod
     def _of_matrix(cls, m: np.ndarray) -> "Digraph":
@@ -74,10 +72,8 @@ class Digraph:
 
     @property
     def arcs(self) -> frozenset[Arc]:
-        if self._arcs is None:
-            us, vs = np.nonzero(self._matrix)
-            self._arcs = frozenset(zip(us.tolist(), vs.tolist()))
-        return self._arcs
+        us, vs = np.nonzero(self._matrix)
+        return frozenset(zip(us.tolist(), vs.tolist()))
 
     @property
     def arc_count(self) -> int:
@@ -87,20 +83,16 @@ class Digraph:
         return 0 <= u < self.n and 0 <= v < self.n and self._matrix.item(u, v)
 
     def out_neighbors(self, v: int) -> tuple[int, ...]:
-        if self._out is None:
-            self._out = tuple(tuple(np.flatnonzero(r).tolist()) for r in self._matrix)
-        return self._out[v]
+        return tuple(np.flatnonzero(self._matrix[v]).tolist())
 
     def in_neighbors(self, v: int) -> tuple[int, ...]:
-        if self._in is None:
-            self._in = tuple(tuple(np.flatnonzero(r).tolist()) for r in self._matrix.T)
-        return self._in[v]
+        return tuple(np.flatnonzero(self._matrix[:, v]).tolist())
 
     def out_degree(self, v: int) -> int:
-        return len(self.out_neighbors(v))
+        return int(np.count_nonzero(self._matrix[v]))
 
     def in_degree(self, v: int) -> int:
-        return len(self.in_neighbors(v))
+        return int(np.count_nonzero(self._matrix[:, v]))
 
     def vertices(self) -> range:
         return range(self.n)
@@ -130,10 +122,8 @@ class Digraph:
 
     def in_masks(self) -> tuple[int, ...]:
         """Per-vertex bitmask of in-neighbors (bit u set iff u->v)."""
-        if self._in_masks is None:
-            packed = np.packbits(self._matrix.T, axis=1, bitorder="little")
-            self._in_masks = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
-        return self._in_masks
+        packed = np.packbits(self._matrix.T, axis=1, bitorder="little")
+        return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
 @dataclass(frozen=True)
@@ -213,18 +203,16 @@ def validate_cycle(D: Digraph, seq: Sequence[int]) -> bool:
 
 
 def is_strongly_connected(D: Digraph) -> bool:
+    """True iff vertex 0 reaches every vertex in D and in its reverse."""
     if D.n <= 1:
         return True
 
-    def reaches_all(neigh) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in neigh(v):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == D.n
+    def reaches_all(A: np.ndarray) -> bool:
+        seen = frontier = np.arange(D.n) == 0
+        while frontier.any():
+            frontier = A[frontier].any(axis=0) & ~seen
+            seen = seen | frontier
+        return bool(seen.all())
 
-    return reaches_all(D.out_neighbors) and reaches_all(D.in_neighbors)
+    M = D.bool_matrix()
+    return reaches_all(M) and reaches_all(M.T)

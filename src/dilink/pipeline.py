@@ -207,6 +207,8 @@ def perfect_tiling(
     orders = [int(x) for x in orders]
     if not orders:
         raise BadParameter("at least one order required")
+    if any(o < 1 for o in orders):
+        raise BadParameter("every order must be >= 1")
     if sum(orders) != D.n:
         raise OrdersDontSumToN(
             f"orders sum to {sum(orders)}, but the digraph has {D.n} vertices"

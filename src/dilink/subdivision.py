@@ -29,9 +29,10 @@ class PatternDigraph:
     def __post_init__(self):
         if self.underlying.arc_count < 1:
             raise BadParameter("pattern needs at least one arc")
-        for v in self.underlying.vertices():
-            if self.underlying.out_degree(v) + self.underlying.in_degree(v) == 0:
-                raise BadParameter(f"pattern vertex {v} is isolated")
+        M = self.underlying.bool_matrix()
+        touched = M.any(0) | M.any(1)
+        if not touched.all():
+            raise BadParameter(f"pattern vertex {touched.argmin()} is isolated")
 
     @property
     def arc_order(self) -> tuple[Arc, ...]:

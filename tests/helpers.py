@@ -292,6 +292,24 @@ def oracle_connect(D: Digraph, terminals, forbidden, max_order: int):
     return list(chosen) if place(0, set()) else None
 
 
+def oracle_strongly_connected(D: Digraph) -> bool:
+    """Whether every vertex reaches every other: a breadth-first search
+    over D.arcs from each vertex in turn."""
+    step: dict[int, list[int]] = {}
+    for u, v in D.arcs:
+        step.setdefault(u, []).append(v)
+    for s in range(D.n):
+        seen, queue = {s}, [s]
+        for x in queue:
+            for y in step.get(x, ()):
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        if len(seen) < D.n:
+            return False
+    return True
+
+
 def oracle_has_hamilton_cycle(D: Digraph) -> bool:
     """Whether some ordering of the vertices, starting at 0, is a directed
     cycle (closing arc included); every ordering is tried."""

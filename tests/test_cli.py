@@ -158,6 +158,11 @@ def test_tile_bad_orders_is_usage_error(graph_file, pattern_file, capsys):
     assert main(["tile", g, "--pattern", h, "--orders", "80,110"]) == 2
     # orders that do not sum to n are malformed input, refused before any construction
     assert "error: orders sum to 190" in capsys.readouterr().err
+    assert main(["tile", g, "--pattern", h, "--orders", "0,200"]) == 2
+    assert "error: every order must be >= 1" in capsys.readouterr().err
+    # a positive order below the paper's minimum is well formed but infeasible
+    assert main(["tile", g, "--pattern", h, "--orders", "1,199"]) == 3
+    assert "pipeline failed at stage feasibility" in capsys.readouterr().err
 
 
 def test_missing_file_is_exit_2(capsys):
@@ -176,10 +181,17 @@ def test_bad_parameter_is_exit_2(graph_file, capsys):
         ("0 0\n", ["build-cover", "--d", "3", "--gamma", "0.5"], "error: n must be >= 1"),
         ("0 0\n", ["check-degrees"], "error: need at least 3 vertices, got 0"),
         ("2 0\n", ["check-degrees"], "error: need at least 3 vertices, got 2"),
+        ("2 0\n", ["find-subdivision", "--pattern", "h.txt", "--lengths", "1,1,1"],
+         "error: the pattern has 3 vertices, more than n = 2"),
     ],
-    ids=["build-cover-empty", "check-degrees-empty", "check-degrees-two-vertices"],
+    ids=["build-cover-empty", "check-degrees-empty", "check-degrees-two-vertices",
+         "pattern-larger-than-digraph"],
 )
-def test_too_small_digraph_is_exit_2(pattern_file, capsys, text, command, message):
+def test_too_small_digraph_is_exit_2(
+    pattern_file, capsys, monkeypatch, tmp_path, text, command, message
+):
+    monkeypatch.chdir(tmp_path)
+    pattern_file("3 3\n0 1\n1 2\n2 0\n")  # the triangle h.txt named above
     path = pattern_file(text, "g.txt")
     assert main([command[0], path, *command[1:]]) == 2
     assert message in capsys.readouterr().err
