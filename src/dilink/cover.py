@@ -10,8 +10,10 @@ checks the degrees for a proof that no d-cover exists, then draws pairs
 one at a time, adds each pair's coverage to a count matrix, and stops at
 the shortest prefix that d-covers; `verify_d_cover` checks any pair set
 with one matrix product.  `shortest_path_avoiding` is the one router:
-ladder connectors and the absorber's threading both route through it,
-one path at a time, blocking each path's interior before the next.
+breadth-first over matrix rows, a layer at a time, with a random walk
+back through the parents.  Ladder connectors and the absorber's threading
+both route through it, one path at a time, blocking each path's interior
+before the next.
 """
 
 from __future__ import annotations
@@ -193,39 +195,36 @@ def shortest_path_avoiding(
     max_order: int,
     rng: random.Random | None = None,
 ) -> tuple[int, ...] | None:
-    """Shortest s->t path with interior outside `blocked`, order bounded;
-    neighbor exploration is shuffled when an rng is supplied."""
+    """A shortest s->t path of order <= max_order whose interior avoids
+    `blocked`, or None if there is none; s and t may lie in `blocked`.
+    Breadth-first over matrix rows, a layer at a time, then walked back
+    through the layers' in-neighbours, each pick uniform when an rng is
+    given and the lowest label when not.  A label of s, t or `blocked`
+    outside 0..n-1 raises LabelOutOfRange."""
+    for v in (s, t, *blocked):
+        if not 0 <= v < D.n:
+            raise LabelOutOfRange(f"vertex {v} outside 0..{D.n - 1}")
     if s == t or max_order < 2:
         return None
-    parent: dict[int, int | None] = {s: None}
-    frontier = [s]
-    # iteration k asks whether t sits at arc-distance k (path order k+1)
-    for k in range(1, max_order):
-        if rng is not None:
-            rng.shuffle(frontier)
-        for u in frontier:
-            if D.has_arc(u, t):
-                path = [u]
-                while parent[path[-1]] is not None:
-                    path.append(parent[path[-1]])
-                path.reverse()
-                return tuple(path) + (t,)
-        if k == max_order - 1:
-            break
-        nxt = []
-        for u in frontier:
-            nbs = list(D.out_neighbors(u))
-            if rng is not None:
-                rng.shuffle(nbs)
-            for w in nbs:
-                if w in blocked or w in parent or w == t:
-                    continue
-                parent[w] = u
-                nxt.append(w)
-        if not nxt:
-            break
-        frontier = nxt
-    return None
+    M = D.bool_matrix()
+    if M.item(s, t):  # the one-arc path; nothing to pick
+        return (s, t)
+    open_ = np.ones(D.n, dtype=bool)
+    open_[[s, t, *blocked]] = False
+    layers = [np.array([s])]
+    while not M[layers[-1], t].any():
+        if len(layers) + 1 == max_order:  # paths via a next layer exceed max_order
+            return None
+        layer = np.flatnonzero(M[layers[-1]].any(0) & open_)
+        if not len(layer):
+            return None
+        open_[layer] = False
+        layers.append(layer)
+    path = [t]
+    for layer in layers[:0:-1]:  # back to layer 1; layer 0 is s alone
+        cand = layer[M[layer, path[-1]]]
+        path.append(int(cand[rng.randrange(len(cand))] if rng is not None else cand[0]))
+    return (s, *reversed(path))
 
 
 def build_disjoint_ladders(

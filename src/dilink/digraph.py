@@ -82,17 +82,22 @@ class Digraph:
     def has_arc(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and 0 <= v < self.n and self._matrix.item(u, v)
 
+    def _label(self, v: int) -> int:
+        if not 0 <= v < self.n:  # numpy would wrap -1 to row n-1
+            raise LabelOutOfRange(f"vertex {v} outside 0..{self.n - 1}")
+        return v
+
     def out_neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(self._matrix[v]).tolist())
+        return tuple(np.flatnonzero(self._matrix[self._label(v)]).tolist())
 
     def in_neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(self._matrix[:, v]).tolist())
+        return tuple(np.flatnonzero(self._matrix[:, self._label(v)]).tolist())
 
     def out_degree(self, v: int) -> int:
-        return int(np.count_nonzero(self._matrix[v]))
+        return int(np.count_nonzero(self._matrix[self._label(v)]))
 
     def in_degree(self, v: int) -> int:
-        return int(np.count_nonzero(self._matrix[:, v]))
+        return int(np.count_nonzero(self._matrix[:, self._label(v)]))
 
     def vertices(self) -> range:
         return range(self.n)
@@ -172,10 +177,14 @@ def remove_vertices(D: Digraph, removed: Iterable[int]) -> VertexRemoval:
     for v in gone:
         if not (0 <= v < D.n):
             raise LabelOutOfRange(f"vertex {v} outside 0..{D.n - 1}")
-    kept = [v for v in D.vertices() if v not in gone]
-    old_to_new = {v: i for i, v in enumerate(kept)}
-    sub = Digraph._of_matrix(D.bool_matrix()[np.ix_(kept, kept)])
-    return VertexRemoval(sub, old_to_new, {i: v for v, i in old_to_new.items()})
+    keep = np.ones(D.n, dtype=bool)
+    keep[list(gone)] = False
+    kept = np.flatnonzero(keep)
+    # two gathers are faster than one np.ix_ gather, but the column gather
+    # returns Fortran order, and every later row read is faster on C order
+    sub = Digraph._of_matrix(np.ascontiguousarray(D.bool_matrix()[kept][:, kept]))
+    labels = kept.tolist()
+    return VertexRemoval(sub, {v: i for i, v in enumerate(labels)}, dict(enumerate(labels)))
 
 
 def validate_path(D: Digraph, seq: Sequence[int]) -> bool:

@@ -292,6 +292,28 @@ def oracle_connect(D: Digraph, terminals, forbidden, max_order: int):
     return list(chosen) if place(0, set()) else None
 
 
+def oracle_shortest_order(D: Digraph, s: int, t: int, blocked) -> int | None:
+    """Order of a shortest s->t path whose interior avoids `blocked`, or
+    None: a breadth-first search over D.arcs from s that enters no
+    blocked vertex before t (s and t themselves may be blocked)."""
+    step: dict[int, list[int]] = {}
+    for u, v in D.arcs:
+        step.setdefault(u, []).append(v)
+    order = {s: 1}
+    frontier = [s]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in step.get(u, []):
+                if w == t:
+                    return order[u] + 1
+                if w not in order and w not in blocked:
+                    order[w] = order[u] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return None
+
+
 def oracle_strongly_connected(D: Digraph) -> bool:
     """Whether every vertex reaches every other: a breadth-first search
     over D.arcs from each vertex in turn."""

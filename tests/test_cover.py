@@ -251,6 +251,23 @@ def test_shortest_path_avoiding_basics():
     assert shortest_path_avoiding(D, 0, 1, {2}, 4) == (0, 3, 4, 1)
     assert shortest_path_avoiding(D, 0, 1, set(), 2) is None  # no direct arc
     assert shortest_path_avoiding(D, 0, 0, set(), 4) is None
+    assert shortest_path_avoiding(D, 0, 1, {0, 1}, 3) == (0, 2, 1)  # ends may be blocked
+    two_ways = Digraph(4, [(0, 3), (3, 1), (0, 2), (2, 1)])
+    assert shortest_path_avoiding(two_ways, 0, 1, set(), 3) == (0, 2, 1)  # lowest label
+
+
+@pytest.mark.parametrize(
+    "s, t, blocked",
+    [(-1, 1, set()), (4, 1, set()), (5, 1, set()), (0, -1, set()), (0, 4, set()),
+     (0, 2, {-1}), (0, 2, {1, 4})],
+    ids=["negative-s", "s-is-n", "s-above-n", "negative-t", "t-is-n",
+         "negative-in-blocked", "n-in-blocked"],
+)
+def test_shortest_path_avoiding_rejects_labels_outside_the_digraph(s, t, blocked):
+    # numpy would wrap -1 to row n-1 and route (-1, 1) as (-1, 0, 1)
+    D = Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    with pytest.raises(LabelOutOfRange):
+        shortest_path_avoiding(D, s, t, blocked, 4)
 
 
 def test_shortest_path_is_genuinely_shortest():

@@ -1,15 +1,18 @@
 """Property tests for d-covers: the matrix verifier against the
-definition checker, and the cover builder's guarantees."""
+definition checker, and the cover builder's guarantees; and for the
+router against a breadth-first reference."""
+
+import random
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
-from dilink import Digraph, build_d_cover, verify_d_cover
+from dilink import Digraph, build_d_cover, shortest_path_avoiding, verify_d_cover
 from dilink.errors import CoverConstructionFailed
 
-from helpers import oracle_d_cover
+from helpers import oracle_d_cover, oracle_shortest_order
 
 
 @st.composite
@@ -91,3 +94,24 @@ def test_grow_d_cover_stops_at_the_shortest_covering_prefix(data):
     covered = [oracle_d_cover(D, P, range(D.n), d) for P in prefixes]
     assert covered == [False, True]  # the shortest covering prefix
     assert [verify_d_cover(D, P, None, d) for P in prefixes] == covered
+
+
+@given(st.data())
+def test_shortest_path_avoiding_agrees_with_a_breadth_first_reference(data):
+    D = data.draw(digraphs(max_n=12))
+    s, t = data.draw(st.lists(st.integers(0, D.n - 1), min_size=2, max_size=2, unique=True))
+    blocked = data.draw(st.sets(st.integers(0, D.n - 1)))  # may hold s or t
+    max_order = data.draw(st.integers(2, 6))
+    seed = data.draw(st.none() | st.integers(0, 2**32 - 1))
+    rng = None if seed is None else random.Random(seed)
+    got = shortest_path_avoiding(D, s, t, blocked, max_order, rng)
+    best = oracle_shortest_order(D, s, t, blocked)
+    if best is None or best > max_order:
+        assert got is None
+        return
+    assert got is not None and len(got) == best
+    assert (got[0], got[-1]) == (s, t) and len(set(got)) == len(got)
+    assert all((a, b) in D.arcs for a, b in zip(got, got[1:]))
+    assert not set(got[1:-1]) & blocked
+    if rng is None:  # without an rng the route is fixed
+        assert shortest_path_avoiding(D, s, t, blocked, max_order) == got

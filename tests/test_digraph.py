@@ -82,6 +82,15 @@ def test_has_arc_is_false_outside_the_label_range():
     assert not Digraph(0, []).has_arc(0, 0)
 
 
+def test_neighbour_views_reject_labels_outside_the_range():
+    D = Digraph(3, [(2, 0)])
+    for view in (D.out_neighbors, D.in_neighbors, D.out_degree, D.in_degree):
+        for v in (-1, 3, -4):  # numpy would read row or column 2 for -1
+            with pytest.raises(LabelOutOfRange):
+                view(v)
+    assert (D.out_neighbors(2), D.in_degree(0)) == ((0,), 1)
+
+
 def test_bool_matrix_is_read_only():
     D = Digraph(3, [(0, 1)])
     with pytest.raises(ValueError):
@@ -146,6 +155,8 @@ def test_dense_views_agree_with_has_arc():
         rem = remove_vertices(D, gone)
         assert rem.digraph.n == len(kept)
         assert rem.digraph.arcs == {(new[u], new[v]) for u, v in arcs if u in new and v in new}
+        assert rem.old_to_new == new
+        assert rem.new_to_old == {i: v for v, i in new.items()}
         shuffled = list(arcs)
         rng.shuffle(shuffled)
         twin = Digraph(n, shuffled)
@@ -209,8 +220,10 @@ def test_remove_vertices_relabels_in_order():
     assert rem.old_to_new == {0: 0, 2: 1, 4: 2}
     assert rem.new_to_old == {0: 0, 1: 2, 2: 4}
     assert rem.digraph.arcs == frozenset({(2, 0)})  # only 4->0 survives
-    with pytest.raises(LabelOutOfRange):
-        remove_vertices(D, {9})
+    assert rem.digraph.bool_matrix().flags.c_contiguous  # rows stay cheap to read
+    for bad in ({9}, {-1}, {0, 5}):
+        with pytest.raises(LabelOutOfRange):
+            remove_vertices(D, bad)
 
 
 def test_validate_path_and_cycle():
