@@ -38,13 +38,12 @@ from .cover import (
     shortest_path_avoiding,
     verify_d_cover,
 )
-from .digraph import Arc, Digraph, validate_path
+from .digraph import Arc, Digraph, check_labels, validate_path
 from .errors import (
     AbsorberConstructionFailed,
     BadParameter,
     CoverConstructionFailed,
     InvalidPath,
-    LabelOutOfRange,
     LadderConstructionFailed,
     NoCoveringPair,
     NotDisjoint,
@@ -59,24 +58,14 @@ from .ladder import (
     rung_paths,
     validate_ladder,
 )
-from .ratio import Real, as_fraction, ceil_frac
+from .ratio import Real, as_density, ceil_frac
 from .subdivision import (
     HSubdivision,
     PatternDigraph,
+    check_branch_map,
     subdivision_order,
     validate_subdivision,
 )
-
-
-def _check_branch_map(H: PatternDigraph, f: Mapping[int, int], n: int) -> None:
-    if set(f.keys()) != set(H.underlying.vertices()):
-        raise BadParameter("branch map must assign exactly the pattern vertices")
-    vals = list(f.values())
-    if len(set(vals)) != len(vals):
-        raise BadParameter("branch map must be injective")
-    for v in vals:
-        if not 0 <= v < n:
-            raise LabelOutOfRange(f"branch image {v} out of range for n={n}")
 
 
 @dataclass(frozen=True)
@@ -90,18 +79,19 @@ def absorber_params(nu: Real) -> AbsorberParams:
 
     At desk scale d is usually overridden; builders accept any d >= 1.
     """
-    nu = as_fraction(nu)
-    if not 0 < nu <= 1:
-        raise BadParameter(f"nu must lie in (0, 1], got {nu}")
+    nu = as_density(nu, "nu", closed=True)
     xi = nu * nu / 32
     return AbsorberParams(xi, ceil_frac(2 / xi))
 
 
 def absorber_size_bound(n: int, nu: Real, gamma: Real, d: int) -> float:
     """Upper bound on |V(A)| guaranteed for built absorbers:
-    1600 nu^-2 gamma^-2 (d ln(d gamma^-2) + ln n) + 3 nu^-2 d."""
-    nu_f = float(as_fraction(nu))
-    g = float(as_fraction(gamma))
+    1600 nu^-2 gamma^-2 (d ln(d gamma^-2) + ln n) + 3 nu^-2 d.
+    Needs n, d >= 1, nu in (0, 1] and gamma in (0, 1)."""
+    nu_f = float(as_density(nu, "nu", closed=True))
+    g = float(as_density(gamma, "gamma"))
+    if n < 1 or d < 1:
+        raise BadParameter(f"n and d must be >= 1, got n = {n}, d = {d}")
     return 1600 * nu_f**-2 * g**-2 * (d * math.log(d * g**-2) + math.log(n)) + (
         3 * nu_f**-2 * d
     )
@@ -242,7 +232,7 @@ def build_type1_absorber(
     is exactly f, with a ladder group threaded into every path, so each
     pattern arc is a slot.  Cover pairs and ladders avoid f's images.
     """
-    _check_branch_map(H, f, D.n)
+    check_branch_map(H, f, D.n)
     return _build_absorber(D, H, [f], [(0, a) for a in H.arc_order], p, d, seed)
 
 
@@ -374,8 +364,10 @@ def cut_absorbable_segments(
     outside the absorber, segment i for slot i, at a seed-chosen offset
     where the ends of each segment are covered by a pair whose ladder
     sits on its slot.  Every offset is tested at once; NoCoveringPair(i)
-    says that no offset serves segments 0..i together.
+    says that no offset serves segments 0..i together.  A label of C
+    outside 0..n-1 raises LabelOutOfRange.
     """
+    check_labels(D.n, C)
     if len(sizes) > len(A.slots):
         raise TooManyPaths(f"{len(sizes)} segments exceed the {len(A.slots)} slots")
     if sum(sizes) > len(C):
@@ -404,8 +396,7 @@ def check_paths(
         raise TooManyPaths(f"{len(plist)} paths exceed d = {d}")
     taken: set[int] = set()
     for i, p in enumerate(plist):
-        if any(not 0 <= v < D.n for v in p):
-            raise LabelOutOfRange(f"path {i} has a label outside 0..{D.n - 1}")
+        check_labels(D.n, p, f"path {i} has a label")
         if not validate_path(D, p):
             raise InvalidPath(f"path {i} is not a valid path of the digraph")
         if taken.intersection(p):

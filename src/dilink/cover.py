@@ -25,15 +25,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .digraph import Digraph
-from .errors import (
-    BadParameter,
-    CoverConstructionFailed,
-    LabelOutOfRange,
-    LadderConstructionFailed,
-)
+from .digraph import Digraph, check_labels
+from .errors import BadParameter, CoverConstructionFailed, LadderConstructionFailed
 from .ladder import Ladder, single_arc_ladder, validate_ladder
-from .ratio import Real, as_fraction
+from .ratio import Real, as_density
 
 Pair = tuple[int, int]
 
@@ -84,9 +79,8 @@ def verify_d_cover(
     uset = sorted(range(D.n) if U is None else set(U))
     if d < 0:
         raise BadParameter("d must be nonnegative")
-    for v in [*uset[:1], *uset[-1:], *(v for pair in pairs for v in pair)]:
-        if not 0 <= v < D.n:  # U is sorted, so its ends suffice
-            raise LabelOutOfRange(f"vertex {v} outside 0..{D.n - 1}")
+    # U is sorted, so its ends suffice
+    check_labels(D.n, [*uset[:1], *uset[-1:], *(v for pair in pairs for v in pair)])
     if len(uset) < 2 or d == 0:
         return True
     A = D.bool_matrix()
@@ -106,9 +100,7 @@ def verify_d_cover(
 def cover_size_formula(n: int, gamma: Real, d: int) -> int:
     """Number of pairs sufficient for a d-cover of an n-vertex digraph
     with min semidegree gamma*n (natural logarithms), before capping."""
-    g = float(as_fraction(gamma))
-    if not 0 < g < 1:
-        raise BadParameter(f"gamma must lie in (0, 1), got {gamma}")
+    g = float(as_density(gamma, "gamma"))
     if d < 1:
         raise BadParameter("d must be >= 1")
     if n < 1:
@@ -156,9 +148,7 @@ def build_d_cover(D: Digraph, d: int, seed: int, *, avoid: Iterable[int] = ()) -
         raise BadParameter("d must be >= 1")
     n = D.n
     avoid = set(avoid)
-    for v in avoid:
-        if not 0 <= v < n:
-            raise LabelOutOfRange(f"vertex {v} outside 0..{n - 1}")
+    check_labels(n, avoid)
     if n < 2:
         return CoverPairSet(())
     M = D.bool_matrix()
@@ -201,9 +191,7 @@ def shortest_path_avoiding(
     through the layers' in-neighbours, each pick uniform when an rng is
     given and the lowest label when not.  A label of s, t or `blocked`
     outside 0..n-1 raises LabelOutOfRange."""
-    for v in (s, t, *blocked):
-        if not 0 <= v < D.n:
-            raise LabelOutOfRange(f"vertex {v} outside 0..{D.n - 1}")
+    check_labels(D.n, (s, t, *blocked))
     if s == t or max_order < 2:
         return None
     M = D.bool_matrix()
@@ -241,12 +229,12 @@ def build_disjoint_ladders(
     single-arc ladder and the rest get k = 1; an explicit k forces that
     shape.  Each ladder obeys |V(L)| <= 12/nu^2 with its row path of
     order <= 8/nu.  Interior sampling never touches `avoid`.  Raises
-    LadderConstructionFailed with the pair index.
+    LadderConstructionFailed with the pair index, and LabelOutOfRange
+    for a terminal outside 0..n-1.
     """
-    nu = as_fraction(nu)
-    if not 0 < nu <= 1:
-        raise BadParameter(f"nu must lie in (0, 1], got {nu}")
+    nu = as_density(nu, "nu", closed=True)
     flat = [v for t in terminals for v in t]
+    check_labels(D.n, flat)
     if len(set(flat)) != len(flat):
         raise BadParameter("terminal vertices must be pairwise distinct")
     max_size = int(12 / nu**2)
@@ -263,15 +251,13 @@ def build_disjoint_ladders(
                 raise LadderConstructionFailed(idx, f"no arc {u}->{v} for a k=0 ladder")
             out.append(single_arc_ladder(u, v))
             continue
-        if 2 * (2 * want_k + 1) > max_rows or 2 * (2 * want_k + 1) > max_size:
+        if 2 * (2 * want_k + 1) > max_rows:
             raise LadderConstructionFailed(
                 idx, f"k={want_k} violates the nu={nu} size bounds"
             )
         L = _sample_ladder(D, u, v, want_k, used, max_size, rng)
         if L is None:
             raise LadderConstructionFailed(idx)
-        if not validate_ladder(D, L):  # pragma: no cover - sampling guarantees this
-            raise LadderConstructionFailed(idx, "sampled ladder failed validation")
         used |= L.vertices()
         out.append(L)
     return out

@@ -14,8 +14,8 @@ from fractions import Fraction
 import numpy as np
 
 from .digraph import Digraph, degree_profile
-from .errors import BadParameter, NotOriented, TooSmall
-from .ratio import Real, as_fraction, ceil_frac
+from .errors import NotOriented, TooSmall
+from .ratio import Real, as_density, as_fraction, ceil_frac
 
 
 @dataclass(frozen=True)
@@ -37,14 +37,6 @@ class ConditionReport:
 
 
 _OK = ConditionReport(True)
-
-
-def _margin(gamma: Real) -> Fraction:
-    """gamma as a Fraction, which must lie in (0, 1)."""
-    g = as_fraction(gamma)
-    if not 0 < g < 1:
-        raise BadParameter(f"gamma must lie in (0, 1), got {gamma}")
-    return g
 
 
 def nash_williams(D: Digraph) -> ConditionReport:
@@ -78,7 +70,7 @@ def asymptotic_nash_williams(D: Digraph, gamma: Real) -> ConditionReport:
     n = D.n
     if n < 1:
         raise TooSmall("empty digraph")
-    g = ceil_frac(_margin(gamma) * n)
+    g = ceil_frac(as_density(gamma, "gamma") * n)
     prof = degree_profile(D)
     dout, din = prof.out_sorted, prof.in_sorted
 
@@ -103,7 +95,7 @@ def posa_type(D: Digraph, gamma: Real) -> ConditionReport:
     n = D.n
     if n < 3:
         raise TooSmall(f"need at least 3 vertices, got {n}")
-    frac_g = _margin(gamma)
+    frac_g = as_density(gamma, "gamma")
     g = ceil_frac(frac_g * n)
     prof = degree_profile(D)
     dout, din = prof.out_sorted, prof.in_sorted

@@ -24,6 +24,16 @@ Arc = tuple[int, int]
 MAX_ORDER = 1 << 15  # largest n Digraph() accepts: its bool matrix is then 1 GiB
 
 
+def check_labels(n: int, labels: Iterable[int], what: str = "vertex {}") -> None:
+    """Raise LabelOutOfRange for the first of `labels` outside 0..n-1,
+    named in the message by `what` formatted with that label.  Every
+    function taking vertex labels checks them here: numpy would read -1
+    as row n-1."""
+    for v in labels:
+        if not 0 <= v < n:
+            raise LabelOutOfRange(f"{what.format(v)} outside 0..{n - 1}")
+
+
 class Digraph:
     """A loop-free digraph on vertex set {0, ..., n-1}."""
 
@@ -82,22 +92,21 @@ class Digraph:
     def has_arc(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and 0 <= v < self.n and self._matrix.item(u, v)
 
-    def _label(self, v: int) -> int:
-        if not 0 <= v < self.n:  # numpy would wrap -1 to row n-1
-            raise LabelOutOfRange(f"vertex {v} outside 0..{self.n - 1}")
-        return v
-
     def out_neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(self._matrix[self._label(v)]).tolist())
+        check_labels(self.n, (v,))
+        return tuple(np.flatnonzero(self._matrix[v]).tolist())
 
     def in_neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(self._matrix[:, self._label(v)]).tolist())
+        check_labels(self.n, (v,))
+        return tuple(np.flatnonzero(self._matrix[:, v]).tolist())
 
     def out_degree(self, v: int) -> int:
-        return int(np.count_nonzero(self._matrix[self._label(v)]))
+        check_labels(self.n, (v,))
+        return int(np.count_nonzero(self._matrix[v]))
 
     def in_degree(self, v: int) -> int:
-        return int(np.count_nonzero(self._matrix[:, self._label(v)]))
+        check_labels(self.n, (v,))
+        return int(np.count_nonzero(self._matrix[:, v]))
 
     def vertices(self) -> range:
         return range(self.n)
@@ -174,9 +183,7 @@ def remove_vertices(D: Digraph, removed: Iterable[int]) -> VertexRemoval:
     The relabelling preserves the original label order.
     """
     gone = set(removed)
-    for v in gone:
-        if not (0 <= v < D.n):
-            raise LabelOutOfRange(f"vertex {v} outside 0..{D.n - 1}")
+    check_labels(D.n, gone)
     keep = np.ones(D.n, dtype=bool)
     keep[list(gone)] = False
     kept = np.flatnonzero(keep)

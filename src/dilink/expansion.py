@@ -20,9 +20,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .digraph import Digraph, degree_profile, remove_vertices
-from .errors import BadParameter, LabelOutOfRange, TooLargeForExact
-from .ratio import Real, as_fraction, ceil_frac
+from .digraph import Digraph, check_labels, degree_profile, remove_vertices
+from .errors import BadParameter, TooLargeForExact
+from .ratio import Real, as_density, as_fraction, ceil_frac
 
 DEFAULT_EXACT_CAP = 20
 _TABLE_BITS = 14  # low vertices of the subset-sum table; one block is 2^14 x n counts
@@ -41,13 +41,11 @@ class ExpansionParams:
     gamma: Fraction = Fraction(1, 2)
 
     def __post_init__(self):
-        object.__setattr__(self, "nu", as_fraction(self.nu))
+        object.__setattr__(self, "nu", as_density(self.nu, "nu", closed=True))
         object.__setattr__(self, "tau", as_fraction(self.tau))
-        object.__setattr__(self, "gamma", as_fraction(self.gamma))
-        if not 0 < self.nu <= self.tau <= 1:
+        object.__setattr__(self, "gamma", as_density(self.gamma, "gamma"))
+        if not self.nu <= self.tau <= 1:
             raise BadParameter(f"need 0 < nu <= tau <= 1, got nu={self.nu}, tau={self.tau}")
-        if not 0 < self.gamma < 1:
-            raise BadParameter(f"gamma must lie in (0, 1), got {self.gamma}")
 
 
 class Verdict(enum.Enum):
@@ -74,13 +72,9 @@ def _in_count_threshold(nu: Fraction, n: int) -> int:
 def robust_out_neighbourhood(D: Digraph, S: Iterable[int], nu: Real) -> frozenset[int]:
     """Vertices with at least ceil(nu*n) in-neighbors inside S.  A label of
     S outside 0..n-1 raises LabelOutOfRange."""
-    nu = as_fraction(nu)
-    if not 0 < nu <= 1:
-        raise BadParameter(f"nu must lie in (0, 1], got {nu}")
+    nu = as_density(nu, "nu", closed=True)
     rows = sorted(set(S))
-    for v in rows[:1] + rows[-1:]:  # sorted, so the ends suffice
-        if not 0 <= v < D.n:
-            raise LabelOutOfRange(f"vertex {v} outside 0..{D.n - 1}")
+    check_labels(D.n, rows[:1] + rows[-1:])  # sorted, so the ends suffice
     counts = D.bool_matrix()[rows].sum(axis=0)
     return frozenset(np.flatnonzero(counts >= _in_count_threshold(nu, D.n)).tolist())
 
@@ -219,9 +213,7 @@ def falsify_outexpander_sampled(
 def derive_params_from_degrees(n: int, gamma: Real) -> ExpansionParams:
     """Expansion parameters implied by a degree margin gamma:
     tau = gamma/16 and nu = tau**2."""
-    g = as_fraction(gamma)
-    if not 0 < g < 1:
-        raise BadParameter(f"gamma must lie in (0, 1), got {g}")
+    g = as_density(gamma, "gamma")
     tau = g / 16
     return ExpansionParams(nu=tau * tau, tau=tau, gamma=g)
 

@@ -17,7 +17,10 @@ and the alternative rungs, defined for even i >= 2, are
 R_i and R'_i run between the same endpoints, so when all rungs lie on one
 host path, replacing R_0 by an external path P and then R_i by R'_i for
 i = 2, 4, ..., 2k (in ascending order) rewires the host path so that it
-gains exactly the vertices of P while losing none.
+gains exactly the vertices of P while losing none.  absorb_path checks
+the pattern arc, then P (a path of D, between the ladder's ends), then
+the rungs on the host path, then P's interior against every vertex of
+the subdivision, before it rewires anything.
 """
 
 from __future__ import annotations
@@ -141,14 +144,27 @@ def ladder_on_path(L: Ladder, path: Sequence[int]) -> bool:
     return all(_find_segment(path, r) is not None for r in rung_paths(L))
 
 
-def _swap_rungs(
+def absorb_path(
     D: Digraph,
-    host: Sequence[int],
+    sub: HSubdivision,
     L: Ladder,
+    arc: Arc,
     P: Sequence[int],
-) -> tuple[int, ...]:
-    """Replace R_0 by P and each R_i by R'_i (ascending even i) inside the
-    host vertex sequence.  Raises if preconditions fail."""
+) -> HSubdivision:
+    """Absorb the path P into the subdivision via the ladder L, whose
+    rungs lie on the path of the pattern arc `arc`: R_0 is replaced by
+    P and each R_i by R'_i, ascending even i.
+
+    The checks run in this order: `arc` must be a pattern arc
+    (NotEmbedded), P a valid path of D (InvalidPath) from the ladder's
+    start to its end (EndpointMismatch), every rung a contiguous run of
+    arc's path (NotEmbedded), and P's interior disjoint from the whole
+    subdivision (PathNotDisjoint).  The result is a subdivision with the
+    same pattern and branch map whose vertex set is V(sub) union V(P);
+    only arc's path changes.
+    """
+    if arc not in sub.paths:
+        raise NotEmbedded(f"pattern arc {arc} not present in subdivision")
     P = tuple(P)
     if not validate_path(D, P):
         raise InvalidPath("absorbee is not a valid path of the host digraph")
@@ -156,16 +172,14 @@ def _swap_rungs(
         raise EndpointMismatch(
             f"path runs {P[0]}..{P[-1]}, ladder expects {L.start}..{L.end}"
         )
+    host = sub.paths[arc]
     rungs = rung_paths(L)
     for r in rungs:
         if _find_segment(host, r) is None:
             raise NotEmbedded(f"rung {r} is not a contiguous subpath of the host path")
-    host_set = set(host)
-    interior = set(P[1:-1])
-    if interior & host_set:
-        raise PathNotDisjoint(
-            f"absorbee interior reuses host vertices {sorted(interior & host_set)}"
-        )
+    met = sub.vertices().intersection(P[1:-1])
+    if met:
+        raise PathNotDisjoint(f"absorbee interior reuses subdivision vertices {sorted(met)}")
     replacements = (P,) + (alternative_rung_paths(L) if L.k > 0 else ())
     work = list(host)
     for rung, alt in zip(rungs, replacements):
@@ -175,38 +189,4 @@ def _swap_rungs(
         work[at : at + len(rung)] = list(alt)
     if len(set(work)) != len(work):
         raise PathNotDisjoint("rewired path repeats a vertex")
-    return tuple(work)
-
-
-def absorb_path(
-    D: Digraph,
-    sub: HSubdivision,
-    L: Ladder,
-    arc: Arc,
-    P: Sequence[int],
-) -> HSubdivision:
-    """Absorb the path P into the subdivision via the ladder L, whose
-    rungs lie on the path of the pattern arc `arc`.
-
-    P must run from the ladder's start to its end and be internally
-    disjoint from the whole subdivision.  The result is a subdivision
-    with the same pattern and branch map whose vertex set is
-    V(sub) union V(P); only arc's path changes.
-    """
-    if arc not in sub.paths:
-        raise NotEmbedded(f"pattern arc {arc} not present in subdivision")
-    host = sub.paths[arc]
-    P = tuple(P)
-    interior = set(P[1:-1])
-    others = set()
-    for a, path in sub.paths.items():
-        if a != arc:
-            others.update(path)
-    if interior & others:
-        raise PathNotDisjoint(
-            f"absorbee interior meets other subdivided paths at {sorted(interior & others)}"
-        )
-    paths = dict(sub.paths)
-    paths[arc] = _swap_rungs(D, host, L, P)
-    return HSubdivision(sub.pattern, dict(sub.branch_map), paths)
-
+    return HSubdivision(sub.pattern, dict(sub.branch_map), {**sub.paths, arc: tuple(work)})

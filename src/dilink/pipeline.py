@@ -13,7 +13,7 @@ absorber they build, the segment sizes and the final check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .absorber import (
@@ -35,7 +35,7 @@ from .errors import (
     PipelineFailed,
 )
 from .expansion import ExpansionParams
-from .ratio import Real, as_fraction
+from .ratio import Real
 from .subdivision import (
     HSubdivision,
     LengthPrescription,
@@ -55,7 +55,9 @@ class PipelineConfig:
     d defaults to the theory value ceil(64/nu^2), which desk-scale runs
     will usually override with something small.  restart_budget counts
     whole attempts (absorber, Hamilton cycle, cut, absorption), each on
-    fresh seeds.
+    fresh seeds.  Construction checks every knob, building the
+    ExpansionParams of nu, tau and gamma once; a bad one raises
+    BadParameter here, before any pipeline runs.
     """
 
     gamma: Real
@@ -64,12 +66,12 @@ class PipelineConfig:
     d: int | None = None
     seed: int = 0
     restart_budget: int = 3
+    _params: ExpansionParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        g = as_fraction(self.gamma)
-        if not 0 < g < 1:
-            raise BadParameter(f"gamma must lie in (0, 1), got {self.gamma}")
-        object.__setattr__(self, "gamma", g)
+        p = ExpansionParams(self.nu, self.tau, self.gamma)
+        object.__setattr__(self, "_params", p)
+        object.__setattr__(self, "gamma", p.gamma)
         if self.restart_budget < 1:
             raise BadParameter("restart_budget must be >= 1")
         if self.d is not None and self.d < 1:
@@ -77,9 +79,8 @@ class PipelineConfig:
 
     def resolve(self) -> tuple[ExpansionParams, int]:
         """Concrete (ExpansionParams, d)."""
-        p = ExpansionParams(self.nu, self.tau, self.gamma)
-        d = self.d if self.d is not None else absorber_params(p.nu).d
-        return p, d
+        d = self.d if self.d is not None else absorber_params(self._params.nu).d
+        return self._params, d
 
 
 def _stage_seed(base: int, restart: int, salt: int) -> int:

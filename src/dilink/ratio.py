@@ -41,5 +41,15 @@ def as_fraction(x: Real) -> Fraction:
     raise BadParameter(f"cannot interpret {type(x).__name__} as a rational")
 
 
+def as_density(x: Real, name: str, *, closed: bool = False) -> Fraction:
+    """x as an exact Fraction in (0, 1), or in (0, 1] when closed (nu may
+    be 1, a degree margin gamma may not).  Out of range raises
+    BadParameter naming the parameter."""
+    f = as_fraction(x)
+    if not (0 < f <= 1 if closed else 0 < f < 1):
+        raise BadParameter(f"{name} must lie in (0, 1{']' if closed else ')'}, got {x}")
+    return f
+
+
 def ceil_frac(x: Fraction) -> int:
     return math.ceil(x)

@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .digraph import Arc, Digraph, validate_path
+from .digraph import Arc, Digraph, check_labels, validate_path
 from .errors import BadParameter, TooLargeForOracle
-from .ratio import Real, as_fraction
+from .ratio import Real, as_density
 
 ORACLE_CAP = 12
 
@@ -103,10 +103,19 @@ def min_prescribed_length(nu: Real) -> int:
     """Smallest prescribed path length the construction pipelines accept:
     ceil(24/nu^2 + 4/nu + 2).  Large enough that one ladder plus its two
     connector paths always fits inside a single subdivided path."""
-    nu = as_fraction(nu)
-    if not 0 < nu <= 1:
-        raise BadParameter(f"nu must lie in (0, 1], got {nu}")
+    nu = as_density(nu, "nu", closed=True)
     return math.ceil(24 / nu**2 + 4 / nu + 2)
+
+
+def check_branch_map(H: PatternDigraph, f: Mapping[int, int], n: int) -> None:
+    """Raise BadParameter unless f maps exactly the pattern vertices
+    injectively, and LabelOutOfRange for an image outside 0..n-1."""
+    if set(f.keys()) != set(H.underlying.vertices()):
+        raise BadParameter("branch map must assign exactly the pattern vertices")
+    images = list(f.values())
+    if len(set(images)) != len(images):
+        raise BadParameter("branch map must be injective")
+    check_labels(n, images, "branch image {}")
 
 
 def validate_subdivision(D: Digraph, sub: HSubdivision) -> bool:
@@ -185,25 +194,17 @@ def brute_force_subdivision(
     Backtracks over pattern arcs in arc_order, extending candidate paths
     vertex by vertex in ascending label order, pruning on remaining
     length.  Returns None iff no subdivision exists.  Intended as an
-    oracle; refuses n > ORACLE_CAP.
+    oracle; refuses n > ORACLE_CAP.  LengthPrescription checks the
+    lengths and check_branch_map the branch map.
     """
     if D.n > ORACLE_CAP:
         raise TooLargeForOracle(f"n={D.n} exceeds the oracle cap {ORACLE_CAP}")
-    lengths = tuple(lengths)
+    lengths = LengthPrescription(lengths).lengths
     arcs = H.arc_order
     if len(lengths) != len(arcs):
         raise BadParameter(f"{len(arcs)} pattern arcs but {len(lengths)} lengths")
-    if any(l < 1 for l in lengths):
-        raise BadParameter("every prescribed length must be >= 1")
-    if set(f.keys()) != set(H.underlying.vertices()):
-        raise BadParameter("branch map must cover every pattern vertex")
-    images = list(f.values())
-    if len(set(images)) != len(images):
-        raise BadParameter("branch map must be injective")
-    for v in images:
-        if not (0 <= v < D.n):
-            raise BadParameter(f"branch image {v} outside host")
-    branch_set = set(images)
+    check_branch_map(H, f, D.n)
+    branch_set = set(f.values())
     used: set[int] = set()  # interiors committed so far
     chosen: dict[Arc, tuple[int, ...]] = {}
 

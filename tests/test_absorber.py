@@ -70,6 +70,12 @@ def test_size_bound_grows_with_d_and_n():
     assert absorber_size_bound(400, 0.5, 0.5, 8) > b
 
 
+def test_size_bound_rejects_n_or_d_below_one():
+    for n, d in ((0, 3), (100, 0)):
+        with pytest.raises(BadParameter, match="must be >= 1"):
+            absorber_size_bound(n, "3/4", "1/2", d)
+
+
 def test_type1_build_structure():
     D = _dense()
     H = single_arc_pattern()

@@ -343,6 +343,6 @@ def test_build_ladders_failure_modes():
     with pytest.raises(BadParameter):
         build_disjoint_ladders(complete_digraph(10), [(0, 1), (1, 2)], 1, seed=0)
     with pytest.raises(LadderConstructionFailed):
-        # k=3 ladder needs rows of 7; nu=1 caps row vertices at 8 but the
-        # size bound 12 forbids 14 row vertices
+        # a k=3 ladder needs two rows of 7, 14 row vertices; nu=1 caps them
+        # at 8/nu = 8, so the row cap refuses it
         build_disjoint_ladders(complete_digraph(40), [(0, 1)], 1, seed=0, ladder_k=3)

@@ -1,16 +1,26 @@
 """Property tests for d-covers: the matrix verifier against the
-definition checker, and the cover builder's guarantees; and for the
-router against a breadth-first reference."""
+definition checker, and the cover builder's guarantees; for the router
+against a breadth-first reference; and for the ladder builder's
+guarantees at forced k >= 1."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
-from dilink import Digraph, build_d_cover, shortest_path_avoiding, verify_d_cover
-from dilink.errors import CoverConstructionFailed
+from dilink import (
+    Digraph,
+    build_d_cover,
+    build_disjoint_ladders,
+    gen_random_digraph,
+    shortest_path_avoiding,
+    validate_ladder,
+    verify_d_cover,
+)
+from dilink.errors import CoverConstructionFailed, LadderConstructionFailed
 
 from helpers import oracle_d_cover, oracle_shortest_order
 
@@ -115,3 +125,26 @@ def test_shortest_path_avoiding_agrees_with_a_breadth_first_reference(data):
     assert not set(got[1:-1]) & blocked
     if rng is None:  # without an rng the route is fixed
         assert shortest_path_avoiding(D, s, t, blocked, max_order) == got
+
+
+@given(st.data())
+def test_build_disjoint_ladders_at_forced_k_meets_its_bounds(data):
+    n = data.draw(st.integers(20, 60))
+    D = gen_random_digraph(n, data.draw(st.floats(0.5, 0.9)), data.draw(st.integers(0, 999)))
+    k = data.draw(st.sampled_from([1, 2]))
+    nu = data.draw(st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1)]))
+    order = data.draw(st.permutations(range(n)))
+    m = data.draw(st.integers(1, 4))
+    terminals = [(order[2 * i], order[2 * i + 1]) for i in range(m)]
+    avoid = set(data.draw(st.sets(st.sampled_from(order[2 * m:]), max_size=n // 3)))
+    try:
+        ladders = build_disjoint_ladders(D, terminals, nu, data.draw(st.integers(0, 999)), k, avoid)
+    except LadderConstructionFailed:
+        return
+    seen = set(avoid)
+    for (u, v), L in zip(terminals, ladders, strict=True):
+        assert validate_ladder(D, L) and (L.start, L.end) == (u, v) and L.k == k
+        assert not L.vertices() & seen
+        seen |= L.vertices()
+        assert len(L.vertices()) <= 12 / nu**2
+        assert len(L.lower) + len(L.upper) <= 8 / nu

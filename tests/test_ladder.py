@@ -189,6 +189,25 @@ def test_absorb_path_rejects_interior_collisions_with_other_paths():
         absorb_path(D2, sub, L, arc, bad)
 
 
+def test_absorb_path_checks_in_order():
+    """Each bad absorbee below also meets another subdivided path, so only
+    the check order decides which error is raised."""
+    D, sub, L, arc, _ = make_ladder_instance(random.Random(99), 1, shape="triangle")
+    mid = sub.paths[next(a for a in sub.paths if a != arc)][1]
+    y = next(v for v in range(D.n) if v not in (L.start, L.end, mid))
+    D2 = Digraph(D.n, set(D.arcs) | {(L.start, mid), (mid, L.end), (mid, y)})
+    cases = [
+        (NotEmbedded, (7, 8), L, (L.start, mid, mid, L.end)),  # unknown arc first
+        (InvalidPath, arc, L, (L.start, mid, mid, L.end)),  # then a repeated vertex
+        (EndpointMismatch, arc, L, (L.start, mid, y)),  # then the wrong end
+        (NotEmbedded, arc, single_arc_ladder(L.start, L.end), (L.start, mid, L.end)),
+        (PathNotDisjoint, arc, L, (L.start, mid, L.end)),  # last, the interior
+    ]
+    for error, a, ladder, P in cases:
+        with pytest.raises(error):
+            absorb_path(D2, sub, ladder, a, P)
+
+
 def test_absorb_path_requires_known_host_arc():
     rng = random.Random(5)
     D, sub, L, _, P = make_ladder_instance(rng, 0, shape="arc")

@@ -33,7 +33,7 @@ def test_config_validation_and_resolution():
     with pytest.raises(TypeError):
         PipelineConfig(gamma="1/2", nu="1/4")  # nu and tau are both required
     with pytest.raises(BadParameter):
-        PipelineConfig(gamma="1/2", nu="1/2", tau="1/4").resolve()  # nu > tau
+        PipelineConfig(gamma="1/2", nu="1/2", tau="1/4")  # nu > tau, refused when built
     p, d = PipelineConfig(gamma="1/2", nu="1/4", tau="1/2", d=5).resolve()
     assert (p.nu, p.tau, p.gamma, d) == (Fraction(1, 4), Fraction(1, 2), Fraction(1, 2), 5)
     # no d given: the absorption theory's ceil(64 / nu^2)
