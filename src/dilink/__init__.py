@@ -51,7 +51,6 @@ from .errors import (
     BadParameter,
     CoverConstructionFailed,
     CycleNotFound,
-    DegenerateLadder,
     DilinkError,
     EndpointMismatch,
     InvalidPath,

@@ -13,7 +13,11 @@ with one matrix product.  `shortest_path_avoiding` is the one router:
 breadth-first over matrix rows, a layer at a time, with a random walk
 back through the parents.  Ladder connectors and the absorber's threading
 both route through it, one path at a time, blocking each path's interior
-before the next.
+before the next.  A k >= 1 ladder's rows are drawn from matrix rows too,
+each vertex uniformly among the free vertices the skeleton allows; the
+sample is kept when validate_ladder accepts it, that is, when its rungs
+are disjoint paths of D and its alternative rungs (none at k = 0) are
+paths of D.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,7 +33,7 @@ import numpy as np
 from .digraph import Digraph, check_labels
 from .errors import BadParameter, CoverConstructionFailed, LadderConstructionFailed
 from .ladder import Ladder, single_arc_ladder, validate_ladder
-from .ratio import Real, as_density
+from .ratio import Real, as_count, as_density
 
 Pair = tuple[int, int]
 
@@ -229,18 +234,22 @@ def build_disjoint_ladders(
     single-arc ladder and the rest get k = 1; an explicit k forces that
     shape.  Each ladder obeys |V(L)| <= 12/nu^2 with its row path of
     order <= 8/nu.  Interior sampling never touches `avoid`.  Raises
-    LadderConstructionFailed with the pair index, and LabelOutOfRange
-    for a terminal outside 0..n-1.
+    LadderConstructionFailed with the pair index, BadParameter for a
+    ladder_k that is not an integer >= 0, and LabelOutOfRange for a
+    terminal or a vertex of `avoid` outside 0..n-1.
     """
     nu = as_density(nu, "nu", closed=True)
+    if ladder_k is not None:
+        ladder_k = as_count(ladder_k, "ladder_k", least=0)
     flat = [v for t in terminals for v in t]
-    check_labels(D.n, flat)
+    avoid = set(avoid)
+    check_labels(D.n, [*flat, *avoid])
     if len(set(flat)) != len(flat):
         raise BadParameter("terminal vertices must be pairwise distinct")
     max_size = int(12 / nu**2)
     max_rows = int(8 / nu)
     rng = random.Random(seed)
-    used: set[int] = set(flat) | set(avoid)
+    used: set[int] = set(flat) | avoid
     out: list[Ladder] = []
     for idx, (u, v) in enumerate(terminals):
         want_k = ladder_k
@@ -272,56 +281,38 @@ def _sample_ladder(
     max_vertices: int,
     rng: random.Random,
 ) -> Ladder | None:
-    """Randomly sample rows and connectors for a k >= 1 ladder from u to v."""
+    """Randomly sample rows and connectors for a k >= 1 ladder from u to v.
+
+    Row step i draws v_i from the out-row of v_(i-1) when i is odd and
+    from its in-row when i is even, and v_i* the other way round, each
+    uniformly among the vertices still free; then a shortest connector
+    of order <= 4 joins v_i to v_i* for each odd i."""
+    M = D.bool_matrix()
+    start = np.ones(D.n, dtype=bool)
+    start[[*used, u, v]] = False
     for _ in range(_LADDER_TRIES):
-        taken = set(used) | {u, v}
-        lower = [u]
-        upper = [v]
-        ok = True
-        for i in range(1, 2 * k + 1):
-            # lower row: arcs v_(i-1)->v_i for even i-1, v_i->v_(i-1) for odd
-            cand = (
-                D.out_neighbors(lower[-1]) if i % 2 == 1 else D.in_neighbors(lower[-1])
-            )
-            pick = _pick(cand, taken, rng)
-            if pick is None:
-                ok = False
+        free = start.copy()
+        lower, upper = [u], [v]
+        for i, row in product(range(1, 2 * k + 1), (lower, upper)):
+            line = M[row[-1]] if (i % 2 == 1) == (row is lower) else M[:, row[-1]]
+            cand = np.flatnonzero(line & free)
+            if not len(cand):
                 break
-            lower.append(pick)
-            taken.add(pick)
-            # upper row: arcs v_i*->v_(i-1)* for odd i, v_(i-1)*->v_i* for even
-            cand = (
-                D.in_neighbors(upper[-1]) if i % 2 == 1 else D.out_neighbors(upper[-1])
-            )
-            pick = _pick(cand, taken, rng)
-            if pick is None:
-                ok = False
-                break
-            upper.append(pick)
-            taken.add(pick)
-        if not ok or not D.has_arc(lower[2 * k], upper[2 * k]):
+            row.append(int(cand[rng.randrange(len(cand))]))
+            free[row[-1]] = False
+        if len(upper) <= 2 * k or not M.item(lower[-1], upper[-1]):
             continue
         connectors: dict[int, tuple[int, ...]] = {}
         for j in range(1, 2 * k, 2):
-            room = max_vertices - (4 * k + 2) - sum(
-                len(q) - 2 for q in connectors.values()
-            )
-            q = shortest_path_avoiding(
-                D, lower[j], upper[j], taken, min(room + 2, 4), rng
-            )
+            room = max_vertices - (4 * k + 2) - sum(len(q) - 2 for q in connectors.values())
+            blocked = set(np.flatnonzero(~free).tolist())
+            q = shortest_path_avoiding(D, lower[j], upper[j], blocked, min(room + 2, 4), rng)
             if q is None:
-                ok = False
                 break
             connectors[j] = q
-            taken.update(q[1:-1])
-        if not ok:
-            continue
-        L = Ladder(tuple(lower), tuple(upper), connectors)
-        if len(L.vertices()) <= max_vertices and validate_ladder(D, L):
-            return L
+            free[list(q[1:-1])] = False
+        else:
+            L = Ladder(tuple(lower), tuple(upper), connectors)
+            if len(L.vertices()) <= max_vertices and validate_ladder(D, L):
+                return L
     return None
-
-
-def _pick(candidates, taken: set[int], rng: random.Random) -> int | None:
-    options = [w for w in candidates if w not in taken]
-    return rng.choice(options) if options else None

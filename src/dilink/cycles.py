@@ -19,6 +19,7 @@ import numpy as np
 
 from .digraph import Digraph, validate_cycle
 from .errors import BadParameter, CycleNotFound, SizesExceedCycle
+from .ratio import as_count
 
 _EXACT_CAP = 14  # largest n on which a stalled search falls back to backtracking
 _ATTEMPTS = 48  # fresh 1-factors before giving up or falling back
@@ -165,9 +166,7 @@ def cut_cycle_segments(
     """Cut consecutive disjoint subpaths of the given vertex counts from
     the cycle, starting at a seed-chosen offset."""
     C = tuple(C)
-    sizes = [int(s) for s in sizes]
-    if any(s < 1 for s in sizes):
-        raise BadParameter("every segment size must be >= 1")
+    sizes = [as_count(s, "every segment size") for s in sizes]
     if sum(sizes) > len(C):
         raise SizesExceedCycle(
             f"segment sizes sum to {sum(sizes)} on a cycle of {len(C)} vertices"

@@ -48,10 +48,6 @@ class InvalidPath(DilinkError):
     """A vertex sequence is not a valid path of the digraph."""
 
 
-class DegenerateLadder(DilinkError):
-    """The requested ladder operation is undefined for this ladder."""
-
-
 class NotEmbedded(DilinkError):
     """A ladder's rungs are not contiguous subpaths of a single host path."""
 

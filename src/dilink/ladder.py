@@ -12,7 +12,11 @@ The rungs are the k+1 vertex-disjoint paths
     R_i   = v_i, v_(i+1), Q_(i+1) interior, v_(i+1)*, v_i*   (even i < 2k)
     R_2k  = v_2k, v_2k*
 and the alternative rungs, defined for even i >= 2, are
-    R'_i  = v_i, v_(i-1), Q_(i-1) interior, v_(i-1)*, v_i*.
+    R'_i  = v_i, v_(i-1), Q_(i-1) interior, v_(i-1)*, v_i*,
+so a k = 0 ladder (a single arc) has none.  The rungs partition V(L),
+and the rungs and alternatives together hold every skeleton arc, so a
+ladder is valid exactly when its shape is right, its rungs are pairwise
+disjoint paths of D and its alternatives are paths of D.
 
 R_i and R'_i run between the same endpoints, so when all rungs lie on one
 host path, replacing R_0 by an external path P and then R_i by R'_i for
@@ -29,13 +33,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .digraph import Arc, Digraph, validate_path
-from .errors import (
-    DegenerateLadder,
-    EndpointMismatch,
-    InvalidPath,
-    NotEmbedded,
-    PathNotDisjoint,
-)
+from .errors import EndpointMismatch, InvalidPath, NotEmbedded, PathNotDisjoint
 from .subdivision import HSubdivision
 
 
@@ -73,35 +71,18 @@ def single_arc_ladder(u: int, v: int) -> Ladder:
 
 
 def validate_ladder(D: Digraph, L: Ladder) -> bool:
-    """True iff L is a ladder of D: correct row lengths, all required
-    arcs present, connectors valid paths, and all vertices distinct."""
-    lo, up = L.lower, L.upper
-    if len(lo) != len(up) or len(lo) % 2 == 0 or len(lo) < 1:
+    """True iff L is a ladder of D: rows of equal odd length, a connector
+    of at least two vertices from v_i to v_i* for each odd i, rungs that
+    are pairwise disjoint paths of D, and alternatives that are paths of D."""
+    lo, up, Q = L.lower, L.upper, L.connectors
+    if len(lo) != len(up) or len(lo) % 2 == 0 or set(Q) != set(range(1, len(lo) - 1, 2)):
         return False
-    k = L.k
-    expected_keys = set(range(1, 2 * k, 2))
-    if set(L.connectors.keys()) != expected_keys:
+    if any(len(Q[i]) < 2 or Q[i][0] != lo[i] or Q[i][-1] != up[i] for i in Q):
         return False
-    seen: list[int] = list(lo) + list(up)
-    for i in expected_keys:
-        q = L.connectors[i]
-        if len(q) < 2 or q[0] != lo[i] or q[-1] != up[i]:
-            return False
-        if not validate_path(D, q):
-            return False
-        seen.extend(q[1:-1])
-    if len(set(seen)) != len(seen):
+    rungs = rung_paths(L)
+    if len({v for r in rungs for v in r}) != sum(map(len, rungs)):
         return False
-    for v in seen:
-        if not (0 <= v < D.n):
-            return False
-    for i in range(0, 2 * k, 2):
-        if not D.has_arc(lo[i], lo[i + 1]) or not D.has_arc(up[i + 1], up[i]):
-            return False
-    for j in range(1, 2 * k, 2):
-        if not D.has_arc(lo[j + 1], lo[j]) or not D.has_arc(up[j], up[j + 1]):
-            return False
-    return D.has_arc(lo[2 * k], up[2 * k])
+    return all(validate_path(D, r) for r in rungs + alternative_rung_paths(L))
 
 
 def rung_paths(L: Ladder) -> tuple[tuple[int, ...], ...]:
@@ -117,10 +98,8 @@ def alternative_rung_paths(L: Ladder) -> tuple[tuple[int, ...], ...]:
     """The k alternative rungs R'_2, R'_4, ..., R'_2k.
 
     R'_i reuses the connector Q_(i-1): it runs v_i, v_(i-1), Q_(i-1)
-    interior, v_(i-1)*, v_i*.  Undefined for k = 0.
+    interior, v_(i-1)*, v_i*.  Empty for k = 0.
     """
-    if L.k == 0:
-        raise DegenerateLadder("a single-arc ladder has no alternative rungs")
     out = []
     for i in range(2, 2 * L.k + 1, 2):
         out.append((L.lower[i],) + tuple(L.connectors[i - 1]) + (L.upper[i],))
@@ -133,10 +112,7 @@ def _find_segment(path: Sequence[int], seg: Sequence[int]) -> int | None:
         i = path.index(seg[0])
     except ValueError:
         return None
-    j = i + len(seg)
-    if j > len(path):
-        return None
-    return i if tuple(path[i:j]) == tuple(seg) else None
+    return i if tuple(path[i : i + len(seg)]) == tuple(seg) else None
 
 
 def ladder_on_path(L: Ladder, path: Sequence[int]) -> bool:
@@ -180,7 +156,7 @@ def absorb_path(
     met = sub.vertices().intersection(P[1:-1])
     if met:
         raise PathNotDisjoint(f"absorbee interior reuses subdivision vertices {sorted(met)}")
-    replacements = (P,) + (alternative_rung_paths(L) if L.k > 0 else ())
+    replacements = (P,) + alternative_rung_paths(L)
     work = list(host)
     for rung, alt in zip(rungs, replacements):
         at = _find_segment(work, rung)

@@ -35,7 +35,7 @@ from .errors import (
     PipelineFailed,
 )
 from .expansion import ExpansionParams
-from .ratio import Real
+from .ratio import Real, as_count
 from .subdivision import (
     HSubdivision,
     LengthPrescription,
@@ -72,10 +72,9 @@ class PipelineConfig:
         p = ExpansionParams(self.nu, self.tau, self.gamma)
         object.__setattr__(self, "_params", p)
         object.__setattr__(self, "gamma", p.gamma)
-        if self.restart_budget < 1:
-            raise BadParameter("restart_budget must be >= 1")
-        if self.d is not None and self.d < 1:
-            raise BadParameter("d must be >= 1")
+        object.__setattr__(self, "restart_budget", as_count(self.restart_budget, "restart_budget"))
+        if self.d is not None:
+            object.__setattr__(self, "d", as_count(self.d, "d"))
 
     def resolve(self) -> tuple[ExpansionParams, int]:
         """Concrete (ExpansionParams, d)."""
@@ -205,11 +204,9 @@ def perfect_tiling(
     requested order) and the ENTIRE leftover cycle cut into k segments,
     so the union of the k enlarged subdivisions is V(D).
     """
-    orders = [int(x) for x in orders]
+    orders = [as_count(x, "every order") for x in orders]
     if not orders:
         raise BadParameter("at least one order required")
-    if any(o < 1 for o in orders):
-        raise BadParameter("every order must be >= 1")
     if sum(orders) != D.n:
         raise OrdersDontSumToN(
             f"orders sum to {sum(orders)}, but the digraph has {D.n} vertices"

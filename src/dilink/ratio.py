@@ -1,9 +1,10 @@
-"""Exact rational arithmetic for threshold comparisons.
+"""Exact rational arithmetic for threshold comparisons, and counts.
 
 Density-style parameters (nu, tau, gamma, epsilon) enter inequalities such
 as ``tau * n < |S|`` where off-by-one at the boundary changes the verdict.
 All public entry points therefore coerce them to Fraction once, and every
-comparison downstream is exact.
+comparison downstream is exact.  Integer counts (lengths, orders, d, the
+restart budget, the ladder parameter) are checked by as_count.
 """
 
 from __future__ import annotations
@@ -49,6 +50,21 @@ def as_density(x: Real, name: str, *, closed: bool = False) -> Fraction:
     if not (0 < f <= 1 if closed else 0 < f < 1):
         raise BadParameter(f"{name} must lie in (0, 1{']' if closed else ')'}, got {x}")
     return f
+
+
+def as_count(x, name: str, least: int = 1) -> int:
+    """x as an int >= least.  A bool, a value that is not a whole number
+    (2.5, "3", nan) or one below least raises BadParameter naming it; a
+    whole value of another type, such as 3.0, reads as its int."""
+    try:
+        whole = not isinstance(x, bool) and x == int(x)
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise BadParameter(f"{name} must be an integer, got {x!r}")
+    if x < least:
+        raise BadParameter(f"{name} must be >= {least}")
+    return int(x)
 
 
 def ceil_frac(x: Fraction) -> int:

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 from .digraph import Arc, Digraph, check_labels, validate_path
 from .errors import BadParameter, TooLargeForOracle
-from .ratio import Real, as_density
+from .ratio import Real, as_count, as_density
 
 ORACLE_CAP = 12
 
@@ -88,9 +88,8 @@ class LengthPrescription:
     lengths: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "lengths", tuple(int(x) for x in self.lengths))
-        if any(l < 1 for l in self.lengths):
-            raise BadParameter("every prescribed length must be >= 1")
+        lengths = tuple(as_count(x, "every prescribed length") for x in self.lengths)
+        object.__setattr__(self, "lengths", lengths)
 
     def __iter__(self):
         return iter(self.lengths)

@@ -213,6 +213,45 @@ def oracle_d_cover(D: Digraph, pairs, U, d: int) -> bool:
     return True
 
 
+def oracle_ladder(D: Digraph, L: Ladder) -> bool:
+    """Definition check from the arc skeleton: rows v_0..v_2k and
+    v_0*..v_2k* of equal odd length; the zig-zag arcs v_i -> v_(i+1) and
+    v_(i+1)* -> v_i* for even i < 2k, v_(j+1) -> v_j and v_j* -> v_(j+1)*
+    for odd j < 2k; the final arc v_2k -> v_2k*; for each odd i < 2k
+    exactly one connector, a path of D with at least one arc from v_i to
+    v_i*; and no vertex twice among the rows and the connectors'
+    interiors, each of them in 0..n-1."""
+    lo, up = list(L.lower), list(L.upper)
+    if len(lo) != len(up) or len(lo) % 2 == 0:
+        return False
+    if sorted(L.connectors) != list(range(1, len(lo) - 1, 2)):
+        return False
+    used = lo + up
+    for i, q in L.connectors.items():
+        if len(q) < 2 or q[0] != lo[i] or q[-1] != up[i]:
+            return False
+        used += q[1:-1]
+    return (
+        len(set(used)) == len(used)
+        and all(0 <= v < D.n for v in used)
+        and all(D.has_arc(a, b) for a, b in ladder_skeleton(L))
+    )
+
+
+def ladder_skeleton(L: Ladder) -> list[tuple[int, int]]:
+    """The arcs a ladder of this shape needs: zig-zag, final arc and
+    connector arcs, read from the rows and connectors directly."""
+    lo, up = L.lower, L.upper
+    k = len(lo) // 2
+    arcs = [(lo[2 * k], up[2 * k])]
+    for i in range(2 * k):
+        a, b = (i, i + 1) if i % 2 == 0 else (i + 1, i)
+        arcs += [(lo[a], lo[b]), (up[b], up[a])]
+    for q in L.connectors.values():
+        arcs += zip(q, q[1:])
+    return arcs
+
+
 def oracle_subdivision(D: Digraph, sub: HSubdivision) -> bool:
     """Definition check: the branch map sends the pattern's vertices to
     distinct vertices of D, each pattern arc ab has a path of D from

@@ -1,7 +1,9 @@
 """The input-check contract: every public entry that takes a density
-parameter rejects one outside its range with BadParameter, and every
-entry that takes vertex labels rejects one outside 0..n-1 with
-LabelOutOfRange, whichever module it lives in."""
+parameter rejects one outside its range with BadParameter, every entry
+that takes an integer count rejects a fraction, a bool or a count below
+its floor with BadParameter, and every entry that takes vertex labels
+rejects one outside 0..n-1 with LabelOutOfRange, whichever module it
+lives in."""
 
 import functools
 
@@ -9,6 +11,7 @@ import pytest
 
 from dilink import (
     ExpansionParams,
+    LengthPrescription,
     PipelineConfig,
     absorb_paths,
     absorber_params,
@@ -20,9 +23,11 @@ from dilink import (
     build_type1_absorber,
     complete_digraph,
     cover_size_formula,
+    cut_cycle_segments,
     derive_params_from_degrees,
     gen_random_digraph,
     min_prescribed_length,
+    perfect_tiling,
     posa_type,
     remove_vertices,
     robust_in_neighbourhood,
@@ -68,6 +73,34 @@ def test_density_parameters_outside_their_range_raise_bad_parameter(entry, x):
         call(x)
 
 
+_CFG = dict(gamma="1/2", nu="3/4", tau="3/4")
+
+# name -> (name in the message, least value, call with that count set to x)
+COUNT_ENTRIES = {
+    "LengthPrescription": ("every prescribed length", 1, lambda x: LengthPrescription((3, x))),
+    "perfect_tiling": ("every order", 1, lambda x: perfect_tiling(
+        K6, single_arc_pattern(), [x, 6 - x], PipelineConfig(**_CFG)
+    )),
+    "cut_cycle_segments": ("every segment size", 1, lambda x: cut_cycle_segments(range(6), [2, x])),
+    "PipelineConfig-d": ("d", 1, lambda x: PipelineConfig(**_CFG, d=x)),
+    "PipelineConfig-restart_budget": (
+        "restart_budget", 1, lambda x: PipelineConfig(**_CFG, restart_budget=x)
+    ),
+    "build_disjoint_ladders": (
+        "ladder_k", 0, lambda x: build_disjoint_ladders(K6, [(0, 1)], "1/2", 0, x)
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", ["fraction", "bool", "below"])
+@pytest.mark.parametrize("entry", COUNT_ENTRIES)
+def test_counts_that_are_not_integers_at_least_their_floor_raise_bad_parameter(entry, bad):
+    name, least, call = COUNT_ENTRIES[entry]
+    x = {"fraction": least + 1.5, "bool": True, "below": least - 1}[bad]
+    with pytest.raises(BadParameter, match=f"^{name} must be "):
+        call(x)
+
+
 @functools.cache
 def _absorber():
     D = gen_random_digraph(200, 0.7, 0)
@@ -91,6 +124,9 @@ LABEL_ENTRIES = {
     "robust_out_neighbourhood": (6, lambda v: robust_out_neighbourhood(K6, [0, v], "1/2")),
     "robust_in_neighbourhood": (6, lambda v: robust_in_neighbourhood(K6, [0, v], "1/2")),
     "build_disjoint_ladders": (6, lambda v: build_disjoint_ladders(K6, [(0, v)], "1/2", 0, 0)),
+    "build_disjoint_ladders-avoid": (
+        6, lambda v: build_disjoint_ladders(K6, [(0, 1)], "1/2", 0, 0, avoid=[v])
+    ),
     "check_paths": (6, lambda v: check_paths(K6, [(0, 1), (2, v)], 3)),
     "build_type1_absorber": (6, lambda v: build_type1_absorber(
         K6, single_arc_pattern(), {0: 0, 1: v}, ExpansionParams(1, 1), 1, 0

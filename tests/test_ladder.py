@@ -15,13 +15,7 @@ from dilink import (
     single_arc_pattern,
     validate_ladder,
 )
-from dilink.errors import (
-    DegenerateLadder,
-    EndpointMismatch,
-    InvalidPath,
-    NotEmbedded,
-    PathNotDisjoint,
-)
+from dilink.errors import EndpointMismatch, InvalidPath, NotEmbedded, PathNotDisjoint
 
 from helpers import make_ladder_instance
 
@@ -52,8 +46,7 @@ def test_rungs_and_alternatives():
     assert rung_paths(L) == ((0, 1, 6, 4, 3), (2, 5))
     assert alternative_rung_paths(L) == ((2, 1, 6, 4, 5),)
     assert rung_paths(single_arc_ladder(8, 9)) == ((8, 9),)
-    with pytest.raises(DegenerateLadder):
-        alternative_rung_paths(single_arc_ladder(0, 1))
+    assert alternative_rung_paths(single_arc_ladder(0, 1)) == ()
 
 
 def test_validate_ladder_rejects_defects():
