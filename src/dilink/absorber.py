@@ -13,12 +13,14 @@ grown until it d-covers V(D), so its size follows the digraph, and its
 ladders are dealt round robin over the slots.  Neither builder knows
 the lengths or orders the hosts must reach; the pipelines check that
 each slot leaves room to absorb a segment.  A failed step raises, and
-only the pipelines retry.  Once built, any family of up to d external
-paths whose endpoints are covered by unused pairs can be swallowed,
-each into the slot it names or into any slot: each pair's ladder
-absorbs its extended path without disturbing branch vertices.
-cut_absorbable_segments cuts a cycle where every segment has such a
-pair on its slot.
+only the pipelines retry.  Once built, an absorber swallows any d or
+fewer disjoint outside paths of two or more vertices, by counting: K
+d-covers V(D), so each path's ends have d covering pairs, at most d - 1
+of them taken by the other paths.  Each path takes the first free pair
+that covers its ends (on the slot it names, if any; distinct slots hold
+disjoint pairs), whose ladder absorbs the extended path without
+disturbing branch vertices.  cut_absorbable_segments cuts a cycle where
+every segment has a covering pair on its slot.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .cover import (
     CoverPairSet,
     build_d_cover,
     build_disjoint_ladders,
+    cover_arcs,
     shortest_path_avoiding,
     verify_d_cover,
 )
@@ -316,44 +319,16 @@ def validate_absorber(
     return ok
 
 
-def _match_paths_to_pairs(
-    candidates: list[list[int]],
-) -> list[int] | int:
-    """Maximum bipartite matching (paths to pair indices) by augmenting
-    paths; returns the assignment or the first unmatched path index."""
-    match_of_pair: dict[int, int] = {}
-    assignment: list[int | None] = [None] * len(candidates)
-
-    def augment(i: int, visited: set[int]) -> bool:
-        for j in candidates[i]:
-            if j in visited:
-                continue
-            visited.add(j)
-            if j not in match_of_pair or augment(match_of_pair[j], visited):
-                match_of_pair[j] = i
-                assignment[i] = j
-                return True
-        return False
-
-    for i in range(len(candidates)):
-        if not augment(i, set()):
-            return i
-    return [j for j in assignment if j is not None]
-
-
 def _covering(
     D: Digraph, A: Absorber, x: Sequence[int], y: Sequence[int], slot: tuple[int, Arc] | None
 ) -> np.ndarray:
-    """cov[j, t]: A's pair j = (u, v) covers the ends (x[t], y[t]), that
-    is u->x[t] and y[t]->v with x[t] != y[t], and its ladder sits on
-    `slot` (any slot when None).  covers() for every pair and end at
-    once; the ends lie outside the absorber, so they miss u and v."""
-    u, v = np.array(A.pairs.pairs, dtype=np.intp).reshape(-1, 2).T
+    """cov[j, t]: A's pair j covers the ends (x[t], y[t]), read from
+    cover_arcs, and its ladder sits on `slot` (any slot when None)."""
+    P, Q = cover_arcs(D.bool_matrix(), A.pairs.pairs)
     x, y = np.asarray(x, dtype=np.intp), np.asarray(y, dtype=np.intp)
-    M = D.bool_matrix()
-    cov = M[np.ix_(u, x)] & M[np.ix_(y, v)].T & (x != y)
+    cov = P[:, x] & Q[:, y] & (x != y)
     if slot is not None:
-        cov &= np.array([A.embedding[j] == slot for j in range(len(u))], dtype=bool)[:, None]
+        cov &= np.array([A.embedding[j] == slot for j in range(len(A.pairs))], dtype=bool)[:, None]
     return cov
 
 
@@ -365,9 +340,11 @@ def cut_absorbable_segments(
     where the ends of each segment are covered by a pair whose ladder
     sits on its slot.  Every offset is tested at once; NoCoveringPair(i)
     says that no offset serves segments 0..i together.  A label of C
-    outside 0..n-1 raises LabelOutOfRange.
+    outside 0..n-1 raises LabelOutOfRange, a C meeting V(A) NotDisjoint.
     """
     check_labels(D.n, C)
+    if A.vertices().intersection(C):
+        raise NotDisjoint("the cycle meets the absorber")
     if len(sizes) > len(A.slots):
         raise TooManyPaths(f"{len(sizes)} segments exceed the {len(A.slots)} slots")
     if sum(sizes) > len(C):
@@ -413,34 +390,36 @@ def absorb_paths(
 ) -> list[HSubdivision]:
     """Swallow up to d pairwise disjoint external paths into the absorber.
 
-    Each path x...y is matched to an unused cover pair (u, v) with arcs
-    u->x and y->v, extended to u x...y v, and absorbed through the
-    pair's ladder into the host path that carries it.  slots[i], one of
-    A.slots, names the host path that must take path i; without slots
-    any pair may serve any path.  Returns every host, enlarged by the
-    paths it absorbed.
+    Path i, x...y, takes the lowest-index unused pair (u, v) with arcs
+    u->x and y->v whose ladder sits on slots[i] (any slot when slots is
+    None); the first path left without one raises NoCoveringPair(i)
+    before any host changes.  Then each path, extended to u x...y v, is
+    absorbed through its pair's ladder into the host path carrying it.
+    First fit is exact: distinct slots hold disjoint pairs, and without
+    slots the d-cover leaves each path a free pair.  A repeated slot, or
+    one not in A.slots, raises BadParameter.  Returns every host,
+    enlarged by the paths it absorbed.
     """
     plist = check_paths(D, paths, A.d)
     if slots is not None and (
-        len(slots) != len(plist) or any(s not in A.slots for s in slots)
+        len(slots) != len(plist)
+        or any(s not in A.slots for s in slots)
+        or len(set(slots)) != len(slots)
     ):
-        raise BadParameter("one slot per path required, each one of the absorber's slots")
+        raise BadParameter("one distinct slot per path required, each an absorber slot")
     av = A.vertices()
     for i, p in enumerate(plist):
         if av.intersection(p):
             raise NotDisjoint(f"path {i} meets the absorber")
-    candidates: list[list[int]] = []
+    picks: list[int] = []
     for i, p in enumerate(plist):
-        cov = _covering(D, A, [p[0]], [p[-1]], None if slots is None else slots[i])
-        candidates.append(np.flatnonzero(cov[:, 0]).tolist())
-        if not candidates[i]:
+        cov = _covering(D, A, p[:1], p[-1:], None if slots is None else slots[i])[:, 0]
+        cov[picks] = False
+        if not cov.any():
             raise NoCoveringPair(i)
-    result = _match_paths_to_pairs(candidates)
-    if isinstance(result, int):
-        raise NoCoveringPair(result)
-    assert len(set(result)) == len(result), "a cover pair was reused"
+        picks.append(int(cov.argmax()))
     subs = list(A.hosts)
-    for p, j in zip(plist, result):
+    for p, j in zip(plist, picks):
         L = A.ladders[j]
         hi, arc = A.embedding[j]
         subs[hi] = absorb_path(D, subs[hi], L, arc, (L.start,) + p + (L.end,))

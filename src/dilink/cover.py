@@ -4,20 +4,23 @@ A pair (u, v) covers an ordered pair (x, y) when all four vertices are
 distinct and both arcs u->x and y->v exist: any path from x to y can then
 be extended to one from u to v.  A set of disjoint pairs K d-covers U if
 every ordered pair of distinct vertices of U is covered by at least d
-members of K.  Pairs are drawn by pairing each vertex with a random free
+members of K.  `covers` states the relation for one pair and one target;
+`cover_arcs` is its one matrix form, the two halves P (arcs out of each
+u) and Q (arcs into each v) that every other reader of the relation
+combines.  Pairs are drawn by pairing each vertex with a random free
 out-neighbour read from the adjacency matrix.  `build_d_cover` first
 checks the degrees for a proof that no d-cover exists, then draws pairs
-one at a time, adds each pair's coverage to a count matrix, and stops at
-the shortest prefix that d-covers; `verify_d_cover` checks any pair set
-with one matrix product.  `shortest_path_avoiding` is the one router:
-breadth-first over matrix rows, a layer at a time, with a random walk
-back through the parents.  Ladder connectors and the absorber's threading
-both route through it, one path at a time, blocking each path's interior
-before the next.  A k >= 1 ladder's rows are drawn from matrix rows too,
-each vertex uniformly among the free vertices the skeleton allows; the
-sample is kept when validate_ladder accepts it, that is, when its rungs
-are disjoint paths of D and its alternative rungs (none at k = 0) are
-paths of D.
+one at a time, adds each pair's outer product of P and Q to a count
+matrix, and stops at the shortest prefix that d-covers; `verify_d_cover`
+checks any pair set with one product of Q and P.  The one router,
+`shortest_path_avoiding`, goes breadth-first over matrix rows, a layer
+at a time, with a random walk back through the parents.  Ladder
+connectors and the absorber's threading both route through it, one path
+at a time, blocking each path's interior before the next.  A k >= 1
+ladder's rows are drawn from matrix rows too, each vertex uniformly
+among the free vertices the skeleton allows; the sample is kept when
+validate_ladder accepts it, that is, when its rungs are disjoint paths
+of D and its alternative rungs (none at k = 0) are paths of D.
 """
 
 from __future__ import annotations
@@ -74,30 +77,36 @@ def covers(D: Digraph, pair: Pair, target: Pair) -> bool:
     return D.has_arc(u, x) and D.has_arc(y, v)
 
 
+def cover_arcs(M: np.ndarray, pairs: Sequence[Pair]) -> tuple[np.ndarray, np.ndarray]:
+    """The covering relation of pairs (u_j, v_j) on the loop-free matrix
+    M, as two pairs x n bool arrays: P[j, x] is the arc u_j -> x with
+    x != v_j, Q[j, y] the arc y -> v_j with y != u_j, and pair j covers
+    (x, y) iff P[j, x] & Q[j, y] & (x != y)."""
+    us, vs = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    j = np.arange(len(us))
+    P, Q = M[us], M.T[vs]
+    P[j, vs] = Q[j, us] = False
+    return P, Q
+
+
 def verify_d_cover(
     D: Digraph, K: CoverPairSet | Sequence[Pair], U: Iterable[int] | None = None, d: int = 1
 ) -> bool:
     """Check that every ordered pair of distinct vertices of U is covered
-    by at least d pairs of K.  A label of U or of K outside 0..n-1 raises
-    LabelOutOfRange."""
+    by at least d pairs of K.  A d that is not an integer >= 0 raises
+    BadParameter, a label of U or K outside 0..n-1 LabelOutOfRange."""
     pairs = list(K.pairs if isinstance(K, CoverPairSet) else K)
     uset = sorted(range(D.n) if U is None else set(U))
-    if d < 0:
-        raise BadParameter("d must be nonnegative")
+    d = as_count(d, "d", least=0)
     # U is sorted, so its ends suffice
     check_labels(D.n, [*uset[:1], *uset[-1:], *(v for pair in pairs for v in pair)])
     if len(uset) < 2 or d == 0:
         return True
-    A = D.bool_matrix()
-    us, vs = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    j = np.arange(len(pairs))
+    P, Q = cover_arcs(D.bool_matrix(), pairs)
+    idx = np.array(uset, dtype=np.intp)
     # float64 lets numpy hand the product to BLAS; every entry is a count
     # of at most m < 2**53 pairs, so each partial sum is exact
-    P = A[us, :].astype(np.float64)  # P[j, x] = arc u_j -> x, with x != v_j
-    Q = A[:, vs].astype(np.float64)  # Q[y, j] = arc y -> v_j, with y != u_j
-    P[j, vs] = Q[us, j] = 0
-    idx = np.array(uset, dtype=np.intp)
-    sub = Q[idx] @ P[:, idx]  # sub[y, x] = pairs covering (x, y), for x, y in U
+    sub = Q[:, idx].T.astype(np.float64) @ P[:, idx].astype(np.float64)  # sub[y, x]
     np.fill_diagonal(sub, d)  # ignore x == y
     return bool(sub.min() >= d)
 
@@ -106,8 +115,7 @@ def cover_size_formula(n: int, gamma: Real, d: int) -> int:
     """Number of pairs sufficient for a d-cover of an n-vertex digraph
     with min semidegree gamma*n (natural logarithms), before capping."""
     g = float(as_density(gamma, "gamma"))
-    if d < 1:
-        raise BadParameter("d must be >= 1")
+    d = as_count(d, "d")
     if n < 1:
         raise BadParameter(f"n must be >= 1, got {n}")
     return math.ceil(24 * g**-2 * (d * math.log(24 * d * g**-2) + 2 * math.log(n)))
@@ -143,14 +151,13 @@ def build_d_cover(D: Digraph, d: int, seed: int, *, avoid: Iterable[int] = ()) -
     with fewer than d out- or in-neighbours outside `avoid`, raises
     CoverConstructionFailed with exact=True.  Otherwise pairs come one at
     a time from the arc-preferring pairing.  C[x, y] counts the pairs so
-    far covering (x, y), its diagonal preset to d; pair (u, v) adds the
-    outer product of the arcs u -> x (x != v) with the arcs y -> v
-    (y != u), and growth stops once min C >= d.  Running out of pairs
-    raises the plain CoverConstructionFailed.  A label of `avoid` outside
-    0..n-1 raises LabelOutOfRange.
+    far covering (x, y), its diagonal preset to d; each pair adds the
+    outer product of its cover_arcs rows P and Q, and growth stops once
+    min C >= d.  Running out of pairs raises the plain
+    CoverConstructionFailed.  A d that is not an integer >= 1 raises
+    BadParameter, a label of `avoid` outside 0..n-1 LabelOutOfRange.
     """
-    if d < 1:
-        raise BadParameter("d must be >= 1")
+    d = as_count(d, "d")
     n = D.n
     avoid = set(avoid)
     check_labels(n, avoid)
@@ -176,9 +183,8 @@ def build_d_cover(D: Digraph, d: int, seed: int, *, avoid: Iterable[int] = ()) -
         if pair is None:
             raise CoverConstructionFailed(f"all {len(pairs)} pairs are no {d}-cover")
         pairs.append(pair)
-        x, y = M[pair[0]].copy(), M[:, pair[1]].copy()
-        x[pair[1]] = y[pair[0]] = False
-        C += np.outer(x, y)
+        P, Q = cover_arcs(M, [pair])
+        C += np.outer(P[0], Q[0])
     return CoverPairSet(tuple(pairs))
 
 

@@ -40,6 +40,7 @@ from .subdivision import (
     HSubdivision,
     LengthPrescription,
     PatternDigraph,
+    check_branch_map,
     min_prescribed_length,
     path_lengths,
     subdivision_order,
@@ -171,7 +172,9 @@ def nh_linked_embed(
     prescribed length and absorbed into that path.  Fails at stage
     "feasibility" when the subdivision's vertex count, sum(l_i - 1) +
     |V(H)|, exceeds n; a subdivision of exactly n vertices is attempted.
+    A malformed branch map raises before any gate.
     """
+    check_branch_map(H, f, D.n)
     N = N if isinstance(N, LengthPrescription) else LengthPrescription(tuple(N))
     if len(N) != H.h:
         raise BadParameter(f"{H.h} lengths required, got {len(N)}")

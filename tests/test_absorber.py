@@ -295,18 +295,48 @@ def test_absorb_paths_puts_each_path_into_its_slot():
 
 
 def test_covering_agrees_with_covers():
+    # ends from all of V(D): x == v or y == u must not count as covered
     D = _dense(7)
     A = build_type2_absorber(D, single_arc_pattern(), 2, P_DEFAULT, d=3, seed=0)
     rng = random.Random(4)
-    outside = sorted(set(range(D.n)) - A.vertices())
-    x = [rng.choice(outside) for _ in range(300)]
-    y = [rng.choice(outside) if t % 5 else x[t] for t in range(300)]  # some x == y
+    x = [rng.randrange(D.n) for _ in range(300)]
+    y = [rng.randrange(D.n) if t % 5 else x[t] for t in range(300)]  # some x == y
     for slot in (None,) + A.slots:
         cov = _covering(D, A, x, y, slot)
         assert cov.shape == (len(A.pairs), 300)
         for j, pair in enumerate(A.pairs.pairs):
             on = slot is None or A.embedding[j] == slot
             assert cov[j].tolist() == [on and covers(D, pair, e) for e in zip(x, y)]
+
+
+@pytest.mark.parametrize("kind", ["type1", "type2"])
+@pytest.mark.parametrize("d", [3, 5])
+def test_any_d_outside_paths_absorb_without_slots(kind, d):
+    """The counting argument: K d-covers V(D), so any d or fewer disjoint
+    paths outside V(A), of two or more vertices each, get distinct
+    covering pairs first-fit, and each host gains exactly its paths."""
+    D = _dense(5)
+    for seed in range(3):
+        if kind == "type1":
+            A = build_type1_absorber(D, triangle_pattern(), {0: 0, 1: 1, 2: 2}, P_DEFAULT, d, seed)
+        else:
+            A = build_type2_absorber(D, single_arc_pattern(), 2, P_DEFAULT, d, seed)
+        C = _leftover_cycle(D, A, seed)
+        rng = random.Random(seed)
+        for _ in range(10):
+            k = rng.randint(1, d)  # k paths, 1..20 cycle vertices between them
+            sizes = [rng.randint(2, 12) if t % 2 == 0 else rng.randint(1, 20)
+                     for t in range(2 * k - 1)]
+            paths = cut_cycle_segments(C, sizes, rng.randrange(len(C)))[::2]
+            subs = absorb_paths(D, A, paths)
+            for old, new in zip(A.hosts, subs):
+                assert validate_subdivision(D, new)
+                gained = new.vertices() - old.vertices()
+                assert old.vertices() <= new.vertices()
+                assert gained == {v for p in paths if p[0] in gained for v in p}
+            absorbed = {v for p in paths for v in p}
+            assert sum(len(h.vertices()) for h in subs) == len(A.vertices()) + len(absorbed)
+            assert set().union(*(h.vertices() for h in subs)) == A.vertices() | absorbed
 
 
 def test_cut_absorbable_segments_serves_every_slot():
@@ -337,6 +367,8 @@ def test_cut_absorbable_segments_guardrails():
         cut_absorbable_segments(D, A, C, [len(C), 2])
     with pytest.raises(TooManyPaths):
         cut_absorbable_segments(D, A, C, [4, 4, 4])  # two slots only
+    with pytest.raises(NotDisjoint):  # a cycle through all of V(D) runs through V(A)
+        cut_absorbable_segments(D, A, hamilton_cycle(D, 0), [4, 4])
 
 
 def test_absorb_paths_guardrails():
@@ -371,6 +403,10 @@ def test_absorb_paths_rejects_unservable_targets():
     for bad in ([], [(0, 1)], [2], [(2, (0, 1))], [(0, (1, 0))], [[0, (0, 1)]]):
         with pytest.raises(BadParameter):
             absorb_paths(_dense(7), A2, segs2, bad)
+    # a repeated slot: first fit could not promise two paths a pair each
+    segs3 = _leftover_segments(_dense(7), A2, [4, 4])
+    with pytest.raises(BadParameter, match="distinct slot"):
+        absorb_paths(_dense(7), A2, segs3, [A2.slots[0], A2.slots[0]])
 
 
 def test_build_rejects_bad_arguments():

@@ -244,6 +244,12 @@ def test_malformed_branch_map_is_exit_2(graph_file, pattern_file, capsys):
         assert main(["find-subdivision", g, "--pattern", h, "--branches", branches,
                      "--lengths", "150"]) == 2
         assert "error:" in capsys.readouterr().err
+    # a branch map that is not injective is refused before the length floor (50)
+    h = pattern_file("3 3\n0 1\n1 2\n2 0\n", "h_tri.txt")
+    for lengths in ("30,30,30", "50,50,50"):
+        assert main(["find-subdivision", g, "--pattern", h, "--branches", "0:1,1:1,2:3",
+                     "--lengths", lengths]) == 2
+        assert "branch map must be injective" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

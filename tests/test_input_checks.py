@@ -89,6 +89,9 @@ COUNT_ENTRIES = {
     "build_disjoint_ladders": (
         "ladder_k", 0, lambda x: build_disjoint_ladders(K6, [(0, 1)], "1/2", 0, x)
     ),
+    "build_d_cover": ("d", 1, lambda x: build_d_cover(complete_digraph(8), x, 0)),
+    "cover_size_formula": ("d", 1, lambda x: cover_size_formula(100, "1/2", x)),
+    "verify_d_cover": ("d", 0, lambda x: verify_d_cover(K6, [(0, 1)], [2, 3], x)),
 }
 
 
