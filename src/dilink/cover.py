@@ -9,10 +9,14 @@ members of K.  `covers` states the relation for one pair and one target;
 u) and Q (arcs into each v) that every other reader of the relation
 combines.  Pairs are drawn by pairing each vertex with a random free
 out-neighbour read from the adjacency matrix.  `build_d_cover` first
-checks the degrees for a proof that no d-cover exists, then draws pairs
-one at a time, adds each pair's outer product of P and Q to a count
-matrix, and stops at the shortest prefix that d-covers; `verify_d_cover`
-checks any pair set with one product of Q and P.  The one router,
+checks the degrees for a proof that no d-cover exists, then takes pairs
+in order and stops at the shortest prefix that d-covers.  It counts in
+two phases: a dense count matrix, to which each pair adds the outer
+product of P and Q, while many ordered pairs are still covered fewer
+than d times; then a list of only those short entries, which each
+further pair updates in time linear in the list's length.
+`verify_d_cover` checks any pair set independently, with products of Q
+and P taken in float32 one block of rows at a time.  The one router,
 `shortest_path_avoiding`, goes breadth-first over matrix rows, a layer
 at a time, with a random walk back through the parents.  Ladder
 connectors and the absorber's threading both route through it, one path
@@ -28,7 +32,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,6 +45,13 @@ from .ratio import Real, as_count, as_density
 Pair = tuple[int, int]
 
 _LADDER_TRIES = 400  # row samples _sample_ladder draws per ladder
+_DRAW_AHEAD = 16  # pairs build_d_cover turns into cover_arcs rows at once
+_HAND_OVER = 64  # build_d_cover lists the short entries once at most n^2/64 are left
+_BLOCK_BYTES = 1 << 20  # size of one row block of an n x n pass
+# build_d_cover shrinks its list of short entries to no fewer than this:
+# numpy keeps freed buffers under 1 KiB for reuse, a few of each size, and
+# ever new short lengths would fill that cache and stay resident
+_FLOOR = 1024
 
 
 @dataclass(frozen=True)
@@ -93,8 +104,11 @@ def verify_d_cover(
     D: Digraph, K: CoverPairSet | Sequence[Pair], U: Iterable[int] | None = None, d: int = 1
 ) -> bool:
     """Check that every ordered pair of distinct vertices of U is covered
-    by at least d pairs of K.  A d that is not an integer >= 0 raises
-    BadParameter, a label of U or K outside 0..n-1 LabelOutOfRange."""
+    by at least d pairs of K: the counts are the product Q[:, U]^T P[:, U]
+    of K's cover_arcs rows, taken in float32 one block of rows at a time,
+    so memory stays O(|K| |U| + block |U|).  A d that is not an integer
+    >= 0 raises BadParameter, a label of U or K outside 0..n-1
+    LabelOutOfRange."""
     pairs = list(K.pairs if isinstance(K, CoverPairSet) else K)
     uset = sorted(range(D.n) if U is None else set(U))
     d = as_count(d, "d", least=0)
@@ -103,12 +117,19 @@ def verify_d_cover(
     if len(uset) < 2 or d == 0:
         return True
     P, Q = cover_arcs(D.bool_matrix(), pairs)
-    idx = np.array(uset, dtype=np.intp)
-    # float64 lets numpy hand the product to BLAS; every entry is a count
-    # of at most m < 2**53 pairs, so each partial sum is exact
-    sub = Q[:, idx].T.astype(np.float64) @ P[:, idx].astype(np.float64)  # sub[y, x]
-    np.fill_diagonal(sub, d)  # ignore x == y
-    return bool(sub.min() >= d)
+    if len(uset) < D.n:
+        idx = np.array(uset, dtype=np.intp)
+        P, Q = P[:, idx], Q[:, idx]
+    # float32 lets numpy hand the products to BLAS; every entry is a count
+    # of at most n/2 < 2**24 pairs, so each partial sum is exact
+    P, Q = P.astype(np.float32), Q.astype(np.float32)
+    rows = max(1, _BLOCK_BYTES // (4 * len(uset)))
+    for s in range(0, len(uset), rows):
+        sub = Q[:, s : s + rows].T @ P  # sub[y - s, x]
+        np.fill_diagonal(sub[:, s:], d)  # ignore x == y
+        if sub.min() < d:
+            return False
+    return True
 
 
 def cover_size_formula(n: int, gamma: Real, d: int) -> int:
@@ -133,13 +154,48 @@ def _random_pairs(M: np.ndarray, usable: list[int], seed: int):
         if not free[u]:
             continue
         free[u] = False
-        cand = np.flatnonzero(M[u] & free)
+        cand = (M[u] & free).nonzero()[0]
         if not len(cand):
-            cand = np.flatnonzero(free)
+            cand = free.nonzero()[0]
         if len(cand):  # only the last vertex of an odd count stays single
             v = int(cand[rng.randrange(len(cand))])
             free[v] = False
             yield u, v
+
+
+def _drawn(M: np.ndarray, usable: list[int], seed: int):
+    """The pairs of _random_pairs with their cover_arcs rows P and Q,
+    drawn _DRAW_AHEAD pairs at a time; pairs drawn but never read cost
+    nothing else, as the stream's rng is its own."""
+    draws = _random_pairs(M, usable, seed)
+    while batch := list(islice(draws, _DRAW_AHEAD)):
+        yield from zip(batch, *cover_arcs(M, batch))
+
+
+def _add_outer(C: np.ndarray, p: np.ndarray, q: np.ndarray, d: int, tmp: np.ndarray) -> int:
+    """C += outer(p, q), one block of len(tmp) rows at a time through the
+    uint8 buffer tmp; returns the number of entries of C below d."""
+    pu, qu = p.view(np.uint8), q.view(np.uint8)
+    short = 0
+    for s in range(0, len(C), len(tmp)):
+        block = C[s : s + len(tmp)]
+        t = tmp[: len(block)]
+        np.multiply.outer(pu[s : s + len(block)], qu, out=t)
+        block += t
+        short += np.count_nonzero(np.less(block, d, out=t.view(bool)))
+    return short
+
+
+def _short_entries(C: np.ndarray, d: int, tmp: np.ndarray) -> np.ndarray:
+    """The flat indices of the entries of C below d, found one block of
+    len(tmp) rows at a time through tmp (a flat nonzero is several times
+    faster than a 2-D one)."""
+    found = []
+    for s in range(0, len(C), len(tmp)):
+        block = C[s : s + len(tmp)]
+        t = np.less(block, d, out=tmp[: len(block)].view(bool))
+        found.append(t.ravel().nonzero()[0] + s * len(C))
+    return np.concatenate(found)
 
 
 def build_d_cover(D: Digraph, d: int, seed: int, *, avoid: Iterable[int] = ()) -> CoverPairSet:
@@ -149,13 +205,18 @@ def build_d_cover(D: Digraph, d: int, seed: int, *, avoid: Iterable[int] = ()) -
     outside `avoid` covering (x, y) brings its own in-neighbour of x and
     out-neighbour of y, so fewer than 2d usable vertices, or a vertex
     with fewer than d out- or in-neighbours outside `avoid`, raises
-    CoverConstructionFailed with exact=True.  Otherwise pairs come one at
-    a time from the arc-preferring pairing.  C[x, y] counts the pairs so
-    far covering (x, y), its diagonal preset to d; each pair adds the
-    outer product of its cover_arcs rows P and Q, and growth stops once
-    min C >= d.  Running out of pairs raises the plain
-    CoverConstructionFailed.  A d that is not an integer >= 1 raises
-    BadParameter, a label of `avoid` outside 0..n-1 LabelOutOfRange.
+    CoverConstructionFailed with exact=True.  Otherwise pairs come from
+    the arc-preferring pairing, and the count of pairs covering each
+    (x, y) grows in two phases.  While many entries are below d, C holds
+    every count, its diagonal preset to d, and each pair adds the outer
+    product of its cover_arcs rows P and Q, in row blocks.  Once at most
+    n^2/_HAND_OVER entries are short, only those are kept, as (xs, ys,
+    count), and each further pair adds P[xs] & Q[ys] and drops the
+    entries that reach d, keeping at least _FLOOR listed.  Growth stops
+    once no entry is short.  Running
+    out of pairs raises the plain CoverConstructionFailed.  A d that is
+    not an integer >= 1 raises BadParameter, a label of `avoid` outside
+    0..n-1 LabelOutOfRange.
     """
     d = as_count(d, "d")
     n = D.n
@@ -165,26 +226,54 @@ def build_d_cover(D: Digraph, d: int, seed: int, *, avoid: Iterable[int] = ()) -
         return CoverPairSet(())
     M = D.bool_matrix()
     usable = sorted(set(range(n)) - avoid)
-    if 2 * d > len(usable):  # else no count exceeds n <= MAX_ORDER < 2**16
+    if 2 * d > len(usable):  # else d <= n/2 <= MAX_ORDER/2 < 2**15
         why = f"{len(usable)} vertices outside avoid make fewer than {d} pairs"
         raise CoverConstructionFailed(f"no {d}-cover exists: {why}", exact=True)
-    for way, deg in (("out", M[:, usable].sum(1)), ("in", M[usable].sum(0))):
+    gone = sorted(avoid)  # degrees are below n <= MAX_ORDER < 2**16
+    out = M.sum(1, dtype=np.uint16) - M[:, gone].sum(1, dtype=np.uint16)
+    in_ = M.sum(0, dtype=np.uint16) - M[gone].sum(0, dtype=np.uint16)
+    for way, deg in (("out", out), ("in", in_)):
         if deg.min() < d:
             raise CoverConstructionFailed(
                 f"no {d}-cover exists: vertex {deg.argmin()} has only "
                 f"{deg.min()} {way}-neighbours outside avoid", exact=True,
             )
-    C = np.zeros((n, n), dtype=np.uint16)
-    np.fill_diagonal(C, d)
     pairs: list[Pair] = []
-    draws = _random_pairs(M, usable, seed)
-    while C.min() < d:
-        pair = next(draws, None)
+    drawn = _drawn(M, usable, seed)
+
+    def draw() -> tuple[np.ndarray, np.ndarray]:
+        pair, p, q = next(drawn, (None, None, None))
         if pair is None:
             raise CoverConstructionFailed(f"all {len(pairs)} pairs are no {d}-cover")
         pairs.append(pair)
-        P, Q = cover_arcs(M, [pair])
-        C += np.outer(P[0], Q[0])
+        return p, q
+
+    # dense phase; counts over d carry no information, so C is clamped to
+    # d before any count could pass its type's maximum
+    C = np.zeros((n, n), dtype=np.uint8 if d < 128 else np.uint16)
+    np.fill_diagonal(C, d)
+    headroom = int(np.iinfo(C.dtype).max) - d
+    tmp = np.empty((min(n, max(1, _BLOCK_BYTES // n)), n), dtype=np.uint8)
+    short = n * (n - 1)
+    while short * _HAND_OVER > n * n:
+        short = _add_outer(C, *draw(), d, tmp)
+        if len(pairs) % headroom == 0:
+            np.minimum(C, d, out=C)
+    # deficit phase
+    flat = _short_entries(C, d, tmp)
+    count = C.ravel()[flat].astype(np.uint16)  # fewer than n/2 < 2**15 pairs add to it
+    del C, tmp
+    xs, ys = np.divmod(flat, n)
+    del flat
+    below = count < d
+    while below.any():
+        p, q = draw()
+        count += p[xs] & q[ys]
+        np.less(count, d, out=below)
+        left = np.count_nonzero(below)
+        if _FLOOR <= left < len(below):
+            xs, ys, count = xs[below], ys[below], count[below]
+            below = np.ones(left, dtype=bool)
     return CoverPairSet(tuple(pairs))
 
 
@@ -214,7 +303,7 @@ def shortest_path_avoiding(
     while not M[layers[-1], t].any():
         if len(layers) + 1 == max_order:  # paths via a next layer exceed max_order
             return None
-        layer = np.flatnonzero(M[layers[-1]].any(0) & open_)
+        layer = (M[layers[-1]].any(0) & open_).nonzero()[0]
         if not len(layer):
             return None
         open_[layer] = False

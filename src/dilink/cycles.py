@@ -68,7 +68,7 @@ def _one_factor(M: np.ndarray, rng: random.Random) -> np.ndarray:
     pred = np.full(n, -1, dtype=np.intp)
     free = np.ones(n, dtype=bool)
     for u in rng.sample(range(n), n):
-        cand = np.flatnonzero(M[u] & free)
+        cand = (M[u] & free).nonzero()[0]
         if len(cand):
             v = int(cand[rng.randrange(len(cand))])
             succ[u], pred[v], free[v] = v, u, False

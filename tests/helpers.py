@@ -20,6 +20,7 @@ from dilink import (
     Ladder,
     pattern_from_arcs,
 )
+from dilink.cover import _random_pairs
 from dilink.errors import BadParameter, LabelOutOfRange, LoopArc
 
 # filled by the acceptance tests, echoed by conftest's terminal-summary hook
@@ -211,6 +212,42 @@ def oracle_d_cover(D: Digraph, pairs, U, d: int) -> bool:
             if hits < d:
                 return False
     return True
+
+
+def oracle_grow_d_cover(D: Digraph, d: int, seed: int, avoid=()):
+    """The d-cover grower as one dense count: the shortest prefix of the
+    pair stream `_random_pairs(M, usable, seed)` that d-covers V(D), or
+    None when the whole stream does not.  C[x, y] counts the pairs so far
+    covering (x, y), its diagonal preset to d, and each pair (u, v) adds
+    the outer product of u's out-row without v and v's in-column
+    without u."""
+    if D.n < 2:
+        return ()
+    M = D.bool_matrix()
+    usable = sorted(set(range(D.n)) - set(avoid))
+    C = np.zeros((D.n, D.n), dtype=np.int64)
+    np.fill_diagonal(C, d)
+    pairs = []
+    for u, v in _random_pairs(M, usable, seed):
+        if C.min() >= d:
+            break
+        pairs.append((u, v))
+        out, into = M[u].copy(), M[:, v].copy()
+        out[v] = into[u] = False
+        C += np.outer(out, into)
+    return tuple(pairs) if C.min() >= d else None
+
+
+def threshold_digraph(n: int, seed: int, cut: float = 0.85, noise: float = 0.02) -> Digraph:
+    """Arc u -> v iff rank(u) + rank(v) >= cut * n for a random ranking,
+    plus each other arc independently with probability noise: a digraph
+    of the degree-sequence regime, whose low-rank vertices have
+    semidegree near (1 - cut) * n."""
+    rng = np.random.default_rng(seed)
+    rank = rng.permutation(n)
+    M = (rank[:, None] + rank[None, :] >= cut * n) | (rng.random((n, n)) < noise)
+    np.fill_diagonal(M, False)
+    return Digraph(n, np.argwhere(M))
 
 
 def oracle_ladder(D: Digraph, L: Ladder) -> bool:

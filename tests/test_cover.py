@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from dilink import (
     validate_path,
     verify_d_cover,
 )
+import dilink.cover as cover_module
 from dilink.cover import _random_pairs
 from dilink.errors import (
     BadParameter,
@@ -27,7 +29,7 @@ from dilink.errors import (
     LadderConstructionFailed,
 )
 
-from helpers import oracle_d_cover, random_arc_set
+from helpers import oracle_d_cover, oracle_grow_d_cover, random_arc_set, threshold_digraph
 
 
 def test_pair_set_validation():
@@ -61,6 +63,12 @@ def test_verify_matches_definition_checker_on_random_instances():
         U = rng.sample(range(n), usize)
         d = rng.randrange(1, 4)
         assert verify_d_cover(D, pairs, U, d) == oracle_d_cover(D, pairs, U, d)
+
+
+def test_verify_matches_definition_checker_one_row_block_at_a_time(monkeypatch):
+    # one row per block, so block s holds the diagonal entry (s, s) in column s
+    monkeypatch.setattr(cover_module, "_BLOCK_BYTES", 1)
+    test_verify_matches_definition_checker_on_random_instances()
 
 
 def test_verify_correction_terms_with_pair_arcs():
@@ -241,6 +249,83 @@ def test_grow_cover_failures_say_whether_they_prove_anything():
     assert not e.value.exact
     with pytest.raises(BadParameter):
         build_d_cover(halves, 0, 0)
+
+
+def _grown_or_none(D, d, seed, avoid=()):
+    try:
+        return build_d_cover(D, d, seed, avoid=avoid).pairs
+    except CoverConstructionFailed as e:
+        assert not e.exact
+        return None
+
+
+@pytest.mark.parametrize("p", [0.7, 0.6])
+def test_grow_cover_matches_the_dense_reference_past_the_hand_over(p, monkeypatch):
+    # at n = 300 the count is handed from the dense matrix to the list of
+    # short entries with entries still short, so both phases pick pairs
+    real, kept = cover_module._short_entries, []
+
+    def counted(*args):
+        flat = real(*args)
+        kept.append(len(flat))
+        return flat
+
+    monkeypatch.setattr(cover_module, "_short_entries", counted)
+    D = gen_random_digraph(300, p, 5)
+    for seed in range(3):
+        for d, avoid in ((1, ()), (3, {0, 1, 2}), (5, ())):
+            assert _grown_or_none(D, d, seed, avoid) == oracle_grow_d_cover(D, d, seed, avoid)
+    assert len(kept) == 9 and min(kept) > 0
+
+
+def test_grow_cover_matches_the_dense_reference_on_a_threshold_digraph():
+    # arc u -> v iff rank(u) + rank(v) >= 0.85 n, plus 2 % noise: at seed 0
+    # the pair stream runs out, at seed 3 it covers
+    D = threshold_digraph(400, 0)
+    assert _grown_or_none(D, 3, 0) is None is oracle_grow_d_cover(D, 3, 0)
+    D = threshold_digraph(400, 3)
+    K = _grown_or_none(D, 3, 3)
+    assert K is not None and K == oracle_grow_d_cover(D, 3, 3)
+
+
+def test_grow_cover_matches_the_dense_reference_over_a_long_tail():
+    # only 1 and 2 reach vertex 0, so (0, y) waits for both to lead a pair,
+    # which at seed 1161 happens at pair 257; the list of short entries is
+    # not shrunk below 1024, so entries covered early stay in it and have
+    # counted 256 pairs by then, one past what a byte holds
+    M = ~np.eye(600, dtype=bool)
+    M[3:, 0] = False
+    D = Digraph(600, np.argwhere(M))
+    K = build_d_cover(D, 1, 1161)
+    assert len(K) == 257
+    assert K.pairs == oracle_grow_d_cover(D, 1, 1161)
+
+
+@pytest.mark.parametrize("d", [127, 256])
+def test_grow_cover_counts_past_one_byte(d):
+    # every count passes 255 on the complete digraph: at d = 127 the dense
+    # counts must be clamped, and at d = 256 they must be wider than a byte
+    D = complete_digraph(600)
+    K = build_d_cover(D, d, 0)
+    assert len(K) > d
+    assert K.pairs == oracle_grow_d_cover(D, d, 0)
+
+
+def test_cover_memory_stays_within_a_few_matrix_sizes():
+    # numpy reports its buffers to tracemalloc; the matrix itself is n^2 bytes
+    n = 2000
+    D = gen_random_digraph(n, 0.7, 0)
+    tracemalloc.start()
+    try:
+        K = build_d_cover(D, 3, 0)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert verify_d_cover(D, K, None, 3)
+        verify_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert build_peak <= 2.5 * n * n
+    assert verify_peak <= 2 * n * n
 
 
 def test_shortest_path_avoiding_basics():

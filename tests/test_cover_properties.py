@@ -22,7 +22,7 @@ from dilink import (
 )
 from dilink.errors import CoverConstructionFailed, LadderConstructionFailed
 
-from helpers import oracle_d_cover, oracle_shortest_order
+from helpers import oracle_d_cover, oracle_grow_d_cover, oracle_shortest_order
 
 
 @st.composite
@@ -104,6 +104,22 @@ def test_grow_d_cover_stops_at_the_shortest_covering_prefix(data):
     covered = [oracle_d_cover(D, P, range(D.n), d) for P in prefixes]
     assert covered == [False, True]  # the shortest covering prefix
     assert [verify_d_cover(D, P, None, d) for P in prefixes] == covered
+
+
+@given(st.data())
+def test_build_d_cover_matches_the_dense_reference_grower(data):
+    # the same pairs in the same order as one dense count over the same
+    # stream, and a failure exactly when that count never reaches d
+    D = data.draw(dense_digraphs())
+    avoid = data.draw(st.sets(st.integers(0, D.n - 1), max_size=D.n // 2))
+    d = data.draw(st.integers(1, 4))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    want = oracle_grow_d_cover(D, d, seed, avoid)
+    try:
+        got = build_d_cover(D, d, seed, avoid=avoid).pairs
+    except CoverConstructionFailed:
+        got = None
+    assert got == want
 
 
 @given(st.data())
