@@ -22,7 +22,7 @@ import numpy as np
 
 from .digraph import Digraph, check_labels, degree_profile, remove_vertices
 from .errors import BadParameter, TooLargeForExact
-from .ratio import Real, as_density, as_fraction, ceil_frac
+from .ratio import Real, as_count, as_density, as_fraction, ceil_frac
 
 DEFAULT_EXACT_CAP = 20
 _TABLE_BITS = 14  # low vertices of the subset-sum table; one block is 2^14 x n counts
@@ -126,15 +126,18 @@ def certify_outexpander_exact(
     for j in range(b):
         low[:, 1 << j : 2 << j] = low[:, : 1 << j] + M[b - 1 - j][:, None]
         pop[1 << j : 2 << j] = pop[: 1 << j] + 1
+    # need_by[r, column]: need of the column's set plus r vertices of a block
+    need_by = need[pop + np.arange(n - b + 1)[:, None]].astype(np.min_scalar_type(2 * n))
     best = (n + 1, 0)  # (size, -key) of the best violating set; size n + 1 while none
     for block in range(1 << (n - b)):
         rows = [n - 1 - i for i in range(n - b) if block >> i & 1]
-        counts = low + M[rows].sum(axis=0, dtype=dt)[:, None]
-        size = pop + len(rows)
-        bad = np.flatnonzero((counts >= t).sum(axis=0, dtype=dt) < need[size])
+        # x is in RN+ when its low count reaches t less its count in the block
+        shifted = t - np.minimum(M[rows].sum(axis=0, dtype=dt), t)
+        bad = np.flatnonzero((low >= shifted[:, None]).sum(axis=0, dtype=dt) < need_by[len(rows)])
         if bad.size:
-            s = int(size[bad].min())
-            best = min(best, (s, -((int(bad[size[bad] == s][-1]) << (n - b)) | block)))
+            size = pop[bad] + len(rows)
+            s = int(size.min())
+            best = min(best, (s, -((int(bad[size == s][-1]) << (n - b)) | block)))
     if best[0] > n:
         return ExpansionReport(Verdict.CERTIFIED_EXACT)
     return ExpansionReport(
@@ -151,6 +154,35 @@ def certify_inexpander_exact(
     return certify_outexpander_exact(D.reverse(), p, max_exact_n)
 
 
+def _grow_greedily(
+    M: np.ndarray, starts: list[int], targets: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(members, in-counts) of greedily grown sets, one row per (start,
+    target) in the given order.  Each set starts as {start} and adds the
+    outside vertex with the most in-neighbours inside it (the lowest label
+    among ties) until it has target vertices.  All sets grow together, one
+    numpy step per set size, on rows sorted by target, largest first, so
+    that the rows still growing are a prefix.  An outside vertex scores
+    its count, a member its count minus n + 1, below every outside
+    vertex."""
+    n = M.shape[0]
+    goal = np.array(targets, dtype=np.int64)
+    by_target = np.argsort(-goal, kind="stable")
+    goal, first = goal[by_target], np.array(starts, dtype=np.int64)[by_target]
+    rows = np.arange(len(goal))
+    score = M[first].astype(np.int32)
+    score[rows, first] -= n + 1
+    for size in range(1, int(goal.max(initial=1))):
+        a = int(np.count_nonzero(goal > size))  # rows still growing
+        best = score[:a].argmax(axis=1)  # argmax takes the lowest label among ties
+        score[:a] += M[best]
+        score[rows[:a], best] -= n + 1
+    out = np.empty_like(score)
+    out[by_target] = score
+    inside = out < 0
+    return inside, np.where(inside, out + n + 1, out)
+
+
 def falsify_outexpander_sampled(
     D: Digraph, p: ExpansionParams, trials: int, seed: int
 ) -> ExpansionReport:
@@ -159,11 +191,15 @@ def falsify_outexpander_sampled(
     Proposals mix uniform subsets across the quantified sizes, contiguous
     segments of random vertex orderings, and greedily grown candidate
     sets.  Trials are partitioned into fixed-size streams with derived
-    seeds, so the outcome depends only on (seed, trials).  A returned
-    counterexample always re-verifies against the definition.
+    seeds, so the outcome depends only on (seed, trials).  Each stream
+    draws every proposal's random values first, grows all its greedy
+    proposals together, one numpy step per set size, then tests the
+    proposals in trial order; the draws and the answers are those of
+    growing each set one vertex at a time.  A returned counterexample is
+    counted again from its rows and always re-verifies against the
+    definition.
     """
-    if trials < 1:
-        raise BadParameter(f"trials must be >= 1, got {trials}")
+    trials = as_count(trials, "trials")
     n = D.n
     sizes = _quantified_sizes(n, p.tau)
     if not sizes:
@@ -171,6 +207,10 @@ def falsify_outexpander_sampled(
     t = _in_count_threshold(p.nu, n)
     nu_ceil = ceil_frac(p.nu * n)
     M = D.bool_matrix()
+
+    def violated(S) -> bool:  # counted from the rows of S
+        return (M[S].sum(axis=0, dtype=np.int32) >= t).sum() < len(S) + nu_ceil
+
     stream = 0
     done = 0
     while done < trials:
@@ -179,33 +219,35 @@ def falsify_outexpander_sampled(
         order = list(range(n))
         rng.shuffle(order)
         budget = min(256, trials - done)
+        drawn = []  # the vertices of trial j, or None for a greedy proposal
+        starts, targets = [], []  # greedy proposal j // 3 serves trial j
         for j in range(budget):
             kind = j % 3
             if kind == 0:  # uniform subset at a uniform in-range size
                 s = rng.choice(sizes)
-                S = rng.sample(range(n), s)
-                counts = M[S].sum(axis=0)  # in-neighbours inside S
+                drawn.append(rng.sample(range(n), s))
             elif kind == 1:  # contiguous segment of the shuffled ordering
                 s = rng.choice(sizes)
                 start = rng.randrange(n)
-                S = [order[(start + k) % n] for k in range(s)]
-                counts = M[S].sum(axis=0)
+                drawn.append([order[(start + k) % n] for k in range(s)])
             else:  # greedy growth: repeatedly add the most-dominated vertex
-                S = [rng.randrange(n)]
-                target = rng.choice(sizes)
-                counts = M[S[0]].astype(np.int64)  # kept up to date as S grows
-                outside = np.ones(n, dtype=bool)
-                outside[S[0]] = False
-                while len(S) < target:
-                    # argmax takes the lowest label among the best scores
-                    best = int(np.argmax(np.where(outside, counts, -1)))
-                    S.append(best)
-                    counts += M[best]
-                    outside[best] = False
-            if (counts >= t).sum() < len(S) + nu_ceil:
-                return ExpansionReport(
-                    Verdict.REFUTED, counterexample=frozenset(S), sampled_trials=done + j + 1
-                )
+                starts.append(rng.randrange(n))
+                targets.append(rng.choice(sizes))
+                drawn.append(None)
+        members, counts = _grow_greedily(M, starts, targets)
+        greedy_bad = (counts >= t).sum(axis=1) < np.array(targets, dtype=np.int64) + nu_ceil
+        for j, S in enumerate(drawn):
+            if S is None:  # counted by the scores: count it again from its rows
+                if not greedy_bad[j // 3]:
+                    continue
+                S = np.flatnonzero(members[j // 3]).tolist()
+                if not violated(S):
+                    raise AssertionError(f"greedy set {S} does not re-verify")
+            elif not violated(S):
+                continue
+            return ExpansionReport(
+                Verdict.REFUTED, counterexample=frozenset(S), sampled_trials=done + j + 1
+            )
         done += budget
     return ExpansionReport(Verdict.NO_COUNTEREXAMPLE_FOUND, sampled_trials=trials)
 

@@ -195,6 +195,68 @@ def oracle_min_violating_set(D: Digraph, nu, tau):
     return frozenset(first)
 
 
+def oracle_falsify_sampled(D: Digraph, p, trials: int, seed: int):
+    """The sampled falsifier as one scalar loop: per stream of at most 256
+    trials, each proposal is drawn, grown one vertex at a time when
+    greedy, and tested before the next is drawn.  The library grows the
+    greedy proposals of a stream together and must return the same
+    ExpansionReport."""
+    from dilink.expansion import (
+        ExpansionReport,
+        Verdict,
+        _in_count_threshold,
+        _quantified_sizes,
+    )
+    from dilink.ratio import ceil_frac
+
+    if trials < 1:
+        raise BadParameter(f"trials must be >= 1, got {trials}")
+    n = D.n
+    sizes = _quantified_sizes(n, p.tau)
+    if not sizes:
+        return ExpansionReport(Verdict.NO_COUNTEREXAMPLE_FOUND, sampled_trials=trials)
+    t = _in_count_threshold(p.nu, n)
+    nu_ceil = ceil_frac(p.nu * n)
+    M = D.bool_matrix()
+    stream = 0
+    done = 0
+    while done < trials:
+        rng = random.Random((seed * 1_000_003 + stream) & 0xFFFFFFFF)
+        stream += 1
+        order = list(range(n))
+        rng.shuffle(order)
+        budget = min(256, trials - done)
+        for j in range(budget):
+            kind = j % 3
+            if kind == 0:  # uniform subset at a uniform in-range size
+                s = rng.choice(sizes)
+                S = rng.sample(range(n), s)
+                counts = M[S].sum(axis=0)  # in-neighbours inside S
+            elif kind == 1:  # contiguous segment of the shuffled ordering
+                s = rng.choice(sizes)
+                start = rng.randrange(n)
+                S = [order[(start + k) % n] for k in range(s)]
+                counts = M[S].sum(axis=0)
+            else:  # greedy growth: repeatedly add the most-dominated vertex
+                S = [rng.randrange(n)]
+                target = rng.choice(sizes)
+                counts = M[S[0]].astype(np.int64)  # kept up to date as S grows
+                outside = np.ones(n, dtype=bool)
+                outside[S[0]] = False
+                while len(S) < target:
+                    # argmax takes the lowest label among the best scores
+                    best = int(np.argmax(np.where(outside, counts, -1)))
+                    S.append(best)
+                    counts += M[best]
+                    outside[best] = False
+            if (counts >= t).sum() < len(S) + nu_ceil:
+                return ExpansionReport(
+                    Verdict.REFUTED, counterexample=frozenset(S), sampled_trials=done + j + 1
+                )
+        done += budget
+    return ExpansionReport(Verdict.NO_COUNTEREXAMPLE_FOUND, sampled_trials=trials)
+
+
 def oracle_d_cover(D: Digraph, pairs, U, d: int) -> bool:
     """Definition check: every ordered pair of distinct vertices of U is
     covered by at least d of the given pairs (all four vertices distinct,

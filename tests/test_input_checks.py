@@ -25,6 +25,7 @@ from dilink import (
     cover_size_formula,
     cut_cycle_segments,
     derive_params_from_degrees,
+    falsify_outexpander_sampled,
     gen_random_digraph,
     min_prescribed_length,
     perfect_tiling,
@@ -92,6 +93,9 @@ COUNT_ENTRIES = {
     "build_d_cover": ("d", 1, lambda x: build_d_cover(complete_digraph(8), x, 0)),
     "cover_size_formula": ("d", 1, lambda x: cover_size_formula(100, "1/2", x)),
     "verify_d_cover": ("d", 0, lambda x: verify_d_cover(K6, [(0, 1)], [2, 3], x)),
+    "falsify_outexpander_sampled": ("trials", 1, lambda x: falsify_outexpander_sampled(
+        K6, ExpansionParams("1/6", "1/6"), x, 0
+    )),
 }
 
 
