@@ -345,13 +345,14 @@ def build_disjoint_ladders(
     max_rows = int(8 / nu)
     rng = random.Random(seed)
     used: set[int] = set(flat) | avoid
+    M = D.bool_matrix()
     out: list[Ladder] = []
     for idx, (u, v) in enumerate(terminals):
         want_k = ladder_k
         if want_k is None:
-            want_k = 0 if D.has_arc(u, v) else 1
+            want_k = 0 if M.item(u, v) else 1
         if want_k == 0:
-            if not D.has_arc(u, v):
+            if not M.item(u, v):
                 raise LadderConstructionFailed(idx, f"no arc {u}->{v} for a k=0 ladder")
             out.append(single_arc_ladder(u, v))
             continue

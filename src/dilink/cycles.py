@@ -144,7 +144,8 @@ def hamilton_cycle(D: Digraph, seed: int) -> tuple[int, ...]:
             C = [0]
             while len(C) < n:
                 C.append(nxt[C[-1]])
-            assert validate_cycle(D, C)
+            if not validate_cycle(D, C):
+                raise AssertionError("patched cycle does not re-verify")
             return tuple(C)
     if n <= _EXACT_CAP:
         try:
@@ -152,7 +153,8 @@ def hamilton_cycle(D: Digraph, seed: int) -> tuple[int, ...]:
         except _BudgetExceeded:
             raise CycleNotFound("no Hamilton cycle found (search truncated)") from None
         if got is not None:
-            assert validate_cycle(D, got)
+            if not validate_cycle(D, got):
+                raise AssertionError("searched cycle does not re-verify")
             return got
         raise CycleNotFound("no Hamilton cycle exists", exact=True)
     raise CycleNotFound(

@@ -195,16 +195,14 @@ def remove_vertices(D: Digraph, removed: Iterable[int]) -> VertexRemoval:
 
 
 def validate_path(D: Digraph, seq: Sequence[int]) -> bool:
-    """True iff seq is a directed path of D: distinct labels in range,
-    with an arc between each consecutive pair."""
-    if len(seq) == 0:
+    """True iff seq is a directed path of D: distinct integer labels in
+    range, and every consecutive pair an arc, read from the matrix at once."""
+    a = np.asarray(seq)
+    if a.ndim != 1 or a.dtype.kind not in "iu" or not 0 < len(a) == len(set(a.tolist())):
         return False
-    if len(set(seq)) != len(seq):
+    if a.min() < 0 or a.max() >= D.n:
         return False
-    for v in seq:
-        if not (0 <= v < D.n):
-            return False
-    return all(D.has_arc(a, b) for a, b in zip(seq, seq[1:]))
+    return bool(D.bool_matrix()[a[:-1], a[1:]].all())
 
 
 def validate_cycle(D: Digraph, seq: Sequence[int]) -> bool:
@@ -213,9 +211,7 @@ def validate_cycle(D: Digraph, seq: Sequence[int]) -> bool:
     The closing arc seq[-1] -> seq[0] is implied, not repeated; digons
     (two-vertex cycles) are legal.
     """
-    if len(seq) < 2:
-        return False
-    return validate_path(D, seq) and D.has_arc(seq[-1], seq[0])
+    return len(seq) >= 2 and validate_path(D, seq) and D.bool_matrix().item(seq[-1], seq[0])
 
 
 def is_strongly_connected(D: Digraph) -> bool:

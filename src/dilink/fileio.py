@@ -13,10 +13,11 @@ Subdivisions, ladders, and absorbers serialize to plain JSON objects.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import re
-from typing import Iterable, Mapping, NoReturn, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -40,8 +41,22 @@ def _content(line: str) -> str:
     return line.split("#", 1)[0].strip()
 
 
-def _content_lines(lines: Iterable[str]) -> list[str]:
-    return [c for c in map(_content, lines) if c]
+def _content_lines(lines: Iterable[str]) -> Iterator[str]:
+    return filter(None, map(_content, lines))
+
+
+def _split_lines(fh: TextIO) -> Iterator[str]:
+    """The lines of fh, opened with newline='', split as str.splitlines
+    splits its whole text: each 64 KiB block is split up to its last '\n'
+    or last '\r' before its end, and the rest carried to the next, so a
+    '\r\n' is never cut."""
+    tail = ""
+    while block := fh.read(1 << 16):
+        tail += block
+        cut = max(tail.rfind("\n"), tail.rfind("\r", 0, -1)) + 1
+        yield from tail[:cut].splitlines()
+        tail = tail[cut:]
+    yield from tail.splitlines()
 
 
 def _check_ints(tokens: Sequence[str], source: str) -> None:
@@ -65,43 +80,42 @@ def _fits_int64(token: str) -> bool:
     return len(token.lstrip("+-0")) <= 19 and _INT64.min <= int(token) <= _INT64.max
 
 
-def _reject_arc_lines(lines: Sequence[str], n: int, why: str) -> NoReturn:
-    """Name the first arc line that np.loadtxt could not read; why is
-    loadtxt's own complaint, for a file in which this scan finds none."""
-    for line in _content_lines(lines):
-        parts = line.split()
-        if len(parts) != 2:
-            raise BadParameter(f"arc line must be 'u v', got {line!r}")
-        _check_ints(parts, line)
-        if not all(map(_fits_int64, parts)):
-            raise LabelOutOfRange(f"arc line {line!r} has a label outside 0..{n - 1}")
-    raise BadParameter(f"unreadable arc lines: {why}")
-
-
 def parse_digraph(text: str) -> Digraph:
-    """Parse the edge-list format: "n m" then m lines "u v".
+    """Parse the edge-list format: "n m" then m lines "u v"."""
+    return _parse_digraph(io.StringIO(text, newline=""))
+
+
+def _parse_digraph(fh: TextIO) -> Digraph:
+    """The digraph in fh, streamed line by line.
 
     Every line after the header goes through one np.loadtxt call.  Only
-    when that fails does a line-by-line scan run, to raise BadParameter
-    (or LabelOutOfRange for a label beyond int64) naming the first bad
-    line; Digraph then reports the first loop or label outside 0..n-1.
+    when that fails is fh read again from the start, line by line, to
+    raise BadParameter (or LabelOutOfRange for a label beyond int64)
+    naming the first bad line; Digraph then reports the first loop or
+    label outside 0..n-1.
     """
-    lines = text.splitlines()
-    i = next((i for i, line in enumerate(lines) if _content(line)), None)
-    if i is None:
+    lines = _split_lines(fh)
+    header = next(_content_lines(lines), None)
+    if header is None:
         raise BadParameter("empty digraph file")
-    header = _content(lines[i])
     head = header.split()
     if len(head) != 2:
         raise BadParameter(f"header must be 'n m', got {header!r}")
     n, m = parse_ints(head, header)
     # a leading "0 0" row fixes the width at two columns and keeps a file
     # without arcs from loadtxt's no-data warning; it is dropped below
-    body = itertools.chain(["0 0"], itertools.islice(lines, i + 1, None))
     try:
-        a = np.loadtxt(body, dtype=np.int64, comments="#", ndmin=2)[1:]
+        a = np.loadtxt(itertools.chain(["0 0"], lines), dtype=np.int64, comments="#", ndmin=2)[1:]
     except ValueError as e:
-        _reject_arc_lines(lines[i + 1 :], n, str(e))
+        fh.seek(0)
+        for line in itertools.islice(_content_lines(_split_lines(fh)), 1, None):
+            parts = line.split()
+            if len(parts) != 2:
+                raise BadParameter(f"arc line must be 'u v', got {line!r}")
+            _check_ints(parts, line)
+            if not all(map(_fits_int64, parts)):
+                raise LabelOutOfRange(f"arc line {line!r} has a label outside 0..{n - 1}")
+        raise BadParameter(f"unreadable arc lines: {e}")  # loadtxt's complaint, if no line
     if len(a) != m:
         raise BadParameter(f"header promises {m} arcs, file has {len(a)}")
     return Digraph(n, a)
@@ -114,8 +128,8 @@ def format_digraph(D: Digraph) -> str:
 
 
 def read_digraph(path: str) -> Digraph:
-    with open(path, encoding="utf-8") as fh:
-        return parse_digraph(fh.read())
+    with open(path, encoding="utf-8", newline="") as fh:
+        return _parse_digraph(fh)
 
 
 def parse_pattern(text: str) -> tuple[PatternDigraph, dict[int, int]]:

@@ -6,13 +6,15 @@ import numpy as np
 
 from .digraph import MAX_ORDER, Digraph
 from .errors import BadParameter
+from .ratio import as_count
 
 
 def gen_random_digraph(n: int, p: float, seed: int) -> Digraph:
     """Binomial random digraph: each ordered pair (u, v), u != v, is an
     arc independently with probability p.  Deterministic given the seed;
     an n outside 0..MAX_ORDER raises BadParameter before any allocation."""
-    if not 0 <= n <= MAX_ORDER:
+    n = as_count(n, "vertex count", least=0)
+    if n > MAX_ORDER:
         raise BadParameter(f"vertex count must lie in 0..{MAX_ORDER}, got {n}")
     if not 0.0 <= p <= 1.0:
         raise BadParameter(f"arc probability must lie in [0, 1], got {p}")
@@ -26,21 +28,25 @@ def gen_random_digraph(n: int, p: float, seed: int) -> Digraph:
 
 
 def complete_digraph(n: int) -> Digraph:
+    n = as_count(n, "vertex count", least=0)
     return Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v])
 
 
 def directed_cycle(n: int) -> Digraph:
+    n = as_count(n, "vertex count", least=0)
     if n < 2:
         raise BadParameter("a directed cycle needs at least 2 vertices")
     return Digraph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def directed_path(n: int) -> Digraph:
+    n = as_count(n, "vertex count", least=0)
     return Digraph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def rotational_tournament(n: int) -> Digraph:
     """Tournament on odd n with i -> i+1, ..., i+(n-1)/2 (mod n)."""
+    n = as_count(n, "vertex count", least=0)
     if n % 2 == 0:
         raise BadParameter("rotational tournament requires odd n")
     half = (n - 1) // 2

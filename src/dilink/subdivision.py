@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .digraph import Arc, Digraph, check_labels, validate_path
-from .errors import BadParameter, TooLargeForOracle
+from .errors import BadParameter, DilinkError, TooLargeForOracle
 from .ratio import Real, as_count, as_density
 
 ORACLE_CAP = 12
@@ -75,10 +75,7 @@ class HSubdivision:
     paths: Mapping[Arc, tuple[int, ...]]
 
     def vertices(self) -> frozenset[int]:
-        out: set[int] = set()
-        for p in self.paths.values():
-            out.update(p)
-        return frozenset(out)
+        return frozenset(v for p in self.paths.values() for v in p)
 
 
 @dataclass(frozen=True)
@@ -118,34 +115,24 @@ def check_branch_map(H: PatternDigraph, f: Mapping[int, int], n: int) -> None:
 
 
 def validate_subdivision(D: Digraph, sub: HSubdivision) -> bool:
-    """True iff sub is a subdivision of its pattern inside D."""
-    H = sub.pattern.underlying
+    """True iff sub is a subdivision of its pattern inside D: its branch
+    map passes check_branch_map, each pattern arc has a path of D between
+    the arc's branch images, and no vertex lies on two paths or on a path
+    and a branch image, except as the path's own ends."""
     f = sub.branch_map
-    if set(f.keys()) != set(H.vertices()):
+    try:
+        check_branch_map(sub.pattern, f, D.n)
+    except DilinkError:
         return False
-    images = list(f.values())
-    if len(set(images)) != len(images):
+    if set(sub.paths) != set(sub.pattern.underlying.arcs):
         return False
-    if any(not (0 <= v < D.n) for v in images):
+    if not all(
+        len(p) >= 2 and p[0] == f[a] and p[-1] == f[b] and validate_path(D, p)
+        for (a, b), p in sub.paths.items()
+    ):
         return False
-    if set(sub.paths.keys()) != set(H.arcs):
-        return False
-    branch_set = set(images)
-    seen_internal: set[int] = set()
-    for (a, b), path in sub.paths.items():
-        if len(path) < 2:
-            return False
-        if path[0] != f[a] or path[-1] != f[b]:
-            return False
-        if not validate_path(D, path):
-            return False
-        interior = set(path[1:-1])
-        if interior & branch_set:
-            return False
-        if interior & seen_internal:
-            return False
-        seen_internal |= interior
-    return True
+    flat = [*f.values(), *(v for p in sub.paths.values() for v in p[1:-1])]
+    return len(set(flat)) == len(flat)
 
 
 def path_lengths(sub: HSubdivision) -> tuple[int, ...]:
@@ -163,23 +150,14 @@ def validate_tiling(
     subs: Sequence[HSubdivision],
     orders: Sequence[int],
 ) -> bool:
-    """True iff subs are valid, pairwise vertex-disjoint, cover V(D), and
-    realise the given orders, positionally."""
-    if len(subs) != len(orders):
+    """True iff subs are valid subdivisions of the given orders,
+    positionally, that partition V(D): their orders sum to n and their
+    union has n vertices."""
+    if len(subs) != len(orders) or not all(validate_subdivision(D, s) for s in subs):
         return False
-    used: set[int] = set()
-    got: list[int] = []
-    for sub in subs:
-        if not validate_subdivision(D, sub):
-            return False
-        verts = sub.vertices()
-        if verts & used:
-            return False
-        used |= verts
-        got.append(len(verts))
-    if used != set(D.vertices()):
-        return False
-    return got == list(orders)
+    tiles = [s.vertices() for s in subs]
+    got = [len(t) for t in tiles]
+    return got == list(orders) and sum(got) == D.n == len(frozenset().union(*tiles))
 
 
 def brute_force_subdivision(

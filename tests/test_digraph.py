@@ -233,6 +233,11 @@ def test_validate_path_and_cycle():
     assert not validate_path(D, (0, 1, 0))  # repeat
     assert not validate_path(D, ())
     assert not validate_path(D, (0, 1, 7))  # out of range
+    assert not validate_path(D, (-1, 0))  # -1 is not row n-1
+    # non-integer labels are refused, never truncated: 0.5 does not read as 0
+    for seq in ((0.5, 1), (0, 1.0, 2), ("0", "1"), (0, None), ((0, 1), (1, 2))):
+        assert not validate_path(D, seq)
+        assert not validate_cycle(D, seq)
     assert validate_cycle(D, (0, 1, 2, 3, 4))
     assert not validate_cycle(D, (0, 1, 2))  # closing arc 2->0 absent
     assert validate_cycle(Digraph(2, [(0, 1), (1, 0)]), (0, 1))

@@ -33,6 +33,23 @@ def test_digraph_text_round_trip(tmp_path):
     assert read_digraph(str(f)) == D
 
 
+@pytest.mark.parametrize("before_end", [0, 2], ids=["break-at-end", "line-astride"])
+@pytest.mark.parametrize("sep", ["\n", "\r\n", "\r", "\x0c", "\x85"])
+def test_read_digraph_splits_lines_as_splitlines_across_block_ends(tmp_path, sep, before_end):
+    """read_digraph reads the file in 64 KiB blocks; a line astride two
+    blocks, or a line break at a block's end ('\r\n' astride two blocks
+    included), still splits as str.splitlines splits the whole text."""
+    D = gen_random_digraph(150, 0.6, 2)
+    header, *arcs = format_digraph(D).splitlines()
+    at = 65535 - before_end  # where the line break goes
+    pad = at - sep.join([header, *arcs, ""]).rindex(sep[0], 0, at + 1)
+    text = sep.join([header + " " * pad, *arcs, ""])  # spaces after the header
+    assert text[at : at + len(sep)] == sep
+    f = tmp_path / "d.txt"
+    f.write_text(text, encoding="utf-8", newline="")
+    assert read_digraph(str(f)) == D
+
+
 def test_parse_digraph_comments_and_blank_lines():
     text = """
     # a tiny example

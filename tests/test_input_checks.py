@@ -25,6 +25,8 @@ from dilink import (
     cover_size_formula,
     cut_cycle_segments,
     derive_params_from_degrees,
+    directed_cycle,
+    directed_path,
     falsify_outexpander_sampled,
     gen_random_digraph,
     min_prescribed_length,
@@ -33,6 +35,7 @@ from dilink import (
     remove_vertices,
     robust_in_neighbourhood,
     robust_out_neighbourhood,
+    rotational_tournament,
     shortest_path_avoiding,
     single_arc_pattern,
     verify_d_cover,
@@ -96,6 +99,11 @@ COUNT_ENTRIES = {
     "falsify_outexpander_sampled": ("trials", 1, lambda x: falsify_outexpander_sampled(
         K6, ExpansionParams("1/6", "1/6"), x, 0
     )),
+    "gen_random_digraph": ("vertex count", 0, lambda x: gen_random_digraph(x, 0.5, 0)),
+    "complete_digraph": ("vertex count", 0, complete_digraph),
+    "directed_cycle": ("vertex count", 0, directed_cycle),
+    "directed_path": ("vertex count", 0, directed_path),
+    "rotational_tournament": ("vertex count", 0, rotational_tournament),
 }
 
 

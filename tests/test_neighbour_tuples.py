@@ -1,8 +1,11 @@
-"""A lint over the library source: neighbour tuples are built in
-digraph.py and read only by the two small-n backtracking searches;
-everything else reads rows of the adjacency matrix.  expansion.py holds
-no matrix product, so the certifiers and the falsifier never wait on BLAS
-threads."""
+"""A lint over the library source.  Neighbour tuples are built in
+digraph.py and read only by the two small-n backtracking searches, and
+single arcs are read with has_arc only by Digraph itself, the reference
+`covers` and the Hamilton-cycle backtracking search: everything else
+reads rows or entries of the adjacency matrix.  expansion.py holds no
+matrix product, so the certifiers and the falsifier never wait on BLAS
+threads, and no module holds an assert statement, which python -O would
+strip."""
 
 import ast
 from pathlib import Path
@@ -12,21 +15,25 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "dilink"
 TUPLE_READS = {"out_neighbors", "in_neighbors"}
 ALLOWED = {("cycles", "_exact_cycle_search"), ("subdivision", "brute_force_subdivision")}
+ARC_READS = {"has_arc"}
+ARC_READERS = {("cover", "covers"), ("cycles", "_exact_cycle_search"), ("digraph", "Digraph")}
 PRODUCTS = {"dot", "matmul", "einsum"}
+MODULES = sorted(SRC.glob("*.py"))
 
 
-def tuple_reads(tree: ast.AST):
-    """(line, method, enclosing functions) of every neighbour-tuple call."""
+def method_calls(tree: ast.AST, methods):
+    """(line, method, enclosing classes and functions) of every call of
+    one of the methods."""
 
     def walk(node, scope):
         for child in ast.iter_child_nodes(node):
             inner = scope
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = scope + (child.name,)
             if (
                 isinstance(child, ast.Call)
                 and isinstance(child.func, ast.Attribute)
-                and child.func.attr in TUPLE_READS
+                and child.func.attr in methods
             ):
                 yield child.lineno, child.func.attr, scope
             yield from walk(child, inner)
@@ -34,22 +41,44 @@ def tuple_reads(tree: ast.AST):
     return list(walk(tree, ()))
 
 
+def calls_outside(path: Path, methods, allowed) -> list[str]:
+    module = path.stem
+    return [
+        f"{path.name}:{line} {'.'.join(scope) or '<module>'} calls {attr}"
+        for line, attr, scope in method_calls(ast.parse(path.read_text()), methods)
+        if not any((module, f) in allowed for f in scope)
+    ]
+
+
 @pytest.mark.parametrize(
-    "path", sorted(p for p in SRC.glob("*.py") if p.name != "digraph.py"), ids=lambda p: p.name
+    "path", [p for p in MODULES if p.name != "digraph.py"], ids=lambda p: p.name
 )
 def test_only_the_backtracking_searches_read_neighbour_tuples(path):
-    module = path.stem
-    found = [
-        f"{path.name}:{line} {'.'.join(scope) or '<module>'} calls {attr}"
-        for line, attr, scope in tuple_reads(ast.parse(path.read_text()))
-        if not any((module, f) in ALLOWED for f in scope)
-    ]
+    found = calls_outside(path, TUPLE_READS, ALLOWED)
+    assert not found, found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_digraph_and_the_reference_checks_read_single_arcs(path):
+    found = calls_outside(path, ARC_READS, ARC_READERS)
     assert not found, found
 
 
 def test_the_lint_sees_a_call_inside_a_nested_function():
     tree = ast.parse("def f(D):\n    def g():\n        return D.in_neighbors(0)\n")
-    assert tuple_reads(tree) == [(3, "in_neighbors", ("f", "g"))]
+    assert method_calls(tree, TUPLE_READS) == [(3, "in_neighbors", ("f", "g"))]
+    tree = ast.parse("class C:\n    def m(self, D):\n        return D.has_arc(0, 1)\n")
+    assert method_calls(tree, ARC_READS) == [(3, "has_arc", ("C", "m"))]
+
+
+def test_the_library_holds_no_assert_statement():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found
 
 
 def matrix_products(tree: ast.AST):
