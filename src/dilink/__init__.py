@@ -49,10 +49,12 @@ from .digraph import (
 from .errors import (
     AbsorberConstructionFailed,
     BadParameter,
+    ConstructionFailed,
     CoverConstructionFailed,
     CycleNotFound,
     DilinkError,
     EndpointMismatch,
+    InputError,
     InvalidPath,
     LabelOutOfRange,
     LadderConstructionFailed,

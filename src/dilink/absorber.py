@@ -12,15 +12,15 @@ slot on each host's first path.  Each makes one attempt per seed: K is
 grown until it d-covers V(D), so its size follows the digraph, and its
 ladders are dealt round robin over the slots.  Neither builder knows
 the lengths or orders the hosts must reach; the pipelines check that
-each slot leaves room to absorb a segment.  A failed step raises, and
-only the pipelines retry.  Once built, an absorber swallows any d or
-fewer disjoint outside paths of two or more vertices, by counting: K
-d-covers V(D), so each path's ends have d covering pairs, at most d - 1
-of them taken by the other paths.  Each path takes the first free pair
-that covers its ends (on the slot it names, if any; distinct slots hold
-disjoint pairs), whose ladder absorbs the extended path without
-disturbing branch vertices.  cut_absorbable_segments cuts a cycle where
-every segment has a covering pair on its slot.
+each slot leaves room to absorb a segment.  A failed step raises its own
+ConstructionFailed, and only the pipelines retry.  Once built, an
+absorber swallows any d or fewer disjoint outside paths of two or more
+vertices, by counting: K d-covers V(D), so each path's ends have d
+covering pairs, at most d - 1 taken by the other paths.  Each path takes
+the first free pair covering its ends (on the slot it names, if any;
+distinct slots hold disjoint pairs), whose ladder absorbs the extended
+path without disturbing branch vertices.  cut_absorbable_segments cuts a
+cycle where every segment has a covering pair on its slot.
 """
 
 from __future__ import annotations
@@ -45,9 +45,7 @@ from .digraph import Arc, Digraph, check_labels, validate_path
 from .errors import (
     AbsorberConstructionFailed,
     BadParameter,
-    CoverConstructionFailed,
     InvalidPath,
-    LadderConstructionFailed,
     NoCoveringPair,
     NotDisjoint,
     SizesExceedCycle,
@@ -185,20 +183,17 @@ def _build_absorber(
     maps[i]: every pattern arc is threaded in turn, slots[g] with ladder
     group g (the ladders dealt round robin over the slots) and any other
     arc with none.  The absorber must validate and respect the size
-    bound.  A failed step raises AbsorberConstructionFailed with its
-    reason, exact when no d-cover exists; nothing here retries, and how
-    much room each host leaves is for the caller to judge.
+    bound.  A failed step raises its own ConstructionFailed (the cover's
+    is exact when no d-cover exists); nothing here retries, and how much
+    room each host leaves is for the caller to judge.
     """
     n = D.n
     removal_cap = int(p.nu * n / 4)
     s = (seed * 9_176_941) & 0xFFFFFFFF
     rng = random.Random(s ^ 0x5EED)
     avoid = set().union(*(f.values() for f in maps))
-    try:
-        K = build_d_cover(D, d, s, avoid=avoid)
-        ladders = build_disjoint_ladders(D, K.pairs, p.nu, s, avoid=avoid)
-    except (CoverConstructionFailed, LadderConstructionFailed) as e:
-        raise AbsorberConstructionFailed(str(e), e.exact)
+    K = build_d_cover(D, d, s, avoid=avoid)
+    ladders = build_disjoint_ladders(D, K.pairs, p.nu, s, avoid=avoid)
     rung_interiors = sum(len(r) - 2 for L in ladders for r in rung_paths(L))
     if rung_interiors > removal_cap:
         raise AbsorberConstructionFailed(
@@ -234,7 +229,7 @@ def build_type1_absorber(
     """Assemble a Type-I d-absorber: one host subdivision whose branch map
     is exactly f, with a ladder group threaded into every path, so each
     pattern arc is a slot.  Cover pairs and ladders avoid f's images.
-    """
+    A failed step raises its own ConstructionFailed."""
     check_branch_map(H, f, D.n)
     return _build_absorber(D, H, [f], [(0, a) for a in H.arc_order], p, d, seed)
 
@@ -252,8 +247,8 @@ def build_type2_absorber(
     cover is grown, which then avoids them as Type I avoids f's images.
     Host i carries its ladder group on the path of the first pattern
     arc, the slot (i, first arc); every other pattern arc becomes a short
-    path.  Needs 1 <= k <= d and k |V(H)| <= n.
-    """
+    path.  Needs 1 <= k <= d and k |V(H)| <= n.  A failed step raises
+    its own ConstructionFailed."""
     hv = H.underlying.n
     if not 1 <= k <= d:
         raise BadParameter(f"k = {k} hosts must lie in 1..d = {d}")
@@ -366,14 +361,16 @@ def check_paths(
     D: Digraph, paths: Sequence[Sequence[int]], d: int
 ) -> list[tuple[int, ...]]:
     """The checks absorb_paths makes before it looks at an absorber: at
-    most d paths, each a valid path of D, pairwise disjoint.  Returns the
-    paths as tuples."""
+    most d paths, each a valid path of D of 2 or more vertices, pairwise
+    disjoint.  Returns the paths as tuples."""
     plist = [tuple(p) for p in paths]
     if len(plist) > d:
         raise TooManyPaths(f"{len(plist)} paths exceed d = {d}")
     taken: set[int] = set()
     for i, p in enumerate(plist):
         check_labels(D.n, p, f"path {i} has a label")
+        if len(p) < 2:
+            raise InvalidPath(f"path {i} has fewer than 2 vertices")
         if not validate_path(D, p):
             raise InvalidPath(f"path {i} is not a valid path of the digraph")
         if taken.intersection(p):

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success/true, 1 falsified or not found, 2 usage error,
-3 construction failure.  Every randomized subcommand takes --seed and is
-fully deterministic given it.
+Exit codes: 0 success/true, 1 falsified or not found, 2 usage error (a
+missing file or any InputError), 3 construction failure.  Every
+randomized subcommand takes --seed and is fully deterministic given it.
 """
 
 from __future__ import annotations
@@ -32,16 +32,9 @@ from .errors import (
     BadParameter,
     CycleNotFound,
     DilinkError,
-    InvalidPath,
-    LabelOutOfRange,
-    LoopArc,
-    NotDisjoint,
+    InputError,
     NotOriented,
-    OrdersDontSumToN,
     PipelineFailed,
-    TooLargeForExact,
-    TooManyPaths,
-    TooSmall,
 )
 from .expansion import (
     DEFAULT_EXACT_CAP,
@@ -285,10 +278,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        FileNotFoundError, BadParameter, InvalidPath, LabelOutOfRange, LoopArc,
-        NotDisjoint, OrdersDontSumToN, TooLargeForExact, TooManyPaths, TooSmall,
-    ) as e:
+    except (FileNotFoundError, InputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except PipelineFailed as e:

@@ -9,13 +9,19 @@ from .errors import BadParameter
 from .ratio import as_count
 
 
+def _order(n) -> int:
+    """n as a vertex count in 0..MAX_ORDER, checked before any allocation."""
+    n = as_count(n, "vertex count", least=0)
+    if n > MAX_ORDER:
+        raise BadParameter(f"vertex count must lie in 0..{MAX_ORDER}, got {n}")
+    return n
+
+
 def gen_random_digraph(n: int, p: float, seed: int) -> Digraph:
     """Binomial random digraph: each ordered pair (u, v), u != v, is an
     arc independently with probability p.  Deterministic given the seed;
     an n outside 0..MAX_ORDER raises BadParameter before any allocation."""
-    n = as_count(n, "vertex count", least=0)
-    if n > MAX_ORDER:
-        raise BadParameter(f"vertex count must lie in 0..{MAX_ORDER}, got {n}")
+    n = _order(n)
     if not 0.0 <= p <= 1.0:
         raise BadParameter(f"arc probability must lie in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
@@ -27,27 +33,33 @@ def gen_random_digraph(n: int, p: float, seed: int) -> Digraph:
     return Digraph._of_matrix(mat)
 
 
+def _circulant(n: int, offsets, wrap: bool = True) -> Digraph:
+    """Arcs i -> i+j for every j in offsets, mod n (only below n without
+    wrap), filled one diagonal at a time: nothing but the matrix is big."""
+    mat = np.zeros((n, n), dtype=bool)
+    for j in offsets:
+        np.fill_diagonal(mat[:, j:], True)  # i -> i+j for i < n-j
+        if wrap:
+            np.fill_diagonal(mat[n - j:], True)  # n-j+i -> i
+    return Digraph._of_matrix(mat)
+
+
 def complete_digraph(n: int) -> Digraph:
-    n = as_count(n, "vertex count", least=0)
-    return Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v])
+    return _circulant(n := _order(n), range(1, n))
 
 
 def directed_cycle(n: int) -> Digraph:
-    n = as_count(n, "vertex count", least=0)
-    if n < 2:
+    if (n := _order(n)) < 2:
         raise BadParameter("a directed cycle needs at least 2 vertices")
-    return Digraph(n, [(i, (i + 1) % n) for i in range(n)])
+    return _circulant(n, [1])
 
 
 def directed_path(n: int) -> Digraph:
-    n = as_count(n, "vertex count", least=0)
-    return Digraph(n, [(i, i + 1) for i in range(n - 1)])
+    return _circulant(_order(n), [1], wrap=False)
 
 
 def rotational_tournament(n: int) -> Digraph:
     """Tournament on odd n with i -> i+1, ..., i+(n-1)/2 (mod n)."""
-    n = as_count(n, "vertex count", least=0)
-    if n % 2 == 0:
+    if (n := _order(n)) % 2 == 0:
         raise BadParameter("rotational tournament requires odd n")
-    half = (n - 1) // 2
-    return Digraph(n, [(i, (i + j) % n) for i in range(n) for j in range(1, half + 1)])
+    return _circulant(n, range(1, (n - 1) // 2 + 1))

@@ -26,14 +26,7 @@ from .absorber import (
 )
 from .cycles import hamilton_cycle
 from .digraph import Digraph, remove_vertices
-from .errors import (
-    AbsorberConstructionFailed,
-    BadParameter,
-    CycleNotFound,
-    NoCoveringPair,
-    OrdersDontSumToN,
-    PipelineFailed,
-)
+from .errors import BadParameter, ConstructionFailed, OrdersDontSumToN, PipelineFailed
 from .expansion import ExpansionParams
 from .ratio import Real, as_count
 from .subdivision import (
@@ -108,9 +101,9 @@ def _drive(
     attempt finds a Hamilton cycle of D minus the absorber, cuts the
     cycle once into absorbable segments of those sizes, one per slot, and
     absorbs each into its slot, returning the enlarged hosts if they pass
-    the final check.  This is the only retry loop: a failed stage ends
-    the attempt, an exact one (a proof about the input) ends the loop,
-    and PipelineFailed lists every attempt's stage and reason.
+    the final check.  This is the only retry loop: a ConstructionFailed
+    ends the attempt at its stage, an exact one at stage "absorber" ends
+    the loop, and PipelineFailed lists every attempt's stage and reason.
     """
     p, d = cfg.resolve()
     floor = min_prescribed_length(p.nu)
@@ -124,33 +117,28 @@ def _drive(
     attempts: list[tuple[str, str]] = []
     for restart in range(cfg.restart_budget):
         try:
+            stage = "absorber"
             A = build(p, d, _stage_seed(cfg.seed, restart, 1))
-        except AbsorberConstructionFailed as e:
-            attempts.append(("absorber", str(e)))
-            if e.exact:
-                break
-            continue
-        room = sizes(A)
-        i = min(range(len(room)), key=room.__getitem__)
-        if room[i] < 2:
-            attempts.append(("absorber", f"slot {A.slots[i]} has room {room[i]}, below 2"))
-            continue
-        removal = remove_vertices(D, A.vertices())
-        try:
+            room = sizes(A)
+            i = min(range(len(room)), key=room.__getitem__)
+            if room[i] < 2:
+                raise ConstructionFailed(f"slot {A.slots[i]} has room {room[i]}, below 2")
+            stage = "cycle"
+            removal = remove_vertices(D, A.vertices())
             C_local = hamilton_cycle(removal.digraph, _stage_seed(cfg.seed, restart, 2))
-        except CycleNotFound as e:
-            attempts.append(("cycle", f"in D - V(A), relabelled in order: {e}"))
-            continue
-        C = tuple(removal.new_to_old[x] for x in C_local)
-        try:
+            C = tuple(removal.new_to_old[x] for x in C_local)
+            stage = "absorb"
             segs = cut_absorbable_segments(D, A, C, room, _stage_seed(cfg.seed, restart, 3))
             subs = absorb_paths(D, A, segs, A.slots)
-        except NoCoveringPair as e:
-            attempts.append(("absorb", str(e)))
-            continue
-        if accept(subs):
+            stage = "validate"
+            if not accept(subs):
+                raise ConstructionFailed("absorbed hosts failed final checks")
             return subs
-        attempts.append(("validate", "absorbed hosts failed final checks"))
+        except ConstructionFailed as e:
+            prefix = "in D - V(A), relabelled in order: " if stage == "cycle" else ""
+            attempts.append((stage, prefix + str(e)))
+            if e.exact and stage == "absorber":
+                break
     stage, reason = attempts[-1]
     if len(attempts) > 1:
         reason += f" (earlier attempts: {'; '.join(f'{s}: {r}' for s, r in attempts[:-1])})"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .digraph import Arc, Digraph, check_labels, validate_path
-from .errors import BadParameter, DilinkError, TooLargeForOracle
+from .errors import BadParameter, InputError, TooLargeForOracle
 from .ratio import Real, as_count, as_density
 
 ORACLE_CAP = 12
@@ -122,7 +122,7 @@ def validate_subdivision(D: Digraph, sub: HSubdivision) -> bool:
     f = sub.branch_map
     try:
         check_branch_map(sub.pattern, f, D.n)
-    except DilinkError:
+    except InputError:
         return False
     if set(sub.paths) != set(sub.pattern.underlying.arcs):
         return False

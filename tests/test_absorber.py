@@ -387,6 +387,8 @@ def test_absorb_paths_guardrails():
 
     with pytest.raises(InvalidPath):
         absorb_paths(D, A, [(segs[0][0], segs[0][1], segs[0][0])])  # repeated vertex
+    with pytest.raises(InvalidPath, match="fewer than 2 vertices"):
+        absorb_paths(D, A, [segs[0][:1]])  # x = y: no pair covers one vertex
 
 
 def test_absorb_paths_rejects_unservable_targets():

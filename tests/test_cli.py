@@ -11,6 +11,7 @@ from dilink import (
     gen_random_digraph,
     verify_d_cover,
 )
+from dilink import cli, errors
 from dilink.cli import main
 from dilink.fileio import format_digraph, parse_digraph
 
@@ -260,8 +261,12 @@ def test_malformed_branch_map_is_exit_2(graph_file, pattern_file, capsys):
         ("0,1,0", "error: path 0 is not a valid path"),
         ("0,1", "error: path 0 meets the absorber"),  # 0 and 1 are its branch vertices
         ("5;6;7;8", "error: 4 paths exceed d = 3"),
+        ("5", "fewer than 2 vertices"),  # no two ends for a covering pair
     ],
-    ids=["non-integer", "out-of-range", "repeated-vertex", "meets-the-absorber", "too-many"],
+    ids=[
+        "non-integer", "out-of-range", "repeated-vertex", "meets-the-absorber", "too-many",
+        "one-vertex",
+    ],
 )
 def test_absorb_demo_bad_paths_is_exit_2(capsys, paths, message):
     assert main(["absorb-demo", "--n", "200", "--paths", paths]) == 2
@@ -269,3 +274,19 @@ def test_absorb_demo_bad_paths_is_exit_2(capsys, paths, message):
     assert message in err
     # only meeting the absorber needs it built; every other check comes first
     assert ("absorber:" in err) == (paths == "0,1")
+
+
+INPUT_ERRORS = [
+    c for c in vars(errors).values()
+    if isinstance(c, type) and issubclass(c, errors.InputError) and c is not errors.InputError
+]
+
+
+@pytest.mark.parametrize("kind", INPUT_ERRORS, ids=lambda c: c.__name__)
+def test_every_input_error_is_exit_2(capsys, monkeypatch, kind):
+    def refuse(args):
+        raise kind("refused")
+
+    monkeypatch.setattr(cli, "cmd_gen_random", refuse)
+    assert main(["gen-random", "--n", "3", "--p", "0.5"]) == 2
+    assert "error: refused" in capsys.readouterr().err

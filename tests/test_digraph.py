@@ -267,6 +267,17 @@ def test_generators():
         rotational_tournament(6)
     with pytest.raises(BadParameter):
         gen_random_digraph(5, 1.5, 0)
+    # the matrix fills against the families' definitions, arc by arc
+    for n in range(13):
+        half = (n - 1) // 2
+        assert complete_digraph(n).arcs == {(u, v) for u in range(n) for v in range(n) if u != v}
+        assert directed_path(n).arcs == {(i, i + 1) for i in range(n - 1)}
+        if n >= 2:
+            assert directed_cycle(n).arcs == {(i, (i + 1) % n) for i in range(n)}
+        if n % 2:
+            assert rotational_tournament(n).arcs == {
+                (i, (i + j) % n) for i in range(n) for j in range(1, half + 1)
+            }
 
 
 def test_random_digraph_is_seeded():
@@ -279,10 +290,22 @@ def test_random_digraph_is_seeded():
 
 
 @pytest.mark.parametrize("n", [-1, MAX_ORDER + 1])
-def test_random_digraph_checks_the_order_before_allocating(n, monkeypatch):
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda n: gen_random_digraph(n, 0.5, 0),
+        complete_digraph,
+        directed_cycle,
+        directed_path,
+        rotational_tournament,
+    ],
+    ids=["gen_random_digraph", "complete_digraph", "directed_cycle", "directed_path",
+         "rotational_tournament"],
+)
+def test_random_digraph_checks_the_order_before_allocating(n, make, monkeypatch):
     monkeypatch.setattr("dilink.generators.np", None)  # any numpy call would fail
     with pytest.raises(BadParameter, match="vertex count"):
-        gen_random_digraph(n, 0.5, 0)
+        make(n)
 
 
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 300])

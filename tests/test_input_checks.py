@@ -3,7 +3,8 @@ parameter rejects one outside its range with BadParameter, every entry
 that takes an integer count rejects a fraction, a bool or a count below
 its floor with BadParameter, and every entry that takes vertex labels
 rejects one outside 0..n-1 with LabelOutOfRange, whichever module it
-lives in."""
+lives in.  Each of those is an InputError, and every dilink error is of
+exactly one kind: an InputError, a ConstructionFailed or PipelineFailed."""
 
 import functools
 
@@ -41,7 +42,15 @@ from dilink import (
     verify_d_cover,
 )
 from dilink.absorber import check_paths, cut_absorbable_segments
-from dilink.errors import BadParameter, LabelOutOfRange
+from dilink import errors
+from dilink.errors import (
+    BadParameter,
+    ConstructionFailed,
+    DilinkError,
+    InputError,
+    LabelOutOfRange,
+    PipelineFailed,
+)
 
 K6 = complete_digraph(6)
 
@@ -73,8 +82,9 @@ OUT_OF_RANGE = {"gamma": (0, 1, "x"), "nu": (0, "5/4", "x")}
 )
 def test_density_parameters_outside_their_range_raise_bad_parameter(entry, x):
     name, call = DENSITY_ENTRIES[entry]
-    with pytest.raises(BadParameter, match=None if x == "x" else f"{name} must lie in"):
+    with pytest.raises(BadParameter, match=None if x == "x" else f"{name} must lie in") as e:
         call(x)
+    assert isinstance(e.value, InputError)
 
 
 _CFG = dict(gamma="1/2", nu="3/4", tau="3/4")
@@ -112,8 +122,9 @@ COUNT_ENTRIES = {
 def test_counts_that_are_not_integers_at_least_their_floor_raise_bad_parameter(entry, bad):
     name, least, call = COUNT_ENTRIES[entry]
     x = {"fraction": least + 1.5, "bool": True, "below": least - 1}[bad]
-    with pytest.raises(BadParameter, match=f"^{name} must be "):
+    with pytest.raises(BadParameter, match=f"^{name} must be ") as e:
         call(x)
+    assert isinstance(e.value, InputError)
 
 
 @functools.cache
@@ -158,5 +169,24 @@ LABEL_ENTRIES = {
 @pytest.mark.parametrize("entry", LABEL_ENTRIES)
 def test_labels_outside_the_digraph_raise_label_out_of_range(entry, at_n):
     n, call = LABEL_ENTRIES[entry]
-    with pytest.raises(LabelOutOfRange):
+    with pytest.raises(LabelOutOfRange) as e:
         call(n if at_n else -1)
+    assert isinstance(e.value, InputError)
+
+
+def test_every_error_is_of_exactly_one_kind():
+    # a refusal, a failed construction or a failed pipeline, by class
+    kinds = (InputError, ConstructionFailed, PipelineFailed)
+    classes = [
+        c for c in vars(errors).values()
+        if isinstance(c, type) and issubclass(c, DilinkError)
+        and c not in (DilinkError, InputError, ConstructionFailed)
+    ]
+    assert len(classes) == 21
+    for c in classes:
+        assert sum(issubclass(c, k) for k in kinds) == 1, c
+        assert c is PipelineFailed or not issubclass(c, PipelineFailed), c
+    # only a construction failure can prove that what was sought does not exist
+    assert ConstructionFailed("x", exact=True).exact
+    for e in (DilinkError("x"), InputError("x"), PipelineFailed("stage", "x")):
+        assert not hasattr(e, "exact")

@@ -5,12 +5,16 @@ single arcs are read with has_arc only by Digraph itself, the reference
 reads rows or entries of the adjacency matrix.  expansion.py holds no
 matrix product, so the certifiers and the falsifier never wait on BLAS
 threads, and no module holds an assert statement, which python -O would
-strip."""
+strip.  Failures are routed by kind: no handler names a single kind of
+refusal (a subclass of InputError) to recover from it, only the CLI's
+main catches DilinkError, and the pipelines' loop has one handler."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from dilink import errors
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dilink"
 TUPLE_READS = {"out_neighbors", "in_neighbors"}
@@ -107,4 +111,80 @@ def test_the_lint_sees_every_kind_of_matrix_product():
     )
     assert matrix_products(tree) == [
         (3, "@"), (4, "@"), (5, "dot"), (5, "dot"), (5, "einsum"), (5, "matmul")
+    ]
+
+
+def handlers(tree: ast.AST):
+    """(line, names caught, enclosing classes and functions) of every
+    except clause; a bare except catches the name "<any>"."""
+
+    def names(node):
+        if node is None:
+            return ("<any>",)
+        if isinstance(node, ast.Tuple):
+            return tuple(n for e in node.elts for n in names(e))
+        return (node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "?"),)
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            if isinstance(child, ast.ExceptHandler):
+                yield child.lineno, names(child.type), scope
+            yield from walk(child, inner)
+
+    return list(walk(tree, ()))
+
+
+def caught_errors():
+    """(module, enclosing function, line, class) of every dilink error
+    an except clause in the library names."""
+    return [
+        (path.stem, scope[-1] if scope else "<module>", line, getattr(errors, name))
+        for path in MODULES
+        for line, names, scope in handlers(ast.parse(path.read_text()))
+        for name in names
+        if isinstance(getattr(errors, name, None), type)
+    ]
+
+
+def test_no_handler_recovers_from_one_kind_of_refusal():
+    # NotOriented only turns one line of check-degrees' report into "skipped"
+    found = [
+        h for h in caught_errors()
+        if issubclass(h[3], errors.InputError) and h[3] is not errors.InputError
+        and h != ("cli", "cmd_check_degrees", h[2], errors.NotOriented)
+    ]
+    assert not found, found
+
+
+def test_only_main_catches_dilink_error():
+    found = [
+        h for h in caught_errors()
+        if h[3] is errors.DilinkError and h[:2] != ("cli", "main")
+    ]
+    assert not found, found
+
+
+def test_the_pipeline_loop_has_one_handler():
+    tree = ast.parse((SRC / "pipeline.py").read_text())
+    assert [names for _, names, scope in handlers(tree) if "_drive" in scope] == [
+        ("ConstructionFailed",)
+    ]
+
+
+def test_the_lint_sees_every_kind_of_handler():
+    tree = ast.parse(
+        "def f():\n"
+        "    def g():\n"
+        "        try:\n"
+        "            pass\n"
+        "        except (errors.BadParameter, OSError):\n"
+        "            pass\n"
+        "        except:\n"
+        "            pass\n"
+    )
+    assert handlers(tree) == [
+        (5, ("BadParameter", "OSError"), ("f", "g")), (7, ("<any>",), ("f", "g"))
     ]
