@@ -27,7 +27,7 @@ from .degrees import (
     oriented_semidegree,
     posa_type,
 )
-from .digraph import Digraph, is_strongly_connected, remove_vertices
+from .digraph import Digraph, is_strongly_connected
 from .errors import (
     BadParameter,
     CycleNotFound,
@@ -182,9 +182,7 @@ def cmd_absorb_demo(args) -> int:
           f"order {len(A.vertices())}, valid = {validate_absorber(D, A)}",
           file=sys.stderr)
     if paths is None:
-        removal = remove_vertices(D, A.vertices())
-        C = hamilton_cycle(removal.digraph, args.seed)
-        C = tuple(removal.new_to_old[x] for x in C)
+        C = hamilton_cycle(D, args.seed, avoid=A.vertices())
         slots = A.slots
         paths = cut_absorbable_segments(D, A, C, [5] * len(slots), args.seed)
         print(f"auto-picked absorbee paths: {[list(p_) for p_ in paths]}",

@@ -1,27 +1,35 @@
 """Hamilton cycles: a random 1-factor joined into one cycle by patching.
 
-A 1-factor (one chosen out-arc and in-arc per vertex) is a perfect
-matching of the out-copy/in-copy bipartite graph: greedy in random order,
-then completed along alternating paths.  A failed alternating-path search
-reaches a set violating Hall's condition, which proves that no Hamilton
-cycle exists.  Karp's two-arc exchange (SIAM J. Comput. 1979) then merges
-cycles: for a on the smallest cycle and b off it, a -> succ(b) and
-b -> succ(a) replace a -> succ(a) and b -> succ(b).  A stalled patching
-draws a fresh 1-factor; at n <= 14 a complete search settles existence.
+hamilton_cycle(D, seed, avoid=X) works on D's own matrix with the
+vertices of X masked out, and returns a Hamilton cycle of D - X in D's
+labels.  A 1-factor (one chosen out-arc and in-arc per kept vertex) is a
+perfect matching of the out-copy/in-copy bipartite graph.  It is grown in
+proposal rounds: every unmatched out-copy draws one free in-copy at
+random and keeps it if the arc is there, the earliest proposer in a
+random order winning a contested in-copy; a round that matches nothing
+hands the rest to alternating-path completion.  An accepted proposal is
+uniform over u's free out-neighbours, as in the sequential greedy.  A
+failed alternating-path search reaches a set of kept vertices violating
+Hall's condition, which proves that D - X has no Hamilton cycle.  Karp's
+two-arc exchange (SIAM J. Comput. 1979) then merges cycles one vertex at
+a time: for a on the smallest cycle and b off it, a -> succ(b) and
+b -> succ(a) replace a -> succ(a) and b -> succ(b), taken at the first a,
+in random order, that has such a b.  A stalled patching draws a fresh
+1-factor; at most 14 kept vertices, a complete search settles existence.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .digraph import Digraph, validate_cycle
+from .digraph import Digraph, check_labels, validate_cycle
 from .errors import BadParameter, CycleNotFound, SizesExceedCycle
 from .ratio import as_count
 
-_EXACT_CAP = 14  # largest n on which a stalled search falls back to backtracking
+_EXACT_CAP = 14  # most kept vertices on which a stalled search falls back to backtracking
 _ATTEMPTS = 48  # fresh 1-factors before giving up or falling back
 _EXACT_BUDGET = 2_000_000  # search nodes _exact_cycle_search may visit
 
@@ -30,12 +38,14 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def _augment(M: np.ndarray, succ: np.ndarray, pred: np.ndarray, u: int) -> None:
-    """Match out-copy u along a shortest alternating path, found by a BFS
-    that expands a whole level at once; raise CycleNotFound(exact=True)
-    with the Hall violator when there is none."""
+def _augment(
+    M: np.ndarray, kept: np.ndarray, succ: np.ndarray, pred: np.ndarray, u: int
+) -> None:
+    """Match out-copy u along a shortest alternating path through kept
+    vertices, found by a BFS that expands a whole level at once; raise
+    CycleNotFound(exact=True) with the Hall violator when there is none."""
     parent = np.full(len(M), -1, dtype=np.intp)  # in-copy -> out-copy that reached it
-    seen = np.zeros(len(M), dtype=bool)
+    seen = ~kept  # an avoided in-copy is never reached
     frontier = np.array([u], dtype=np.intp)
     reached = 1
     while len(frontier):
@@ -61,59 +71,80 @@ def _augment(M: np.ndarray, succ: np.ndarray, pred: np.ndarray, u: int) -> None:
     )
 
 
-def _one_factor(M: np.ndarray, rng: random.Random) -> np.ndarray:
-    """succ with an arc v -> succ[v] for every v and succ a permutation."""
+def _one_factor(M: np.ndarray, kept: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """succ with an arc v -> succ[v] for every kept v, and succ a
+    permutation of the kept vertices; succ[v] = -1 for every other v."""
     n = len(M)
     succ = np.full(n, -1, dtype=np.intp)
     pred = np.full(n, -1, dtype=np.intp)
-    free = np.ones(n, dtype=bool)
-    for u in rng.sample(range(n), n):
-        cand = (M[u] & free).nonzero()[0]
-        if len(cand):
-            v = int(cand[rng.randrange(len(cand))])
-            succ[u], pred[v], free[v] = v, u, False
-    for u in np.flatnonzero(succ < 0).tolist():
-        _augment(M, succ, pred, u)
+    free = kept.copy()
+    todo = rng.permutation(np.flatnonzero(kept))  # unmatched out-copies, in proposal order
+    while len(todo):
+        cand = np.flatnonzero(free)
+        v = cand[rng.integers(len(cand), size=len(todo))]
+        hit = np.flatnonzero(M[todo, v])
+        first = np.full(n, len(todo))  # earliest arc-backed proposal to each in-copy
+        np.minimum.at(first, v[hit], hit)
+        win = hit[first[v[hit]] == hit]
+        if not len(win):
+            break
+        u, v = todo[win], v[win]
+        succ[u], pred[v], free[v] = v, u, False
+        todo = todo[succ[todo] < 0]
+    for u in todo.tolist():
+        _augment(M, kept, succ, pred, u)
     return succ
 
 
-def _patch(M: np.ndarray, succ: np.ndarray, rng: random.Random) -> bool:
-    """Merge the cycles of succ in place into one; False if stalled."""
-    nxt, label = succ.tolist(), np.full(len(succ), -1, dtype=np.intp)
-    for s in range(len(nxt)):  # label a cycle by its smallest vertex
-        v = s
+def _patch(
+    M: np.ndarray, kept: np.ndarray, succ: np.ndarray, rng: np.random.Generator
+) -> bool:
+    """Merge the cycles of succ on the kept vertices in place into one;
+    False if stalled."""
+    nxt = succ.tolist()
+    label = [-1] * len(nxt)  # a kept vertex's cycle, named by its first vertex
+    sizes: dict[int, int] = {}
+    for s in np.flatnonzero(kept).tolist():
+        v, size = s, 0
         while label[v] < 0:
-            label[v], v = s, nxt[v]
-    while True:
-        sizes = np.bincount(label, minlength=len(label))
-        if np.count_nonzero(sizes) == 1:
-            return True
-        c = int(np.where(sizes > 0, sizes, len(label) + 1).argmin())
-        A = np.flatnonzero(label == c)
-        ok = M[A][:, succ] & M[:, succ[A]].T & (label != c)
-        hits = np.flatnonzero(ok)
-        if not len(hits):
+            label[v], v, size = s, nxt[v], size + 1
+        if size:
+            sizes[s] = size
+    label = np.array(label, dtype=np.intp)
+    while len(sizes) > 1:
+        c = min(sizes, key=sizes.__getitem__)
+        outside = kept & (label != c)
+        for a in rng.permutation(np.flatnonzero(label == c)).tolist():
+            hits = np.flatnonzero(M[a, succ] & M[:, succ[a]] & outside)
+            if len(hits):
+                break
+        else:
             return False
-        i, b = divmod(int(hits[rng.randrange(len(hits))]), len(label))
-        a = int(A[i])
+        b = int(hits[rng.integers(len(hits))])
         succ[a], succ[b] = succ[b], succ[a]
-        label[label == label[b]] = c
+        merged = label == label[b]
+        sizes[c] += sizes.pop(int(label[b]))
+        label[merged] = c
+    return True
 
 
-def _exact_cycle_search(D: Digraph) -> tuple[int, ...] | None:
-    """Complete backtracking search for a Hamilton cycle through 0.
-    Raises _BudgetExceeded when the node budget runs out."""
+def _exact_cycle_search(D: Digraph, keep: list[int]) -> tuple[int, ...] | None:
+    """Complete backtracking search for a Hamilton cycle of D on the
+    vertices keep, through keep[0].  Raises _BudgetExceeded when the node
+    budget runs out."""
     spent = 0
-    path = [0]
-    out = [D.out_neighbors(v) for v in D.vertices()]
+    start = keep[0]
+    path = [start]
+    inside = set(keep)
+    out = {v: [w for w in D.out_neighbors(v) if w in inside] for v in keep}
 
     def dfs() -> tuple[int, ...] | None:
         nonlocal spent
         spent += 1
         if spent > _EXACT_BUDGET:
             raise _BudgetExceeded
-        if len(path) == D.n:
-            return tuple(path) if D.has_arc(path[-1], 0) else None
+        if len(path) == len(keep):
+            return tuple(path) if D.has_arc(path[-1], start) else None
         for w in out[path[-1]]:
             if w not in path:
                 path.append(w)
@@ -126,36 +157,48 @@ def _exact_cycle_search(D: Digraph) -> tuple[int, ...] | None:
     return dfs()
 
 
-def hamilton_cycle(D: Digraph, seed: int) -> tuple[int, ...]:
-    """A Hamilton cycle of D as a vertex tuple starting at 0.
+def _checked(D: Digraph, kept: np.ndarray, C: Sequence[int], how: str) -> tuple[int, ...]:
+    """C, after re-verifying that it is a cycle of D through exactly the
+    kept vertices."""
+    if not (
+        len(C) == np.count_nonzero(kept) and validate_cycle(D, C) and kept[list(C)].all()
+    ):
+        raise AssertionError(f"{how} cycle does not re-verify")
+    return tuple(C)
 
-    CycleNotFound carries exact=True only when absence is proven: D has
-    no 1-factor, or n <= 14 and the complete search found none.
+
+def hamilton_cycle(D: Digraph, seed: int, *, avoid: Iterable[int] = ()) -> tuple[int, ...]:
+    """A Hamilton cycle of D - avoid, in D's labels, as a vertex tuple
+    starting at the smallest kept vertex (0 when nothing is avoided).
+
+    CycleNotFound carries exact=True only when absence is proven: D -
+    avoid has no 1-factor, or it has at most 14 vertices and the complete
+    search found none.  A Hall violator is named in D's labels.
     """
-    n = D.n
-    if n < 2:
+    gone = set(avoid)
+    check_labels(D.n, gone)
+    kept = np.ones(D.n, dtype=bool)
+    kept[list(gone)] = False
+    keep = np.flatnonzero(kept).tolist()
+    if len(keep) < 2:
         raise BadParameter("a cycle needs at least 2 vertices")
     M = D.bool_matrix()
     for attempt in range(_ATTEMPTS):
-        rng = random.Random((seed * 48_271 + attempt) & 0xFFFFFFFF)
-        succ = _one_factor(M, rng)
-        if _patch(M, succ, rng):
+        rng = np.random.default_rng((seed * 48_271 + attempt) & 0xFFFFFFFF)
+        succ = _one_factor(M, kept, rng)
+        if _patch(M, kept, succ, rng):
             nxt = succ.tolist()
-            C = [0]
-            while len(C) < n:
+            C = [keep[0]]
+            while len(C) < len(keep):
                 C.append(nxt[C[-1]])
-            if not validate_cycle(D, C):
-                raise AssertionError("patched cycle does not re-verify")
-            return tuple(C)
-    if n <= _EXACT_CAP:
+            return _checked(D, kept, C, "patched")
+    if len(keep) <= _EXACT_CAP:
         try:
-            got = _exact_cycle_search(D)
+            got = _exact_cycle_search(D, keep)
         except _BudgetExceeded:
             raise CycleNotFound("no Hamilton cycle found (search truncated)") from None
         if got is not None:
-            if not validate_cycle(D, got):
-                raise AssertionError("searched cycle does not re-verify")
-            return got
+            return _checked(D, kept, got, "searched")
         raise CycleNotFound("no Hamilton cycle exists", exact=True)
     raise CycleNotFound(
         f"no Hamilton cycle found: patching stalled on {_ATTEMPTS} 1-factors"

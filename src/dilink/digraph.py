@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BadParameter, LabelOutOfRange, LoopArc
+from .ratio import as_count
 
 Arc = tuple[int, int]
 MAX_ORDER = 1 << 15  # largest n Digraph() accepts: its bool matrix is then 1 GiB
@@ -41,11 +42,11 @@ class Digraph:
 
     def __init__(self, n: int, arc_list: Iterable[Arc]):
         """Arcs are integer pairs or an (m, 2) int array; duplicates collapse.
-        Non-integer labels, and an n above MAX_ORDER, raise BadParameter;
-        the first bad arc in input order raises LoopArc if a loop, else
-        LabelOutOfRange."""
-        if not isinstance(n, int) or n < 0:
-            raise LabelOutOfRange(f"vertex count must be a nonnegative int, got {n!r}")
+        A vertex count that is not a whole number >= 0 (as_count reads 3.0
+        as 3), non-integer labels, and an n above MAX_ORDER raise
+        BadParameter; the first bad arc in input order raises LoopArc if a
+        loop, else LabelOutOfRange."""
+        n = as_count(n, "vertex count", least=0)
         if n > MAX_ORDER:
             raise BadParameter(f"vertex count {n} is too large: the bound is {MAX_ORDER}")
         if not isinstance(arc_list, np.ndarray):
@@ -196,7 +197,16 @@ def remove_vertices(D: Digraph, removed: Iterable[int]) -> VertexRemoval:
 
 def validate_path(D: Digraph, seq: Sequence[int]) -> bool:
     """True iff seq is a directed path of D: distinct integer labels in
-    range, and every consecutive pair an arc, read from the matrix at once."""
+    range, and every consecutive pair an arc.  A list or tuple of at most
+    3 plain ints, such as a 2-vertex rung, is checked one arc at a time;
+    anything else is read from the matrix at once."""
+    if type(seq) in (list, tuple) and len(seq) <= 3 and all(type(v) is int for v in seq):
+        M = D.bool_matrix()
+        return (
+            0 < len(seq) == len(set(seq))
+            and all(0 <= v < D.n for v in seq)
+            and all(M.item(u, v) for u, v in zip(seq, seq[1:]))
+        )
     a = np.asarray(seq)
     if a.ndim != 1 or a.dtype.kind not in "iu" or not 0 < len(a) == len(set(a.tolist())):
         return False

@@ -2,13 +2,14 @@
 
 Both pipelines run one shared loop: build an absorber, check that each
 of its host paths is short enough to leave room for a segment, find a
-Hamilton cycle of the digraph minus the absorber, cut segments of
-exactly the missing sizes from the cycle where each one's ends have a
-covering pair on its host path, and absorb each segment into that path.
-Because rung-swap absorption adds exactly the absorbed vertices, the
-final subdivisions hit their prescribed path lengths (or orders) on the
-nose.  The pipelines differ only in their feasibility gates, the
-absorber they build, the segment sizes and the final check.
+Hamilton cycle of the digraph minus the absorber (on the digraph's own
+matrix, with the absorber masked out), cut segments of exactly the
+missing sizes from the cycle where each one's ends have a covering pair
+on its host path, and absorb each segment into that path.  Because
+rung-swap absorption adds exactly the absorbed vertices, the final
+subdivisions hit their prescribed path lengths (or orders) on the nose.
+The pipelines differ only in their feasibility gates, the absorber they
+build, the segment sizes and the final check.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .absorber import (
     cut_absorbable_segments,
 )
 from .cycles import hamilton_cycle
-from .digraph import Digraph, remove_vertices
+from .digraph import Digraph
 from .errors import BadParameter, ConstructionFailed, OrdersDontSumToN, PipelineFailed
 from .expansion import ExpansionParams
 from .ratio import Real, as_count
@@ -97,13 +98,15 @@ def _drive(
     off sizes(A), the room each slot leaves: the number of vertices its
     segment must bring.  A slot with room below 2 (a segment needs two
     ends to cover) ends the attempt at stage "absorber"; this is the only
-    room check, and it runs before any vertex is removed.  Otherwise the
-    attempt finds a Hamilton cycle of D minus the absorber, cuts the
-    cycle once into absorbable segments of those sizes, one per slot, and
-    absorbs each into its slot, returning the enlarged hosts if they pass
-    the final check.  This is the only retry loop: a ConstructionFailed
-    ends the attempt at its stage, an exact one at stage "absorber" ends
-    the loop, and PipelineFailed lists every attempt's stage and reason.
+    room check, and it runs before any cycle work starts.  Otherwise the
+    attempt finds a Hamilton cycle of D - V(A) on D's own matrix, with
+    the absorber's vertices masked out, so the cycle and any failure
+    reason name D's vertices; it cuts the cycle once into absorbable
+    segments of those sizes, one per slot, and absorbs each into its
+    slot, returning the enlarged hosts if they pass the final check.
+    This is the only retry loop: a ConstructionFailed ends the attempt at
+    its stage, an exact one at stage "absorber" ends the loop, and
+    PipelineFailed lists every attempt's stage and reason.
     """
     p, d = cfg.resolve()
     floor = min_prescribed_length(p.nu)
@@ -124,9 +127,7 @@ def _drive(
             if room[i] < 2:
                 raise ConstructionFailed(f"slot {A.slots[i]} has room {room[i]}, below 2")
             stage = "cycle"
-            removal = remove_vertices(D, A.vertices())
-            C_local = hamilton_cycle(removal.digraph, _stage_seed(cfg.seed, restart, 2))
-            C = tuple(removal.new_to_old[x] for x in C_local)
+            C = hamilton_cycle(D, _stage_seed(cfg.seed, restart, 2), avoid=A.vertices())
             stage = "absorb"
             segs = cut_absorbable_segments(D, A, C, room, _stage_seed(cfg.seed, restart, 3))
             subs = absorb_paths(D, A, segs, A.slots)
@@ -135,8 +136,7 @@ def _drive(
                 raise ConstructionFailed("absorbed hosts failed final checks")
             return subs
         except ConstructionFailed as e:
-            prefix = "in D - V(A), relabelled in order: " if stage == "cycle" else ""
-            attempts.append((stage, prefix + str(e)))
+            attempts.append((stage, str(e)))
             if e.exact and stage == "absorber":
                 break
     stage, reason = attempts[-1]

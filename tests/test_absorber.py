@@ -20,7 +20,6 @@ from dilink import (
     hamilton_cycle,
     ladder_on_path,
     path_lengths,
-    remove_vertices,
     single_arc_pattern,
     subdivision_order,
     triangle_pattern,
@@ -46,9 +45,7 @@ def _dense(seed=0, n=200, p=0.7):
 
 def _leftover_segments(D, A, sizes, seed=0):
     """Disjoint paths outside the absorber, cut from a leftover cycle."""
-    removal = remove_vertices(D, A.vertices())
-    C = hamilton_cycle(removal.digraph, seed)
-    C = tuple(removal.new_to_old[x] for x in C)
+    C = hamilton_cycle(D, seed, avoid=A.vertices())
     return cut_cycle_segments(C, sizes, seed)
 
 
@@ -278,8 +275,7 @@ def test_absorb_paths_type2_index_alignment():
 
 
 def _leftover_cycle(D, A, seed=0):
-    removal = remove_vertices(D, A.vertices())
-    return tuple(removal.new_to_old[x] for x in hamilton_cycle(removal.digraph, seed))
+    return hamilton_cycle(D, seed, avoid=A.vertices())
 
 
 def test_absorb_paths_puts_each_path_into_its_slot():

@@ -71,6 +71,10 @@ def test_argument_guards():
     for n in (0, 1):
         with pytest.raises(BadParameter):
             hamilton_cycle(complete_digraph(n), seed=0)
+    for X in ([0, 1, 2, 3], [0, 1, 2, 3, 4]):  # fewer than 2 vertices kept
+        with pytest.raises(BadParameter):
+            hamilton_cycle(complete_digraph(5), seed=0, avoid=X)
+    assert hamilton_cycle(complete_digraph(5), seed=0, avoid=[0, 2, 4]) == (1, 3)
 
 
 def test_dense_random_digraphs_reach_long_cycles():

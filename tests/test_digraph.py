@@ -43,7 +43,7 @@ def test_digons_allowed_loops_rejected():
 def test_label_range_enforced():
     with pytest.raises(LabelOutOfRange):
         Digraph(3, [(0, 3)])
-    with pytest.raises(LabelOutOfRange):
+    with pytest.raises(BadParameter, match="vertex count must be >= 0"):
         Digraph(-1, [])
     with pytest.raises(BadParameter, match="too large"):  # above MAX_ORDER
         Digraph(10**20, [])

@@ -11,6 +11,7 @@ import functools
 import pytest
 
 from dilink import (
+    Digraph,
     ExpansionParams,
     LengthPrescription,
     PipelineConfig,
@@ -30,6 +31,7 @@ from dilink import (
     directed_path,
     falsify_outexpander_sampled,
     gen_random_digraph,
+    hamilton_cycle,
     min_prescribed_length,
     perfect_tiling,
     posa_type,
@@ -109,6 +111,7 @@ COUNT_ENTRIES = {
     "falsify_outexpander_sampled": ("trials", 1, lambda x: falsify_outexpander_sampled(
         K6, ExpansionParams("1/6", "1/6"), x, 0
     )),
+    "Digraph": ("vertex count", 0, lambda x: Digraph(x, [])),
     "gen_random_digraph": ("vertex count", 0, lambda x: gen_random_digraph(x, 0.5, 0)),
     "complete_digraph": ("vertex count", 0, complete_digraph),
     "directed_cycle": ("vertex count", 0, directed_cycle),
@@ -141,6 +144,7 @@ LABEL_ENTRIES = {
     "out_degree": (6, lambda v: K6.out_degree(v)),
     "in_degree": (6, lambda v: K6.in_degree(v)),
     "remove_vertices": (6, lambda v: remove_vertices(K6, [0, v])),
+    "hamilton_cycle-avoid": (6, lambda v: hamilton_cycle(K6, 0, avoid=[0, v])),
     "build_d_cover-avoid": (6, lambda v: build_d_cover(K6, 1, 0, avoid=[v])),
     "verify_d_cover-U": (6, lambda v: verify_d_cover(K6, [(0, 1)], [2, v])),
     "verify_d_cover-K": (6, lambda v: verify_d_cover(K6, [(0, v)], [2, 3])),

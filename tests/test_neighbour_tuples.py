@@ -2,10 +2,12 @@
 digraph.py and read only by the two small-n backtracking searches, and
 single arcs are read with has_arc only by Digraph itself, the reference
 `covers` and the Hamilton-cycle backtracking search: everything else
-reads rows or entries of the adjacency matrix.  expansion.py holds no
-matrix product, so the certifiers and the falsifier never wait on BLAS
-threads, and no module holds an assert statement, which python -O would
-strip.  Failures are routed by kind: no handler names a single kind of
+reads rows or entries of the adjacency matrix.  Only the deletion
+certifier calls remove_vertices, whose relabelled copy costs three n^2
+gathers: the leftover cycle masks vertices out instead.  expansion.py
+holds no matrix product, so the certifiers and the falsifier never wait
+on BLAS threads, and no module holds an assert statement, which python
+-O would strip.  Failures are routed by kind: no handler names a single kind of
 refusal (a subclass of InputError) to recover from it, only the CLI's
 main catches DilinkError, and the pipelines' loop has one handler."""
 
@@ -21,25 +23,26 @@ TUPLE_READS = {"out_neighbors", "in_neighbors"}
 ALLOWED = {("cycles", "_exact_cycle_search"), ("subdivision", "brute_force_subdivision")}
 ARC_READS = {"has_arc"}
 ARC_READERS = {("cover", "covers"), ("cycles", "_exact_cycle_search"), ("digraph", "Digraph")}
+REMOVALS = {"remove_vertices"}
+REMOVERS = {("expansion", "certify_survives_deletion")}
 PRODUCTS = {"dot", "matmul", "einsum"}
 MODULES = sorted(SRC.glob("*.py"))
 
 
 def method_calls(tree: ast.AST, methods):
     """(line, method, enclosing classes and functions) of every call of
-    one of the methods."""
+    one of the methods, as an attribute or as a bare name."""
 
     def walk(node, scope):
         for child in ast.iter_child_nodes(node):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = scope + (child.name,)
-            if (
-                isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Attribute)
-                and child.func.attr in methods
-            ):
-                yield child.lineno, child.func.attr, scope
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if name in methods:
+                    yield child.lineno, name, scope
             yield from walk(child, inner)
 
     return list(walk(tree, ()))
@@ -68,11 +71,24 @@ def test_only_the_digraph_and_the_reference_checks_read_single_arcs(path):
     assert not found, found
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_deletion_certifier_removes_vertices(path):
+    found = calls_outside(path, REMOVALS, REMOVERS)
+    assert not found, found
+
+
 def test_the_lint_sees_a_call_inside_a_nested_function():
     tree = ast.parse("def f(D):\n    def g():\n        return D.in_neighbors(0)\n")
     assert method_calls(tree, TUPLE_READS) == [(3, "in_neighbors", ("f", "g"))]
     tree = ast.parse("class C:\n    def m(self, D):\n        return D.has_arc(0, 1)\n")
     assert method_calls(tree, ARC_READS) == [(3, "has_arc", ("C", "m"))]
+    tree = ast.parse(
+        "def f(D):\n    def g():\n        return remove_vertices(D, [0])\n"
+        "    return digraph.remove_vertices(D, [1])\n"
+    )
+    assert method_calls(tree, REMOVALS) == [
+        (3, "remove_vertices", ("f", "g")), (4, "remove_vertices", ("f",))
+    ]
 
 
 def test_the_library_holds_no_assert_statement():
