@@ -284,7 +284,7 @@ def validate_absorber(
         if lv & seen:
             ok = fail(f"ladder {i} overlaps an earlier ladder")
         seen |= lv
-    if not verify_d_cover(D, A.pairs, range(D.n), A.d):
+    if not verify_d_cover(D, A.pairs, None, A.d):
         ok = fail(f"K is not a {A.d}-cover of the whole vertex set")
     in_hosts: set[int] = set()
     for hi, host in enumerate(A.hosts):

@@ -112,8 +112,7 @@ def verify_d_cover(
     pairs = list(K.pairs if isinstance(K, CoverPairSet) else K)
     uset = sorted(range(D.n) if U is None else set(U))
     d = as_count(d, "d", least=0)
-    # U is sorted, so its ends suffice
-    check_labels(D.n, [*uset[:1], *uset[-1:], *(v for pair in pairs for v in pair)])
+    check_labels(D.n, [*(() if U is None else uset), *(v for pair in pairs for v in pair)])
     if len(uset) < 2 or d == 0:
         return True
     P, Q = cover_arcs(D.bool_matrix(), pairs)

@@ -26,11 +26,15 @@ MAX_ORDER = 1 << 15  # largest n Digraph() accepts: its bool matrix is then 1 Gi
 
 
 def check_labels(n: int, labels: Iterable[int], what: str = "vertex {}") -> None:
-    """Raise LabelOutOfRange for the first of `labels` outside 0..n-1,
+    """Raise BadParameter for the first of `labels` that is not an integer
+    (a bool, a float), else LabelOutOfRange for the first outside 0..n-1,
     named in the message by `what` formatted with that label.  Every
     function taking vertex labels checks them here: numpy would read -1
-    as row n-1."""
+    as row n-1, True as row 1 and 2.0 not at all."""
     for v in labels:
+        # plain ints, what hot callers pass, skip the full type check
+        if type(v) is not int and (isinstance(v, bool) or not isinstance(v, (int, np.integer))):
+            raise BadParameter(f"{what.format(v)} is not an integer label")
         if not 0 <= v < n:
             raise LabelOutOfRange(f"{what.format(v)} outside 0..{n - 1}")
 

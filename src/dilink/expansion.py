@@ -74,7 +74,7 @@ def robust_out_neighbourhood(D: Digraph, S: Iterable[int], nu: Real) -> frozense
     S outside 0..n-1 raises LabelOutOfRange."""
     nu = as_density(nu, "nu", closed=True)
     rows = sorted(set(S))
-    check_labels(D.n, rows[:1] + rows[-1:])  # sorted, so the ends suffice
+    check_labels(D.n, rows)
     counts = D.bool_matrix()[rows].sum(axis=0)
     return frozenset(np.flatnonzero(counts >= _in_count_threshold(nu, D.n)).tolist())
 
@@ -97,10 +97,14 @@ def certify_outexpander_exact(
     in-neighbour counts of every subset from a subset-sum table.
 
     The table holds the row sums of all 2^b subsets of vertices 0..b-1
-    (b = min(n, 14)), built by b doublings; each of the 2^(n-b) subsets of
-    the other vertices adds its own row sum to the whole table, one block
-    of 2^b x n counts at a time.  That is about 2^n * n byte additions, in
-    2^b * n bytes of memory.  Refutation reports a minimum-size
+    (b = min(n, 14)), and a second one the row sums of the 2^(n-b) subsets
+    of the other vertices, each built by doublings.  Each such subset, a
+    block, decides every vertex whose in-count inside it reaches
+    ceil(nu*n), and compares only the other vertices' rows of the first
+    table, 2^b columns at a time; a block whose decided vertices alone
+    meet every need is skipped.  The worst case, when ceil(nu*n) is large
+    or D is sparse, is still about 2^n * n byte comparisons, in 2^b * n
+    bytes of memory.  Refutation reports a minimum-size
     counterexample: the first, in lexicographic order of the sorted vertex
     tuple, among the smallest violating sets.  Raises TooLargeForExact
     above the subset cap.
@@ -126,16 +130,32 @@ def certify_outexpander_exact(
     for j in range(b):
         low[:, 1 << j : 2 << j] = low[:, : 1 << j] + M[b - 1 - j][:, None]
         pop[1 << j : 2 << j] = pop[: 1 << j] + 1
+    high = np.zeros((1 << (n - b), n), dtype=dt)  # high[block, x]: in-neighbours of x
+    for i in range(n - b):
+        high[1 << i : 2 << i] = high[: 1 << i] + M[n - 1 - i]
+    # x is in RN+ when its low count reaches short[block, x], t less its count
+    # in the block; x is decided, in RN+ for every column, when that is 0
+    short = t - np.minimum(high, t)
     # need_by[r, column]: need of the column's set plus r vertices of a block
     need_by = need[pop + np.arange(n - b + 1)[:, None]].astype(np.min_scalar_type(2 * n))
+    need_top = need_by.max(axis=1).tolist()  # the largest need with r vertices of a block
     best = (n + 1, 0)  # (size, -key) of the best violating set; size n + 1 while none
     for block in range(1 << (n - b)):
-        rows = [n - 1 - i for i in range(n - b) if block >> i & 1]
-        # x is in RN+ when its low count reaches t less its count in the block
-        shifted = t - np.minimum(M[rows].sum(axis=0, dtype=dt), t)
-        bad = np.flatnonzero((low >= shifted[:, None]).sum(axis=0, dtype=dt) < need_by[len(rows)])
+        open_ = np.flatnonzero(short[block])
+        r = block.bit_count()
+        if n - open_.size >= need_top[r]:
+            # the decided rows alone meet every need.  A block with no open row
+            # is always skipped: a size s in the range has s < (1-tau)n, and
+            # t = ceil(nu*n) <= ceil(tau*n) as nu <= tau, so s + t <= n - 1 if
+            # tau*n is whole and s + t < (1-tau)n + tau*n + 1 = n + 1 if not
+            continue
+        rows = slice(None) if open_.size == n else open_  # no gather of every row
+        # numpy sums the comparison faster as uint8 than as bool
+        hits = (low[rows] >= short[block, rows, None]).view(np.uint8)
+        reach = hits.sum(axis=0, dtype=dt) + (n - len(hits))  # a decided row is in RN+
+        bad = np.flatnonzero(reach < need_by[r])
         if bad.size:
-            size = pop[bad] + len(rows)
+            size = pop[bad] + r
             s = int(size.min())
             best = min(best, (s, -((int(bad[size == s][-1]) << (n - b)) | block)))
     if best[0] > n:

@@ -76,8 +76,12 @@ def parse_ints(tokens: Sequence[str], source: str) -> list[int]:
 
 def _fits_int64(token: str) -> bool:
     """Whether an integer token's value lies in int64; a long token is
-    refused before int() sees it."""
-    return len(token.lstrip("+-0")) <= 19 and _INT64.min <= int(token) <= _INT64.max
+    refused, and a zero-padded one stripped, before int() sees it."""
+    digits = token.lstrip("+-").lstrip("0") or "0"
+    if len(digits) > 19:
+        return False
+    value = -int(digits) if token.startswith("-") else int(digits)
+    return _INT64.min <= value <= _INT64.max
 
 
 def parse_digraph(text: str) -> Digraph:

@@ -3,6 +3,8 @@ import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+pytest_plugins = ["pytester"]  # the pytester fixture of tests/test_pytest_settings.py
+
 try:
     from hypothesis import settings
 except ImportError:  # the property tests skip themselves

@@ -181,7 +181,8 @@ def oracle_min_violating_set(D: Digraph, nu, tau):
     reach = np.zeros(1 << n, dtype=np.int64)  # |RN+(S)| for every S
     for x in range(n):
         in_mask = sum(1 << u for u in D.in_neighbors(x))
-        reach += np.bitwise_count(masks & in_mask) * nu.denominator >= nu.numerator * n
+        hits = np.bitwise_count(masks & in_mask).astype(np.int64)  # a uint8 product wraps
+        reach += hits * nu.denominator >= nu.numerator * n
     in_range = (tau.numerator * n < size * tau.denominator) & (
         size * tau.denominator < (tau.denominator - tau.numerator) * n
     )

@@ -30,13 +30,18 @@ from helpers import oracle_falsify_sampled, oracle_min_violating_set
 @given(
     n=st.sampled_from([13, 14, 15, 17]),
     density=st.floats(0.6, 1.0),
-    nu_tau=st.sampled_from(["1/6", "1/5", "1/3"]),
+    # nu < tau, as in the in-expansion (nu^2, 2 tau) and deletion (nu/2, 2 tau)
+    # parameters: a small ceil(nu*n) decides most rows of a block uncompared
+    nu_tau=st.sampled_from(
+        [("1/6", "1/6"), ("1/5", "1/5"), ("1/3", "1/3"),
+         ("1/25", "2/5"), ("1/10", "2/5"), ("1/10", "1/5")]
+    ),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
 def test_exact_certifiers_match_the_oracle(n, density, nu_tau, seed, data):
     D = gen_random_digraph(n, density, seed)
-    p = ExpansionParams(nu_tau, nu_tau)
+    p = ExpansionParams(*nu_tau)
     removed = data.draw(st.sets(st.integers(0, n - 1), max_size=deletion_tolerance(D, p)))
     q = shrink_params_for_deletion(p)
     for rep, G, r in (
@@ -46,6 +51,30 @@ def test_exact_certifiers_match_the_oracle(n, density, nu_tau, seed, data):
     ):
         assert rep.counterexample == oracle_min_violating_set(G, r.nu, r.tau)
 
+
+@settings(max_examples=24)
+@given(
+    n=st.sampled_from([15, 17]),
+    density=st.floats(0.8, 1.0),
+    reached_by=st.integers(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_exact_certifiers_match_the_oracle_when_only_the_largest_sets_violate(
+    n, density, reached_by, seed, data
+):
+    # At nu = tau = 1/20, ceil(nu*n) = 1 and the largest quantified size is
+    # n - 1, so one vertex with at most one in-neighbour makes only sets of
+    # n - 1 vertices violate, in a block that leaves few rows open, often
+    # one.  The table block holds 2^14 sets, so n = 15 and 17 have 2 and 8.
+    M = gen_random_digraph(n, density, seed).bool_matrix().copy()
+    x = data.draw(st.integers(0, n - 1))
+    M[np.flatnonzero(M[:, x])[reached_by:], x] = False
+    D = Digraph(n, np.argwhere(M))
+    p = ExpansionParams("1/20", "1/20")
+    assert certify_outexpander_exact(D, p).counterexample == oracle_min_violating_set(
+        D, p.nu, p.tau
+    )
 
 
 @st.composite

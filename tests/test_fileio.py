@@ -102,6 +102,12 @@ def test_parse_digraph_token_grammar():
     with pytest.raises(BadParameter, match="too long"):
         parse_digraph(f"{long} 0\n")
     assert parse_digraph(f"3 1\n{'0' * 5000}1 2\n").arcs == {(1, 2)}
+    # the first bad line is named, past a zero-padded label int() cannot read
+    with pytest.raises(BadParameter, match="non-integer value in '0 x'"):
+        parse_digraph(f"3 2\n{'0' * 5000}1 2\n0 x\n")
+    with pytest.raises(LabelOutOfRange, match="'0 -0009223372036854775809'"):
+        parse_digraph("3 2\n0 1\n0 -0009223372036854775809\n")
+    assert parse_digraph("3 1\n-000 +0002\n").arcs == {(0, 2)}
 
 
 def test_parse_pattern_with_branch_map():

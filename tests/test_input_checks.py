@@ -146,13 +146,13 @@ LABEL_ENTRIES = {
     "remove_vertices": (6, lambda v: remove_vertices(K6, [0, v])),
     "hamilton_cycle-avoid": (6, lambda v: hamilton_cycle(K6, 0, avoid=[0, v])),
     "build_d_cover-avoid": (6, lambda v: build_d_cover(K6, 1, 0, avoid=[v])),
-    "verify_d_cover-U": (6, lambda v: verify_d_cover(K6, [(0, 1)], [2, v])),
+    "verify_d_cover-U": (6, lambda v: verify_d_cover(K6, [(0, 1)], [0, v, 5])),
     "verify_d_cover-K": (6, lambda v: verify_d_cover(K6, [(0, v)], [2, 3])),
     "shortest_path_avoiding-s": (6, lambda v: shortest_path_avoiding(K6, v, 0, set(), 4)),
     "shortest_path_avoiding-t": (6, lambda v: shortest_path_avoiding(K6, 0, v, set(), 4)),
     "shortest_path_avoiding-blocked": (6, lambda v: shortest_path_avoiding(K6, 0, 1, {v}, 4)),
-    "robust_out_neighbourhood": (6, lambda v: robust_out_neighbourhood(K6, [0, v], "1/2")),
-    "robust_in_neighbourhood": (6, lambda v: robust_in_neighbourhood(K6, [0, v], "1/2")),
+    "robust_out_neighbourhood": (6, lambda v: robust_out_neighbourhood(K6, [0, v, 5], "1/2")),
+    "robust_in_neighbourhood": (6, lambda v: robust_in_neighbourhood(K6, [0, v, 5], "1/2")),
     "build_disjoint_ladders": (6, lambda v: build_disjoint_ladders(K6, [(0, v)], "1/2", 0, 0)),
     "build_disjoint_ladders-avoid": (
         6, lambda v: build_disjoint_ladders(K6, [(0, 1)], "1/2", 0, 0, avoid=[v])
@@ -176,6 +176,15 @@ def test_labels_outside_the_digraph_raise_label_out_of_range(entry, at_n):
     with pytest.raises(LabelOutOfRange) as e:
         call(n if at_n else -1)
     assert isinstance(e.value, InputError)
+
+
+@pytest.mark.parametrize("v", [2.5, 4.0, True], ids=["fraction", "float", "bool"])
+@pytest.mark.parametrize("entry", LABEL_ENTRIES)
+def test_labels_that_are_not_integers_raise_bad_parameter(entry, v):
+    # numpy would read True as label 1 and refuse a float with IndexError
+    _, call = LABEL_ENTRIES[entry]
+    with pytest.raises(BadParameter, match="not an integer label"):
+        call(v)
 
 
 def test_every_error_is_of_exactly_one_kind():
