@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success/true, 1 falsified or not found, 2 usage error (a
-missing file or any InputError), 3 construction failure.  Every
+Exit codes: 0 success/true, 1 falsified or not found, 2 usage error (an
+input path that is missing, a directory or unreadable, input that is not
+UTF-8, or any other InputError), 3 construction failure.  Every
 randomized subcommand takes --seed and is fully deterministic given it.
 """
 
@@ -45,6 +46,7 @@ from .expansion import (
 )
 from .fileio import (
     absorber_to_json,
+    decode_utf8,
     dump_json,
     format_digraph,
     parse_digraph,
@@ -61,7 +63,7 @@ from .subdivision import single_arc_pattern
 
 def _load_digraph(path: str) -> Digraph:
     if path == "-":
-        return parse_digraph(sys.stdin.read())
+        return parse_digraph(decode_utf8(sys.stdin.buffer.read(), "<stdin>"))
     return read_digraph(path)
 
 
@@ -276,7 +278,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, InputError) as e:
+    except (FileNotFoundError, IsADirectoryError, PermissionError, InputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except PipelineFailed as e:

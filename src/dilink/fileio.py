@@ -13,11 +13,13 @@ Subdivisions, ladders, and absorbers serialize to plain JSON objects.
 
 from __future__ import annotations
 
+import codecs
 import io
 import itertools
 import json
+import os
 import re
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -34,6 +36,9 @@ from .subdivision import (
 
 _INT = re.compile(r"[+-]?[0-9]+")
 _INT64 = np.iinfo(np.int64)
+_BLOCK = 1 << 16  # characters read at a time
+# the line breaks of str.splitlines
+_LINE_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 def _content(line: str) -> str:
@@ -45,18 +50,76 @@ def _content_lines(lines: Iterable[str]) -> Iterator[str]:
     return filter(None, map(_content, lines))
 
 
-def _split_lines(fh: TextIO) -> Iterator[str]:
-    """The lines of fh, opened with newline='', split as str.splitlines
-    splits its whole text: each 64 KiB block is split up to its last '\n'
-    or last '\r' before its end, and the rest carried to the next, so a
-    '\r\n' is never cut."""
+def _blocks(fh: TextIO) -> Iterator[str]:
+    """The text of fh, opened with newline='', in blocks of whole lines:
+    each block read is cut after its last '\n', or its last '\r' before
+    its end, and the rest carried to the next, so a '\r\n' is never cut
+    and the blocks split into lines as str.splitlines splits the whole
+    text.  The last block is what is left, line break or not."""
     tail = ""
-    while block := fh.read(1 << 16):
-        tail += block
-        cut = max(tail.rfind("\n"), tail.rfind("\r", 0, -1)) + 1
-        yield from tail[:cut].splitlines()
-        tail = tail[cut:]
-    yield from tail.splitlines()
+    while block := fh.read(_BLOCK):
+        block = tail + block
+        cut = max(block.rfind("\n"), block.rfind("\r", 0, -1)) + 1
+        block, tail = block[:cut], block[cut:]
+        yield block
+    yield tail
+
+
+def _header(blocks: Iterator[str]) -> tuple[str, Iterator[str]] | None:
+    """The first content line of the blocks, and the blocks after it: the
+    rest of its own block, found without splitting that block into
+    lines, then the blocks not yet read."""
+    for block in blocks:
+        start = 0
+        for brk in _LINE_BREAK.finditer(block):
+            if line := _content(block[start : brk.start()]):
+                return line, itertools.chain([block[brk.end() :]], blocks)
+            start = brk.end()
+        if line := _content(block[start:]):
+            return line, blocks
+    return None
+
+
+def _plain_rows(block: str) -> np.ndarray | None:
+    """The (k, 2) int64 rows of a block made only of 'digits SP digits LF'
+    lines with at most 18 digits a token, which int64 holds; None for any
+    other block.  Never raises: a block it refuses goes to np.loadtxt.
+
+    Every byte below '0' (48) ends a token; the block passes when those
+    bytes alternate ' ' and '\n' from a first token of at least one digit
+    to a last '\n', no two adjacent, and no byte lies above '9'.  Each
+    token is then read right-aligned from the byte before its separator,
+    one pass per digit place from the highest, by Horner's rule; a place
+    beyond a token's width is masked to a leading zero.  The passes work
+    in place, so a block's temporaries stay two arrays of one int64 a
+    token.
+    """
+    if not block.isascii() or not block.endswith("\n"):
+        return None
+    b = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
+    if (b > 57).any():
+        return None
+    at = np.flatnonzero(b < 48)  # the separators, then the bytes a pass reads
+    kind = b[at]
+    if (kind[0::2] != 32).any() or (kind[1::2] != 10).any():
+        return None
+    width = np.empty_like(at)  # each token's digits, between two separators
+    width[0] = at[0]
+    np.subtract(at[1:], at[:-1], out=width[1:])
+    width[1:] -= 1
+    top = int(width.max())
+    if width.min() < 1 or top > 18:
+        return None
+    width = width.astype(np.uint8)
+    digit = b - np.uint8(48)
+    del b, kind  # the passes need only at, width and digit
+    value = np.zeros(len(at), dtype=np.int64)
+    at -= top
+    for place in range(top, 0, -1):
+        value *= 10
+        value += digit[at] * (width >= place)  # at below 0 wraps, masked out
+        at += 1
+    return value.reshape(-1, 2)
 
 
 def _check_ints(tokens: Sequence[str], source: str) -> None:
@@ -86,54 +149,110 @@ def _fits_int64(token: str) -> bool:
 
 def parse_digraph(text: str) -> Digraph:
     """Parse the edge-list format: "n m" then m lines "u v"."""
-    return _parse_digraph(io.StringIO(text, newline=""))
+    return _parse_digraph(io.StringIO(text, newline=""), len(text))
 
 
-def _parse_digraph(fh: TextIO) -> Digraph:
-    """The digraph in fh, streamed line by line.
+def _parse_digraph(fh: TextIO, size: int) -> Digraph:
+    """The digraph in fh, whose text is at most size characters long,
+    streamed block by block.
 
-    Every line after the header goes through one np.loadtxt call.  Only
-    when that fails is fh read again from the start, line by line, to
-    raise BadParameter (or LabelOutOfRange for a label beyond int64)
-    naming the first bad line; Digraph then reports the first loop or
-    label outside 0..n-1.
+    After the header, a block of plain "u v" lines is read by _plain_rows
+    and any other block by np.loadtxt.  Only when loadtxt fails is fh read
+    again from the start, line by line, to raise BadParameter (or
+    LabelOutOfRange for a label beyond int64) naming the first bad line;
+    Digraph then reports the first loop or label outside 0..n-1.
     """
-    lines = _split_lines(fh)
-    header = next(_content_lines(lines), None)
-    if header is None:
+    found = _header(_blocks(fh))
+    if found is None:
         raise BadParameter("empty digraph file")
+    header, blocks = found
     head = header.split()
     if len(head) != 2:
         raise BadParameter(f"header must be 'n m', got {header!r}")
     n, m = parse_ints(head, header)
-    # a leading "0 0" row fixes the width at two columns and keeps a file
-    # without arcs from loadtxt's no-data warning; it is dropped below
-    try:
-        a = np.loadtxt(itertools.chain(["0 0"], lines), dtype=np.int64, comments="#", ndmin=2)[1:]
-    except ValueError as e:
-        fh.seek(0)
-        for line in itertools.islice(_content_lines(_split_lines(fh)), 1, None):
-            parts = line.split()
-            if len(parts) != 2:
-                raise BadParameter(f"arc line must be 'u v', got {line!r}")
-            _check_ints(parts, line)
-            if not all(map(_fits_int64, parts)):
-                raise LabelOutOfRange(f"arc line {line!r} has a label outside 0..{n - 1}")
-        raise BadParameter(f"unreadable arc lines: {e}")  # loadtxt's complaint, if no line
-    if len(a) != m:
-        raise BadParameter(f"header promises {m} arcs, file has {len(a)}")
-    return Digraph(n, a)
+    # an arc line takes at least 4 characters ("u v" and a line break), so
+    # size bounds the arcs of a file however many its header promises
+    a = np.empty((max(0, min(m, size // 4 + 1)), 2), dtype=np.int64)
+    k = 0
+    for block in blocks:
+        rows = _plain_rows(block)
+        if rows is None:
+            # a leading "0 0" row fixes the width at two columns and keeps
+            # a block without arcs from loadtxt's no-data warning
+            try:
+                rows = np.loadtxt(
+                    itertools.chain(["0 0"], block.splitlines()), dtype=np.int64, comments="#", ndmin=2
+                )[1:]
+            except ValueError as e:
+                fh.seek(0)
+                lines = itertools.chain.from_iterable(map(str.splitlines, _blocks(fh)))
+                for line in itertools.islice(_content_lines(lines), 1, None):
+                    parts = line.split()
+                    if len(parts) != 2:
+                        raise BadParameter(f"arc line must be 'u v', got {line!r}")
+                    _check_ints(parts, line)
+                    if not all(map(_fits_int64, parts)):
+                        raise LabelOutOfRange(f"arc line {line!r} has a label outside 0..{n - 1}")
+                raise BadParameter(f"unreadable arc lines: {e}")  # loadtxt's complaint, if no line
+        if k + len(rows) > len(a):  # a pipe's size reads 0; a file may hold more than m arcs
+            a = np.resize(a, (max(2 * len(a), k + len(rows)), 2))
+        a[k : k + len(rows)] = rows
+        k += len(rows)
+        del rows  # before the next block's temporaries
+    if k != m:
+        raise BadParameter(f"header promises {m} arcs, file has {k}")
+    return Digraph(n, a[:k])
 
 
 def format_digraph(D: Digraph) -> str:
-    lines = [f"{D.n} {D.arc_count}"]
-    lines.extend(f"{u} {v}" for u, v in np.argwhere(D.bool_matrix()).tolist())
-    return "\n".join(lines) + "\n"
+    """The edge-list text of D, arcs in row-major order; each row's lines
+    are joined from one cached str per label."""
+    labels = list(map(str, range(D.n)))
+    out = [f"{D.n} {D.arc_count}\n"]
+    for u, row in enumerate(D.bool_matrix()):
+        if vs := np.flatnonzero(row).tolist():
+            head = labels[u] + " "
+            out.append(head + f"\n{head}".join(map(labels.__getitem__, vs)) + "\n")
+    return "".join(out)
+
+
+def _not_utf8(source: str, offset: int) -> BadParameter:
+    return BadParameter(f"{source!r} is not UTF-8: undecodable byte at offset {offset}")
+
+
+def _undecodable_offset(raw: BinaryIO) -> int:
+    """The offset of the first byte of raw, read in blocks from its start,
+    that does not decode as UTF-8 (its length if every byte does)."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    fed = 0
+    while True:
+        chunk = raw.read(_BLOCK)
+        held = len(decoder.getstate()[0])  # bytes of an unfinished character
+        try:
+            decoder.decode(chunk, final=not chunk)
+        except UnicodeDecodeError as e:  # e.start counts from the held bytes
+            return fed - held + e.start
+        if not chunk:
+            return fed
+        fed += len(chunk)
+
+
+def decode_utf8(data: bytes, source: str) -> str:
+    """data as UTF-8 text; BadParameter naming source and the offset of
+    the first undecodable byte otherwise."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise _not_utf8(source, e.start) from None
 
 
 def read_digraph(path: str) -> Digraph:
-    with open(path, encoding="utf-8", newline="") as fh:
-        return _parse_digraph(fh)
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return _parse_digraph(fh, os.fstat(fh.fileno()).st_size)
+    except UnicodeDecodeError:
+        with open(path, "rb") as raw:
+            raise _not_utf8(path, _undecodable_offset(raw)) from None
 
 
 def parse_pattern(text: str) -> tuple[PatternDigraph, dict[int, int]]:
@@ -156,8 +275,8 @@ def parse_pattern(text: str) -> tuple[PatternDigraph, dict[int, int]]:
 
 
 def read_pattern(path: str) -> tuple[PatternDigraph, dict[int, int]]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_pattern(fh.read())
+    with open(path, "rb") as fh:
+        return parse_pattern(decode_utf8(fh.read(), path))
 
 
 def subdivision_to_json(sub: HSubdivision) -> dict:

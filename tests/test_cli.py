@@ -81,8 +81,40 @@ def test_gen_random_bad_order_is_exit_2(capsys):
 def test_check_degrees_reads_stdin(capsys, monkeypatch):
     import io
 
-    monkeypatch.setattr("sys.stdin", io.StringIO(format_digraph(complete_digraph(6))))
+    text = format_digraph(complete_digraph(6))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
     assert main(["check-degrees", "-"]) == 0
+
+
+def test_input_that_is_not_utf8_is_exit_2(tmp_path, pattern_file, capsys, monkeypatch):
+    """A byte that is not UTF-8 in a graph file, on standard input or in a
+    pattern file is a usage error naming its offset, not a traceback."""
+    import io
+
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"3 1\n0 1 \xff\n")
+    assert main(["check-degrees", str(bad)]) == 2
+    assert "is not UTF-8: undecodable byte at offset 8" in capsys.readouterr().err
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"3 1\n0 \xe2\x28 1\n")))
+    assert main(["check-degrees", "-"]) == 2
+    assert "'<stdin>' is not UTF-8: undecodable byte at offset 6" in capsys.readouterr().err
+    g = pattern_file("3 0\n", "g.txt")
+    h = tmp_path / "h.txt"
+    h.write_bytes(b"2 1\n0 1\nmap 0 \x80\n")
+    assert main(["find-subdivision", g, "--pattern", str(h), "--lengths", "1"]) == 2
+    assert "is not UTF-8: undecodable byte at offset 14" in capsys.readouterr().err
+
+
+def test_a_directory_or_unreadable_path_is_exit_2(tmp_path, capsys, monkeypatch):
+    assert main(["check-degrees", str(tmp_path)]) == 2
+    assert "error: [Errno 21] Is a directory" in capsys.readouterr().err
+
+    def refuse(path):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "read_digraph", refuse)
+    assert main(["check-degrees", "locked.txt"]) == 2
+    assert "error: [Errno 13] Permission denied: 'locked.txt'" in capsys.readouterr().err
 
 
 def test_certify_expander_verdicts(graph_file, capsys):

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import sys
+import threading
 
 import pytest
 
@@ -20,8 +23,11 @@ from dilink.fileio import (
     read_digraph,
     subdivision_to_json,
 )
-from dilink.errors import BadParameter, LabelOutOfRange
+from dilink import fileio
+from dilink.errors import BadParameter, LabelOutOfRange, LoopArc
 from dilink.pipeline import PipelineConfig
+
+from helpers import reference_parse_digraph
 
 
 def test_digraph_text_round_trip(tmp_path):
@@ -48,6 +54,150 @@ def test_read_digraph_splits_lines_as_splitlines_across_block_ends(tmp_path, sep
     f = tmp_path / "d.txt"
     f.write_text(text, encoding="utf-8", newline="")
     assert read_digraph(str(f)) == D
+
+
+def test_the_header_search_breaks_lines_where_splitlines_does():
+    for c in map(chr, range(sys.maxunicode + 1)):
+        assert fileio._LINE_BREAK.split(f"a{c}b") == f"a{c}b".splitlines(), repr(c)
+    assert fileio._LINE_BREAK.split("a\r\nb") == ["a", "b"]
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Blocks of 48 characters, and the list of blocks the kernel read."""
+    monkeypatch.setattr(fileio, "_BLOCK", 48)
+    read = []
+
+    def plain_rows(block):
+        rows = kernel(block)
+        if rows is not None:
+            read.append(block)
+        return rows
+
+    kernel = fileio._plain_rows
+    monkeypatch.setattr(fileio, "_plain_rows", plain_rows)
+    return read
+
+
+def _plain(arcs):
+    return "".join(f"{u} {v}\n" for u, v in arcs)
+
+
+@pytest.mark.parametrize(
+    "noise, noise_arcs",
+    [("# note\n", 0), ("\n", 0), ("1 2\r\n", 1), ("3\t4\n", 1), ("+5 6\n", 1), ("\u2003 7 8\n", 1)],
+)
+def test_plain_blocks_between_other_blocks_read_as_the_reference(kernel_calls, noise, noise_arcs):
+    """Plain blocks sit between blocks with comments, blank lines, CRLF,
+    tabs, signs and non-ASCII text; the kernel reads the plain ones and the
+    digraph is the reference parser's."""
+    D = gen_random_digraph(30, 0.5, 3)
+    arcs = sorted(D.arcs)
+    chunks = [arcs[i : i + 40] for i in range(0, len(arcs), 40)]
+    body = noise.join(_plain(c) for c in chunks)
+    m = len(arcs) + noise_arcs * (len(chunks) - 1)
+    text = f"# header next\n30 {m}\n{body}"
+    assert parse_digraph(text) == reference_parse_digraph(text)
+    assert len(kernel_calls) >= len(chunks)
+
+
+@pytest.mark.parametrize(
+    "line, kind, message",
+    [
+        ("-1 2", LabelOutOfRange, r"arc \(-1, 2\) outside 0..9"),
+        ("+1 2", None, None),
+        ("1234567890123456789 2", LabelOutOfRange, r"arc \(1234567890123456789, 2\) outside"),
+        ("0 " + "9" * 23, LabelOutOfRange, f"arc line '0 {'9' * 23}' has a label outside 0..9"),
+        ("10 2", LabelOutOfRange, r"arc \(10, 2\) outside 0..9"),
+        ("3 3", LoopArc, r"loop arc \(3, 3\)"),
+        ("0 1 2", BadParameter, "arc line must be 'u v', got '0 1 2'"),
+        ("0 ", BadParameter, "arc line must be 'u v', got '0'"),
+    ],
+)
+def test_a_bad_token_in_a_later_plain_block_is_named(kernel_calls, line, kind, message):
+    """A token the kernel refuses, in a block after plain ones, raises the
+    reference's class with the message naming that line or arc."""
+    arcs = [(u, v) for u in range(10) for v in range(10) if u != v][:40]
+    text = f"10 41\n{_plain(arcs[:30])}{line}\n{_plain(arcs[30:])}"
+    if kind is None:
+        assert parse_digraph(text) == reference_parse_digraph(text)
+    else:
+        with pytest.raises(kind, match=message):
+            parse_digraph(text)
+        with pytest.raises(kind):
+            reference_parse_digraph(text)
+    assert kernel_calls
+
+
+def test_zero_padded_labels_and_duplicate_arcs_take_the_kernel(kernel_calls):
+    text = "4 6\n" + "0001 02\n" * 3 + "3 000000000000000000\n" + "2 1\n2 1\n"
+    assert parse_digraph(text).arcs == {(1, 2), (3, 0), (2, 1)}
+    assert "".join(kernel_calls) == text[4:]
+
+
+def test_the_kernel_reads_exactly_the_plain_layout():
+    assert fileio._plain_rows("7 80\n012 3\n").tolist() == [[7, 80], [12, 3]]
+    assert fileio._plain_rows("9" * 18 + " 0\n").tolist() == [[10**18 - 1, 0]]
+    refused = (
+        "", "1 2", "1 2\n\n", "\n1 2\n", " 1 2\n", "1  2\n", "1 \n", " 2\n", " \n", "1 2\n3 \n",
+        "1\n2\n", "1 2 3\n", "1 2\r\n", "1\t2\n", "+1 2\n", "1 -2\n", "1 2 #\n", "1 \u0662\n",
+        "1 x\n", "9" * 19 + " 0\n",
+    )
+    for block in refused:
+        assert fileio._plain_rows(block) is None, repr(block)
+
+
+def test_the_reader_peak_stays_near_the_arc_array(tmp_path):
+    """read_digraph keeps one (m, 2) int64 array, sized from the header's
+    m and capped by the file size, not a list of per-block arrays: its
+    traced peak stays within 1 MiB of that array and the bool matrix."""
+    import tracemalloc
+
+    D = gen_random_digraph(600, 0.6, 1)
+    f = tmp_path / "d.txt"
+    f.write_text(format_digraph(D))
+    tracemalloc.start()
+    try:
+        assert read_digraph(str(f)) == D
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * D.arc_count + D.n**2 + 2**20
+
+
+@pytest.mark.parametrize(
+    "bad", [b"\xff", b"\xe2\x28\xa1", b"\xed\xa0\x80", b"\xf0\x9f\x98"], ids=["ff", "e228", "surrogate", "cut"]
+)
+@pytest.mark.parametrize("at", [9, 65535, 100001, None], ids=["early", "block-end", "late", "eof"])
+def test_read_digraph_names_the_first_byte_that_is_not_utf8(tmp_path, bad, at):
+    """Not UTF-8 is BadParameter naming the offset str.decode gives, however
+    far into the file, astride a block end or cut off at its end."""
+    data = format_digraph(gen_random_digraph(150, 0.6, 2)).replace("\n", " #\u00e9\n").encode()
+    data = data + bad if at is None else data[:at] + bad + data[at:]
+    f = tmp_path / "d.txt"
+    f.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as e:
+        data.decode("utf-8")
+    with pytest.raises(BadParameter, match=f"is not UTF-8: undecodable byte at offset {e.value.start}$"):
+        read_digraph(str(f))
+    with pytest.raises(BadParameter, match=f"is not UTF-8: undecodable byte at offset {e.value.start}$"):
+        fileio.read_pattern(str(f))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+def test_read_digraph_from_a_pipe_whose_size_reads_zero(tmp_path):
+    """A pipe's size reads 0, so the arc array starts from one row and
+    grows as blocks arrive."""
+    D = gen_random_digraph(150, 0.6, 4)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(format_digraph(D),), daemon=True)
+    writer.start()
+    try:
+        assert read_digraph(str(fifo)) == D
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 def test_parse_digraph_comments_and_blank_lines():

@@ -9,7 +9,9 @@ holds no matrix product, so the certifiers and the falsifier never wait
 on BLAS threads, and no module holds an assert statement, which python
 -O would strip.  Failures are routed by kind: no handler names a single kind of
 refusal (a subclass of InputError) to recover from it, only the CLI's
-main catches DilinkError, and the pipelines' loop has one handler."""
+main catches DilinkError, and the pipelines' loop has one handler.  The
+edge-list reader's byte kernel raises nothing and np.loadtxt is called in
+one place, so every refused arc line is named by the one rescan after it."""
 
 import ast
 from pathlib import Path
@@ -204,3 +206,15 @@ def test_the_lint_sees_every_kind_of_handler():
     assert handlers(tree) == [
         (5, ("BadParameter", "OSError"), ("f", "g")), (7, ("<any>",), ("f", "g"))
     ]
+
+
+def test_the_edge_list_kernel_raises_nothing_and_loadtxt_has_one_call():
+    tree = ast.parse((SRC / "fileio.py").read_text())
+    kernel = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_plain_rows"
+    ]
+    assert len(kernel) == 1
+    raises = [node.lineno for node in ast.walk(kernel[0]) if isinstance(node, ast.Raise)]
+    assert not raises, raises
+    assert [scope for _, _, scope in method_calls(tree, {"loadtxt"})] == [("_parse_digraph",)]
