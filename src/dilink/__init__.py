@@ -39,7 +39,6 @@ from .digraph import (
     Arc,
     DegreeProfile,
     Digraph,
-    VertexRemoval,
     degree_profile,
     is_strongly_connected,
     remove_vertices,

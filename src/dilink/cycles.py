@@ -15,7 +15,9 @@ two-arc exchange (SIAM J. Comput. 1979) then merges cycles one vertex at
 a time: for a on the smallest cycle and b off it, a -> succ(b) and
 b -> succ(a) replace a -> succ(a) and b -> succ(b), taken at the first a,
 in random order, that has such a b.  A stalled patching draws a fresh
-1-factor; at most 14 kept vertices, a complete search settles existence.
+1-factor; at most 14 kept vertices, once patching stalls on every one,
+Held and Karp's subset table (J. SIAM 1962) on the kept rows and columns
+of the matrix decides existence exactly.
 """
 
 from __future__ import annotations
@@ -29,13 +31,8 @@ from .digraph import Digraph, check_labels, validate_cycle
 from .errors import BadParameter, CycleNotFound, SizesExceedCycle
 from .ratio import as_count
 
-_EXACT_CAP = 14  # most kept vertices on which a stalled search falls back to backtracking
+_EXACT_CAP = 14  # most kept vertices on which a stalled search falls back to a subset table
 _ATTEMPTS = 48  # fresh 1-factors before giving up or falling back
-_EXACT_BUDGET = 2_000_000  # search nodes _exact_cycle_search may visit
-
-
-class _BudgetExceeded(Exception):
-    pass
 
 
 def _augment(
@@ -128,33 +125,31 @@ def _patch(
     return True
 
 
-def _exact_cycle_search(D: Digraph, keep: list[int]) -> tuple[int, ...] | None:
-    """Complete backtracking search for a Hamilton cycle of D on the
-    vertices keep, through keep[0].  Raises _BudgetExceeded when the node
-    budget runs out."""
-    spent = 0
-    start = keep[0]
-    path = [start]
-    inside = set(keep)
-    out = {v: [w for w in D.out_neighbors(v) if w in inside] for v in keep}
-
-    def dfs() -> tuple[int, ...] | None:
-        nonlocal spent
-        spent += 1
-        if spent > _EXACT_BUDGET:
-            raise _BudgetExceeded
-        if len(path) == len(keep):
-            return tuple(path) if D.has_arc(path[-1], start) else None
-        for w in out[path[-1]]:
-            if w not in path:
-                path.append(w)
-                got = dfs()
-                if got is not None:
-                    return got
-                path.pop()
+def _held_karp(A: np.ndarray) -> list[int] | None:
+    """A Hamilton cycle of the k x k matrix A through position 0, as
+    positions, or None when there is none.  ends[S, v]: a path from 0
+    runs through exactly the positions of bitmask S and ends at v.  It
+    is filled one subset size at a time: ends[S, v] iff ends[S - v, u]
+    and A[u, v] for some u.  For v outside S, S ^ bit v is a larger set,
+    not yet filled; for v = 0 it lacks position 0: either way False."""
+    k = len(A)
+    bits = 1 << np.arange(k)
+    subsets = np.arange(1, 1 << k, 2)  # every set holding position 0
+    size = np.bitwise_count(subsets)
+    ends = np.zeros((1 << k, k), dtype=bool)
+    ends[1, 0] = True
+    for s in range(2, k + 1):
+        S = subsets[size == s]
+        ends[S] = (ends[S[:, None] ^ bits] & A.T).any(axis=2)
+    S = (1 << k) - 1
+    last = np.flatnonzero(ends[S] & A[:, 0])
+    if not len(last):
         return None
-
-    return dfs()
+    path = [int(last[0])]
+    while S != 1:
+        S ^= 1 << path[-1]
+        path.append(int(np.flatnonzero(ends[S] & A[:, path[-1]])[0]))
+    return path[::-1]
 
 
 def _checked(D: Digraph, kept: np.ndarray, C: Sequence[int], how: str) -> tuple[int, ...]:
@@ -172,8 +167,8 @@ def hamilton_cycle(D: Digraph, seed: int, *, avoid: Iterable[int] = ()) -> tuple
     starting at the smallest kept vertex (0 when nothing is avoided).
 
     CycleNotFound carries exact=True only when absence is proven: D -
-    avoid has no 1-factor, or it has at most 14 vertices and the complete
-    search found none.  A Hall violator is named in D's labels.
+    avoid has no 1-factor, or it has at most 14 vertices, which the
+    subset table always settles.  A Hall violator is named in D's labels.
     """
     gone = set(avoid)
     check_labels(D.n, gone)
@@ -193,12 +188,9 @@ def hamilton_cycle(D: Digraph, seed: int, *, avoid: Iterable[int] = ()) -> tuple
                 C.append(nxt[C[-1]])
             return _checked(D, kept, C, "patched")
     if len(keep) <= _EXACT_CAP:
-        try:
-            got = _exact_cycle_search(D, keep)
-        except _BudgetExceeded:
-            raise CycleNotFound("no Hamilton cycle found (search truncated)") from None
+        got = _held_karp(M[np.ix_(keep, keep)])
         if got is not None:
-            return _checked(D, kept, got, "searched")
+            return _checked(D, kept, [keep[i] for i in got], "searched")
         raise CycleNotFound("no Hamilton cycle exists", exact=True)
     raise CycleNotFound(
         f"no Hamilton cycle found: patching stalled on {_ATTEMPTS} 1-factors"

@@ -63,7 +63,9 @@ class Digraph:
             raise ValueError(f"arcs must be pairs (u, v), got shape {a.shape}")
         a = a.reshape(-1, 2)
         us, vs = a[:, 0], a[:, 1]
-        bad = (us == vs) | (us < 0) | (us >= n) | (vs < 0) | (vs >= n)
+        bad = us == vs
+        for labels in (us, vs):  # a negative label reads as unsigned >= n
+            bad |= labels.view(np.uintp) >= n
         if bad.any():
             u, v = a[bad.argmax()].tolist()
             if u == v:
@@ -172,17 +174,7 @@ def degree_profile(D: Digraph) -> DegreeProfile:
                          dplus, dminus, min(dplus, dminus), int((outs + ins).min()))
 
 
-@dataclass(frozen=True)
-class VertexRemoval:
-    """Result of deleting a vertex set: the induced digraph plus both
-    directions of the order-preserving relabelling."""
-
-    digraph: Digraph
-    old_to_new: dict[int, int]
-    new_to_old: dict[int, int]
-
-
-def remove_vertices(D: Digraph, removed: Iterable[int]) -> VertexRemoval:
+def remove_vertices(D: Digraph, removed: Iterable[int]) -> Digraph:
     """Induced subdigraph on V(D) minus `removed`, relabelled to 0..k-1.
 
     The relabelling preserves the original label order.
@@ -194,9 +186,7 @@ def remove_vertices(D: Digraph, removed: Iterable[int]) -> VertexRemoval:
     kept = np.flatnonzero(keep)
     # two gathers are faster than one np.ix_ gather, but the column gather
     # returns Fortran order, and every later row read is faster on C order
-    sub = Digraph._of_matrix(np.ascontiguousarray(D.bool_matrix()[kept][:, kept]))
-    labels = kept.tolist()
-    return VertexRemoval(sub, {v: i for i, v in enumerate(labels)}, dict(enumerate(labels)))
+    return Digraph._of_matrix(np.ascontiguousarray(D.bool_matrix()[kept][:, kept]))
 
 
 def validate_path(D: Digraph, seq: Sequence[int]) -> bool:

@@ -104,7 +104,7 @@ class NotDisjoint(InputError):
 
 class CycleNotFound(ConstructionFailed):
     """No cycle of the requested length was found; exact when a Hall
-    violator or a completed exhaustive search proves that none exists."""
+    violator or the subset table on at most 14 vertices proves none."""
 
 
 class SizesExceedCycle(InputError):

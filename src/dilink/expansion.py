@@ -225,11 +225,10 @@ def falsify_outexpander_sampled(
     if not sizes:
         return ExpansionReport(Verdict.NO_COUNTEREXAMPLE_FOUND, sampled_trials=trials)
     t = _in_count_threshold(p.nu, n)
-    nu_ceil = ceil_frac(p.nu * n)
     M = D.bool_matrix()
 
     def violated(S) -> bool:  # counted from the rows of S
-        return (M[S].sum(axis=0, dtype=np.int32) >= t).sum() < len(S) + nu_ceil
+        return (M[S].sum(axis=0, dtype=np.int32) >= t).sum() < len(S) + t
 
     stream = 0
     done = 0
@@ -255,7 +254,7 @@ def falsify_outexpander_sampled(
                 targets.append(rng.choice(sizes))
                 drawn.append(None)
         members, counts = _grow_greedily(M, starts, targets)
-        greedy_bad = (counts >= t).sum(axis=1) < np.array(targets, dtype=np.int64) + nu_ceil
+        greedy_bad = (counts >= t).sum(axis=1) < np.array(targets, dtype=np.int64) + t
         for j, S in enumerate(drawn):
             if S is None:  # counted by the scores: count it again from its rows
                 if not greedy_bad[j // 3]:
@@ -325,7 +324,7 @@ def certify_survives_deletion(
             f"removed set of size {len(removed)} exceeds tolerance "
             f"{deletion_tolerance(D, p)}"
         )
-    sub = remove_vertices(D, removed).digraph
+    sub = remove_vertices(D, removed)
     return certify_outexpander_exact(sub, shrink_params_for_deletion(p), max_exact_n)
 
 

@@ -9,6 +9,7 @@ from dilink import (
     Digraph,
     complete_digraph,
     cut_cycle_segments,
+    cycles,
     directed_cycle,
     directed_path,
     gen_random_digraph,
@@ -38,7 +39,7 @@ def test_acyclic_digraph_has_no_cycles():
 
 
 def test_exactness_flag_is_honest_above_the_cap():
-    # absence is proven by the complete search at n = 10 ...
+    # absence is proven by the subset table at n = 10 ...
     with pytest.raises(CycleNotFound) as e:
         hamilton_cycle(_two_complete_digraphs(5), seed=0)
     assert e.value.exact
@@ -50,6 +51,38 @@ def test_exactness_flag_is_honest_above_the_cap():
     with pytest.raises(CycleNotFound) as e:
         hamilton_cycle(directed_path(20), seed=0)
     assert e.value.exact
+
+
+def _complete_but_one(labels: list[int], n: int) -> Digraph:
+    """A complete digraph on labels[:13] plus labels[13] joined both ways
+    to labels[5] alone: 1-factors exist, a Hamilton cycle does not."""
+    core, x = labels[:13], labels[13]
+    arcs = [(u, v) for u in core for v in core if u != v]
+    return Digraph(n, arcs + [(x, core[5]), (core[5], x)])
+
+
+def test_a_stalled_search_on_fourteen_vertices_ends_exact():
+    start = time.perf_counter()
+    with pytest.raises(CycleNotFound, match="no Hamilton cycle exists") as e:
+        hamilton_cycle(_complete_but_one(list(range(14)), 14), seed=0)
+    assert e.value.exact
+    assert time.perf_counter() - start < 0.5
+
+
+def test_the_subset_table_maps_back_to_the_kept_labels(monkeypatch):
+    # 14 kept vertices spread over 0..29: no prefix of D's labels
+    rng = random.Random(4)
+    labels = sorted(rng.sample(range(30), 14))
+    assert labels != list(range(14))
+    X = set(range(30)) - set(labels)
+    with pytest.raises(CycleNotFound, match="no Hamilton cycle exists") as e:
+        hamilton_cycle(_complete_but_one(labels, 30), seed=0, avoid=X)
+    assert e.value.exact
+    # with patching made to stall, the table alone finds the cycle
+    monkeypatch.setattr(cycles, "_patch", lambda *args: False)
+    D = gen_random_digraph(30, 0.5, 7)
+    C = hamilton_cycle(D, seed=0, avoid=X)
+    assert sorted(C) == labels and C[0] == labels[0] and validate_cycle(D, C)
 
 
 def test_no_one_factor_names_the_hall_violator():

@@ -4,7 +4,8 @@ exactly V(D) - X, checked by a walk over the matrix, or CycleNotFound,
 exact only when an oracle on D - X finds none either: the permutation
 oracle with at most 8 kept vertices, where existence must agree with it,
 and a matching search above 14, where only a missing 1-factor is a
-proof."""
+proof.  The subset table behind the exact verdicts must agree with the
+permutation oracle on its own."""
 
 import random
 import re
@@ -16,6 +17,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
 from dilink import Digraph, gen_random_digraph, hamilton_cycle, remove_vertices
+from dilink.cycles import _held_karp
 from dilink.errors import CycleNotFound
 
 from helpers import oracle_has_hamilton_cycle, random_arc_set
@@ -62,13 +64,22 @@ def test_avoided_cycles_agree_with_the_oracle_on_small_digraphs(kept, extra, den
     n = kept + extra
     D = Digraph(n, random_arc_set(rng, n, density))
     X = _avoided(rng, n, kept)
-    exists = oracle_has_hamilton_cycle(remove_vertices(D, X).digraph)
+    exists = oracle_has_hamilton_cycle(remove_vertices(D, X))
     try:
         C = hamilton_cycle(D, s, avoid=X)
     except CycleNotFound as e:
         assert e.exact and not exists
     else:
         assert exists and _walks_exactly(D, X, C) and C[0] == min(set(range(n)) - X)
+
+
+@given(n=st.integers(2, 8), density=st.floats(0.1, 0.9), seed=st.integers(0, 2**32 - 1))
+def test_the_subset_table_agrees_with_the_oracle(n, density, seed):
+    D = Digraph(n, random_arc_set(random.Random(seed), n, density))
+    C = _held_karp(D.bool_matrix())
+    assert (C is not None) == oracle_has_hamilton_cycle(D)
+    if C is not None:
+        assert C[0] == 0 and _walks_exactly(D, set(), C)
 
 
 @given(

@@ -47,7 +47,7 @@ def test_exact_certifiers_match_the_oracle(n, density, nu_tau, seed, data):
     for rep, G, r in (
         (certify_outexpander_exact(D, p), D, p),
         (certify_inexpander_exact(D, p), D.reverse(), p),
-        (certify_survives_deletion(D, p, removed), remove_vertices(D, removed).digraph, q),
+        (certify_survives_deletion(D, p, removed), remove_vertices(D, removed), q),
     ):
         assert rep.counterexample == oracle_min_violating_set(G, r.nu, r.tau)
 

@@ -1,15 +1,15 @@
 """A lint over the library source.  Neighbour tuples are built in
-digraph.py and read only by the two small-n backtracking searches, and
-single arcs are read with has_arc only by Digraph itself, the reference
-`covers` and the Hamilton-cycle backtracking search: everything else
-reads rows or entries of the adjacency matrix.  Only the deletion
-certifier calls remove_vertices, whose relabelled copy costs three n^2
-gathers: the leftover cycle masks vertices out instead.  expansion.py
-holds no matrix product, so the certifiers and the falsifier never wait
-on BLAS threads, and no module holds an assert statement, which python
--O would strip.  Failures are routed by kind: no handler names a single kind of
-refusal (a subclass of InputError) to recover from it, only the CLI's
-main catches DilinkError, and the pipelines' loop has one handler.  The
+digraph.py and read only by one small-n search, the subdivision oracle,
+and single arcs are read with has_arc only by Digraph itself and the
+reference `covers`: everything else reads rows or entries of the
+adjacency matrix.  Only the deletion certifier calls remove_vertices,
+whose relabelled copy costs three n^2 gathers: the leftover cycle masks
+vertices out instead.  expansion.py holds no matrix product, so the
+certifiers and the falsifier never wait on BLAS threads, and no module
+holds an assert statement, which python -O would strip.  Failures are
+routed by kind: no handler names a single kind of refusal (a subclass
+of InputError) to recover from it, only the CLI's main catches
+DilinkError, and the pipelines' loop has one handler.  The
 edge-list reader's byte kernel raises nothing and np.loadtxt is called in
 one place, so every refused arc line is named by the one rescan after it."""
 
@@ -22,9 +22,9 @@ from dilink import errors
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dilink"
 TUPLE_READS = {"out_neighbors", "in_neighbors"}
-ALLOWED = {("cycles", "_exact_cycle_search"), ("subdivision", "brute_force_subdivision")}
+ALLOWED = {("subdivision", "brute_force_subdivision")}
 ARC_READS = {"has_arc"}
-ARC_READERS = {("cover", "covers"), ("cycles", "_exact_cycle_search"), ("digraph", "Digraph")}
+ARC_READERS = {("cover", "covers"), ("digraph", "Digraph")}
 REMOVALS = {"remove_vertices"}
 REMOVERS = {("expansion", "certify_survives_deletion")}
 PRODUCTS = {"dot", "matmul", "einsum"}
