@@ -45,8 +45,8 @@ from .expansion import (
     falsify_outexpander_sampled,
 )
 from .fileio import (
+    _parse_digraph,
     absorber_to_json,
-    decode_utf8,
     dump_json,
     format_digraph,
     parse_digraph,
@@ -63,7 +63,7 @@ from .subdivision import single_arc_pattern
 
 def _load_digraph(path: str) -> Digraph:
     if path == "-":
-        return parse_digraph(decode_utf8(sys.stdin.buffer.read(), "<stdin>"))
+        return _parse_digraph(sys.stdin.buffer, 0, "<stdin>")  # streamed, as a pipe's size reads 0
     return read_digraph(path)
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .digraph import Digraph, degree_profile
+from .digraph import DegreeProfile, Digraph, degree_profile
 from .errors import NotOriented, TooSmall
 from .ratio import Real, as_density, as_fraction, ceil_frac
 
@@ -39,6 +39,25 @@ class ConditionReport:
 _OK = ConditionReport(True)
 
 
+def _paired(prof: DegreeProfile, margin: int, lag: int, stop: int) -> ConditionReport:
+    """The paired rule on a degree profile for every 1 <= i < stop, the
+    first failure (least i, "out" before "in") reported:
+      d_i+ >= i + margin  or  d_{n-i-lag}- >= n-i     (tag "out")
+      d_i- >= i + margin  or  d_{n-i-lag}+ >= n-i     (tag "in")
+    where a partner index n-i-lag below 1 makes its clause unsatisfiable."""
+    n = len(prof.out_sorted)
+    dout, din = np.asarray(prof.out_sorted), np.asarray(prof.in_sorted)
+    i = np.arange(1, stop)
+    j = n - i - lag  # the partner index, 1-based
+    fails = np.empty((len(i), 2), dtype=bool)  # per i, the "out" then the "in" clause
+    for col, (first, partner) in enumerate(((dout, din), (din, dout))):
+        fails[:, col] = (first[i - 1] < i + margin) & ((j < 1) | (partner[np.maximum(j, 1) - 1] < n - i))
+    if not fails.any():
+        return _OK
+    at = int(fails.argmax())
+    return ConditionReport(False, at // 2 + 1, ("out", "in")[at % 2])
+
+
 def nash_williams(D: Digraph) -> ConditionReport:
     """Paired first/last-segment degree condition.
 
@@ -49,14 +68,7 @@ def nash_williams(D: Digraph) -> ConditionReport:
     n = D.n
     if n < 3:
         raise TooSmall(f"need at least 3 vertices, got {n}")
-    prof = degree_profile(D)
-    dout, din = prof.out_sorted, prof.in_sorted
-    for i in range(1, (n + 1) // 2):  # all i with i < n/2
-        if not (dout[i - 1] >= i + 1 or din[n - i - 1] >= n - i):
-            return ConditionReport(False, i, "out")
-        if not (din[i - 1] >= i + 1 or dout[n - i - 1] >= n - i):
-            return ConditionReport(False, i, "in")
-    return _OK
+    return _paired(degree_profile(D), 1, 0, (n + 1) // 2)  # all i with i < n/2
 
 
 def asymptotic_nash_williams(D: Digraph, gamma: Real) -> ConditionReport:
@@ -71,19 +83,7 @@ def asymptotic_nash_williams(D: Digraph, gamma: Real) -> ConditionReport:
     if n < 1:
         raise TooSmall("empty digraph")
     g = ceil_frac(as_density(gamma, "gamma") * n)
-    prof = degree_profile(D)
-    dout, din = prof.out_sorted, prof.in_sorted
-
-    def partner(seq: tuple[int, ...], i: int) -> bool:
-        j = n - i - g
-        return j >= 1 and seq[j - 1] >= n - i
-
-    for i in range(1, (n + 1) // 2):
-        if not (dout[i - 1] >= i + g or partner(din, i)):
-            return ConditionReport(False, i, "out")
-        if not (din[i - 1] >= i + g or partner(dout, i)):
-            return ConditionReport(False, i, "in")
-    return _OK
+    return _paired(degree_profile(D), g, g, (n + 1) // 2)
 
 
 def posa_type(D: Digraph, gamma: Real) -> ConditionReport:
@@ -96,22 +96,16 @@ def posa_type(D: Digraph, gamma: Real) -> ConditionReport:
     if n < 3:
         raise TooSmall(f"need at least 3 vertices, got {n}")
     frac_g = as_density(gamma, "gamma")
-    g = ceil_frac(frac_g * n)
     prof = degree_profile(D)
-    dout, din = prof.out_sorted, prof.in_sorted
-    i = 1
-    while 2 * i < n - 1:  # i < (n-1)/2
-        if dout[i - 1] < i + g:
-            return ConditionReport(False, i, "out")
-        if din[i - 1] < i + g:
-            return ConditionReport(False, i, "in")
-        i += 1
+    # lag n puts every partner index below 1, so only d_i >= i + margin counts
+    if not (report := _paired(prof, ceil_frac(frac_g * n), n, n // 2)):  # all i < (n-1)/2
+        return report
     if n % 2 == 1:
         mid = (n + 1) // 2
         need = ceil_frac((Fraction(1, 2) + frac_g) * n)
-        if dout[mid - 1] < need:
+        if prof.out_sorted[mid - 1] < need:
             return ConditionReport(False, mid, "odd-out")
-        if din[mid - 1] < need:
+        if prof.in_sorted[mid - 1] < need:
             return ConditionReport(False, mid, "odd-in")
     return _OK
 

@@ -39,6 +39,15 @@ def check_labels(n: int, labels: Iterable[int], what: str = "vertex {}") -> None
             raise LabelOutOfRange(f"{what.format(v)} outside 0..{n - 1}")
 
 
+def as_order(n) -> int:
+    """n as a vertex count in 0..MAX_ORDER (as_count reads 3.0 as 3),
+    checked before anything is allocated; BadParameter otherwise."""
+    n = as_count(n, "vertex count", least=0)
+    if n > MAX_ORDER:
+        raise BadParameter(f"vertex count {n} is too large: the bound is {MAX_ORDER}")
+    return n
+
+
 class Digraph:
     """A loop-free digraph on vertex set {0, ..., n-1}."""
 
@@ -50,9 +59,7 @@ class Digraph:
         as 3), non-integer labels, and an n above MAX_ORDER raise
         BadParameter; the first bad arc in input order raises LoopArc if a
         loop, else LabelOutOfRange."""
-        n = as_count(n, "vertex count", least=0)
-        if n > MAX_ORDER:
-            raise BadParameter(f"vertex count {n} is too large: the bound is {MAX_ORDER}")
+        n = as_order(n)
         if not isinstance(arc_list, np.ndarray):
             arc_list = list(arc_list)
         a = np.asarray(arc_list)

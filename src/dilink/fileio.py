@@ -13,7 +13,6 @@ Subdivisions, ladders, and absorbers serialize to plain JSON objects.
 
 from __future__ import annotations
 
-import codecs
 import io
 import itertools
 import json
@@ -36,9 +35,10 @@ from .subdivision import (
 
 _INT = re.compile(r"[+-]?[0-9]+")
 _INT64 = np.iinfo(np.int64)
-_BLOCK = 1 << 16  # characters read at a time
+_BLOCK = 1 << 16  # bytes read at a time
 # the line breaks of str.splitlines
 _LINE_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+_Blocks = Iterator[tuple[int, bytes]]  # (byte offset, bytes) of each block
 
 
 def _content(line: str) -> str:
@@ -50,37 +50,53 @@ def _content_lines(lines: Iterable[str]) -> Iterator[str]:
     return filter(None, map(_content, lines))
 
 
-def _blocks(fh: TextIO) -> Iterator[str]:
-    """The text of fh, opened with newline='', in blocks of whole lines:
+def _blocks(fh: BinaryIO) -> _Blocks:
+    """The bytes of fh in blocks of whole lines, each with its offset:
     each block read is cut after its last '\n', or its last '\r' before
     its end, and the rest carried to the next, so a '\r\n' is never cut
     and the blocks split into lines as str.splitlines splits the whole
-    text.  The last block is what is left, line break or not."""
-    tail = ""
+    text.  Neither byte occurs inside a multi-byte UTF-8 character, so
+    every block decodes on its own.  The last block is what is left, line
+    break or not."""
+    at, tail = 0, b""
     while block := fh.read(_BLOCK):
         block = tail + block
-        cut = max(block.rfind("\n"), block.rfind("\r", 0, -1)) + 1
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1
         block, tail = block[:cut], block[cut:]
-        yield block
-    yield tail
+        yield at, block
+        at += cut
+    yield at, tail
 
 
-def _header(blocks: Iterator[str]) -> tuple[str, Iterator[str]] | None:
-    """The first content line of the blocks, and the blocks after it: the
-    rest of its own block, found without splitting that block into
-    lines, then the blocks not yet read."""
-    for block in blocks:
+def _decode(data: bytes, source: str, at: int = 0) -> str:
+    """data, found at byte offset `at` of source, as UTF-8 text;
+    BadParameter naming source and the offset of the first undecodable
+    byte otherwise."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise BadParameter(f"{source!r} is not UTF-8: undecodable byte at offset {at + e.start}") from None
+
+
+def _header(blocks: _Blocks, source: str) -> tuple[str, _Blocks] | None:
+    """The first content line of the blocks, found without splitting its
+    block into lines, and the blocks after it: the rest of its own block,
+    from the byte where the header's line ends, then the blocks not yet
+    read.  Only the blocks up to the header's are decoded."""
+    for at, block in blocks:
+        text = _decode(block, source, at)
         start = 0
-        for brk in _LINE_BREAK.finditer(block):
-            if line := _content(block[start : brk.start()]):
-                return line, itertools.chain([block[brk.end() :]], blocks)
+        for brk in _LINE_BREAK.finditer(text):
+            if line := _content(text[start : brk.start()]):
+                end = len(text[: brk.end()].encode())
+                return line, itertools.chain([(at + end, block[end:])], blocks)
             start = brk.end()
-        if line := _content(block[start:]):
+        if line := _content(text[start:]):
             return line, blocks
     return None
 
 
-def _plain_rows(block: str) -> np.ndarray | None:
+def _plain_rows(block: bytes) -> np.ndarray | None:
     """The (k, 2) int64 rows of a block made only of 'digits SP digits LF'
     lines with at most 18 digits a token, which int64 holds; None for any
     other block.  Never raises: a block it refuses goes to np.loadtxt.
@@ -94,9 +110,9 @@ def _plain_rows(block: str) -> np.ndarray | None:
     in place, so a block's temporaries stay two arrays of one int64 a
     token.
     """
-    if not block.isascii() or not block.endswith("\n"):
+    if not block.endswith(b"\n"):
         return None
-    b = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
+    b = np.frombuffer(block, dtype=np.uint8)
     if (b > 57).any():
         return None
     at = np.flatnonzero(b < 48)  # the separators, then the bytes a pass reads
@@ -148,21 +164,27 @@ def _fits_int64(token: str) -> bool:
 
 
 def parse_digraph(text: str) -> Digraph:
-    """Parse the edge-list format: "n m" then m lines "u v"."""
-    return _parse_digraph(io.StringIO(text, newline=""), len(text))
+    """Parse the edge-list format: "n m" then m lines "u v".  A lone
+    surrogate, which no UTF-8 file holds, is refused as not UTF-8."""
+    data = text.encode("utf-8", "surrogatepass")
+    return _parse_digraph(io.BytesIO(data), len(data), "<string>")
 
 
-def _parse_digraph(fh: TextIO, size: int) -> Digraph:
-    """The digraph in fh, whose text is at most size characters long,
-    streamed block by block.
+def _parse_digraph(fh: BinaryIO, size: int, source: str) -> Digraph:
+    """The digraph in the bytes of fh, at most size of them (a pipe's size
+    reads 0), read once, block by block; source names fh in messages.
 
-    After the header, a block of plain "u v" lines is read by _plain_rows
-    and any other block by np.loadtxt.  Only when loadtxt fails is fh read
-    again from the start, line by line, to raise BadParameter (or
-    LabelOutOfRange for a label beyond int64) naming the first bad line;
-    Digraph then reports the first loop or label outside 0..n-1.
+    The header's block is decoded to find the header line, and the rest of
+    that block continues as bytes.  After the header, a block of plain
+    "u v" lines is read by _plain_rows from its bytes; any other block is
+    decoded, a byte that is not UTF-8 raising BadParameter naming its
+    offset, and read by np.loadtxt.  When loadtxt fails, that block's
+    lines are scanned to raise BadParameter (or LabelOutOfRange for a
+    label beyond int64) naming the first bad line: every earlier block
+    passed the kernel or loadtxt, and both accept only lines the scan
+    accepts.  Digraph then reports the first loop or label outside 0..n-1.
     """
-    found = _header(_blocks(fh))
+    found = _header(_blocks(fh), source)
     if found is None:
         raise BadParameter("empty digraph file")
     header, blocks = found
@@ -170,23 +192,20 @@ def _parse_digraph(fh: TextIO, size: int) -> Digraph:
     if len(head) != 2:
         raise BadParameter(f"header must be 'n m', got {header!r}")
     n, m = parse_ints(head, header)
-    # an arc line takes at least 4 characters ("u v" and a line break), so
+    # an arc line takes at least 4 bytes ("u v" and a line break), so
     # size bounds the arcs of a file however many its header promises
     a = np.empty((max(0, min(m, size // 4 + 1)), 2), dtype=np.int64)
     k = 0
-    for block in blocks:
+    for at, block in blocks:
         rows = _plain_rows(block)
         if rows is None:
+            lines = _decode(block, source, at).splitlines()
             # a leading "0 0" row fixes the width at two columns and keeps
             # a block without arcs from loadtxt's no-data warning
             try:
-                rows = np.loadtxt(
-                    itertools.chain(["0 0"], block.splitlines()), dtype=np.int64, comments="#", ndmin=2
-                )[1:]
+                rows = np.loadtxt(itertools.chain(["0 0"], lines), dtype=np.int64, comments="#", ndmin=2)[1:]
             except ValueError as e:
-                fh.seek(0)
-                lines = itertools.chain.from_iterable(map(str.splitlines, _blocks(fh)))
-                for line in itertools.islice(_content_lines(lines), 1, None):
+                for line in _content_lines(lines):
                     parts = line.split()
                     if len(parts) != 2:
                         raise BadParameter(f"arc line must be 'u v', got {line!r}")
@@ -216,43 +235,9 @@ def format_digraph(D: Digraph) -> str:
     return "".join(out)
 
 
-def _not_utf8(source: str, offset: int) -> BadParameter:
-    return BadParameter(f"{source!r} is not UTF-8: undecodable byte at offset {offset}")
-
-
-def _undecodable_offset(raw: BinaryIO) -> int:
-    """The offset of the first byte of raw, read in blocks from its start,
-    that does not decode as UTF-8 (its length if every byte does)."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    fed = 0
-    while True:
-        chunk = raw.read(_BLOCK)
-        held = len(decoder.getstate()[0])  # bytes of an unfinished character
-        try:
-            decoder.decode(chunk, final=not chunk)
-        except UnicodeDecodeError as e:  # e.start counts from the held bytes
-            return fed - held + e.start
-        if not chunk:
-            return fed
-        fed += len(chunk)
-
-
-def decode_utf8(data: bytes, source: str) -> str:
-    """data as UTF-8 text; BadParameter naming source and the offset of
-    the first undecodable byte otherwise."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise _not_utf8(source, e.start) from None
-
-
 def read_digraph(path: str) -> Digraph:
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            return _parse_digraph(fh, os.fstat(fh.fileno()).st_size)
-    except UnicodeDecodeError:
-        with open(path, "rb") as raw:
-            raise _not_utf8(path, _undecodable_offset(raw)) from None
+    with open(path, "rb") as fh:
+        return _parse_digraph(fh, os.fstat(fh.fileno()).st_size, path)
 
 
 def parse_pattern(text: str) -> tuple[PatternDigraph, dict[int, int]]:
@@ -276,7 +261,7 @@ def parse_pattern(text: str) -> tuple[PatternDigraph, dict[int, int]]:
 
 def read_pattern(path: str) -> tuple[PatternDigraph, dict[int, int]]:
     with open(path, "rb") as fh:
-        return parse_pattern(decode_utf8(fh.read(), path))
+        return parse_pattern(_decode(fh.read(), path))
 
 
 def subdivision_to_json(sub: HSubdivision) -> dict:

@@ -4,24 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .digraph import MAX_ORDER, Digraph
+from .digraph import Digraph, as_order
 from .errors import BadParameter
-from .ratio import as_count
-
-
-def _order(n) -> int:
-    """n as a vertex count in 0..MAX_ORDER, checked before any allocation."""
-    n = as_count(n, "vertex count", least=0)
-    if n > MAX_ORDER:
-        raise BadParameter(f"vertex count must lie in 0..{MAX_ORDER}, got {n}")
-    return n
 
 
 def gen_random_digraph(n: int, p: float, seed: int) -> Digraph:
     """Binomial random digraph: each ordered pair (u, v), u != v, is an
     arc independently with probability p.  Deterministic given the seed;
     an n outside 0..MAX_ORDER raises BadParameter before any allocation."""
-    n = _order(n)
+    n = as_order(n)
     if not 0.0 <= p <= 1.0:
         raise BadParameter(f"arc probability must lie in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
@@ -45,21 +36,21 @@ def _circulant(n: int, offsets, wrap: bool = True) -> Digraph:
 
 
 def complete_digraph(n: int) -> Digraph:
-    return _circulant(n := _order(n), range(1, n))
+    return _circulant(n := as_order(n), range(1, n))
 
 
 def directed_cycle(n: int) -> Digraph:
-    if (n := _order(n)) < 2:
+    if (n := as_order(n)) < 2:
         raise BadParameter("a directed cycle needs at least 2 vertices")
     return _circulant(n, [1])
 
 
 def directed_path(n: int) -> Digraph:
-    return _circulant(_order(n), [1], wrap=False)
+    return _circulant(as_order(n), [1], wrap=False)
 
 
 def rotational_tournament(n: int) -> Digraph:
     """Tournament on odd n with i -> i+1, ..., i+(n-1)/2 (mod n)."""
-    if (n := _order(n)) % 2 == 0:
+    if (n := as_order(n)) % 2 == 0:
         raise BadParameter("rotational tournament requires odd n")
     return _circulant(n, range(1, (n - 1) // 2 + 1))

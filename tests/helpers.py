@@ -539,3 +539,61 @@ def random_arc_set(rng: random.Random, n: int, density: float):
         for v in range(n)
         if u != v and rng.random() < density
     ]
+
+
+def reference_degree_conditions(D: Digraph, gamma) -> dict[str, tuple]:
+    """(satisfied, failing_index, failing_clause) of nash_williams,
+    asymptotic_nash_williams and posa_type, each rule transcribed one i at
+    a time, in order, on sorted degree sequences counted from D.arcs."""
+    n = D.n
+    out_deg, in_deg = [0] * n, [0] * n
+    for u, v in D.arcs:
+        out_deg[u] += 1
+        in_deg[v] += 1
+    dp = [None] + sorted(out_deg)  # dp[i] is d_i^+, 1-based
+    dm = [None] + sorted(in_deg)
+    g = -(-Fraction(gamma) * n // 1)  # ceil(gamma * n)
+
+    def nash_williams():
+        for i in range(1, n):
+            if not 2 * i < n:
+                break
+            if not (dp[i] >= i + 1 or dm[n - i] >= n - i):
+                return False, i, "out"
+            if not (dm[i] >= i + 1 or dp[n - i] >= n - i):
+                return False, i, "in"
+        return True, None, None
+
+    def asymptotic_nash_williams():
+        for i in range(1, n):
+            if not 2 * i < n:
+                break
+            j = n - i - g
+            if not (dp[i] >= i + g or (j >= 1 and dm[j] >= n - i)):
+                return False, i, "out"
+            if not (dm[i] >= i + g or (j >= 1 and dp[j] >= n - i)):
+                return False, i, "in"
+        return True, None, None
+
+    def posa_type():
+        for i in range(1, n):
+            if not 2 * i < n - 1:
+                break
+            if not dp[i] >= i + g:
+                return False, i, "out"
+            if not dm[i] >= i + g:
+                return False, i, "in"
+        if n % 2 == 1:
+            mid = (n + 1) // 2
+            need = -(-(Fraction(1, 2) + Fraction(gamma)) * n // 1)
+            if not dp[mid] >= need:
+                return False, mid, "odd-out"
+            if not dm[mid] >= need:
+                return False, mid, "odd-in"
+        return True, None, None
+
+    return {
+        "nash_williams": nash_williams(),
+        "asymptotic_nash_williams": asymptotic_nash_williams(),
+        "posa_type": posa_type(),
+    }

@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import threading
 
 import pytest
 
@@ -84,6 +86,20 @@ def test_check_degrees_reads_stdin(capsys, monkeypatch):
     text = format_digraph(complete_digraph(6))
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
     assert main(["check-degrees", "-"]) == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+def test_a_bad_line_on_a_pipe_is_exit_2(tmp_path, capsys):
+    """A pipe can be read only once: its bad line is named from that read."""
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(b"3 2\n0 1\n1 x\n",), daemon=True)
+    writer.start()
+    try:
+        assert main(["check-degrees", str(fifo)]) == 2
+    finally:
+        writer.join(timeout=10)
+    assert "error: non-integer value in '1 x'" in capsys.readouterr().err
 
 
 def test_input_that_is_not_utf8_is_exit_2(tmp_path, pattern_file, capsys, monkeypatch):

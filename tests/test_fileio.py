@@ -64,7 +64,7 @@ def test_the_header_search_breaks_lines_where_splitlines_does():
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Blocks of 48 characters, and the list of blocks the kernel read."""
+    """Blocks of 48 bytes, and the list of blocks the kernel read."""
     monkeypatch.setattr(fileio, "_BLOCK", 48)
     read = []
 
@@ -132,19 +132,19 @@ def test_a_bad_token_in_a_later_plain_block_is_named(kernel_calls, line, kind, m
 def test_zero_padded_labels_and_duplicate_arcs_take_the_kernel(kernel_calls):
     text = "4 6\n" + "0001 02\n" * 3 + "3 000000000000000000\n" + "2 1\n2 1\n"
     assert parse_digraph(text).arcs == {(1, 2), (3, 0), (2, 1)}
-    assert "".join(kernel_calls) == text[4:]
+    assert b"".join(kernel_calls) == text[4:].encode()
 
 
 def test_the_kernel_reads_exactly_the_plain_layout():
-    assert fileio._plain_rows("7 80\n012 3\n").tolist() == [[7, 80], [12, 3]]
-    assert fileio._plain_rows("9" * 18 + " 0\n").tolist() == [[10**18 - 1, 0]]
+    assert fileio._plain_rows(b"7 80\n012 3\n").tolist() == [[7, 80], [12, 3]]
+    assert fileio._plain_rows(b"9" * 18 + b" 0\n").tolist() == [[10**18 - 1, 0]]
     refused = (
         "", "1 2", "1 2\n\n", "\n1 2\n", " 1 2\n", "1  2\n", "1 \n", " 2\n", " \n", "1 2\n3 \n",
         "1\n2\n", "1 2 3\n", "1 2\r\n", "1\t2\n", "+1 2\n", "1 -2\n", "1 2 #\n", "1 \u0662\n",
         "1 x\n", "9" * 19 + " 0\n",
     )
     for block in refused:
-        assert fileio._plain_rows(block) is None, repr(block)
+        assert fileio._plain_rows(block.encode()) is None, repr(block)
 
 
 def test_the_reader_peak_stays_near_the_arc_array(tmp_path):
@@ -187,17 +187,42 @@ def test_read_digraph_names_the_first_byte_that_is_not_utf8(tmp_path, bad, at):
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
 def test_read_digraph_from_a_pipe_whose_size_reads_zero(tmp_path):
     """A pipe's size reads 0, so the arc array starts from one row and
-    grows as blocks arrive."""
-    D = gen_random_digraph(150, 0.6, 4)
+    grows as blocks arrive.  A pipe can be read only once, so a bad line
+    and a byte that is not UTF-8 are named from that one read."""
     fifo = tmp_path / "pipe"
     os.mkfifo(fifo)
-    writer = threading.Thread(target=fifo.write_text, args=(format_digraph(D),), daemon=True)
-    writer.start()
-    try:
-        assert read_digraph(str(fifo)) == D
-    finally:
-        writer.join(timeout=10)
-    assert not writer.is_alive()
+
+    def through_pipe(data):
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        try:
+            return read_digraph(str(fifo))
+        finally:
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+
+    D = gen_random_digraph(150, 0.6, 4)
+    assert through_pipe(format_digraph(D).encode()) == D
+    with pytest.raises(BadParameter, match="^non-integer value in '1 x'$"):
+        through_pipe(b"3 2\n0 1\n1 x\n")
+    with pytest.raises(BadParameter, match="is not UTF-8: undecodable byte at offset 14$"):
+        through_pipe(b"3 2\n0 1\n1 2 # \xff\n")
+
+
+def test_of_a_bad_token_and_a_bad_byte_the_earlier_block_is_reported(kernel_calls, tmp_path):
+    """The input is read once, in blocks of 48 bytes here: of a bad token
+    and a byte that is not UTF-8, the one in the earlier block is named,
+    and the byte when both share a block."""
+    f = tmp_path / "d.txt"
+    pad = b"0 1\n" * 20  # the lines either side of it lie in different blocks
+    for data, error in [
+        (b"3 21\n0 x\n" + pad + b"0 1 # \xff\n", "non-integer value in '0 x'$"),
+        (b"3 21\n0 1 # \xff\n" + pad + b"0 x\n", "undecodable byte at offset 11$"),
+        (b"3 21\n" + pad + b"0 x # \xff\n", f"undecodable byte at offset {5 + len(pad) + 6}$"),
+    ]:
+        f.write_bytes(data)
+        with pytest.raises(BadParameter, match=error):
+            read_digraph(str(f))
 
 
 def test_parse_digraph_comments_and_blank_lines():
@@ -230,6 +255,9 @@ def test_parse_digraph_diagnostics():
         parse_digraph("3 0\n0 1\n")
     with pytest.raises(BadParameter, match="too large"):
         parse_digraph("99999999999999999999 0\n")
+    # no UTF-8 file holds a lone surrogate, so no string may, even in a comment
+    with pytest.raises(BadParameter, match="^'<string>' is not UTF-8: undecodable byte at offset 10$"):
+        parse_digraph("3 1\n0 1 # \ud800\n")
 
 
 def test_parse_digraph_token_grammar():

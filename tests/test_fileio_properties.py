@@ -2,7 +2,7 @@
 comments, blank lines, tabs and CRLF, the vectorised parser agrees with
 the line-by-line reference parser on one-token mutations, the library's
 own files take the byte kernel, and texts cut into blocks of a few
-characters read as one block reads them."""
+bytes read as one block reads them."""
 
 from unittest import mock
 
@@ -87,7 +87,7 @@ def test_parser_agrees_with_the_reference_on_one_token_mutations(data):
 @given(digraphs(max_n=30))
 def test_the_librarys_own_files_take_the_kernel(D):
     body = format_digraph(D).split("\n", 1)[1]
-    rows = fileio._plain_rows(body)
+    rows = fileio._plain_rows(body.encode())
     if D.arc_count:
         assert rows.tolist() == np.argwhere(D.bool_matrix()).tolist()
     else:
@@ -103,7 +103,7 @@ def test_zero_padded_labels_and_duplicate_arcs_take_the_kernel(data):
             lines.append(" ".join(str(x).zfill(data.draw(st.integers(1, 18))) for x in (u, v)))
     body = "".join(line + "\n" for line in lines)
     if lines:
-        assert fileio._plain_rows(body) is not None
+        assert fileio._plain_rows(body.encode()) is not None
     assert parse_digraph(f"{D.n} {len(lines)}\n{body}") == D
 
 
@@ -159,7 +159,7 @@ def outcome_and_message(text):
 
 @given(st.data())
 def test_texts_cut_into_small_blocks_read_as_one_block(data):
-    """Blocks of a few characters put plain blocks between blocks with
+    """Blocks of a few bytes put plain blocks between blocks with
     other layouts and a refused token in any block; the digraph, or the
     exception class and message, is what one block gives, and agrees
     with the reference parser."""

@@ -11,7 +11,9 @@ routed by kind: no handler names a single kind of refusal (a subclass
 of InputError) to recover from it, only the CLI's main catches
 DilinkError, and the pipelines' loop has one handler.  The
 edge-list reader's byte kernel raises nothing and np.loadtxt is called in
-one place, so every refused arc line is named by the one rescan after it."""
+one place, so every refused arc line is named by the one scan after it,
+and the reader reads its input once: read_digraph opens its path once and
+nothing in fileio seeks, so a pipe reads as a file does."""
 
 import ast
 from pathlib import Path
@@ -218,3 +220,10 @@ def test_the_edge_list_kernel_raises_nothing_and_loadtxt_has_one_call():
     raises = [node.lineno for node in ast.walk(kernel[0]) if isinstance(node, ast.Raise)]
     assert not raises, raises
     assert [scope for _, _, scope in method_calls(tree, {"loadtxt"})] == [("_parse_digraph",)]
+
+
+def test_the_edge_list_reader_reads_its_input_once():
+    tree = ast.parse((SRC / "fileio.py").read_text())
+    assert method_calls(tree, {"seek"}) == []
+    opens = [scope for _, _, scope in method_calls(tree, {"open"}) if scope == ("read_digraph",)]
+    assert opens == [("read_digraph",)]
