@@ -9,9 +9,7 @@ digraph perfectly by subdivisions of prescribed orders.
 
 from .absorber import (
     Absorber,
-    AbsorberParams,
     absorb_paths,
-    absorber_params,
     absorber_size_bound,
     build_type1_absorber,
     build_type2_absorber,
@@ -83,8 +81,6 @@ from .expansion import (
     derive_params_from_degrees,
     falsify_outexpander_sampled,
     inexpansion_params,
-    min_semidegree_margin,
-    robust_in_neighbourhood,
     robust_out_neighbourhood,
     shrink_params_for_deletion,
 )
@@ -101,7 +97,6 @@ from .fileio import (
 from .generators import (
     complete_digraph,
     directed_cycle,
-    directed_path,
     gen_random_digraph,
     rotational_tournament,
 )
@@ -121,7 +116,6 @@ from .subdivision import (
     LengthPrescription,
     PatternDigraph,
     brute_force_subdivision,
-    digon_pattern,
     min_prescribed_length,
     path_lengths,
     pattern_from_arcs,

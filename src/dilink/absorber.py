@@ -59,7 +59,7 @@ from .ladder import (
     rung_paths,
     validate_ladder,
 )
-from .ratio import Real, as_density, ceil_frac
+from .ratio import Real, as_density
 from .subdivision import (
     HSubdivision,
     PatternDigraph,
@@ -67,22 +67,6 @@ from .subdivision import (
     subdivision_order,
     validate_subdivision,
 )
-
-
-@dataclass(frozen=True)
-class AbsorberParams:
-    xi: Fraction
-    d: int
-
-
-def absorber_params(nu: Real) -> AbsorberParams:
-    """The theory-scale parameters: xi = nu^2/32 and d = ceil(64/nu^2).
-
-    At desk scale d is usually overridden; builders accept any d >= 1.
-    """
-    nu = as_density(nu, "nu", closed=True)
-    xi = nu * nu / 32
-    return AbsorberParams(xi, ceil_frac(2 / xi))
 
 
 def absorber_size_bound(n: int, nu: Real, gamma: Real, d: int) -> float:
@@ -211,8 +195,9 @@ def _build_absorber(
     ]
     embedding = {i: slots[i % len(slots)] for i in range(len(ladders))}
     A = Absorber(K, ladders, hosts, embedding, d, slots)
-    if not validate_absorber(D, A):
-        raise AbsorberConstructionFailed("assembled absorber failed validation")
+    problems: list[str] = []
+    if not validate_absorber(D, A, problems):
+        raise AbsorberConstructionFailed("absorber failed validation: " + "; ".join(problems))
     if sum(map(subdivision_order, hosts)) > absorber_size_bound(n, p.nu, p.gamma, d):
         raise AbsorberConstructionFailed("absorber exceeded the guaranteed size bound")
     return A

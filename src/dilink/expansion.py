@@ -1,13 +1,14 @@
-"""Robust out-/in-expansion: neighbourhoods, certification, falsification.
+"""Robust out-/in-expansion: the neighbourhood, certification, falsification.
 
 The robust nu-out-neighbourhood of S is the set of vertices with at least
 ceil(nu*n) in-neighbors inside S.  D is a robust (nu, tau)-out-expander if
 |RN+(S)| >= |S| + nu*n for every S with tau*n < |S| < (1-tau)*n (strict,
 exact rational comparisons).  Certification decides every subset at once,
 up to a size cap, from a subset-sum table of matrix rows; the falsifier
-samples structured candidate sets.  Both, and the neighbourhood functions,
+samples structured candidate sets.  Both, and the neighbourhood function,
 count in-neighbours inside S one way: as the sum of the rows of S in the
-bool adjacency matrix.
+bool adjacency matrix.  The robust in-neighbourhood is the
+out-neighbourhood in D.reverse().
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .digraph import Digraph, check_labels, degree_profile, remove_vertices
+from .digraph import Digraph, check_labels, remove_vertices
 from .errors import BadParameter, TooLargeForExact
 from .ratio import Real, as_count, as_density, as_fraction, ceil_frac
 
@@ -65,24 +66,14 @@ class ExpansionReport:
             raise BadParameter("counterexample present iff verdict is refuted")
 
 
-def _in_count_threshold(nu: Fraction, n: int) -> int:
-    return ceil_frac(nu * n)
-
-
 def robust_out_neighbourhood(D: Digraph, S: Iterable[int], nu: Real) -> frozenset[int]:
-    """Vertices with at least ceil(nu*n) in-neighbors inside S.  A label of
-    S outside 0..n-1 raises LabelOutOfRange."""
+    """RN+_nu(S): vertices with at least ceil(nu*n) in-neighbors inside S.
+    A label of S outside 0..n-1 raises LabelOutOfRange."""
     nu = as_density(nu, "nu", closed=True)
     rows = sorted(set(S))
     check_labels(D.n, rows)
     counts = D.bool_matrix()[rows].sum(axis=0)
-    return frozenset(np.flatnonzero(counts >= _in_count_threshold(nu, D.n)).tolist())
-
-
-def robust_in_neighbourhood(D: Digraph, S: Iterable[int], nu: Real) -> frozenset[int]:
-    """Vertices with at least ceil(nu*n) out-neighbors inside S: the
-    out-neighbourhood of S in the reversed digraph."""
-    return robust_out_neighbourhood(D.reverse(), S, nu)
+    return frozenset(np.flatnonzero(counts >= ceil_frac(nu * D.n)).tolist())
 
 
 def _quantified_sizes(n: int, tau: Fraction) -> range:
@@ -115,7 +106,7 @@ def certify_outexpander_exact(
     sizes = _quantified_sizes(n, p.tau)
     if not sizes:
         return ExpansionReport(Verdict.CERTIFIED_EXACT)
-    t = _in_count_threshold(p.nu, n)
+    t = ceil_frac(p.nu * n)
     need = np.zeros(n + 1, dtype=np.int64)  # least |RN+(S)| by |S|; 0 outside the range
     need[sizes] = np.array(sizes) + t
     dt = np.min_scalar_type(n)  # holds every in-count, so no sum can wrap
@@ -224,7 +215,7 @@ def falsify_outexpander_sampled(
     sizes = _quantified_sizes(n, p.tau)
     if not sizes:
         return ExpansionReport(Verdict.NO_COUNTEREXAMPLE_FOUND, sampled_trials=trials)
-    t = _in_count_threshold(p.nu, n)
+    t = ceil_frac(p.nu * n)
     M = D.bool_matrix()
 
     def violated(S) -> bool:  # counted from the rows of S
@@ -326,10 +317,3 @@ def certify_survives_deletion(
         )
     sub = remove_vertices(D, removed)
     return certify_outexpander_exact(sub, shrink_params_for_deletion(p), max_exact_n)
-
-
-def min_semidegree_margin(D: Digraph) -> Fraction:
-    """delta0(D) / n as an exact fraction (0 for the empty digraph)."""
-    if D.n == 0:
-        return Fraction(0)
-    return Fraction(degree_profile(D).delta_zero, D.n)

@@ -24,14 +24,13 @@ def gen_random_digraph(n: int, p: float, seed: int) -> Digraph:
     return Digraph._of_matrix(mat)
 
 
-def _circulant(n: int, offsets, wrap: bool = True) -> Digraph:
-    """Arcs i -> i+j for every j in offsets, mod n (only below n without
-    wrap), filled one diagonal at a time: nothing but the matrix is big."""
+def _circulant(n: int, offsets) -> Digraph:
+    """Arcs i -> i+j (mod n) for every j in offsets, filled one diagonal
+    at a time: nothing but the matrix is big."""
     mat = np.zeros((n, n), dtype=bool)
     for j in offsets:
         np.fill_diagonal(mat[:, j:], True)  # i -> i+j for i < n-j
-        if wrap:
-            np.fill_diagonal(mat[n - j:], True)  # n-j+i -> i
+        np.fill_diagonal(mat[n - j:], True)  # n-j+i -> i
     return Digraph._of_matrix(mat)
 
 
@@ -43,10 +42,6 @@ def directed_cycle(n: int) -> Digraph:
     if (n := as_order(n)) < 2:
         raise BadParameter("a directed cycle needs at least 2 vertices")
     return _circulant(n, [1])
-
-
-def directed_path(n: int) -> Digraph:
-    return _circulant(as_order(n), [1], wrap=False)
 
 
 def rotational_tournament(n: int) -> Digraph:

@@ -14,13 +14,12 @@ build, the segment sizes and the final check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .absorber import (
     Absorber,
     absorb_paths,
-    absorber_params,
     build_type1_absorber,
     build_type2_absorber,
     cut_absorbable_segments,
@@ -29,7 +28,7 @@ from .cycles import hamilton_cycle
 from .digraph import Digraph
 from .errors import BadParameter, ConstructionFailed, OrdersDontSumToN, PipelineFailed
 from .expansion import ExpansionParams
-from .ratio import Real, as_count
+from .ratio import Real, as_count, ceil_frac
 from .subdivision import (
     HSubdivision,
     LengthPrescription,
@@ -47,11 +46,12 @@ class PipelineConfig:
     """Knobs for the construction pipelines.
 
     nu and tau are the expansion parameters the absorber is built for;
-    d defaults to the theory value ceil(64/nu^2), which desk-scale runs
-    will usually override with something small.  restart_budget counts
-    whole attempts (absorber, Hamilton cycle, cut, absorption), each on
-    fresh seeds.  Construction checks every knob, building the
-    ExpansionParams of nu, tau and gamma once; a bad one raises
+    d defaults to the theory value ceil(64/nu^2) (xi = nu^2/32, d =
+    2/xi), which desk-scale runs will usually override with something
+    small.  restart_budget counts whole attempts (absorber, Hamilton
+    cycle, cut, absorption), each on fresh seeds.  Construction checks
+    every knob through ExpansionParams and keeps nu, tau and gamma as
+    the Fractions it returns and d as an int; a bad knob raises
     BadParameter here, before any pipeline runs.
     """
 
@@ -61,20 +61,15 @@ class PipelineConfig:
     d: int | None = None
     seed: int = 0
     restart_budget: int = 3
-    _params: ExpansionParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = ExpansionParams(self.nu, self.tau, self.gamma)
-        object.__setattr__(self, "_params", p)
+        d = ceil_frac(64 / p.nu**2) if self.d is None else as_count(self.d, "d")
+        object.__setattr__(self, "nu", p.nu)
+        object.__setattr__(self, "tau", p.tau)
         object.__setattr__(self, "gamma", p.gamma)
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "restart_budget", as_count(self.restart_budget, "restart_budget"))
-        if self.d is not None:
-            object.__setattr__(self, "d", as_count(self.d, "d"))
-
-    def resolve(self) -> tuple[ExpansionParams, int]:
-        """Concrete (ExpansionParams, d)."""
-        d = self.d if self.d is not None else absorber_params(self._params.nu).d
-        return self._params, d
 
 
 def _stage_seed(base: int, restart: int, salt: int) -> int:
@@ -108,7 +103,7 @@ def _drive(
     its stage, an exact one at stage "absorber" ends the loop, and
     PipelineFailed lists every attempt's stage and reason.
     """
-    p, d = cfg.resolve()
+    p, d = ExpansionParams(cfg.nu, cfg.tau, cfg.gamma), cfg.d
     floor = min_prescribed_length(p.nu)
     for x in amounts:
         if x < floor:

@@ -54,10 +54,6 @@ def single_arc_pattern() -> PatternDigraph:
     return pattern_from_arcs([(0, 1)])
 
 
-def digon_pattern() -> PatternDigraph:
-    return pattern_from_arcs([(0, 1), (1, 0)])
-
-
 def triangle_pattern() -> PatternDigraph:
     return pattern_from_arcs([(0, 1), (1, 2), (2, 0)])
 

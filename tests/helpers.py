@@ -205,7 +205,6 @@ def oracle_falsify_sampled(D: Digraph, p, trials: int, seed: int):
     from dilink.expansion import (
         ExpansionReport,
         Verdict,
-        _in_count_threshold,
         _quantified_sizes,
     )
     from dilink.ratio import ceil_frac
@@ -216,8 +215,7 @@ def oracle_falsify_sampled(D: Digraph, p, trials: int, seed: int):
     sizes = _quantified_sizes(n, p.tau)
     if not sizes:
         return ExpansionReport(Verdict.NO_COUNTEREXAMPLE_FOUND, sampled_trials=trials)
-    t = _in_count_threshold(p.nu, n)
-    nu_ceil = ceil_frac(p.nu * n)
+    t = ceil_frac(p.nu * n)
     M = D.bool_matrix()
     stream = 0
     done = 0
@@ -250,7 +248,7 @@ def oracle_falsify_sampled(D: Digraph, p, trials: int, seed: int):
                     S.append(best)
                     counts += M[best]
                     outside[best] = False
-            if (counts >= t).sum() < len(S) + nu_ceil:
+            if (counts >= t).sum() < len(S) + t:
                 return ExpansionReport(
                     Verdict.REFUTED, counterexample=frozenset(S), sampled_trials=done + j + 1
                 )

@@ -1,6 +1,5 @@
 import dataclasses
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -10,7 +9,6 @@ from dilink import (
     ExpansionParams,
     HSubdivision,
     absorb_paths,
-    absorber_params,
     absorber_size_bound,
     build_type1_absorber,
     build_type2_absorber,
@@ -27,8 +25,10 @@ from dilink import (
     validate_subdivision,
     validate_tiling,
 )
+from dilink import absorber
 from dilink.absorber import _covering, cut_absorbable_segments
 from dilink.errors import (
+    AbsorberConstructionFailed,
     BadParameter,
     NoCoveringPair,
     NotDisjoint,
@@ -47,17 +47,6 @@ def _leftover_segments(D, A, sizes, seed=0):
     """Disjoint paths outside the absorber, cut from a leftover cycle."""
     C = hamilton_cycle(D, seed, avoid=A.vertices())
     return cut_cycle_segments(C, sizes, seed)
-
-
-def test_theory_scale_parameters():
-    ap = absorber_params(1)
-    assert ap.xi == Fraction(1, 32)
-    assert ap.d == 64
-    ap2 = absorber_params("1/2")
-    assert ap2.xi == Fraction(1, 128)
-    assert ap2.d == 256
-    with pytest.raises(BadParameter):
-        absorber_params(0)
 
 
 def test_size_bound_grows_with_d_and_n():
@@ -122,6 +111,12 @@ def test_type2_build_structure():
     for i, L in enumerate(A.ladders):
         hi, arc = A.embedding[i]
         assert ladder_on_path(L, A.hosts[hi].paths[arc])
+
+
+def test_a_build_that_fails_validation_says_why(monkeypatch):
+    monkeypatch.setattr(absorber, "verify_d_cover", lambda *args: False)
+    with pytest.raises(AbsorberConstructionFailed, match="is not a 3-cover"):
+        build_type1_absorber(_dense(), single_arc_pattern(), {0: 0, 1: 1}, P_DEFAULT, 3, 0)
 
 
 def test_validate_absorber_catches_tampering():

@@ -10,7 +10,6 @@ from dilink import (
     complete_digraph,
     degree_profile,
     directed_cycle,
-    directed_path,
     gen_random_digraph,
     is_strongly_connected,
     remove_vertices,
@@ -243,7 +242,7 @@ def test_validate_path_and_cycle():
 def test_strong_connectivity():
     assert is_strongly_connected(complete_digraph(6))
     assert is_strongly_connected(directed_cycle(8))
-    assert not is_strongly_connected(directed_path(4))
+    assert not is_strongly_connected(Digraph(4, [(0, 1), (1, 2), (2, 3)]))
     assert is_strongly_connected(Digraph(1, []))
     assert is_strongly_connected(Digraph(0, []))
     assert not is_strongly_connected(Digraph(2, [(0, 1)]))
@@ -267,7 +266,6 @@ def test_generators():
     for n in range(13):
         half = (n - 1) // 2
         assert complete_digraph(n).arcs == {(u, v) for u in range(n) for v in range(n) if u != v}
-        assert directed_path(n).arcs == {(i, i + 1) for i in range(n - 1)}
         if n >= 2:
             assert directed_cycle(n).arcs == {(i, (i + 1) % n) for i in range(n)}
         if n % 2:
@@ -292,11 +290,9 @@ def test_random_digraph_is_seeded():
         lambda n: gen_random_digraph(n, 0.5, 0),
         complete_digraph,
         directed_cycle,
-        directed_path,
         rotational_tournament,
     ],
-    ids=["gen_random_digraph", "complete_digraph", "directed_cycle", "directed_path",
-         "rotational_tournament"],
+    ids=["gen_random_digraph", "complete_digraph", "directed_cycle", "rotational_tournament"],
 )
 def test_random_digraph_checks_the_order_before_allocating(n, make, monkeypatch):
     monkeypatch.setattr("dilink.generators.np", None)  # any numpy call would fail

@@ -16,7 +16,6 @@ from dilink import (
     LengthPrescription,
     PipelineConfig,
     absorb_paths,
-    absorber_params,
     absorber_size_bound,
     asymptotic_nash_williams,
     brute_force_subdivision,
@@ -28,7 +27,6 @@ from dilink import (
     cut_cycle_segments,
     derive_params_from_degrees,
     directed_cycle,
-    directed_path,
     falsify_outexpander_sampled,
     gen_random_digraph,
     hamilton_cycle,
@@ -36,7 +34,6 @@ from dilink import (
     perfect_tiling,
     posa_type,
     remove_vertices,
-    robust_in_neighbourhood,
     robust_out_neighbourhood,
     rotational_tournament,
     shortest_path_avoiding,
@@ -66,13 +63,11 @@ DENSITY_ENTRIES = {
     "posa_type": ("gamma", lambda x: posa_type(K6, x)),
     "cover_size_formula": ("gamma", lambda x: cover_size_formula(100, x, 3)),
     "derive_params_from_degrees": ("gamma", lambda x: derive_params_from_degrees(100, x)),
-    "absorber_params": ("nu", absorber_params),
     "absorber_size_bound-nu": ("nu", lambda x: absorber_size_bound(100, x, "1/2", 3)),
     "absorber_size_bound-gamma": ("gamma", lambda x: absorber_size_bound(100, "3/4", x, 3)),
     "build_disjoint_ladders": ("nu", lambda x: build_disjoint_ladders(K6, [(0, 1)], x, 0)),
     "min_prescribed_length": ("nu", min_prescribed_length),
     "robust_out_neighbourhood": ("nu", lambda x: robust_out_neighbourhood(K6, [0], x)),
-    "robust_in_neighbourhood": ("nu", lambda x: robust_in_neighbourhood(K6, [0], x)),
 }
 # gamma lies in (0, 1), nu in (0, 1]
 OUT_OF_RANGE = {"gamma": (0, 1, "x"), "nu": (0, "5/4", "x")}
@@ -115,7 +110,6 @@ COUNT_ENTRIES = {
     "gen_random_digraph": ("vertex count", 0, lambda x: gen_random_digraph(x, 0.5, 0)),
     "complete_digraph": ("vertex count", 0, complete_digraph),
     "directed_cycle": ("vertex count", 0, directed_cycle),
-    "directed_path": ("vertex count", 0, directed_path),
     "rotational_tournament": ("vertex count", 0, rotational_tournament),
 }
 
@@ -152,7 +146,6 @@ LABEL_ENTRIES = {
     "shortest_path_avoiding-t": (6, lambda v: shortest_path_avoiding(K6, 0, v, set(), 4)),
     "shortest_path_avoiding-blocked": (6, lambda v: shortest_path_avoiding(K6, 0, 1, {v}, 4)),
     "robust_out_neighbourhood": (6, lambda v: robust_out_neighbourhood(K6, [0, v, 5], "1/2")),
-    "robust_in_neighbourhood": (6, lambda v: robust_in_neighbourhood(K6, [0, v, 5], "1/2")),
     "build_disjoint_ladders": (6, lambda v: build_disjoint_ladders(K6, [(0, v)], "1/2", 0, 0)),
     "build_disjoint_ladders-avoid": (
         6, lambda v: build_disjoint_ladders(K6, [(0, 1)], "1/2", 0, 0, avoid=[v])

@@ -13,9 +13,12 @@ DilinkError, and the pipelines' loop has one handler.  The
 edge-list reader's byte kernel raises nothing and np.loadtxt is called in
 one place, so every refused arc line is named by the one scan after it,
 and the reader reads its input once: read_digraph opens its path once and
-nothing in fileio seeks, so a pipe reads as a file does."""
+nothing in fileio seeks, so a pipe reads as a file does.  Every name the
+package exports has a reader outside tests: library code beyond its own
+definition, a demo, or a mention in backticks in README."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -31,6 +34,10 @@ REMOVALS = {"remove_vertices"}
 REMOVERS = {("expansion", "certify_survives_deletion")}
 PRODUCTS = {"dot", "matmul", "einsum"}
 MODULES = sorted(SRC.glob("*.py"))
+README = SRC.parent.parent / "README.md"
+DEMOS = sorted((SRC.parent.parent / "demos").glob("*.py"))
+# perfbench reads it; the benchmark change of ROADMAP item 1b deletes it
+NO_READER = {"cut_cycle_segments"}
 
 
 def method_calls(tree: ast.AST, methods):
@@ -227,3 +234,43 @@ def test_the_edge_list_reader_reads_its_input_once():
     assert method_calls(tree, {"seek"}) == []
     opens = [scope for _, _, scope in method_calls(tree, {"open"}) if scope == ("read_digraph",)]
     assert opens == [("read_digraph",)]
+
+
+def exported_names():
+    """(name in its module, name in dilink) of every name __init__ imports."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    return [
+        (alias.name, alias.asname or alias.name)
+        for node in tree.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+
+
+def reads(tree: ast.Module, name: str) -> bool:
+    """Whether the module reads name, as a bare name or an attribute,
+    outside a top-level definition of that name."""
+    return any(
+        isinstance(node, ast.Name) and node.id == name
+        or isinstance(node, ast.Attribute) and node.attr == name
+        for stmt in tree.body
+        if getattr(stmt, "name", None) != name
+        for node in ast.walk(stmt)
+    )
+
+
+def test_the_lint_reads_past_a_names_own_definition():
+    assert not reads(ast.parse("def f(n):\n    return f(n - 1)\n"), "f")
+    assert reads(ast.parse("def f():\n    pass\ndef g(m):\n    return m.f\n"), "f")
+
+
+def test_every_exported_name_has_a_reader_outside_tests():
+    library = [ast.parse(p.read_text()) for p in MODULES if p.name != "__init__.py"]
+    demos = [ast.parse(p.read_text()) for p in DEMOS]
+    quoted = " ".join(re.findall(r"```.*?```|`[^`\n]+`", README.read_text(), re.S))
+    found = {
+        public for name, public in exported_names()
+        if not any(reads(tree, name) for tree in library)
+        and not any(reads(tree, public) for tree in demos)
+        and not re.search(rf"\b{public}\b", quoted)
+    }
+    assert found == NO_READER, found ^ NO_READER

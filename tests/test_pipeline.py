@@ -34,11 +34,16 @@ def test_config_validation_and_resolution():
         PipelineConfig(gamma="1/2", nu="1/4")  # nu and tau are both required
     with pytest.raises(BadParameter):
         PipelineConfig(gamma="1/2", nu="1/2", tau="1/4")  # nu > tau, refused when built
-    p, d = PipelineConfig(gamma="1/2", nu="1/4", tau="1/2", d=5).resolve()
-    assert (p.nu, p.tau, p.gamma, d) == (Fraction(1, 4), Fraction(1, 2), Fraction(1, 2), 5)
-    # no d given: the absorption theory's ceil(64 / nu^2)
-    _, d2 = PipelineConfig(gamma="1/2", nu="1/4", tau="1/4").resolve()
-    assert d2 == 64 * 16
+    # built, a config holds the checked Fractions and an int d
+    c = PipelineConfig(gamma="1/2", nu="1/4", tau=0.5, d=5)
+    assert (c.nu, c.tau, c.gamma, c.d) == (Fraction(1, 4), Fraction(1, 2), Fraction(1, 2), 5)
+    assert all(type(x) is Fraction for x in (c.nu, c.tau, c.gamma)) and type(c.d) is int
+    # no d given: the absorption theory's ceil(64 / nu^2), so the config
+    # equals one built with that d
+    theory = PipelineConfig(gamma="1/2", nu="1/4", tau="1/4")
+    assert theory.d == 64 * 16
+    assert theory == PipelineConfig(gamma=0.5, nu=Fraction(1, 4), tau="1/4", d=1024)
+    assert PipelineConfig(gamma="1/2", nu="3/4", tau="3/4").d == 114  # ceil(113.77...)
 
 
 def test_subdivision_embedding_single_arc():

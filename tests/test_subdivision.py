@@ -9,7 +9,6 @@ from dilink import (
     LengthPrescription,
     brute_force_subdivision,
     complete_digraph,
-    digon_pattern,
     gen_random_digraph,
     min_prescribed_length,
     path_lengths,
@@ -30,7 +29,6 @@ def test_pattern_basics():
     assert H.h == 3
     assert H.arc_order == ((0, 1), (1, 2), (2, 0))
     assert single_arc_pattern().arc_order == ((0, 1),)
-    assert digon_pattern().h == 2
     with pytest.raises(BadParameter):
         pattern_from_arcs([])
     # isolated pattern vertices are rejected
@@ -163,7 +161,7 @@ def test_brute_force_guards():
 
 def test_brute_force_result_always_validates_on_random_instances():
     rng = random.Random(5150)
-    H = digon_pattern()
+    H = pattern_from_arcs([(0, 1), (1, 0)])
     found = 0
     for _ in range(120):
         n = rng.randrange(4, 8)
