@@ -59,7 +59,7 @@ from .ladder import (
     rung_paths,
     validate_ladder,
 )
-from .ratio import Real, as_density
+from .ratio import Real, as_count, as_density
 from .subdivision import (
     HSubdivision,
     PatternDigraph,
@@ -235,7 +235,8 @@ def build_type2_absorber(
     path.  Needs 1 <= k <= d and k |V(H)| <= n.  A failed step raises
     its own ConstructionFailed."""
     hv = H.underlying.n
-    if not 1 <= k <= d:
+    k, d = as_count(k, "k"), as_count(d, "d")
+    if k > d:
         raise BadParameter(f"k = {k} hosts must lie in 1..d = {d}")
     if k * hv > D.n:
         raise BadParameter(f"{k} hosts need {k * hv} branch vertices, more than n = {D.n}")

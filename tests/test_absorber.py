@@ -8,6 +8,7 @@ from dilink import (
     CoverPairSet,
     ExpansionParams,
     HSubdivision,
+    PipelineConfig,
     absorb_paths,
     absorber_size_bound,
     build_type1_absorber,
@@ -47,6 +48,15 @@ def _leftover_segments(D, A, sizes, seed=0):
     """Disjoint paths outside the absorber, cut from a leftover cycle."""
     C = hamilton_cycle(D, seed, avoid=A.vertices())
     return cut_cycle_segments(C, sizes, seed)
+
+
+def test_theory_scale_parameters():
+    # d = ceil(64 / nu^2), the absorption theory's xi = nu^2 / 32
+    assert PipelineConfig(gamma="1/2", nu=1, tau=1).d == 64
+    assert PipelineConfig(gamma="1/2", nu="1/2", tau="1/2").d == 256
+    assert PipelineConfig(gamma="1/2", nu="1/3", tau="1/2").d == 576
+    with pytest.raises(BadParameter):
+        PipelineConfig(gamma="1/2", nu=0, tau="1/2")
 
 
 def test_size_bound_grows_with_d_and_n():

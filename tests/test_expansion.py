@@ -69,6 +69,22 @@ def test_robust_neighbourhoods_match_the_definition():
         assert robust_out_neighbourhood(D.reverse(), S, nu) == inn
 
 
+def test_robust_neighbourhoods_match_the_definition_exhaustively():
+    """Over every S (all 2^n of them), in both directions: the
+    in-neighbourhood is the out-neighbourhood of the reversed digraph."""
+    rng = random.Random(84)
+    hosts = [directed_cycle(6), complete_digraph(5)]
+    hosts += [Digraph(8, random_arc_set(rng, 8, rng.uniform(0.3, 0.7))) for _ in range(3)]
+    for D in hosts:
+        R = D.reverse()
+        for nu in (Fraction(1, 8), Fraction(1, 2)):
+            for mask in range(1 << D.n):
+                S = {v for v in range(D.n) if mask >> v & 1}
+                out, inn = definition_neighbourhoods(D, S, nu)
+                assert robust_out_neighbourhood(D, S, nu) == out
+                assert robust_out_neighbourhood(R, S, nu) == inn
+
+
 @pytest.mark.parametrize("S", [{-1}, {0, 5}, {2, -3, 4}, [7]])
 def test_robust_neighbourhoods_reject_labels_outside_the_digraph(S):
     D = complete_digraph(5)

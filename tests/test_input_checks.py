@@ -22,6 +22,8 @@ from dilink import (
     build_d_cover,
     build_disjoint_ladders,
     build_type1_absorber,
+    build_type2_absorber,
+    certify_survives_deletion,
     complete_digraph,
     cover_size_formula,
     cut_cycle_segments,
@@ -31,6 +33,7 @@ from dilink import (
     gen_random_digraph,
     hamilton_cycle,
     min_prescribed_length,
+    nh_linked_embed,
     perfect_tiling,
     posa_type,
     remove_vertices,
@@ -100,6 +103,15 @@ COUNT_ENTRIES = {
     "build_disjoint_ladders": (
         "ladder_k", 0, lambda x: build_disjoint_ladders(K6, [(0, 1)], "1/2", 0, x)
     ),
+    "build_type1_absorber-d": ("d", 1, lambda x: build_type1_absorber(
+        K6, single_arc_pattern(), {0: 0, 1: 1}, ExpansionParams(1, 1), x, 0
+    )),
+    "build_type2_absorber-k": ("k", 1, lambda x: build_type2_absorber(
+        K6, single_arc_pattern(), x, ExpansionParams(1, 1), 3, 0
+    )),
+    "build_type2_absorber-d": ("d", 1, lambda x: build_type2_absorber(
+        K6, single_arc_pattern(), 1, ExpansionParams(1, 1), x, 0
+    )),
     "build_d_cover": ("d", 1, lambda x: build_d_cover(complete_digraph(8), x, 0)),
     "cover_size_formula": ("d", 1, lambda x: cover_size_formula(100, "1/2", x)),
     "verify_d_cover": ("d", 0, lambda x: verify_d_cover(K6, [(0, 1)], [2, 3], x)),
@@ -154,6 +166,12 @@ LABEL_ENTRIES = {
     "build_type1_absorber": (6, lambda v: build_type1_absorber(
         K6, single_arc_pattern(), {0: 0, 1: v}, ExpansionParams(1, 1), 1, 0
     )),
+    "nh_linked_embed": (6, lambda v: nh_linked_embed(
+        K6, single_arc_pattern(), {0: 0, 1: v}, (2,), PipelineConfig(**_CFG)
+    )),
+    "certify_survives_deletion": (
+        6, lambda v: certify_survives_deletion(K6, ExpansionParams(1, 1), [v])
+    ),
     "brute_force_subdivision": (6, lambda v: brute_force_subdivision(
         K6, single_arc_pattern(), {0: 0, 1: v}, (1,)
     )),
