@@ -10,11 +10,11 @@ u) and Q (arcs into each v) that every other reader of the relation
 combines.  Pairs are drawn by pairing each vertex with a random free
 out-neighbour read from the adjacency matrix.  `build_d_cover` first
 checks the degrees for a proof that no d-cover exists, then takes pairs
-in order and stops at the shortest prefix that d-covers.  It counts in
-two phases: a dense count matrix, to which each pair adds the outer
-product of P and Q, while many ordered pairs are still covered fewer
-than d times; then a list of only those short entries, which each
-further pair updates in time linear in the list's length.
+in order and stops at the shortest prefix that d-covers.  It reads them
+eight at a time, as one byte of P and one of Q per vertex, and counts
+in two phases: a dense count matrix, to which each group adds the
+popcounts of the bytes' ands, while many ordered pairs are covered
+fewer than d times; then a list of only those short entries.
 `verify_d_cover` checks any pair set independently, with products of Q
 and P taken in float32 one block of rows at a time.  The one router,
 `shortest_path_avoiding`, goes breadth-first over matrix rows, a layer
@@ -45,7 +45,6 @@ from .ratio import Real, as_count, as_density
 Pair = tuple[int, int]
 
 _LADDER_TRIES = 400  # row samples _sample_ladder draws per ladder
-_DRAW_AHEAD = 16  # pairs build_d_cover turns into cover_arcs rows at once
 _HAND_OVER = 64  # build_d_cover lists the short entries once at most n^2/64 are left
 _BLOCK_BYTES = 1 << 20  # size of one row block of an n x n pass
 # build_d_cover shrinks its list of short entries to no fewer than this:
@@ -162,27 +161,19 @@ def _random_pairs(M: np.ndarray, usable: list[int], seed: int):
             yield u, v
 
 
-def _drawn(M: np.ndarray, usable: list[int], seed: int):
-    """The pairs of _random_pairs with their cover_arcs rows P and Q,
-    drawn _DRAW_AHEAD pairs at a time; pairs drawn but never read cost
-    nothing else, as the stream's rng is its own."""
-    draws = _random_pairs(M, usable, seed)
-    while batch := list(islice(draws, _DRAW_AHEAD)):
-        yield from zip(batch, *cover_arcs(M, batch))
-
-
-def _add_outer(C: np.ndarray, p: np.ndarray, q: np.ndarray, d: int, tmp: np.ndarray) -> int:
-    """C += outer(p, q), one block of len(tmp) rows at a time through the
-    uint8 buffer tmp; returns the number of entries of C below d."""
-    pu, qu = p.view(np.uint8), q.view(np.uint8)
-    short = 0
-    for s in range(0, len(C), len(tmp)):
-        block = C[s : s + len(tmp)]
-        t = tmp[: len(block)]
-        np.multiply.outer(pu[s : s + len(block)], qu, out=t)
-        block += t
-        short += np.count_nonzero(np.less(block, d, out=t.view(bool)))
-    return short
+def _least_prefix(slack: np.ndarray, w: np.ndarray, m: int, mid: int, spare: np.ndarray) -> int:
+    """The least m' in m..8 whose first m' pairs of a group leave no count
+    below d: slack is each count after the group less d, w the group's
+    covering byte (bit j for pair j), and the pairs from m' on add
+    popcount(w >> m').  Tries mid first, then halves the range left,
+    through the uint8 array spare of w's shape."""
+    hi = 8
+    while m < hi:
+        np.bitwise_and(w, 256 - (1 << mid), out=spare)
+        np.less(slack, np.bitwise_count(spare, out=spare), out=spare.view(bool))
+        m, hi = (mid + 1, hi) if spare.view(bool).any() else (m, mid)
+        mid = (m + hi) // 2
+    return m
 
 
 def _short_entries(C: np.ndarray, d: int, tmp: np.ndarray) -> np.ndarray:
@@ -205,17 +196,20 @@ def build_d_cover(D: Digraph, d: int, seed: int, *, avoid: Iterable[int] = ()) -
     out-neighbour of y, so fewer than 2d usable vertices, or a vertex
     with fewer than d out- or in-neighbours outside `avoid`, raises
     CoverConstructionFailed with exact=True.  Otherwise pairs come from
-    the arc-preferring pairing, and the count of pairs covering each
-    (x, y) grows in two phases.  While many entries are below d, C holds
-    every count, its diagonal preset to d, and each pair adds the outer
-    product of its cover_arcs rows P and Q, in row blocks.  Once at most
-    n^2/_HAND_OVER entries are short, only those are kept, as (xs, ys,
-    count), and each further pair adds P[xs] & Q[ys] and drops the
-    entries that reach d, keeping at least _FLOOR listed.  Growth stops
-    once no entry is short.  Running
-    out of pairs raises the plain CoverConstructionFailed.  A d that is
-    not an integer >= 1 raises BadParameter, a label of `avoid` outside
-    0..n-1 LabelOutOfRange.
+    the arc-preferring pairing in groups of 8, as bytes p and q over
+    V(D) whose bit j holds pair j's cover_arcs entries, so that
+    popcount(p[x] & q[y]) of the group's pairs cover (x, y).  The counts
+    grow in two phases.  While many entries are below d, C holds every
+    count, its diagonal preset to d, and each group adds its popcounts
+    in row blocks.  Once at most n^2/_HAND_OVER entries are short, only
+    those are kept, as (xs, ys, count), and each further group adds
+    popcount(p[xs] & q[ys]); entries that reach d are dropped, keeping
+    at least _FLOOR listed.  Growth stops after the group that leaves no
+    entry short, cut to its shortest covering prefix: the highest d-th
+    set bit of p[x] & q[y] in a first group, else by _least_prefix.
+    Running out of pairs raises the plain CoverConstructionFailed.  A d
+    that is not an integer >= 1 raises BadParameter, a label of `avoid`
+    outside 0..n-1 LabelOutOfRange.
     """
     d = as_count(d, "d")
     n = D.n
@@ -238,41 +232,67 @@ def build_d_cover(D: Digraph, d: int, seed: int, *, avoid: Iterable[int] = ()) -
                 f"{deg.min()} {way}-neighbours outside avoid", exact=True,
             )
     pairs: list[Pair] = []
-    drawn = _drawn(M, usable, seed)
+    stream = _random_pairs(M, usable, seed)
 
     def draw() -> tuple[np.ndarray, np.ndarray]:
-        pair, p, q = next(drawn, (None, None, None))
-        if pair is None:
+        batch = list(islice(stream, 8))
+        if not batch:
             raise CoverConstructionFailed(f"all {len(pairs)} pairs are no {d}-cover")
-        pairs.append(pair)
-        return p, q
+        pairs.extend(batch)
+        bits = np.arange(len(batch), dtype=np.uint8)[:, None]  # np.packbits is slower
+        return tuple(np.bitwise_or.reduce(R.view(np.uint8) << bits) for R in cover_arcs(M, batch))
 
     # dense phase; counts over d carry no information, so C is clamped to
     # d before any count could pass its type's maximum
     C = np.zeros((n, n), dtype=np.uint8 if d < 128 else np.uint16)
     np.fill_diagonal(C, d)
-    headroom = int(np.iinfo(C.dtype).max) - d
+    clamp = 8 * ((int(np.iinfo(C.dtype).max) - d) // 8)  # pairs between clamps
     tmp = np.empty((min(n, max(1, _BLOCK_BYTES // n)), n), dtype=np.uint8)
     short = n * (n - 1)
     while short * _HAND_OVER > n * n:
-        short = _add_outer(C, *draw(), d, tmp)
-        if len(pairs) % headroom == 0:
+        if pairs and len(pairs) % clamp == 0:
             np.minimum(C, d, out=C)
-    # deficit phase
-    flat = _short_entries(C, d, tmp)
-    count = C.ravel()[flat].astype(np.uint16)  # fewer than n/2 < 2**15 pairs add to it
-    del C, tmp
-    xs, ys = np.divmod(flat, n)
-    del flat
-    below = count < d
-    while below.any():
         p, q = draw()
-        count += p[xs] & q[ys]
-        np.less(count, d, out=below)
-        left = np.count_nonzero(below)
-        if _FLOOR <= left < len(below):
-            xs, ys, count = xs[below], ys[below], count[below]
-            below = np.ones(left, dtype=bool)
+        short = 0
+        for s in range(0, n, len(tmp)):
+            block = C[s : s + len(tmp)]
+            t = np.bitwise_and(p[s : s + len(block), None], q, out=tmp[: len(block)])
+            block += np.bitwise_count(t, out=t)
+            short += np.count_nonzero(np.less(block, d, out=t.view(bool)))
+    if short:  # deficit phase
+        flat = _short_entries(C, d, tmp)
+        count = C.ravel()[flat].astype(np.uint16)  # fewer than n/2 < 2**15 pairs add to it
+        del C, tmp
+        xs, ys = np.divmod(flat, n)
+        del flat
+        below = count < d
+        while left := np.count_nonzero(below):
+            if _FLOOR <= left < len(below):
+                xs, ys, count = xs[below], ys[below], count[below]
+            p, q = draw()
+            w = p[xs] & q[ys]
+            count += np.bitwise_count(w)
+            below = np.less(count, d, out=below[: len(count)])
+    # the last group completed the cover; keep its shortest prefix
+    first = 8 * ((len(pairs) - 1) // 8)
+    m = max(1, d - first)  # each pair adds at most 1 to a count
+    if short:
+        m = _least_prefix(count - d, w, m, (m + 8) // 2, np.empty_like(w))
+    else:
+        spare = np.empty_like(tmp)
+        for s in range(0, n, len(tmp)):
+            w = np.bitwise_and(p[s : s + len(tmp), None], q, out=tmp[: n - s])
+            if first:  # the first block halves m..8, the others try the m it needs
+                slack = np.subtract(C[s : s + len(w)], d, out=C[s : s + len(w)])
+                m = _least_prefix(slack, w, m, m if s else (m + 8) // 2, spare[: len(w)])
+                continue
+            # a first group: x != y waits for the d-th set bit of w
+            np.fill_diagonal(w[:, s:], 0)
+            for _ in range(d - 1):
+                w &= np.subtract(w, 1, out=spare[: len(w)])
+            w &= np.negative(w, out=spare[: len(w)])
+            m = max(m, int(np.bitwise_or.reduce(w, axis=None)).bit_length())
+    del pairs[first + m :]
     return CoverPairSet(tuple(pairs))
 
 

@@ -51,8 +51,9 @@ class PipelineConfig:
     small.  restart_budget counts whole attempts (absorber, Hamilton
     cycle, cut, absorption), each on fresh seeds.  Construction checks
     every knob through ExpansionParams and keeps nu, tau and gamma as
-    the Fractions it returns and d as an int; a bad knob raises
-    BadParameter here, before any pipeline runs.
+    the Fractions it returns, and d, seed (any integer, negative too)
+    and restart_budget as ints; a bad knob raises BadParameter here,
+    before any pipeline runs.
     """
 
     gamma: Real
@@ -69,6 +70,7 @@ class PipelineConfig:
         object.__setattr__(self, "tau", p.tau)
         object.__setattr__(self, "gamma", p.gamma)
         object.__setattr__(self, "d", d)
+        object.__setattr__(self, "seed", as_count(self.seed, "seed", least=None))
         object.__setattr__(self, "restart_budget", as_count(self.restart_budget, "restart_budget"))
 
 

@@ -52,17 +52,18 @@ def as_density(x: Real, name: str, *, closed: bool = False) -> Fraction:
     return f
 
 
-def as_count(x, name: str, least: int = 1) -> int:
-    """x as an int >= least.  A bool, a value that is not a whole number
-    (2.5, "3", nan) or one below least raises BadParameter naming it; a
-    whole value of another type, such as 3.0, reads as its int."""
+def as_count(x, name: str, least: int | None = 1) -> int:
+    """x as an int >= least (any int when least is None).  A bool, a
+    value that is not a whole number (2.5, "3", nan) or one below least
+    raises BadParameter naming it; a whole value of another type, such
+    as 3.0, reads as its int."""
     try:
         whole = not isinstance(x, bool) and x == int(x)
     except (TypeError, ValueError, OverflowError):
         whole = False
     if not whole:
         raise BadParameter(f"{name} must be an integer, got {x!r}")
-    if x < least:
+    if least is not None and x < least:
         raise BadParameter(f"{name} must be >= {least}")
     return int(x)
 

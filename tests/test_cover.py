@@ -278,6 +278,47 @@ def test_grow_cover_matches_the_dense_reference_past_the_hand_over(p, monkeypatc
     assert len(kept) == 9 and min(kept) > 0
 
 
+def test_grow_cover_matches_the_dense_reference_at_every_block_and_byte_boundary(monkeypatch):
+    # one row per block; pairs are counted in groups of 8, and the covers
+    # below stop at every position inside a group: near-complete digraphs
+    # in the dense count, within their first group at d <= 2 and in their
+    # second at d = 9, and D(300, 0.7) past the hand-over, in the list of
+    # short entries
+    monkeypatch.setattr(cover_module, "_BLOCK_BYTES", 1)
+    real, handed = cover_module._short_entries, []
+
+    def counted(*args):
+        handed.append(True)
+        return real(*args)
+
+    monkeypatch.setattr(cover_module, "_short_entries", counted)
+    cases = [
+        (gen_random_digraph(80, p, seed), d, seed)
+        for p in (0.99, 0.95) for seed in range(4) for d in (1, 2, 9)
+    ]
+    cases += [(gen_random_digraph(300, 0.7, 5), d, seed) for seed in range(4) for d in (1, 2, 3)]
+    ends = {True: set(), False: set()}
+    for D, d, seed in cases:
+        handed.clear()
+        K = _grown_or_none(D, d, seed)
+        assert K is not None and K == oracle_grow_d_cover(D, d, seed)
+        ends[bool(handed)].add(len(K) % 8)
+    assert ends[True] | ends[False] == set(range(8)) and ends[True] and ends[False]
+
+
+def test_grow_cover_cuts_a_first_group_without_the_diagonal():
+    # the first 5 pairs cover every (x, y) with x != y, and pair 6 is the
+    # first to cover some (x, x), which no pair needs to
+    missing = {
+        (0, 3), (1, 2), (1, 7), (2, 5), (2, 7), (4, 11), (5, 10), (5, 11), (6, 7), (6, 10), (7, 2),
+        (7, 11), (8, 4), (8, 7), (8, 9), (8, 10), (9, 3), (10, 5), (10, 6), (10, 8), (10, 11),
+        (11, 0), (11, 2),
+    }
+    D = Digraph(12, [(u, v) for u in range(12) for v in range(12) if u != v and (u, v) not in missing])
+    K = build_d_cover(D, 1, 652)
+    assert len(K) == 5 and K.pairs == oracle_grow_d_cover(D, 1, 652)
+
+
 def test_grow_cover_matches_the_dense_reference_on_a_threshold_digraph():
     # arc u -> v iff rank(u) + rank(v) >= 0.85 n, plus 2 % noise: at seed 0
     # the pair stream runs out, at seed 3 it covers

@@ -136,6 +136,23 @@ def test_counts_that_are_not_integers_at_least_their_floor_raise_bad_parameter(e
     assert isinstance(e.value, InputError)
 
 
+@pytest.mark.parametrize("seed", [1.5, "3", True, None])
+def test_a_pipeline_seed_that_is_not_an_integer_raises_bad_parameter(seed):
+    # before the check, 1.5 and "3" failed in the seed arithmetic with a
+    # bare TypeError and True ran as seed 1
+    with pytest.raises(BadParameter, match="^seed must be an integer") as e:
+        PipelineConfig(**_CFG, seed=seed)
+    assert isinstance(e.value, InputError)
+
+
+def test_a_pipeline_seed_has_no_floor():
+    assert PipelineConfig(**_CFG, seed=-7).seed == -7
+    assert type(PipelineConfig(**_CFG, seed=3.0).seed) is int
+    D = gen_random_digraph(200, 0.7, 0)
+    cfg = PipelineConfig(**_CFG, d=3, seed=-1)
+    assert sorted(len(t.vertices()) for t in perfect_tiling(D, single_arc_pattern(), [80, 120], cfg)) == [80, 120]
+
+
 @functools.cache
 def _absorber():
     D = gen_random_digraph(200, 0.7, 0)

@@ -5,7 +5,8 @@ reference `covers`: everything else reads rows or entries of the
 adjacency matrix.  Only the deletion certifier calls remove_vertices,
 whose relabelled copy costs three n^2 gathers: the leftover cycle masks
 vertices out instead.  expansion.py holds no matrix product, so the
-certifiers and the falsifier never wait on BLAS threads, and no module
+certifiers and the falsifier never wait on BLAS threads, nor does the
+d-cover grower or any cover.py code it calls, and no module
 holds an assert statement, which python -O would strip.  Failures are
 routed by kind: no handler names a single kind of refusal (a subclass
 of InputError) to recover from it, only the CLI's main catches
@@ -125,6 +126,23 @@ def matrix_products(tree: ast.AST):
 
 def test_expansion_holds_no_matrix_product():
     found = matrix_products(ast.parse((SRC / "expansion.py").read_text()))
+    assert not found, found
+
+
+def test_the_cover_grower_holds_no_matrix_product():
+    # build_d_cover counts with popcounts; verify_d_cover, which it never
+    # calls, keeps its float32 product
+    tree = ast.parse((SRC / "cover.py").read_text())
+    defs = {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    reached, todo = set(), ["build_d_cover"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name) and n.id in defs]
+    assert {"cover_arcs", "_random_pairs", "_least_prefix", "_short_entries"} < reached
+    assert "verify_d_cover" not in reached
+    found = [(name, *hit) for name in sorted(reached) for hit in matrix_products(defs[name])]
     assert not found, found
 
 
