@@ -3,24 +3,24 @@
 An absorber is a set K of disjoint cover pairs, one ladder per pair, and
 one or several pairwise disjoint host subdivisions of the pattern whose
 paths carry every ladder.  A slot (host index, pattern arc) names one
-host path; embedding gives each ladder's slot, and slots lists those
-that must carry at least one ladder.  Both builders run one assembly and
-differ only in their branch maps and slots: a Type-I absorber has one
-host on the prescribed branch map with a slot per pattern arc; a
-Type-II absorber has k hosts on branch vertices drawn at random, with a
-slot on each host's first path.  Each makes one attempt per seed: K is
-grown until it d-covers V(D), so its size follows the digraph, and its
-ladders are dealt round robin over the slots.  Neither builder knows
-the lengths or orders the hosts must reach; the pipelines check that
-each slot leaves room to absorb a segment.  A failed step raises its own
-ConstructionFailed, and only the pipelines retry.  Once built, an
-absorber swallows any d or fewer disjoint outside paths of two or more
-vertices, by counting: K d-covers V(D), so each path's ends have d
-covering pairs, at most d - 1 taken by the other paths.  Each path takes
-the first free pair covering its ends (on the slot it names, if any;
-distinct slots hold disjoint pairs), whose ladder absorbs the extended
-path without disturbing branch vertices.  cut_absorbable_segments cuts a
-cycle where every segment has a covering pair on its slot.
+host path; slots lists distinct ones, and ladder j sits on slots[j %
+len(slots)], the one record of where it lies.  Both builders run one
+assembly and differ only in their branch maps and slots: a Type-I
+absorber has one host on the prescribed branch map with a slot per
+pattern arc; a Type-II absorber has k hosts on branch vertices drawn at
+random, with a slot on each host's first path.  Each makes one attempt
+per seed: K is grown until it d-covers V(D), so its size follows the
+digraph.  Neither builder knows the lengths or orders the hosts must
+reach; the pipelines check that each slot leaves room to absorb a
+segment.  A failed step raises its own ConstructionFailed, and only the
+pipelines retry.  Once built, an absorber swallows any d or fewer
+disjoint outside paths of two or more vertices, by counting: K d-covers
+V(D), so each path's ends have d covering pairs, at most d - 1 taken by
+the other paths.  Each path takes the first free pair covering its ends
+(on the slot it names, if any; distinct slots hold disjoint pairs),
+whose ladder absorbs the extended path without disturbing branch
+vertices.  cut_absorbable_segments cuts a cycle where every segment has
+a covering pair on its slot.
 """
 
 from __future__ import annotations
@@ -77,9 +77,7 @@ def absorber_size_bound(n: int, nu: Real, gamma: Real, d: int) -> float:
     g = float(as_density(gamma, "gamma"))
     if n < 1 or d < 1:
         raise BadParameter(f"n and d must be >= 1, got n = {n}, d = {d}")
-    return 1600 * nu_f**-2 * g**-2 * (d * math.log(d * g**-2) + math.log(n)) + (
-        3 * nu_f**-2 * d
-    )
+    return 1600 * nu_f**-2 * g**-2 * (d * math.log(d * g**-2) + math.log(n)) + 3 * nu_f**-2 * d
 
 
 @dataclass(frozen=True)
@@ -87,25 +85,24 @@ class Absorber:
     """Cover pairs, one ladder per pair, and pairwise disjoint host
     subdivisions carrying the ladders.
 
-    embedding maps ladder i to the (host index, pattern arc) slot whose
-    path holds its rungs; slots lists the host paths that must carry at
-    least one ladder.
+    Ladder j's rungs lie on the path of slots[j % len(slots)], a
+    (host index, pattern arc); the slots are nonempty and distinct.
     """
 
     pairs: CoverPairSet
     ladders: tuple[Ladder, ...]
     hosts: tuple[HSubdivision, ...]
-    embedding: Mapping[int, tuple[int, Arc]]
     d: int
     slots: tuple[tuple[int, Arc], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "ladders", tuple(self.ladders))
         object.__setattr__(self, "hosts", tuple(self.hosts))
-        object.__setattr__(self, "embedding", dict(self.embedding))
         object.__setattr__(self, "slots", tuple(self.slots))
         if len(self.ladders) != len(self.pairs):
             raise BadParameter("one ladder per cover pair required")
+        if not self.slots or len(set(self.slots)) != len(self.slots):
+            raise BadParameter("at least one slot required, and no slot twice")
         if not self.hosts:
             raise BadParameter("at least one host subdivision required")
         if self.d < 1:
@@ -193,8 +190,7 @@ def _build_absorber(
         })
         for hi, f in enumerate(maps)
     ]
-    embedding = {i: slots[i % len(slots)] for i in range(len(ladders))}
-    A = Absorber(K, ladders, hosts, embedding, d, slots)
+    A = Absorber(K, ladders, hosts, d, slots)
     problems: list[str] = []
     if not validate_absorber(D, A, problems):
         raise AbsorberConstructionFailed("absorber failed validation: " + "; ".join(problems))
@@ -216,6 +212,7 @@ def build_type1_absorber(
     pattern arc is a slot.  Cover pairs and ladders avoid f's images.
     A failed step raises its own ConstructionFailed."""
     check_branch_map(H, f, D.n)
+    seed = as_count(seed, "seed", least=None)
     return _build_absorber(D, H, [f], [(0, a) for a in H.arc_order], p, d, seed)
 
 
@@ -235,7 +232,7 @@ def build_type2_absorber(
     path.  Needs 1 <= k <= d and k |V(H)| <= n.  A failed step raises
     its own ConstructionFailed."""
     hv = H.underlying.n
-    k, d = as_count(k, "k"), as_count(d, "d")
+    k, d, seed = as_count(k, "k"), as_count(d, "d"), as_count(seed, "seed", least=None)
     if k > d:
         raise BadParameter(f"k = {k} hosts must lie in 1..d = {d}")
     if k * hv > D.n:
@@ -280,37 +277,14 @@ def validate_absorber(
         if hv & in_hosts:
             ok = fail(f"host {hi} overlaps an earlier host")
         in_hosts |= hv
-    carried: set[tuple[int, Arc]] = set()
-    for i, L in enumerate(A.ladders):
-        spot = A.embedding.get(i)
-        if spot is None:
-            ok = fail(f"ladder {i} has no host path assigned")
-            continue
-        hi, arc = spot
+    for g, (hi, arc) in enumerate(A.slots):
         if not 0 <= hi < len(A.hosts) or arc not in A.hosts[hi].paths:
-            ok = fail(f"ladder {i} assigned to a nonexistent host path")
-            continue
-        if not ladder_on_path(L, A.hosts[hi].paths[arc]):
-            ok = fail(f"ladder {i} is not embedded in host {hi} arc {arc}")
-            continue
-        carried.add((hi, arc))
-    missing = set(A.slots) - carried
-    if missing:
-        ok = fail(f"host paths without any ladder: {sorted(missing)}")
+            ok = fail(f"slot {g} names no host path")
+        elif g >= len(A.ladders):
+            ok = fail(f"host {hi} arc {arc} carries no ladder")
+        elif not all(ladder_on_path(L, A.hosts[hi].paths[arc]) for L in A.ladders[g::len(A.slots)]):
+            ok = fail(f"a ladder of slot {g} is not embedded in host {hi} arc {arc}")
     return ok
-
-
-def _covering(
-    D: Digraph, A: Absorber, x: Sequence[int], y: Sequence[int], slot: tuple[int, Arc] | None
-) -> np.ndarray:
-    """cov[j, t]: A's pair j covers the ends (x[t], y[t]), read from
-    cover_arcs, and its ladder sits on `slot` (any slot when None)."""
-    P, Q = cover_arcs(D.bool_matrix(), A.pairs.pairs)
-    x, y = np.asarray(x, dtype=np.intp), np.asarray(y, dtype=np.intp)
-    cov = P[:, x] & Q[:, y] & (x != y)
-    if slot is not None:
-        cov &= np.array([A.embedding[j] == slot for j in range(len(A.pairs))], dtype=bool)[:, None]
-    return cov
 
 
 def cut_absorbable_segments(
@@ -320,9 +294,12 @@ def cut_absorbable_segments(
     outside the absorber, segment i for slot i, at a seed-chosen offset
     where the ends of each segment are covered by a pair whose ladder
     sits on its slot.  Every offset is tested at once; NoCoveringPair(i)
-    says that no offset serves segments 0..i together.  A label of C
-    outside 0..n-1 raises LabelOutOfRange, a C meeting V(A) NotDisjoint.
+    says that no offset serves segments 0..i together.  A size below 1 or
+    a non-integer size or seed raises BadParameter, a label of C outside
+    0..n-1 LabelOutOfRange, a C meeting V(A) NotDisjoint.
     """
+    sizes = [as_count(s, "every segment size") for s in sizes]
+    seed = as_count(seed, "seed", least=None)
     check_labels(D.n, C)
     if A.vertices().intersection(C):
         raise NotDisjoint("the cycle meets the absorber")
@@ -330,12 +307,14 @@ def cut_absorbable_segments(
         raise TooManyPaths(f"{len(sizes)} segments exceed the {len(A.slots)} slots")
     if sum(sizes) > len(C):
         raise SizesExceedCycle(f"segment sizes sum to {sum(sizes)} > {len(C)} cycle vertices")
+    P, Q = cover_arcs(D.bool_matrix(), A.pairs.pairs)
+    s = len(A.slots)
     C = np.asarray(C, dtype=np.intp)
     works = np.ones(len(C), dtype=bool)  # works[o]: offset o serves the segments so far
     start = 0
-    for i, (slot, size) in enumerate(zip(A.slots, sizes)):
+    for i, size in enumerate(sizes):  # slot i holds pairs i, i + s, ...
         x, y = np.roll(C, -start), np.roll(C, 1 - start - size)  # the ends, by offset
-        works &= (size > 1) & _covering(D, A, x, y, slot).any(axis=0)
+        works &= (size > 1) & (P[i::s, x] & Q[i::s, y]).any(axis=0)
         if not works.any():
             raise NoCoveringPair(i, f"no cycle offset gives segments 0..{i} covering pairs")
         start += size
@@ -394,9 +373,13 @@ def absorb_paths(
     for i, p in enumerate(plist):
         if av.intersection(p):
             raise NotDisjoint(f"path {i} meets the absorber")
+    P, Q = cover_arcs(D.bool_matrix(), A.pairs.pairs)
+    s = len(A.slots)
     picks: list[int] = []
     for i, p in enumerate(plist):
-        cov = _covering(D, A, p[:1], p[-1:], None if slots is None else slots[i])[:, 0]
+        cov = P[:, p[0]] & Q[:, p[-1]]  # x != y: p has 2 or more vertices
+        if slots is not None:
+            cov &= np.arange(len(cov)) % s == A.slots.index(slots[i])
         cov[picks] = False
         if not cov.any():
             raise NoCoveringPair(i)
@@ -404,6 +387,6 @@ def absorb_paths(
     subs = list(A.hosts)
     for p, j in zip(plist, picks):
         L = A.ladders[j]
-        hi, arc = A.embedding[j]
+        hi, arc = A.slots[j % s]
         subs[hi] = absorb_path(D, subs[hi], L, arc, (L.start,) + p + (L.end,))
     return subs

@@ -228,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--gamma", type=str, default="0.5")
         q.add_argument("--nu", type=str, default="0.75")
         q.add_argument("--tau", type=str, default="0.75")
-        q.add_argument("--d", type=int, default=None)
+        q.add_argument("--d", type=int, default=None, help="cover multiplicity; default max(3, "
+                       "one per pattern arc or tile), not PipelineConfig's ceil(64/nu^2)")
         q.add_argument("--seed", type=int, default=0)
         q.add_argument("--restarts", type=int, default=3)
 

@@ -205,13 +205,12 @@ def build_d_cover(D: Digraph, d: int, seed: int, *, avoid: Iterable[int] = ()) -
     those are kept, as (xs, ys, count), and each further group adds
     popcount(p[xs] & q[ys]); entries that reach d are dropped, keeping
     at least _FLOOR listed.  Growth stops after the group that leaves no
-    entry short, cut to its shortest covering prefix: the highest d-th
-    set bit of p[x] & q[y] in a first group, else by _least_prefix.
+    entry short, cut to its shortest covering prefix by _least_prefix.
     Running out of pairs raises the plain CoverConstructionFailed.  A d
-    that is not an integer >= 1 raises BadParameter, a label of `avoid`
-    outside 0..n-1 LabelOutOfRange.
+    that is not an integer >= 1, or a seed that is not an integer, raises
+    BadParameter, a label of `avoid` outside 0..n-1 LabelOutOfRange.
     """
-    d = as_count(d, "d")
+    d, seed = as_count(d, "d"), as_count(seed, "seed", least=None)
     n = D.n
     avoid = set(avoid)
     check_labels(n, avoid)
@@ -282,16 +281,10 @@ def build_d_cover(D: Digraph, d: int, seed: int, *, avoid: Iterable[int] = ()) -
         spare = np.empty_like(tmp)
         for s in range(0, n, len(tmp)):
             w = np.bitwise_and(p[s : s + len(tmp), None], q, out=tmp[: n - s])
-            if first:  # the first block halves m..8, the others try the m it needs
-                slack = np.subtract(C[s : s + len(w)], d, out=C[s : s + len(w)])
-                m = _least_prefix(slack, w, m, m if s else (m + 8) // 2, spare[: len(w)])
-                continue
-            # a first group: x != y waits for the d-th set bit of w
-            np.fill_diagonal(w[:, s:], 0)
-            for _ in range(d - 1):
-                w &= np.subtract(w, 1, out=spare[: len(w)])
-            w &= np.negative(w, out=spare[: len(w)])
-            m = max(m, int(np.bitwise_or.reduce(w, axis=None)).bit_length())
+            # the first block halves m..8, the others try the m it needs; the
+            # preset diagonal leaves every slack there >= popcount(w), never short
+            slack = np.subtract(C[s : s + len(w)], d, out=C[s : s + len(w)])
+            m = _least_prefix(slack, w, m, m if s else (m + 8) // 2, spare[: len(w)])
     del pairs[first + m :]
     return CoverPairSet(tuple(pairs))
 
@@ -349,10 +342,12 @@ def build_disjoint_ladders(
     shape.  Each ladder obeys |V(L)| <= 12/nu^2 with its row path of
     order <= 8/nu.  Interior sampling never touches `avoid`.  Raises
     LadderConstructionFailed with the pair index, BadParameter for a
-    ladder_k that is not an integer >= 0, and LabelOutOfRange for a
-    terminal or a vertex of `avoid` outside 0..n-1.
+    ladder_k that is not an integer >= 0 or a seed that is not an
+    integer, and LabelOutOfRange for a terminal or a vertex of `avoid`
+    outside 0..n-1.
     """
     nu = as_density(nu, "nu", closed=True)
+    seed = as_count(seed, "seed", least=None)
     if ladder_k is not None:
         ladder_k = as_count(ladder_k, "ladder_k", least=0)
     flat = [v for t in terminals for v in t]

@@ -169,7 +169,9 @@ def hamilton_cycle(D: Digraph, seed: int, *, avoid: Iterable[int] = ()) -> tuple
     CycleNotFound carries exact=True only when absence is proven: D -
     avoid has no 1-factor, or it has at most 14 vertices, which the
     subset table always settles.  A Hall violator is named in D's labels.
+    A seed that is not an integer raises BadParameter.
     """
+    seed = as_count(seed, "seed", least=None)
     gone = set(avoid)
     check_labels(D.n, gone)
     kept = np.ones(D.n, dtype=bool)
@@ -204,6 +206,7 @@ def cut_cycle_segments(
     the cycle, starting at a seed-chosen offset."""
     C = tuple(C)
     sizes = [as_count(s, "every segment size") for s in sizes]
+    seed = as_count(seed, "seed", least=None)
     if sum(sizes) > len(C):
         raise SizesExceedCycle(
             f"segment sizes sum to {sum(sizes)} on a cycle of {len(C)} vertices"

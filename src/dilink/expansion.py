@@ -211,6 +211,7 @@ def falsify_outexpander_sampled(
     definition.
     """
     trials = as_count(trials, "trials")
+    seed = as_count(seed, "seed", least=None)
     n = D.n
     sizes = _quantified_sizes(n, p.tau)
     if not sizes:

@@ -6,6 +6,7 @@ import numpy as np
 
 from .digraph import Digraph, as_order
 from .errors import BadParameter
+from .ratio import as_count
 
 
 def gen_random_digraph(n: int, p: float, seed: int) -> Digraph:
@@ -13,6 +14,7 @@ def gen_random_digraph(n: int, p: float, seed: int) -> Digraph:
     arc independently with probability p.  Deterministic given the seed;
     an n outside 0..MAX_ORDER raises BadParameter before any allocation."""
     n = as_order(n)
+    seed = as_count(seed, "seed", least=0)  # numpy takes no negative seed
     if not 0.0 <= p <= 1.0:
         raise BadParameter(f"arc probability must lie in [0, 1], got {p}")
     rng = np.random.default_rng(seed)

@@ -27,7 +27,7 @@ from dilink import (
     validate_tiling,
 )
 from dilink import absorber
-from dilink.absorber import _covering, cut_absorbable_segments
+from dilink.absorber import cut_absorbable_segments
 from dilink.errors import (
     AbsorberConstructionFailed,
     BadParameter,
@@ -86,9 +86,9 @@ def test_type1_build_structure():
     assert host_path[0] == 0 and host_path[-1] == 1
     assert len(host_path) <= 129
     assert dict(A.hosts[0].branch_map) == f
-    # every ladder really sits on its claimed path
-    for i, L in enumerate(A.ladders):
-        assert ladder_on_path(L, A.hosts[0].paths[A.embedding[i][1]])
+    # every ladder really sits on the path of its slot, the only one here
+    for L in A.ladders:
+        assert ladder_on_path(L, host_path)
     # ladder i joins pair i
     for (u, v), L in zip(A.pairs, A.ladders):
         assert L.start == u and L.end == v
@@ -117,10 +117,9 @@ def test_type2_build_structure():
     assert not (A.hosts[0].vertices() & A.hosts[1].vertices())
     for hi, host in enumerate(A.hosts):
         assert subdivision_order(host) <= 100 - 2
-    # each ladder sits on its claimed host path
-    for i, L in enumerate(A.ladders):
-        hi, arc = A.embedding[i]
-        assert ladder_on_path(L, A.hosts[hi].paths[arc])
+    # ladder j sits on slot j mod 2, host j mod 2's path
+    for j, L in enumerate(A.ladders):
+        assert ladder_on_path(L, A.hosts[j % 2].paths[(0, 1)])
 
 
 def test_a_build_that_fails_validation_says_why(monkeypatch):
@@ -135,40 +134,54 @@ def test_validate_absorber_catches_tampering():
     A = build_type1_absorber(D, H, {0: 0, 1: 1}, P_DEFAULT, d=3, seed=0)
     # a ladder without its pair can't even be constructed
     with pytest.raises(BadParameter):
-        Absorber(A.pairs, A.ladders[:-1], A.hosts, dict(A.embedding), A.d, A.slots)
+        Absorber(A.pairs, A.ladders[:-1], A.hosts, A.d, A.slots)
     problems: list[str] = []
     # swap two pairs without touching the ladders: alignment breaks
     flipped = CoverPairSet((A.pairs.pairs[1], A.pairs.pairs[0]) + A.pairs.pairs[2:])
     assert not validate_absorber(
-        D, Absorber(flipped, A.ladders, A.hosts, A.embedding, A.d, A.slots), problems
+        D, Absorber(flipped, A.ladders, A.hosts, A.d, A.slots), problems
     )
     assert problems
-    # point a ladder at the wrong arc: embedding must fail
-    wrong = Absorber(A.pairs, A.ladders, A.hosts, dict(A.embedding) | {0: (0, (9, 9))}, A.d, A.slots)
-    assert not validate_absorber(D, wrong)
+    # a slot on a path the host lacks carries nothing
+    problems = []
+    assert not validate_absorber(D, dataclasses.replace(A, slots=((0, (9, 9)),)), problems)
+    assert problems == ["slot 0 names no host path"]
     # claim a higher multiplicity than the cover provides
-    greedy = Absorber(A.pairs, A.ladders, A.hosts, A.embedding, 64, A.slots)
+    greedy = Absorber(A.pairs, A.ladders, A.hosts, 64, A.slots)
     assert not validate_absorber(D, greedy)
+
+
+@pytest.mark.parametrize("slots", [(), ((0, (0, 1)), (0, (0, 1)))], ids=["empty", "repeated"])
+def test_absorber_refuses_empty_or_repeated_slots(slots):
+    # ladder j sits on slots[j % len(slots)]: that needs slots, each named once
+    A = build_type1_absorber(_dense(), single_arc_pattern(), {0: 0, 1: 1}, P_DEFAULT, d=3, seed=0)
+    with pytest.raises(BadParameter, match="slot"):
+        Absorber(A.pairs, A.ladders, A.hosts, A.d, slots)
+
+
+def test_validate_absorber_flags_ladders_dealt_to_the_wrong_paths():
+    # the same ladders read under another slot order lie off their paths,
+    # except the middle slot's, which keeps its place
+    D = _dense(3)
+    A = build_type1_absorber(D, triangle_pattern(), {0: 10, 1: 20, 2: 30}, P_DEFAULT, d=3, seed=1)
+    problems: list[str] = []
+    assert not validate_absorber(D, dataclasses.replace(A, slots=A.slots[::-1]), problems)
+    assert problems == [
+        f"a ladder of slot {g} is not embedded in host 0 arc {arc}"
+        for g, (_, arc) in enumerate(A.slots[::-1]) if g != 1
+    ]
 
 
 def test_validate_absorber_flags_a_pattern_arc_without_ladders():
     D = _dense(3)
     H = triangle_pattern()
     A = build_type1_absorber(D, H, {0: 10, 1: 20, 2: 30}, P_DEFAULT, d=3, seed=1)
-    bare = (2, 0)
-    keep = [i for i in range(len(A.ladders)) if A.embedding[i] != (0, bare)]
-    assert 0 < len(keep) < len(A.ladders)
-    T = Absorber(
-        CoverPairSet(tuple(A.pairs.pairs[i] for i in keep)),
-        tuple(A.ladders[i] for i in keep),
-        A.hosts,
-        {s: A.embedding[i] for s, i in enumerate(keep)},
-        A.d,
-        A.slots,
-    )
+    # two ladders for three slots: the third slot's path carries none
+    _, bare = A.slots[2]
+    T = Absorber(CoverPairSet(A.pairs.pairs[:2]), A.ladders[:2], A.hosts, A.d, A.slots)
     problems: list[str] = []
     assert not validate_absorber(D, T, problems)
-    assert any("without any ladder" in p and str(bare) in p for p in problems)
+    assert f"host 0 arc {bare} carries no ladder" in problems
 
 
 def _spare_host(D, H, A, share: bool) -> HSubdivision:
@@ -186,12 +199,16 @@ def test_validate_absorber_flags_a_host_without_ladders():
     H = single_arc_pattern()
     A = build_type2_absorber(D, H, 2, P_DEFAULT, d=3, seed=0)
     spare = _spare_host(D, H, A, share=False)
+    # two ladders for three slots, the third on the spare host
     T = Absorber(
-        A.pairs, A.ladders, A.hosts + (spare,), A.embedding, A.d, A.slots + ((2, (0, 1)),)
+        CoverPairSet(A.pairs.pairs[:2]), A.ladders[:2], A.hosts + (spare,), A.d,
+        A.slots + ((2, (0, 1)),),
     )
     problems: list[str] = []
     assert not validate_absorber(D, T, problems)
-    assert len(problems) == 1 and "without any ladder" in problems[0]
+    assert problems == [
+        "K is not a 3-cover of the whole vertex set", "host 2 arc (0, 1) carries no ladder"
+    ]
 
 
 def test_validate_absorber_flags_hosts_that_share_a_vertex():
@@ -199,12 +216,10 @@ def test_validate_absorber_flags_hosts_that_share_a_vertex():
     H = single_arc_pattern()
     A = build_type2_absorber(D, H, 2, P_DEFAULT, d=3, seed=0)
     spare = _spare_host(D, H, A, share=True)
-    T = Absorber(
-        A.pairs, A.ladders, A.hosts + (spare,), A.embedding, A.d, A.slots + ((2, (0, 1)),)
-    )
+    T = Absorber(A.pairs, A.ladders, A.hosts + (spare,), A.d, A.slots)
     problems: list[str] = []
     assert not validate_absorber(D, T, problems)
-    assert "host 2 overlaps an earlier host" in problems
+    assert problems == ["host 2 overlaps an earlier host"]
 
 
 def test_absorb_paths_type1_roundtrip():
@@ -257,7 +272,6 @@ def test_one_path_at_a_time_matches_batch_absorption():
             CoverPairSet(tuple(cur.pairs.pairs[t] for t in keep)),
             tuple(cur.ladders[t] for t in keep),
             (out,),
-            {s: cur.embedding[t] for s, t in enumerate(keep)},
             cur.d,
             cur.slots,
         )
@@ -284,30 +298,47 @@ def _leftover_cycle(D, A, seed=0):
 
 
 def test_absorb_paths_puts_each_path_into_its_slot():
-    # cut for the slots in reverse order, so segment 0 has a pair on host 1
+    # list the hosts and the slots in reverse order: ladder j still sits on
+    # the same path, now host 1 - j mod 2, so segment 0 has a pair on host 1
     D = _dense(7)
     A = build_type2_absorber(D, single_arc_pattern(), 2, P_DEFAULT, d=3, seed=0)
-    flipped = dataclasses.replace(A, slots=A.slots[::-1])
-    sizes = [100 - subdivision_order(h) for h in A.hosts[::-1]]
+    flipped = dataclasses.replace(A, hosts=A.hosts[::-1], slots=A.slots[::-1])
+    assert flipped.slots[0] == (1, (0, 1)) and validate_absorber(D, flipped)
+    sizes = [100 - subdivision_order(h) for h in A.hosts]
     segs = cut_absorbable_segments(D, flipped, _leftover_cycle(D, A), sizes, seed=2)
-    subs = absorb_paths(D, A, segs, flipped.slots)
+    subs = absorb_paths(D, flipped, segs, flipped.slots)
     assert set(segs[0]) <= subs[1].vertices() and set(segs[1]) <= subs[0].vertices()
     assert validate_tiling(D, subs, [100, 100])
 
 
-def test_covering_agrees_with_covers():
-    # ends from all of V(D): x == v or y == u must not count as covered
+def _pair_used(sub, path):
+    """The pair (u, v) whose ladder absorbed path, read off the splice
+    u, path..., v in the host."""
+    hp = next(q for q in sub.paths.values() if path[0] in q)
+    return hp[hp.index(path[0]) - 1], hp[hp.index(path[-1]) + 1]
+
+
+def test_absorb_paths_picks_the_first_covering_pair_on_the_slot():
+    # path x...y on slot g takes the lowest j = g (mod s) with K[j] covering
+    # (x, y); with no slot, the lowest j of all
     D = _dense(7)
     A = build_type2_absorber(D, single_arc_pattern(), 2, P_DEFAULT, d=3, seed=0)
+    K, s = A.pairs.pairs, len(A.slots)
+    C = _leftover_cycle(D, A)
     rng = random.Random(4)
-    x = [rng.randrange(D.n) for _ in range(300)]
-    y = [rng.randrange(D.n) if t % 5 else x[t] for t in range(300)]  # some x == y
-    for slot in (None,) + A.slots:
-        cov = _covering(D, A, x, y, slot)
-        assert cov.shape == (len(A.pairs), 300)
-        for j, pair in enumerate(A.pairs.pairs):
-            on = slot is None or A.embedding[j] == slot
-            assert cov[j].tolist() == [on and covers(D, pair, e) for e in zip(x, y)]
+    for _ in range(40):
+        [path] = cut_cycle_segments(C, [rng.randint(2, 6)], rng.randrange(len(C)))
+        for g, slot in [(None, None)] + list(enumerate(A.slots)):
+            first = next((j for j in range(len(K)) if (g is None or j % s == g)
+                          and covers(D, K[j], (path[0], path[-1]))), None)
+            if first is None:
+                with pytest.raises(NoCoveringPair):
+                    absorb_paths(D, A, [path], None if slot is None else [slot])
+                continue
+            subs = absorb_paths(D, A, [path], None if slot is None else [slot])
+            hi = A.slots[first % s][0]
+            assert _pair_used(subs[hi], path) == K[first]
+            assert set(path) <= subs[hi].vertices()
 
 
 @pytest.mark.parametrize("kind", ["type1", "type2"])
@@ -350,11 +381,30 @@ def test_cut_absorbable_segments_serves_every_slot():
         assert [len(s) for s in segs] == sizes
         at = C.index(segs[0][0])  # consecutive along the cycle, in order
         assert [v for s in segs for v in s] == [C[(at + j) % len(C)] for j in range(sum(sizes))]
-        for slot, seg in zip(A.slots, segs):
-            assert any(covers(D, A.pairs.pairs[j], (seg[0], seg[-1]))
-                       for j, at_slot in A.embedding.items() if at_slot == slot)
+        for g, seg in enumerate(segs):  # slot g holds pairs g, g + 2, ...
+            assert any(covers(D, pair, (seg[0], seg[-1])) for pair in A.pairs.pairs[g::2])
         subs = absorb_paths(D, A, segs, A.slots)
         assert validate_tiling(D, subs, [100, 100])
+
+
+def test_cut_absorbable_segments_covers_each_segment_from_its_own_slot():
+    # two pairs per slot, so many offsets lack a covering pair on some slot
+    D = _dense(7)
+    A = build_type2_absorber(D, single_arc_pattern(), 2, P_DEFAULT, d=3, seed=0)
+    few = Absorber(CoverPairSet(A.pairs.pairs[:4]), A.ladders[:4], A.hosts, A.d, A.slots)
+    C = _leftover_cycle(D, A)
+    sizes = [3, 4]
+
+    def serves(o):  # segment g's ends are covered by a pair g, g + 2
+        ends = [(C[(o + a) % len(C)], C[(o + b - 1) % len(C)]) for a, b in ((0, 3), (3, 7))]
+        return all(any(covers(D, pair, e) for pair in few.pairs.pairs[g::2])
+                   for g, e in enumerate(ends))
+
+    works = {o for o in range(len(C)) if serves(o)}
+    assert 0 < len(works) < len(C)
+    for seed in range(20):
+        segs = cut_absorbable_segments(D, few, C, sizes, seed)
+        assert [len(seg) for seg in segs] == sizes and C.index(segs[0][0]) in works
 
 
 def test_cut_absorbable_segments_guardrails():

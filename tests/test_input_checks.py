@@ -96,6 +96,9 @@ COUNT_ENTRIES = {
         K6, single_arc_pattern(), [x, 6 - x], PipelineConfig(**_CFG)
     )),
     "cut_cycle_segments": ("every segment size", 1, lambda x: cut_cycle_segments(range(6), [2, x])),
+    "cut_absorbable_segments": (
+        "every segment size", 1, lambda x: cut_absorbable_segments(*_leftover(), [x])
+    ),
     "PipelineConfig-d": ("d", 1, lambda x: PipelineConfig(**_CFG, d=x)),
     "PipelineConfig-restart_budget": (
         "restart_budget", 1, lambda x: PipelineConfig(**_CFG, restart_budget=x)
@@ -136,13 +139,47 @@ def test_counts_that_are_not_integers_at_least_their_floor_raise_bad_parameter(e
     assert isinstance(e.value, InputError)
 
 
+# name -> call with the seed set to x
+SEED_ENTRIES = {
+    "PipelineConfig": lambda x: PipelineConfig(**_CFG, seed=x),
+    "hamilton_cycle": lambda x: hamilton_cycle(K6, x),
+    "build_d_cover": lambda x: build_d_cover(complete_digraph(8), 1, x),
+    "build_type1_absorber": lambda x: build_type1_absorber(
+        _absorber()[0], single_arc_pattern(), {0: 0, 1: 1}, _P, 3, x
+    ),
+    "build_type2_absorber": lambda x: build_type2_absorber(
+        _absorber()[0], single_arc_pattern(), 2, _P, 3, x
+    ),
+    "build_disjoint_ladders": lambda x: build_disjoint_ladders(
+        _absorber()[0], [(0, 1), (2, 3)], "1/2", x, 1
+    ),
+    "gen_random_digraph": lambda x: gen_random_digraph(6, 0.5, x),
+    "falsify_outexpander_sampled": lambda x: falsify_outexpander_sampled(
+        K6, ExpansionParams("1/6", "1/6"), 3, x
+    ),
+    "cut_absorbable_segments": lambda x: cut_absorbable_segments(*_leftover(), [5], x),
+    "cut_cycle_segments": lambda x: cut_cycle_segments(range(6), [2, 3], x),
+}
+
+
 @pytest.mark.parametrize("seed", [1.5, "3", True, None])
-def test_a_pipeline_seed_that_is_not_an_integer_raises_bad_parameter(seed):
-    # before the check, 1.5 and "3" failed in the seed arithmetic with a
-    # bare TypeError and True ran as seed 1
+@pytest.mark.parametrize("entry", SEED_ENTRIES)
+def test_a_seed_that_is_not_an_integer_raises_bad_parameter(entry, seed):
+    # before the check, 1.5 failed in the seed arithmetic of several entries
+    # with a bare TypeError, and True ran as seed 1
     with pytest.raises(BadParameter, match="^seed must be an integer") as e:
-        PipelineConfig(**_CFG, seed=seed)
+        SEED_ENTRIES[entry](seed)
     assert isinstance(e.value, InputError)
+
+
+@pytest.mark.parametrize("entry", SEED_ENTRIES)
+def test_a_seed_has_no_floor_but_where_numpy_sets_one(entry):
+    # numpy's generator takes no negative seed; every other entry takes any int
+    if entry == "gen_random_digraph":
+        with pytest.raises(BadParameter, match="^seed must be >= 0"):
+            SEED_ENTRIES[entry](-7)
+    else:
+        assert SEED_ENTRIES[entry](-7) == SEED_ENTRIES[entry](-7.0)
 
 
 def test_a_pipeline_seed_has_no_floor():
@@ -153,11 +190,20 @@ def test_a_pipeline_seed_has_no_floor():
     assert sorted(len(t.vertices()) for t in perfect_tiling(D, single_arc_pattern(), [80, 120], cfg)) == [80, 120]
 
 
+_P = ExpansionParams("3/4", "3/4", "1/2")
+
+
 @functools.cache
 def _absorber():
     D = gen_random_digraph(200, 0.7, 0)
-    p = ExpansionParams("3/4", "3/4", "1/2")
-    return D, build_type1_absorber(D, single_arc_pattern(), {0: 0, 1: 1}, p, 3, 0)
+    return D, build_type1_absorber(D, single_arc_pattern(), {0: 0, 1: 1}, _P, 3, 0)
+
+
+@functools.cache
+def _leftover():
+    """The absorber's digraph, the absorber and a Hamilton cycle of the rest."""
+    D, A = _absorber()
+    return D, A, hamilton_cycle(D, 0, avoid=A.vertices())
 
 
 # name -> (n, call with one label set to v on a digraph of n vertices)
