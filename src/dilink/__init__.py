@@ -44,30 +44,15 @@ from .digraph import (
     validate_path,
 )
 from .errors import (
-    AbsorberConstructionFailed,
     BadParameter,
     ConstructionFailed,
-    CoverConstructionFailed,
     CycleNotFound,
     DilinkError,
-    EndpointMismatch,
     InputError,
-    InvalidPath,
     LabelOutOfRange,
-    LadderConstructionFailed,
     LoopArc,
-    NoCoveringPair,
-    NotDisjoint,
-    NotEmbedded,
     NotOriented,
-    OrdersDontSumToN,
-    PathNotDisjoint,
     PipelineFailed,
-    SizesExceedCycle,
-    TooLargeForExact,
-    TooLargeForOracle,
-    TooManyPaths,
-    TooSmall,
 )
 from .expansion import (
     DEFAULT_EXACT_CAP as EXPANSION_EXACT_CAP,
@@ -113,7 +98,6 @@ from .pipeline import PipelineConfig, nh_linked_embed, perfect_tiling
 from .ratio import as_fraction
 from .subdivision import (
     HSubdivision,
-    LengthPrescription,
     PatternDigraph,
     brute_force_subdivision,
     min_prescribed_length,

@@ -42,15 +42,7 @@ from .cover import (
     verify_d_cover,
 )
 from .digraph import Arc, Digraph, check_labels, validate_path
-from .errors import (
-    AbsorberConstructionFailed,
-    BadParameter,
-    InvalidPath,
-    NoCoveringPair,
-    NotDisjoint,
-    SizesExceedCycle,
-    TooManyPaths,
-)
+from .errors import BadParameter, ConstructionFailed
 from .expansion import ExpansionParams
 from .ladder import (
     Ladder,
@@ -130,7 +122,7 @@ def _thread_group(
     """One subdivided path: start, then every rung of every ladder in
     order, then end, with short connectors routed between consecutive
     pieces.  Connector interiors are added to blocked as they are used;
-    a connector that cannot be routed raises AbsorberConstructionFailed."""
+    a connector that cannot be routed raises ConstructionFailed."""
     blocks: list[tuple[int, ...]] = []
     for L in ladder_group:
         blocks.extend(rung_paths(L))
@@ -139,7 +131,7 @@ def _thread_group(
     for bi, block in enumerate(blocks + [(end,)]):
         conn = shortest_path_avoiding(D, prev, block[0], blocked, cap, rng)
         if conn is None:
-            raise AbsorberConstructionFailed(f"threading failed at connector {bi}")
+            raise ConstructionFailed(f"threading failed at connector {bi}")
         blocked.update(conn[1:-1])
         full.extend(conn[1:])
         full.extend(block[1:])
@@ -177,7 +169,7 @@ def _build_absorber(
     ladders = build_disjoint_ladders(D, K.pairs, p.nu, s, avoid=avoid)
     rung_interiors = sum(len(r) - 2 for L in ladders for r in rung_paths(L))
     if rung_interiors > removal_cap:
-        raise AbsorberConstructionFailed(
+        raise ConstructionFailed(
             f"rung interiors ({rung_interiors}) exceed nu*n/4 = {removal_cap}"
         )
     blocked = avoid.union(*(L.vertices() for L in ladders))
@@ -193,9 +185,9 @@ def _build_absorber(
     A = Absorber(K, ladders, hosts, d, slots)
     problems: list[str] = []
     if not validate_absorber(D, A, problems):
-        raise AbsorberConstructionFailed("absorber failed validation: " + "; ".join(problems))
+        raise ConstructionFailed("absorber failed validation: " + "; ".join(problems))
     if sum(map(subdivision_order, hosts)) > absorber_size_bound(n, p.nu, p.gamma, d):
-        raise AbsorberConstructionFailed("absorber exceeded the guaranteed size bound")
+        raise ConstructionFailed("absorber exceeded the guaranteed size bound")
     return A
 
 
@@ -293,20 +285,21 @@ def cut_absorbable_segments(
     """Cut consecutive subpaths of the given vertex counts from a cycle C
     outside the absorber, segment i for slot i, at a seed-chosen offset
     where the ends of each segment are covered by a pair whose ladder
-    sits on its slot.  Every offset is tested at once; NoCoveringPair(i)
-    says that no offset serves segments 0..i together.  A size below 1 or
-    a non-integer size or seed raises BadParameter, a label of C outside
-    0..n-1 LabelOutOfRange, a C meeting V(A) NotDisjoint.
+    sits on its slot.  Every offset is tested at once; ConstructionFailed
+    says that no offset serves segments 0..i together.  A size below 1,
+    a non-integer size or seed, more sizes than slots, sizes summing past
+    |C| or a C meeting V(A) raises BadParameter, a label of C outside
+    0..n-1 LabelOutOfRange.
     """
     sizes = [as_count(s, "every segment size") for s in sizes]
     seed = as_count(seed, "seed", least=None)
     check_labels(D.n, C)
     if A.vertices().intersection(C):
-        raise NotDisjoint("the cycle meets the absorber")
+        raise BadParameter("the cycle meets the absorber")
     if len(sizes) > len(A.slots):
-        raise TooManyPaths(f"{len(sizes)} segments exceed the {len(A.slots)} slots")
+        raise BadParameter(f"{len(sizes)} segments exceed the {len(A.slots)} slots")
     if sum(sizes) > len(C):
-        raise SizesExceedCycle(f"segment sizes sum to {sum(sizes)} > {len(C)} cycle vertices")
+        raise BadParameter(f"segment sizes sum to {sum(sizes)} > {len(C)} cycle vertices")
     P, Q = cover_arcs(D.bool_matrix(), A.pairs.pairs)
     s = len(A.slots)
     C = np.asarray(C, dtype=np.intp)
@@ -316,7 +309,7 @@ def cut_absorbable_segments(
         x, y = np.roll(C, -start), np.roll(C, 1 - start - size)  # the ends, by offset
         works &= (size > 1) & (P[i::s, x] & Q[i::s, y]).any(axis=0)
         if not works.any():
-            raise NoCoveringPair(i, f"no cycle offset gives segments 0..{i} covering pairs")
+            raise ConstructionFailed(f"no cycle offset gives segments 0..{i} covering pairs")
         start += size
     ring = np.roll(C, -random.Random(seed).choice(np.flatnonzero(works).tolist())).tolist()
     return [tuple(ring[e - size:e]) for e, size in zip(np.cumsum(sizes).tolist(), sizes)]
@@ -330,16 +323,16 @@ def check_paths(
     disjoint.  Returns the paths as tuples."""
     plist = [tuple(p) for p in paths]
     if len(plist) > d:
-        raise TooManyPaths(f"{len(plist)} paths exceed d = {d}")
+        raise BadParameter(f"{len(plist)} paths exceed d = {d}")
     taken: set[int] = set()
     for i, p in enumerate(plist):
         check_labels(D.n, p, f"path {i} has a label")
         if len(p) < 2:
-            raise InvalidPath(f"path {i} has fewer than 2 vertices")
+            raise BadParameter(f"path {i} has fewer than 2 vertices")
         if not validate_path(D, p):
-            raise InvalidPath(f"path {i} is not a valid path of the digraph")
+            raise BadParameter(f"path {i} is not a valid path of the digraph")
         if taken.intersection(p):
-            raise NotDisjoint(f"path {i} meets an earlier path")
+            raise BadParameter(f"path {i} meets an earlier path")
         taken.update(p)
     return plist
 
@@ -354,13 +347,13 @@ def absorb_paths(
 
     Path i, x...y, takes the lowest-index unused pair (u, v) with arcs
     u->x and y->v whose ladder sits on slots[i] (any slot when slots is
-    None); the first path left without one raises NoCoveringPair(i)
-    before any host changes.  Then each path, extended to u x...y v, is
-    absorbed through its pair's ladder into the host path carrying it.
-    First fit is exact: distinct slots hold disjoint pairs, and without
-    slots the d-cover leaves each path a free pair.  A repeated slot, or
-    one not in A.slots, raises BadParameter.  Returns every host,
-    enlarged by the paths it absorbed.
+    None); the first path left without one raises ConstructionFailed
+    naming i before any host changes.  Then each path, extended to
+    u x...y v, is absorbed through its pair's ladder into the host path
+    carrying it.  First fit is exact: distinct slots hold disjoint pairs,
+    and without slots the d-cover leaves each path a free pair.  A
+    repeated slot, or one not in A.slots, raises BadParameter.  Returns
+    every host, enlarged by the paths it absorbed.
     """
     plist = check_paths(D, paths, A.d)
     if slots is not None and (
@@ -372,7 +365,7 @@ def absorb_paths(
     av = A.vertices()
     for i, p in enumerate(plist):
         if av.intersection(p):
-            raise NotDisjoint(f"path {i} meets the absorber")
+            raise BadParameter(f"path {i} meets the absorber")
     P, Q = cover_arcs(D.bool_matrix(), A.pairs.pairs)
     s = len(A.slots)
     picks: list[int] = []
@@ -382,7 +375,7 @@ def absorb_paths(
             cov &= np.arange(len(cov)) % s == A.slots.index(slots[i])
         cov[picks] = False
         if not cov.any():
-            raise NoCoveringPair(i)
+            raise ConstructionFailed(f"no unused covering pair for path #{i}")
         picks.append(int(cov.argmax()))
     subs = list(A.hosts)
     for p, j in zip(plist, picks):

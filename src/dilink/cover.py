@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .digraph import Digraph, check_labels
-from .errors import BadParameter, CoverConstructionFailed, LadderConstructionFailed
+from .errors import BadParameter, ConstructionFailed
 from .ladder import Ladder, single_arc_ladder, validate_ladder
 from .ratio import Real, as_count, as_density
 
@@ -195,7 +195,7 @@ def build_d_cover(D: Digraph, d: int, seed: int, *, avoid: Iterable[int] = ()) -
     outside `avoid` covering (x, y) brings its own in-neighbour of x and
     out-neighbour of y, so fewer than 2d usable vertices, or a vertex
     with fewer than d out- or in-neighbours outside `avoid`, raises
-    CoverConstructionFailed with exact=True.  Otherwise pairs come from
+    ConstructionFailed with exact=True.  Otherwise pairs come from
     the arc-preferring pairing in groups of 8, as bytes p and q over
     V(D) whose bit j holds pair j's cover_arcs entries, so that
     popcount(p[x] & q[y]) of the group's pairs cover (x, y).  The counts
@@ -206,7 +206,7 @@ def build_d_cover(D: Digraph, d: int, seed: int, *, avoid: Iterable[int] = ()) -
     popcount(p[xs] & q[ys]); entries that reach d are dropped, keeping
     at least _FLOOR listed.  Growth stops after the group that leaves no
     entry short, cut to its shortest covering prefix by _least_prefix.
-    Running out of pairs raises the plain CoverConstructionFailed.  A d
+    Running out of pairs raises the plain ConstructionFailed.  A d
     that is not an integer >= 1, or a seed that is not an integer, raises
     BadParameter, a label of `avoid` outside 0..n-1 LabelOutOfRange.
     """
@@ -220,13 +220,13 @@ def build_d_cover(D: Digraph, d: int, seed: int, *, avoid: Iterable[int] = ()) -
     usable = sorted(set(range(n)) - avoid)
     if 2 * d > len(usable):  # else d <= n/2 <= MAX_ORDER/2 < 2**15
         why = f"{len(usable)} vertices outside avoid make fewer than {d} pairs"
-        raise CoverConstructionFailed(f"no {d}-cover exists: {why}", exact=True)
+        raise ConstructionFailed(f"no {d}-cover exists: {why}", exact=True)
     gone = sorted(avoid)  # degrees are below n <= MAX_ORDER < 2**16
     out = M.sum(1, dtype=np.uint16) - M[:, gone].sum(1, dtype=np.uint16)
     in_ = M.sum(0, dtype=np.uint16) - M[gone].sum(0, dtype=np.uint16)
     for way, deg in (("out", out), ("in", in_)):
         if deg.min() < d:
-            raise CoverConstructionFailed(
+            raise ConstructionFailed(
                 f"no {d}-cover exists: vertex {deg.argmin()} has only "
                 f"{deg.min()} {way}-neighbours outside avoid", exact=True,
             )
@@ -236,7 +236,7 @@ def build_d_cover(D: Digraph, d: int, seed: int, *, avoid: Iterable[int] = ()) -
     def draw() -> tuple[np.ndarray, np.ndarray]:
         batch = list(islice(stream, 8))
         if not batch:
-            raise CoverConstructionFailed(f"all {len(pairs)} pairs are no {d}-cover")
+            raise ConstructionFailed(f"all {len(pairs)} pairs are no {d}-cover")
         pairs.extend(batch)
         bits = np.arange(len(batch), dtype=np.uint8)[:, None]  # np.packbits is slower
         return tuple(np.bitwise_or.reduce(R.view(np.uint8) << bits) for R in cover_arcs(M, batch))
@@ -302,8 +302,10 @@ def shortest_path_avoiding(
     Breadth-first over matrix rows, a layer at a time, then walked back
     through the layers' in-neighbours, each pick uniform when an rng is
     given and the lowest label when not.  A label of s, t or `blocked`
-    outside 0..n-1 raises LabelOutOfRange."""
+    outside 0..n-1 raises LabelOutOfRange, a max_order that is not an
+    integer >= 0 BadParameter."""
     check_labels(D.n, (s, t, *blocked))
+    max_order = as_count(max_order, "max_order", least=0)
     if s == t or max_order < 2:
         return None
     M = D.bool_matrix()
@@ -341,7 +343,7 @@ def build_disjoint_ladders(
     single-arc ladder and the rest get k = 1; an explicit k forces that
     shape.  Each ladder obeys |V(L)| <= 12/nu^2 with its row path of
     order <= 8/nu.  Interior sampling never touches `avoid`.  Raises
-    LadderConstructionFailed with the pair index, BadParameter for a
+    ConstructionFailed naming the pair's index, BadParameter for a
     ladder_k that is not an integer >= 0 or a seed that is not an
     integer, and LabelOutOfRange for a terminal or a vertex of `avoid`
     outside 0..n-1.
@@ -367,16 +369,16 @@ def build_disjoint_ladders(
             want_k = 0 if M.item(u, v) else 1
         if want_k == 0:
             if not M.item(u, v):
-                raise LadderConstructionFailed(idx, f"no arc {u}->{v} for a k=0 ladder")
+                raise ConstructionFailed(f"ladder #{idx}: no arc {u}->{v} for a k=0 ladder")
             out.append(single_arc_ladder(u, v))
             continue
         if 2 * (2 * want_k + 1) > max_rows:
-            raise LadderConstructionFailed(
-                idx, f"k={want_k} violates the nu={nu} size bounds"
+            raise ConstructionFailed(
+                f"ladder #{idx}: k={want_k} violates the nu={nu} size bounds"
             )
         L = _sample_ladder(D, u, v, want_k, used, max_size, rng)
         if L is None:
-            raise LadderConstructionFailed(idx)
+            raise ConstructionFailed(f"could not build ladder #{idx}")
         used |= L.vertices()
         out.append(L)
     return out

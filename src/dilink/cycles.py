@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .digraph import Digraph, check_labels, validate_cycle
-from .errors import BadParameter, CycleNotFound, SizesExceedCycle
+from .errors import BadParameter, CycleNotFound
 from .ratio import as_count
 
 _EXACT_CAP = 14  # most kept vertices on which a stalled search falls back to a subset table
@@ -208,7 +208,7 @@ def cut_cycle_segments(
     sizes = [as_count(s, "every segment size") for s in sizes]
     seed = as_count(seed, "seed", least=None)
     if sum(sizes) > len(C):
-        raise SizesExceedCycle(
+        raise BadParameter(
             f"segment sizes sum to {sum(sizes)} on a cycle of {len(C)} vertices"
         )
     offset = random.Random(seed).randrange(len(C))

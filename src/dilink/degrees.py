@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .digraph import DegreeProfile, Digraph, degree_profile
-from .errors import NotOriented, TooSmall
+from .errors import BadParameter, NotOriented
 from .ratio import Real, as_density, as_fraction, ceil_frac
 
 
@@ -67,7 +67,7 @@ def nash_williams(D: Digraph) -> ConditionReport:
     """
     n = D.n
     if n < 3:
-        raise TooSmall(f"need at least 3 vertices, got {n}")
+        raise BadParameter(f"need at least 3 vertices, got {n}")
     return _paired(degree_profile(D), 1, 0, (n + 1) // 2)  # all i with i < n/2
 
 
@@ -81,7 +81,7 @@ def asymptotic_nash_williams(D: Digraph, gamma: Real) -> ConditionReport:
     """
     n = D.n
     if n < 1:
-        raise TooSmall("empty digraph")
+        raise BadParameter("empty digraph")
     g = ceil_frac(as_density(gamma, "gamma") * n)
     return _paired(degree_profile(D), g, g, (n + 1) // 2)
 
@@ -94,7 +94,7 @@ def posa_type(D: Digraph, gamma: Real) -> ConditionReport:
     """
     n = D.n
     if n < 3:
-        raise TooSmall(f"need at least 3 vertices, got {n}")
+        raise BadParameter(f"need at least 3 vertices, got {n}")
     frac_g = as_density(gamma, "gamma")
     prof = degree_profile(D)
     # lag n puts every partner index below 1, so only d_i >= i + margin counts

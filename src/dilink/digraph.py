@@ -56,18 +56,21 @@ class Digraph:
     def __init__(self, n: int, arc_list: Iterable[Arc]):
         """Arcs are integer pairs or an (m, 2) int array; duplicates collapse.
         A vertex count that is not a whole number >= 0 (as_count reads 3.0
-        as 3), non-integer labels, and an n above MAX_ORDER raise
-        BadParameter; the first bad arc in input order raises LoopArc if a
-        loop, else LabelOutOfRange."""
+        as 3), non-integer labels, an arc that is not a pair and an n above
+        MAX_ORDER raise BadParameter; the first bad arc in input order
+        raises LoopArc if a loop, else LabelOutOfRange."""
         n = as_order(n)
         if not isinstance(arc_list, np.ndarray):
             arc_list = list(arc_list)
-        a = np.asarray(arc_list)
+        try:
+            a = np.asarray(arc_list)
+        except ValueError:  # numpy refuses a ragged list
+            raise BadParameter("arcs must be pairs (u, v), got a ragged arc list") from None
         if a.size and a.dtype.kind not in "iu":
             raise BadParameter(f"arc labels must be integers, got dtype {a.dtype}")
         a = a.astype(np.intp, copy=False)
         if a.size and (a.ndim != 2 or a.shape[1] != 2):
-            raise ValueError(f"arcs must be pairs (u, v), got shape {a.shape}")
+            raise BadParameter(f"arcs must be pairs (u, v), got shape {a.shape}")
         a = a.reshape(-1, 2)
         us, vs = a[:, 0], a[:, 1]
         bad = us == vs

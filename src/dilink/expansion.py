@@ -22,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .digraph import Digraph, check_labels, remove_vertices
-from .errors import BadParameter, TooLargeForExact
+from .errors import BadParameter
 from .ratio import Real, as_count, as_density, as_fraction, ceil_frac
 
 DEFAULT_EXACT_CAP = 20
@@ -97,12 +97,14 @@ def certify_outexpander_exact(
     or D is sparse, is still about 2^n * n byte comparisons, in 2^b * n
     bytes of memory.  Refutation reports a minimum-size
     counterexample: the first, in lexicographic order of the sorted vertex
-    tuple, among the smallest violating sets.  Raises TooLargeForExact
-    above the subset cap.
+    tuple, among the smallest violating sets.  Raises BadParameter
+    above the subset cap max_exact_n, or for a cap that is not an integer
+    >= 0; the in- and deletion certifiers check theirs here.
     """
     n = D.n
+    max_exact_n = as_count(max_exact_n, "max_exact_n", least=0)
     if n > max_exact_n:
-        raise TooLargeForExact(f"n={n} exceeds the exact enumeration cap {max_exact_n}")
+        raise BadParameter(f"n={n} exceeds the exact enumeration cap {max_exact_n}")
     sizes = _quantified_sizes(n, p.tau)
     if not sizes:
         return ExpansionReport(Verdict.CERTIFIED_EXACT)

@@ -243,7 +243,7 @@ def read_digraph(path: str) -> Digraph:
 
 def parse_pattern(text: str) -> tuple[PatternDigraph, dict[int, int]]:
     """Parse a pattern file: edge list plus optional "map a v" lines
-    giving a (partial or full) branch map."""
+    giving a (partial or full) branch map, at most one line per a."""
     lines = _content_lines(text.splitlines())
     branch: dict[int, int] = {}
     graph_lines = []
@@ -253,6 +253,8 @@ def parse_pattern(text: str) -> tuple[PatternDigraph, dict[int, int]]:
             if len(parts) != 3:
                 raise BadParameter(f"map line must be 'map a v', got {line!r}")
             a, v = parse_ints(parts[1:], line)
+            if a in branch:
+                raise BadParameter(f"map line {line!r} repeats pattern vertex {a}")
             branch[a] = v
         else:
             graph_lines.append(line)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from decimal import Decimal
+from numbers import Real
+
 import numpy as np
 
 from .digraph import Digraph, as_order
@@ -12,9 +15,12 @@ from .ratio import as_count
 def gen_random_digraph(n: int, p: float, seed: int) -> Digraph:
     """Binomial random digraph: each ordered pair (u, v), u != v, is an
     arc independently with probability p.  Deterministic given the seed;
-    an n outside 0..MAX_ORDER raises BadParameter before any allocation."""
+    an n outside 0..MAX_ORDER raises BadParameter before any allocation,
+    as does a p that is a bool or not a real number (a Decimal is one)."""
     n = as_order(n)
     seed = as_count(seed, "seed", least=0)  # numpy takes no negative seed
+    if isinstance(p, bool) or not isinstance(p, (Real, Decimal)):
+        raise BadParameter(f"arc probability must be a number, got {p!r}")
     if not 0.0 <= p <= 1.0:
         raise BadParameter(f"arc probability must lie in [0, 1], got {p}")
     rng = np.random.default_rng(seed)

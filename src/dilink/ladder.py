@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .digraph import Arc, Digraph, validate_path
-from .errors import EndpointMismatch, InvalidPath, NotEmbedded, PathNotDisjoint
+from .errors import BadParameter
 from .subdivision import HSubdivision
 
 
@@ -131,38 +131,37 @@ def absorb_path(
     rungs lie on the path of the pattern arc `arc`: R_0 is replaced by
     P and each R_i by R'_i, ascending even i.
 
-    The checks run in this order: `arc` must be a pattern arc
-    (NotEmbedded), P a valid path of D (InvalidPath) from the ladder's
-    start to its end (EndpointMismatch), every rung a contiguous run of
-    arc's path (NotEmbedded), and P's interior disjoint from the whole
-    subdivision (PathNotDisjoint).  The result is a subdivision with the
-    same pattern and branch map whose vertex set is V(sub) union V(P);
-    only arc's path changes.
+    The checks run in this order, each raising BadParameter with its own
+    message: `arc` must be a pattern arc, P a valid path of D from the
+    ladder's start to its end, every rung a contiguous run of arc's
+    path, and P's interior disjoint from the whole subdivision.  The
+    result is a subdivision with the same pattern and branch map whose
+    vertex set is V(sub) union V(P); only arc's path changes.
     """
     if arc not in sub.paths:
-        raise NotEmbedded(f"pattern arc {arc} not present in subdivision")
+        raise BadParameter(f"pattern arc {arc} not present in subdivision")
     P = tuple(P)
     if not validate_path(D, P):
-        raise InvalidPath("absorbee is not a valid path of the host digraph")
+        raise BadParameter("absorbee is not a valid path of the host digraph")
     if P[0] != L.start or P[-1] != L.end:
-        raise EndpointMismatch(
+        raise BadParameter(
             f"path runs {P[0]}..{P[-1]}, ladder expects {L.start}..{L.end}"
         )
     host = sub.paths[arc]
     rungs = rung_paths(L)
     for r in rungs:
         if _find_segment(host, r) is None:
-            raise NotEmbedded(f"rung {r} is not a contiguous subpath of the host path")
+            raise BadParameter(f"rung {r} is not a contiguous subpath of the host path")
     met = sub.vertices().intersection(P[1:-1])
     if met:
-        raise PathNotDisjoint(f"absorbee interior reuses subdivision vertices {sorted(met)}")
+        raise BadParameter(f"absorbee interior reuses subdivision vertices {sorted(met)}")
     replacements = (P,) + alternative_rung_paths(L)
     work = list(host)
     for rung, alt in zip(rungs, replacements):
         at = _find_segment(work, rung)
         if at is None:
-            raise NotEmbedded(f"rung {rung} vanished during rewiring")
+            raise BadParameter(f"rung {rung} vanished during rewiring")
         work[at : at + len(rung)] = list(alt)
     if len(set(work)) != len(work):
-        raise PathNotDisjoint("rewired path repeats a vertex")
+        raise BadParameter("rewired path repeats a vertex")
     return HSubdivision(sub.pattern, dict(sub.branch_map), {**sub.paths, arc: tuple(work)})

@@ -26,12 +26,11 @@ from .absorber import (
 )
 from .cycles import hamilton_cycle
 from .digraph import Digraph
-from .errors import BadParameter, ConstructionFailed, OrdersDontSumToN, PipelineFailed
+from .errors import BadParameter, ConstructionFailed, PipelineFailed
 from .expansion import ExpansionParams
 from .ratio import Real, as_count, ceil_frac
 from .subdivision import (
     HSubdivision,
-    LengthPrescription,
     PatternDigraph,
     check_branch_map,
     min_prescribed_length,
@@ -146,7 +145,7 @@ def nh_linked_embed(
     D: Digraph,
     H: PatternDigraph,
     f: Mapping[int, int],
-    N: LengthPrescription | Sequence[int],
+    N: Sequence[int],
     cfg: PipelineConfig,
 ) -> HSubdivision:
     """Embed an H-subdivision with branch map exactly f and path lengths
@@ -160,7 +159,7 @@ def nh_linked_embed(
     A malformed branch map raises before any gate.
     """
     check_branch_map(H, f, D.n)
-    N = N if isinstance(N, LengthPrescription) else LengthPrescription(tuple(N))
+    N = tuple(as_count(l, "every prescribed length") for l in N)
     if len(N) != H.h:
         raise BadParameter(f"{H.h} lengths required, got {len(N)}")
     order = sum(l - 1 for l in N) + H.underlying.n
@@ -170,11 +169,11 @@ def nh_linked_embed(
         )
     arcs = H.arc_order
     [sub] = _drive(
-        D, cfg, "prescribed length", N.lengths,
+        D, cfg, "prescribed length", N,
         lambda p, d, seed: build_type1_absorber(D, H, f, p, d, seed),
         lambda A: [l + 1 - len(A.hosts[0].paths[a]) for l, a in zip(N, arcs)],
         lambda subs: validate_subdivision(D, subs[0])
-        and path_lengths(subs[0]) == N.lengths
+        and path_lengths(subs[0]) == N
         and dict(subs[0].branch_map) == dict(f),
     )
     return sub
@@ -196,7 +195,7 @@ def perfect_tiling(
     if not orders:
         raise BadParameter("at least one order required")
     if sum(orders) != D.n:
-        raise OrdersDontSumToN(
+        raise BadParameter(
             f"orders sum to {sum(orders)}, but the digraph has {D.n} vertices"
         )
     return _drive(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .digraph import Arc, Digraph, check_labels, validate_path
-from .errors import BadParameter, InputError, TooLargeForOracle
+from .errors import BadParameter, InputError
 from .ratio import Real, as_count, as_density
 
 ORACLE_CAP = 12
@@ -72,23 +72,6 @@ class HSubdivision:
 
     def vertices(self) -> frozenset[int]:
         return frozenset(v for p in self.paths.values() for v in p)
-
-
-@dataclass(frozen=True)
-class LengthPrescription:
-    """Requested path lengths (arc counts), aligned with arc_order."""
-
-    lengths: tuple[int, ...]
-
-    def __post_init__(self):
-        lengths = tuple(as_count(x, "every prescribed length") for x in self.lengths)
-        object.__setattr__(self, "lengths", lengths)
-
-    def __iter__(self):
-        return iter(self.lengths)
-
-    def __len__(self):
-        return len(self.lengths)
 
 
 def min_prescribed_length(nu: Real) -> int:
@@ -160,19 +143,19 @@ def brute_force_subdivision(
     D: Digraph,
     H: PatternDigraph,
     f: Mapping[int, int],
-    lengths: Sequence[int] | LengthPrescription,
+    lengths: Sequence[int],
 ) -> HSubdivision | None:
     """Exhaustive search for a subdivision with the exact given lengths.
 
     Backtracks over pattern arcs in arc_order, extending candidate paths
     vertex by vertex in ascending label order, pruning on remaining
     length.  Returns None iff no subdivision exists.  Intended as an
-    oracle; refuses n > ORACLE_CAP.  LengthPrescription checks the
-    lengths and check_branch_map the branch map.
+    oracle; refuses n > ORACLE_CAP.  A length that is not an integer >= 1
+    raises BadParameter, and check_branch_map checks the branch map.
     """
     if D.n > ORACLE_CAP:
-        raise TooLargeForOracle(f"n={D.n} exceeds the oracle cap {ORACLE_CAP}")
-    lengths = LengthPrescription(lengths).lengths
+        raise BadParameter(f"n={D.n} exceeds the oracle cap {ORACLE_CAP}")
+    lengths = [as_count(l, "every prescribed length") for l in lengths]
     arcs = H.arc_order
     if len(lengths) != len(arcs):
         raise BadParameter(f"{len(arcs)} pattern arcs but {len(lengths)} lengths")

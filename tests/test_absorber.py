@@ -28,14 +28,7 @@ from dilink import (
 )
 from dilink import absorber
 from dilink.absorber import cut_absorbable_segments
-from dilink.errors import (
-    AbsorberConstructionFailed,
-    BadParameter,
-    NoCoveringPair,
-    NotDisjoint,
-    SizesExceedCycle,
-    TooManyPaths,
-)
+from dilink.errors import BadParameter, ConstructionFailed
 
 P_DEFAULT = ExpansionParams("3/4", "3/4", "1/2")
 
@@ -124,7 +117,9 @@ def test_type2_build_structure():
 
 def test_a_build_that_fails_validation_says_why(monkeypatch):
     monkeypatch.setattr(absorber, "verify_d_cover", lambda *args: False)
-    with pytest.raises(AbsorberConstructionFailed, match="is not a 3-cover"):
+    with pytest.raises(
+        ConstructionFailed, match="^absorber failed validation: .*is not a 3-cover"
+    ):
         build_type1_absorber(_dense(), single_arc_pattern(), {0: 0, 1: 1}, P_DEFAULT, 3, 0)
 
 
@@ -332,7 +327,8 @@ def test_absorb_paths_picks_the_first_covering_pair_on_the_slot():
             first = next((j for j in range(len(K)) if (g is None or j % s == g)
                           and covers(D, K[j], (path[0], path[-1]))), None)
             if first is None:
-                with pytest.raises(NoCoveringPair):
+                no_pair = "^no unused covering pair for path #0$"
+                with pytest.raises(ConstructionFailed, match=no_pair):
                     absorb_paths(D, A, [path], None if slot is None else [slot])
                 continue
             subs = absorb_paths(D, A, [path], None if slot is None else [slot])
@@ -411,14 +407,14 @@ def test_cut_absorbable_segments_guardrails():
     D = _dense(7)
     A = build_type2_absorber(D, single_arc_pattern(), 2, P_DEFAULT, d=3, seed=0)
     C = _leftover_cycle(D, A)
-    with pytest.raises(NoCoveringPair) as e:
+    with pytest.raises(ConstructionFailed, match=r"^no cycle offset gives segments 0\.\.1 "):
         cut_absorbable_segments(D, A, C, [4, 1])  # one vertex has no two ends to cover
-    assert e.value.index == 1
-    with pytest.raises(SizesExceedCycle):
+    with pytest.raises(BadParameter, match=rf"^segment sizes sum to {len(C) + 2} > {len(C)} "):
         cut_absorbable_segments(D, A, C, [len(C), 2])
-    with pytest.raises(TooManyPaths):
+    with pytest.raises(BadParameter, match="^3 segments exceed the 2 slots$"):
         cut_absorbable_segments(D, A, C, [4, 4, 4])  # two slots only
-    with pytest.raises(NotDisjoint):  # a cycle through all of V(D) runs through V(A)
+    # a cycle through all of V(D) runs through V(A)
+    with pytest.raises(BadParameter, match="^the cycle meets the absorber$"):
         cut_absorbable_segments(D, A, hamilton_cycle(D, 0), [4, 4])
 
 
@@ -427,18 +423,16 @@ def test_absorb_paths_guardrails():
     H = single_arc_pattern()
     A = build_type1_absorber(D, H, {0: 0, 1: 1}, P_DEFAULT, d=3, seed=0)
     segs = _leftover_segments(D, A, [4, 4, 4, 4])
-    with pytest.raises(TooManyPaths):
-        absorb_paths(D, A, segs)  # 4 paths > d = 3
-    with pytest.raises(NotDisjoint):
+    with pytest.raises(BadParameter, match="^4 paths exceed d = 3$"):
+        absorb_paths(D, A, segs)
+    with pytest.raises(BadParameter, match="^path 1 meets an earlier path$"):
         absorb_paths(D, A, [segs[0], segs[0]])
     host_path = A.hosts[0].paths[(0, 1)]
-    with pytest.raises(NotDisjoint):
-        absorb_paths(D, A, [host_path[1:3]])  # inside the absorber
-    from dilink.errors import InvalidPath
-
-    with pytest.raises(InvalidPath):
+    with pytest.raises(BadParameter, match="^path 0 meets the absorber$"):
+        absorb_paths(D, A, [host_path[1:3]])
+    with pytest.raises(BadParameter, match="^path 0 is not a valid path of the digraph$"):
         absorb_paths(D, A, [(segs[0][0], segs[0][1], segs[0][0])])  # repeated vertex
-    with pytest.raises(InvalidPath, match="fewer than 2 vertices"):
+    with pytest.raises(BadParameter, match="^path 0 has fewer than 2 vertices$"):
         absorb_paths(D, A, [segs[0][:1]])  # x = y: no pair covers one vertex
 
 

@@ -15,7 +15,7 @@ from dilink import (
     hamilton_cycle,
     validate_cycle,
 )
-from dilink.errors import BadParameter, CycleNotFound, SizesExceedCycle
+from dilink.errors import BadParameter, CycleNotFound
 
 
 def _two_complete_digraphs(k: int) -> Digraph:
@@ -180,7 +180,7 @@ def test_cut_segments_basic_and_wraparound():
 
 def test_cut_segments_guards_and_determinism():
     C = tuple(range(8))
-    with pytest.raises(SizesExceedCycle):
+    with pytest.raises(BadParameter, match="segment sizes sum to 9 on a cycle of 8 vertices"):
         cut_cycle_segments(C, [5, 4])
     with pytest.raises(BadParameter):
         cut_cycle_segments(C, [3, 0])

@@ -16,7 +16,7 @@ from dilink import (
     posa_type,
     rotational_tournament,
 )
-from dilink.errors import BadParameter, NotOriented, TooSmall
+from dilink.errors import BadParameter, NotOriented
 
 
 def test_complete_satisfies_paired_condition():
@@ -33,7 +33,7 @@ def test_cycle_fails_paired_condition_with_diagnosis():
 
 
 def test_paired_condition_rejects_tiny_digraphs():
-    with pytest.raises(TooSmall):
+    with pytest.raises(BadParameter, match="need at least 3 vertices, got 2"):
         nash_williams(Digraph(2, [(0, 1), (1, 0)]))
 
 

@@ -59,7 +59,7 @@ def test_first_bad_arc_in_input_order_is_reported():
         Digraph(3, [(-1, 2), (2, 5)])
     with pytest.raises(LoopArc, match=r"\(7, 7\)"):  # a loop wins over the range
         Digraph(3, [(7, 7)])
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParameter, match=r"^arcs must be pairs \(u, v\), got shape \(2, 3\)$"):
         Digraph(3, [(0, 1, 2), (1, 2, 0)])
 
 

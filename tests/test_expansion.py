@@ -20,7 +20,7 @@ from dilink import (
     robust_out_neighbourhood,
     shrink_params_for_deletion,
 )
-from dilink.errors import BadParameter, LabelOutOfRange, TooLargeForExact
+from dilink.errors import BadParameter, LabelOutOfRange
 
 from helpers import oracle_min_violating_set, oracle_robust_outexpander, random_arc_set
 
@@ -148,7 +148,7 @@ def test_empty_quantifier_range_certifies_vacuously():
 
 def test_exact_cap_is_enforced():
     p = ExpansionParams("1/6", "1/6")
-    with pytest.raises(TooLargeForExact):
+    with pytest.raises(BadParameter, match="n=9 exceeds the exact enumeration cap 8"):
         certify_outexpander_exact(complete_digraph(9), p, max_exact_n=8)
 
 

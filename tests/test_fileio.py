@@ -301,6 +301,14 @@ def test_parse_pattern_with_branch_map():
         parse_pattern("2 1\n0 1\nmap 0\n")
 
 
+def test_parse_pattern_refuses_a_repeated_map_line():
+    # two images for one vertex: keeping either would drop the other silently
+    with pytest.raises(BadParameter, match="^map line 'map 0 7' repeats pattern vertex 0$"):
+        parse_pattern("2 1\n0 1\nmap 0 5\nmap 0 7\n")
+    # the same image twice is the branch map's injectivity check, not this one
+    assert parse_pattern("2 1\n0 1\nmap 0 5\nmap 1 5\n")[1] == {0: 5, 1: 5}
+
+
 def test_subdivision_json_shape():
     D = gen_random_digraph(300, 0.7, 0)
     cfg = PipelineConfig(gamma="1/2", nu="3/4", tau="3/4", d=3, seed=0)

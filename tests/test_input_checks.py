@@ -7,13 +7,15 @@ lives in.  Each of those is an InputError, and every dilink error is of
 exactly one kind: an InputError, a ConstructionFailed or PipelineFailed."""
 
 import functools
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dilink import (
     Digraph,
     ExpansionParams,
-    LengthPrescription,
     PipelineConfig,
     absorb_paths,
     absorber_size_bound,
@@ -23,6 +25,8 @@ from dilink import (
     build_disjoint_ladders,
     build_type1_absorber,
     build_type2_absorber,
+    certify_inexpander_exact,
+    certify_outexpander_exact,
     certify_survives_deletion,
     complete_digraph,
     cover_size_formula,
@@ -88,10 +92,26 @@ def test_density_parameters_outside_their_range_raise_bad_parameter(entry, x):
 
 
 _CFG = dict(gamma="1/2", nu="3/4", tau="3/4")
+_Q = ExpansionParams("1/8", "1/8")  # admits the deletion certifier's shrunken parameters
 
 # name -> (name in the message, least value, call with that count set to x)
 COUNT_ENTRIES = {
-    "LengthPrescription": ("every prescribed length", 1, lambda x: LengthPrescription((3, x))),
+    "brute_force_subdivision": ("every prescribed length", 1, lambda x: brute_force_subdivision(
+        K6, single_arc_pattern(), {0: 0, 1: 1}, (x,)
+    )),
+    "nh_linked_embed": ("every prescribed length", 1, lambda x: nh_linked_embed(
+        K6, single_arc_pattern(), {0: 0, 1: 1}, (x,), PipelineConfig(**_CFG)
+    )),
+    "shortest_path_avoiding": (
+        "max_order", 0, lambda x: shortest_path_avoiding(K6, 0, 1, set(), x)
+    ),
+    "certify_outexpander_exact": (
+        "max_exact_n", 0, lambda x: certify_outexpander_exact(K6, _Q, x)
+    ),
+    "certify_inexpander_exact": ("max_exact_n", 0, lambda x: certify_inexpander_exact(K6, _Q, x)),
+    "certify_survives_deletion": (
+        "max_exact_n", 0, lambda x: certify_survives_deletion(K6, _Q, [], x)
+    ),
     "perfect_tiling": ("every order", 1, lambda x: perfect_tiling(
         K6, single_arc_pattern(), [x, 6 - x], PipelineConfig(**_CFG)
     )),
@@ -137,6 +157,42 @@ def test_counts_that_are_not_integers_at_least_their_floor_raise_bad_parameter(e
     with pytest.raises(BadParameter, match=f"^{name} must be ") as e:
         call(x)
     assert isinstance(e.value, InputError)
+
+
+@pytest.mark.parametrize("cap", [2.5, "3"])
+def test_a_path_order_cap_that_is_not_a_count_raises_bad_parameter(cap):
+    # unchecked, 2.5 caps nothing (the 6-vertex path comes back) and "3"
+    # fails in a comparison with a bare TypeError
+    with pytest.raises(BadParameter, match="^max_order must be an integer"):
+        shortest_path_avoiding(directed_cycle(10), 0, 5, set(), cap)
+    assert shortest_path_avoiding(directed_cycle(10), 0, 5, set(), 6.0) == tuple(range(6))
+
+
+@pytest.mark.parametrize(
+    "arcs",
+    [[(0, 1, 2)], [(0, 1), (2,)], [(0, 1), (1, 2, 0)], [(0, 1), (2, [0])], [0, 1]],
+    ids=["triple", "ragged", "pair-then-triple", "nested", "flat"],
+)
+def test_arcs_that_are_not_pairs_raise_bad_parameter(arcs):
+    # numpy itself refuses a ragged list, with its own ValueError
+    with pytest.raises(BadParameter, match="^arcs must be pairs"):
+        Digraph(3, arcs)
+
+
+@pytest.mark.parametrize("p", ["0.5", True, False, None, 1j])
+def test_an_arc_probability_that_is_not_a_real_number_raises_bad_parameter(p):
+    # unchecked, "0.5" fails in a comparison and True draws a complete digraph
+    with pytest.raises(BadParameter, match="^arc probability must be a number") as e:
+        gen_random_digraph(10, p, 0)
+    assert isinstance(e.value, InputError)
+
+
+def test_every_real_arc_probability_still_draws():
+    assert gen_random_digraph(30, np.float64(0.3), 4) == gen_random_digraph(30, 0.3, 4)
+    assert gen_random_digraph(30, Fraction(1, 2), 4) == gen_random_digraph(30, 0.5, 4)
+    assert gen_random_digraph(30, Decimal("0.5"), 4) == gen_random_digraph(30, 0.5, 4)
+    assert gen_random_digraph(6, 1, 0) == complete_digraph(6)
+    assert gen_random_digraph(6, 0, 0).arc_count == 0
 
 
 # name -> call with the seed set to x
@@ -269,7 +325,7 @@ def test_every_error_is_of_exactly_one_kind():
         if isinstance(c, type) and issubclass(c, DilinkError)
         and c not in (DilinkError, InputError, ConstructionFailed)
     ]
-    assert len(classes) == 21
+    assert len(classes) == 6
     for c in classes:
         assert sum(issubclass(c, k) for k in kinds) == 1, c
         assert c is PipelineFailed or not issubclass(c, PipelineFailed), c

@@ -15,9 +15,16 @@ from dilink import (
     single_arc_pattern,
     validate_ladder,
 )
-from dilink.errors import EndpointMismatch, InvalidPath, NotEmbedded, PathNotDisjoint
+from dilink.errors import BadParameter
 
 from helpers import make_ladder_instance
+
+# absorb_path's refusals, told apart by message
+NO_ARC = r"pattern arc \(\d+, \d+\) not present in subdivision"
+NOT_A_PATH = "absorbee is not a valid path of the host digraph"
+WRONG_ENDS = r"path runs \d+\.\.\d+, ladder expects \d+\.\.\d+"
+NO_RUNG = r"rung \(.*\) is not a contiguous subpath of the host path"
+MEETS = "absorbee interior reuses subdivision vertices"
 
 
 def _hand_k1():
@@ -86,8 +93,8 @@ def test_absorb_into_path_hand_case():
     arcs = set(D.arcs) | {(5, 0), (0, 7), (7, 3), (9, 0), (3, 8)}
     D3 = Digraph(10, arcs)
     host = (9, 0, 1, 6, 4, 3, 8)
-    # host must contain ALL rungs; (2,5) is missing -> NotEmbedded
-    with pytest.raises(NotEmbedded):
+    # host must contain ALL rungs; (2,5) is missing
+    with pytest.raises(BadParameter, match=r"^rung \(2, 5\) is not a contiguous"):
         _absorb_into_path(D3, host, L, (0, 7, 3))
 
 
@@ -107,11 +114,11 @@ def test_absorb_errors():
     arcs = set(D.arcs) | {(0, 7), (7, 3), (3, 2), (5, 8), (9, 0), (10, 9), (0, 9), (9, 3)}
     D4 = Digraph(11, arcs)
     host = (10, 9, 0, 1, 6, 4, 3, 2, 5, 8)
-    with pytest.raises(EndpointMismatch):
+    with pytest.raises(BadParameter, match="^path runs 7..3, ladder expects 0..3$"):
         _absorb_into_path(D4, host, L, (7, 3))
-    with pytest.raises(InvalidPath):
+    with pytest.raises(BadParameter, match=NOT_A_PATH):
         _absorb_into_path(D4, host, L, (0, 8, 3))  # nonexistent arcs
-    with pytest.raises(PathNotDisjoint):
+    with pytest.raises(BadParameter, match=MEETS + r" \[9\]"):
         _absorb_into_path(D4, host, L, (0, 9, 3))  # 9 already on host
 
 
@@ -178,7 +185,7 @@ def test_absorb_path_rejects_interior_collisions_with_other_paths():
     bad = (P or (L.start, L.end))[:1] + (mid,) + (L.end,)
     arcs = set(D.arcs) | {(bad[0], mid), (mid, bad[-1])}
     D2 = Digraph(D.n, arcs)
-    with pytest.raises(PathNotDisjoint):
+    with pytest.raises(BadParameter, match=MEETS):
         absorb_path(D2, sub, L, arc, bad)
 
 
@@ -190,21 +197,21 @@ def test_absorb_path_checks_in_order():
     y = next(v for v in range(D.n) if v not in (L.start, L.end, mid))
     D2 = Digraph(D.n, set(D.arcs) | {(L.start, mid), (mid, L.end), (mid, y)})
     cases = [
-        (NotEmbedded, (7, 8), L, (L.start, mid, mid, L.end)),  # unknown arc first
-        (InvalidPath, arc, L, (L.start, mid, mid, L.end)),  # then a repeated vertex
-        (EndpointMismatch, arc, L, (L.start, mid, y)),  # then the wrong end
-        (NotEmbedded, arc, single_arc_ladder(L.start, L.end), (L.start, mid, L.end)),
-        (PathNotDisjoint, arc, L, (L.start, mid, L.end)),  # last, the interior
+        (NO_ARC, (7, 8), L, (L.start, mid, mid, L.end)),  # unknown arc first
+        (NOT_A_PATH, arc, L, (L.start, mid, mid, L.end)),  # then a repeated vertex
+        (WRONG_ENDS, arc, L, (L.start, mid, y)),  # then the wrong end
+        (NO_RUNG, arc, single_arc_ladder(L.start, L.end), (L.start, mid, L.end)),
+        (MEETS, arc, L, (L.start, mid, L.end)),  # last, the interior
     ]
-    for error, a, ladder, P in cases:
-        with pytest.raises(error):
+    for message, a, ladder, P in cases:
+        with pytest.raises(BadParameter, match=f"^{message}"):
             absorb_path(D2, sub, ladder, a, P)
 
 
 def test_absorb_path_requires_known_host_arc():
     rng = random.Random(5)
     D, sub, L, _, P = make_ladder_instance(rng, 0, shape="arc")
-    with pytest.raises(NotEmbedded):
+    with pytest.raises(BadParameter, match=r"^pattern arc \(7, 8\) not present"):
         absorb_path(D, sub, L, (7, 8), P)
 
 

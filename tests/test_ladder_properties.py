@@ -11,7 +11,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from dilink import Digraph, Ladder, build_disjoint_ladders, gen_random_digraph, validate_ladder
-from dilink.errors import LadderConstructionFailed
+from dilink.errors import ConstructionFailed
 
 from helpers import ladder_skeleton, oracle_ladder
 
@@ -95,7 +95,8 @@ def cases(draw):
         terminals = [(order[2 * i], order[2 * i + 1]) for i in range(draw(st.integers(1, 2)))]
         try:
             return D, build_disjoint_ladders(D, terminals, "1/2", draw(st.integers(0, 999)), k)
-        except LadderConstructionFailed:
+        except ConstructionFailed as e:
+            assert "ladder #" in str(e)
             return D, []
     k = draw(st.integers(0, 2))
     n = draw(st.integers(4 * k + 2, 12))

@@ -10,7 +10,8 @@ d-cover grower or any cover.py code it calls, and no module
 holds an assert statement, which python -O would strip.  Failures are
 routed by kind: no handler names a single kind of refusal (a subclass
 of InputError) to recover from it, only the CLI's main catches
-DilinkError, and the pipelines' loop has one handler.  The
+DilinkError, the pipelines' loop has one handler, and every error
+class but the kinds and the input checks' three has a handler.  The
 edge-list reader's byte kernel raises nothing and np.loadtxt is called in
 one place, so every refused arc line is named by the one scan after it,
 and the reader reads its input once: read_digraph opens its path once and
@@ -200,6 +201,19 @@ def test_no_handler_recovers_from_one_kind_of_refusal():
         h for h in caught_errors()
         if issubclass(h[3], errors.InputError) and h[3] is not errors.InputError
         and h != ("cli", "cmd_check_degrees", h[2], errors.NotOriented)
+    ]
+    assert not found, found
+
+
+def test_every_error_class_beyond_the_input_checks_has_a_handler():
+    # a class that no handler names is only its kind under another name
+    checked = {"DilinkError", "InputError", "ConstructionFailed", "BadParameter",
+               "LabelOutOfRange", "LoopArc"}
+    caught = {h[3] for h in caught_errors()}
+    found = [
+        name for name, c in vars(errors).items()
+        if isinstance(c, type) and issubclass(c, errors.DilinkError)
+        and name not in checked and c not in caught
     ]
     assert not found, found
 

@@ -18,7 +18,7 @@ from dilink import (
     validate_subdivision,
     validate_tiling,
 )
-from dilink.errors import BadParameter, OrdersDontSumToN, PipelineFailed
+from dilink.errors import BadParameter, PipelineFailed
 
 CFG = PipelineConfig(gamma="1/2", nu="3/4", tau="3/4", d=3, seed=0)
 
@@ -106,7 +106,7 @@ def test_perfect_tiling_two_pieces():
 def test_perfect_tiling_order_checks():
     D = gen_random_digraph(200, 0.7, 2)
     H = single_arc_pattern()
-    with pytest.raises(OrdersDontSumToN):
+    with pytest.raises(BadParameter, match="orders sum to 190, but the digraph has 200 vertices"):
         perfect_tiling(D, H, [80, 110], CFG)
     with pytest.raises(BadParameter):
         perfect_tiling(D, H, [], CFG)

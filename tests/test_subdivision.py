@@ -6,7 +6,6 @@ import pytest
 from dilink import (
     Digraph,
     HSubdivision,
-    LengthPrescription,
     brute_force_subdivision,
     complete_digraph,
     gen_random_digraph,
@@ -19,7 +18,7 @@ from dilink import (
     validate_subdivision,
     validate_tiling,
 )
-from dilink.errors import BadParameter, TooLargeForOracle
+from dilink.errors import BadParameter
 
 from helpers import random_arc_set
 
@@ -38,11 +37,13 @@ def test_pattern_basics():
         PatternDigraph(Digraph(3, [(0, 1)]))
 
 
-def test_length_prescription():
-    N = LengthPrescription((3, 4))
-    assert list(N) == [3, 4] and len(N) == 2
-    with pytest.raises(BadParameter):
-        LengthPrescription((0,))
+def test_prescribed_lengths_are_counts():
+    # any sequence of whole numbers >= 1 serves, 3.0 read as 3
+    D, H, f = complete_digraph(5), single_arc_pattern(), {0: 0, 1: 1}
+    got = brute_force_subdivision(D, H, f, [3.0])
+    assert path_lengths(got) == (3,) and validate_subdivision(D, got)
+    with pytest.raises(BadParameter, match="^every prescribed length must be >= 1"):
+        brute_force_subdivision(D, H, f, (0,))
 
 
 def test_min_length_floor_frozen_values():
@@ -149,7 +150,7 @@ def test_brute_force_reports_absence():
 
 def test_brute_force_guards():
     H = single_arc_pattern()
-    with pytest.raises(TooLargeForOracle):
+    with pytest.raises(BadParameter, match="n=13 exceeds the oracle cap 12"):
         brute_force_subdivision(complete_digraph(13), H, {0: 0, 1: 1}, (1,))
     with pytest.raises(BadParameter):
         brute_force_subdivision(complete_digraph(5), H, {0: 0, 1: 1}, (1, 1))
