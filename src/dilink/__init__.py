@@ -35,9 +35,7 @@ from .degrees import (
 )
 from .digraph import (
     Arc,
-    DegreeProfile,
     Digraph,
-    degree_profile,
     is_strongly_connected,
     remove_vertices,
     validate_cycle,

@@ -1,10 +1,11 @@
 """Absorber assembly and external-path absorption.
 
-An absorber is a set K of disjoint cover pairs, one ladder per pair, and
-one or several pairwise disjoint host subdivisions of the pattern whose
-paths carry every ladder.  A slot (host index, pattern arc) names one
-host path; slots lists distinct ones, and ladder j sits on slots[j %
-len(slots)], the one record of where it lies.  Both builders run one
+An absorber is a set of disjoint ladders, whose ends (start, end) are
+the cover pairs K, and one or several pairwise disjoint host
+subdivisions of the pattern whose paths carry every ladder.  A slot
+(host index, pattern arc) names one host path; slots lists distinct
+ones, and ladder j sits on slots[j % len(slots)], the one record of
+where it lies.  Both builders run one
 assembly and differ only in their branch maps and slots: a Type-I
 absorber has one host on the prescribed branch map with a slot per
 pattern arc; a Type-II absorber has k hosts on branch vertices drawn at
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -74,25 +75,25 @@ def absorber_size_bound(n: int, nu: Real, gamma: Real, d: int) -> float:
 
 @dataclass(frozen=True)
 class Absorber:
-    """Cover pairs, one ladder per pair, and pairwise disjoint host
-    subdivisions carrying the ladders.
+    """Ladders and pairwise disjoint host subdivisions carrying them.
 
     Ladder j's rungs lie on the path of slots[j % len(slots)], a
     (host index, pattern arc); the slots are nonempty and distinct.
+    The cover pairs K are the ladders' ends: pairs lists each ladder's
+    (start, end) in order, and ladders sharing an end raise BadParameter.
     """
 
-    pairs: CoverPairSet
     ladders: tuple[Ladder, ...]
     hosts: tuple[HSubdivision, ...]
     d: int
     slots: tuple[tuple[int, Arc], ...]
+    pairs: CoverPairSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ladders", tuple(self.ladders))
         object.__setattr__(self, "hosts", tuple(self.hosts))
         object.__setattr__(self, "slots", tuple(self.slots))
-        if len(self.ladders) != len(self.pairs):
-            raise BadParameter("one ladder per cover pair required")
+        object.__setattr__(self, "pairs", CoverPairSet([(L.start, L.end) for L in self.ladders]))
         if not self.slots or len(set(self.slots)) != len(self.slots):
             raise BadParameter("at least one slot required, and no slot twice")
         if not self.hosts:
@@ -182,7 +183,7 @@ def _build_absorber(
         })
         for hi, f in enumerate(maps)
     ]
-    A = Absorber(K, ladders, hosts, d, slots)
+    A = Absorber(ladders, hosts, d, slots)
     problems: list[str] = []
     if not validate_absorber(D, A, problems):
         raise ConstructionFailed("absorber failed validation: " + "; ".join(problems))
@@ -247,14 +248,12 @@ def validate_absorber(
         notes.append(msg)
         return False
 
-    ok = True  # Absorber itself holds one ladder per pair
+    ok = True
     seen: set[int] = set()
-    for i, ((u, v), L) in enumerate(zip(A.pairs, A.ladders)):
+    for i, L in enumerate(A.ladders):
         if not validate_ladder(D, L):
             ok = fail(f"ladder {i} invalid")
             continue
-        if L.start != u or L.end != v:
-            ok = fail(f"ladder {i} does not run {u}->{v}")
         lv = L.vertices()
         if lv & seen:
             ok = fail(f"ladder {i} overlaps an earlier ladder")
@@ -287,13 +286,15 @@ def cut_absorbable_segments(
     where the ends of each segment are covered by a pair whose ladder
     sits on its slot.  Every offset is tested at once; ConstructionFailed
     says that no offset serves segments 0..i together.  A size below 1,
-    a non-integer size or seed, more sizes than slots, sizes summing past
-    |C| or a C meeting V(A) raises BadParameter, a label of C outside
-    0..n-1 LabelOutOfRange.
+    a non-integer size or seed, a C of fewer than 2 vertices, more sizes
+    than slots, sizes summing past |C| or a C meeting V(A) raises
+    BadParameter, a label of C outside 0..n-1 LabelOutOfRange.
     """
     sizes = [as_count(s, "every segment size") for s in sizes]
     seed = as_count(seed, "seed", least=None)
     check_labels(D.n, C)
+    if len(C) < 2:
+        raise BadParameter("a cycle needs at least 2 vertices")
     if A.vertices().intersection(C):
         raise BadParameter("the cycle meets the absorber")
     if len(sizes) > len(A.slots):

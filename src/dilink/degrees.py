@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .digraph import DegreeProfile, Digraph, degree_profile
+from .digraph import Digraph
 from .errors import BadParameter, NotOriented
 from .ratio import Real, as_density, as_fraction, ceil_frac
 
@@ -39,14 +39,20 @@ class ConditionReport:
 _OK = ConditionReport(True)
 
 
-def _paired(prof: DegreeProfile, margin: int, lag: int, stop: int) -> ConditionReport:
-    """The paired rule on a degree profile for every 1 <= i < stop, the
-    first failure (least i, "out" before "in") reported:
+def _sorted_degrees(D: Digraph) -> tuple[np.ndarray, np.ndarray]:
+    """D's out-degrees and in-degrees, each sorted nondecreasing."""
+    M = D.bool_matrix()
+    return np.sort(M.sum(axis=1)), np.sort(M.sum(axis=0))
+
+
+def _paired(dout, din, margin: int, lag: int, stop: int) -> ConditionReport:
+    """The paired rule on the sorted degree arrays dout and din for
+    every 1 <= i < stop, the first failure (least i, "out" before "in")
+    reported:
       d_i+ >= i + margin  or  d_{n-i-lag}- >= n-i     (tag "out")
       d_i- >= i + margin  or  d_{n-i-lag}+ >= n-i     (tag "in")
     where a partner index n-i-lag below 1 makes its clause unsatisfiable."""
-    n = len(prof.out_sorted)
-    dout, din = np.asarray(prof.out_sorted), np.asarray(prof.in_sorted)
+    n = len(dout)
     i = np.arange(1, stop)
     j = n - i - lag  # the partner index, 1-based
     fails = np.empty((len(i), 2), dtype=bool)  # per i, the "out" then the "in" clause
@@ -68,7 +74,7 @@ def nash_williams(D: Digraph) -> ConditionReport:
     n = D.n
     if n < 3:
         raise BadParameter(f"need at least 3 vertices, got {n}")
-    return _paired(degree_profile(D), 1, 0, (n + 1) // 2)  # all i with i < n/2
+    return _paired(*_sorted_degrees(D), 1, 0, (n + 1) // 2)  # all i with i < n/2
 
 
 def asymptotic_nash_williams(D: Digraph, gamma: Real) -> ConditionReport:
@@ -83,7 +89,7 @@ def asymptotic_nash_williams(D: Digraph, gamma: Real) -> ConditionReport:
     if n < 1:
         raise BadParameter("empty digraph")
     g = ceil_frac(as_density(gamma, "gamma") * n)
-    return _paired(degree_profile(D), g, g, (n + 1) // 2)
+    return _paired(*_sorted_degrees(D), g, g, (n + 1) // 2)
 
 
 def posa_type(D: Digraph, gamma: Real) -> ConditionReport:
@@ -96,16 +102,16 @@ def posa_type(D: Digraph, gamma: Real) -> ConditionReport:
     if n < 3:
         raise BadParameter(f"need at least 3 vertices, got {n}")
     frac_g = as_density(gamma, "gamma")
-    prof = degree_profile(D)
+    dout, din = _sorted_degrees(D)
     # lag n puts every partner index below 1, so only d_i >= i + margin counts
-    if not (report := _paired(prof, ceil_frac(frac_g * n), n, n // 2)):  # all i < (n-1)/2
+    if not (report := _paired(dout, din, ceil_frac(frac_g * n), n, n // 2)):  # all i < (n-1)/2
         return report
     if n % 2 == 1:
         mid = (n + 1) // 2
         need = ceil_frac((Fraction(1, 2) + frac_g) * n)
-        if prof.out_sorted[mid - 1] < need:
+        if dout[mid - 1] < need:
             return ConditionReport(False, mid, "odd-out")
-        if prof.in_sorted[mid - 1] < need:
+        if din[mid - 1] < need:
             return ConditionReport(False, mid, "odd-in")
     return _OK
 
@@ -136,8 +142,9 @@ def oriented_semidegree(D: Digraph, epsilon: Real) -> OrientedReport:
         u, v = digons[0].tolist()
         raise NotOriented(f"digon between {u} and {v}")
     n = D.n
-    prof = degree_profile(D)
-    semi_ok = prof.delta_zero >= ceil_frac((Fraction(3, 8) + eps) * n)
-    total = prof.delta_plus + prof.delta_minus + prof.delta_min_total
-    sum_ok = total >= ceil_frac(Fraction(3, 2) * n + eps * n)
+    outs, ins = M.sum(axis=1), M.sum(axis=0)
+    # initial=2n lies above every degree sum, and makes each minimum 0 at n = 0
+    dplus, dminus, dtotal = (int(x.min(initial=2 * n)) for x in (outs, ins, outs + ins))
+    semi_ok = min(dplus, dminus) >= ceil_frac((Fraction(3, 8) + eps) * n)
+    sum_ok = dplus + dminus + dtotal >= ceil_frac(Fraction(3, 2) * n + eps * n)
     return OrientedReport(semi_ok, sum_ok)

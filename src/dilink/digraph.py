@@ -6,14 +6,13 @@ Vertices are always 0..n-1.  At most one arc per ordered pair, no loops;
 
 The only stored form is a read-only n x n numpy bool adjacency matrix,
 which suits the dense digraphs (Theta(n) neighbours per vertex) worked on
-here.  Every other view (the arc set, neighbour tuples, degrees, bitmasks)
+here.  Every other view (the arc set, out-neighbour tuples, bitmasks)
 is computed from the matrix each time it is asked for; nothing else is
 stored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -113,18 +112,6 @@ class Digraph:
         check_labels(self.n, (v,))
         return tuple(np.flatnonzero(self._matrix[v]).tolist())
 
-    def in_neighbors(self, v: int) -> tuple[int, ...]:
-        check_labels(self.n, (v,))
-        return tuple(np.flatnonzero(self._matrix[:, v]).tolist())
-
-    def out_degree(self, v: int) -> int:
-        check_labels(self.n, (v,))
-        return int(np.count_nonzero(self._matrix[v]))
-
-    def in_degree(self, v: int) -> int:
-        check_labels(self.n, (v,))
-        return int(np.count_nonzero(self._matrix[:, v]))
-
     def vertices(self) -> range:
         return range(self.n)
 
@@ -155,33 +142,6 @@ class Digraph:
         """Per-vertex bitmask of in-neighbors (bit u set iff u->v)."""
         packed = np.packbits(self._matrix.T, axis=1, bitorder="little")
         return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
-
-
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Sorted degree sequences plus the degree minima of a digraph.
-
-    out_sorted / in_sorted are nondecreasing; delta_min_total is the
-    minimum over vertices of out-degree + in-degree (a per-vertex sum,
-    not derivable from the two sorted sequences).
-    """
-
-    out_sorted: tuple[int, ...]
-    in_sorted: tuple[int, ...]
-    delta_plus: int
-    delta_minus: int
-    delta_zero: int
-    delta_min_total: int
-
-
-def degree_profile(D: Digraph) -> DegreeProfile:
-    if D.n == 0:
-        return DegreeProfile((), (), 0, 0, 0, 0)
-    M = D.bool_matrix()
-    outs, ins = M.sum(axis=1), M.sum(axis=0)
-    dplus, dminus = int(outs.min()), int(ins.min())
-    return DegreeProfile(tuple(sorted(outs.tolist())), tuple(sorted(ins.tolist())),
-                         dplus, dminus, min(dplus, dminus), int((outs + ins).min()))
 
 
 def remove_vertices(D: Digraph, removed: Iterable[int]) -> Digraph:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal
 from numbers import Real
 
@@ -16,18 +17,24 @@ def gen_random_digraph(n: int, p: float, seed: int) -> Digraph:
     """Binomial random digraph: each ordered pair (u, v), u != v, is an
     arc independently with probability p.  Deterministic given the seed;
     an n outside 0..MAX_ORDER raises BadParameter before any allocation,
-    as does a p that is a bool or not a real number (a Decimal is one)."""
+    as does a p that is a bool, not a real number (a Decimal is one), NaN
+    or outside [0, 1].  p is read as its nearest double, so a Fraction or
+    a Decimal draws what float(p) draws."""
     n = as_order(n)
     seed = as_count(seed, "seed", least=0)  # numpy takes no negative seed
     if isinstance(p, bool) or not isinstance(p, (Real, Decimal)):
         raise BadParameter(f"arc probability must be a number, got {p!r}")
-    if not 0.0 <= p <= 1.0:
+    try:
+        q = float(p)
+    except (ValueError, OverflowError):  # a signalling NaN, a Fraction past the doubles
+        q = math.nan
+    if not 0.0 <= q <= 1.0:
         raise BadParameter(f"arc probability must lie in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
     mat = np.empty((n, n), dtype=bool)
     # 64-row blocks: the doubles of one n x n draw, without an 8n^2-byte temporary
     for lo in range(0, n, 64):
-        np.less(rng.random((min(64, n - lo), n)), p, out=mat[lo:lo + 64])
+        np.less(rng.random((min(64, n - lo), n)), q, out=mat[lo:lo + 64])
     np.fill_diagonal(mat, False)
     return Digraph._of_matrix(mat)
 

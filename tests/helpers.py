@@ -154,7 +154,8 @@ def oracle_robust_outexpander(D: Digraph, nu, tau):
     """
     nu, tau = Fraction(nu), Fraction(tau)
     n = D.n
-    ins = [set(D.in_neighbors(x)) for x in range(n)]
+    M = D.bool_matrix()
+    ins = [set(np.flatnonzero(M[:, x]).tolist()) for x in range(n)]
     for size in range(n + 1):
         if not tau * n < size < (1 - tau) * n:
             continue
@@ -180,7 +181,7 @@ def oracle_min_violating_set(D: Digraph, nu, tau):
     size = np.bitwise_count(masks).astype(np.int64)
     reach = np.zeros(1 << n, dtype=np.int64)  # |RN+(S)| for every S
     for x in range(n):
-        in_mask = sum(1 << u for u in D.in_neighbors(x))
+        in_mask = sum(1 << u for u in np.flatnonzero(D.bool_matrix()[:, x]).tolist())
         hits = np.bitwise_count(masks & in_mask).astype(np.int64)  # a uint8 product wraps
         reach += hits * nu.denominator >= nu.numerator * n
     in_range = (tau.numerator * n < size * tau.denominator) & (
@@ -595,3 +596,16 @@ def reference_degree_conditions(D: Digraph, gamma) -> dict[str, tuple]:
         "asymptotic_nash_williams": asymptotic_nash_williams(),
         "posa_type": posa_type(),
     }
+
+
+def reference_oriented_semidegree(D: Digraph, epsilon) -> tuple[bool, bool]:
+    """(semidegree_ok, degree_sum_ok) of oriented_semidegree, transcribed
+    one vertex at a time on degrees counted with has_arc: every d+(v) and
+    d-(v) at least (3/8 + eps) n, and delta+ + delta- + min over v of
+    d+(v) + d-(v) at least (3/2 + eps) n."""
+    n, eps = D.n, Fraction(epsilon)
+    outs = [sum(D.has_arc(v, w) for w in range(n)) for v in range(n)]
+    ins = [sum(D.has_arc(w, v) for w in range(n)) for v in range(n)]
+    semi = all(min(o, i) >= (Fraction(3, 8) + eps) * n for o, i in zip(outs, ins))
+    total = min(outs) + min(ins) + min(o + i for o, i in zip(outs, ins))
+    return semi, total >= (Fraction(3, 2) + eps) * n

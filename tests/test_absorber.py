@@ -5,7 +5,6 @@ import pytest
 
 from dilink import (
     Absorber,
-    CoverPairSet,
     ExpansionParams,
     HSubdivision,
     PipelineConfig,
@@ -127,22 +126,16 @@ def test_validate_absorber_catches_tampering():
     D = _dense()
     H = single_arc_pattern()
     A = build_type1_absorber(D, H, {0: 0, 1: 1}, P_DEFAULT, d=3, seed=0)
-    # a ladder without its pair can't even be constructed
-    with pytest.raises(BadParameter):
-        Absorber(A.pairs, A.ladders[:-1], A.hosts, A.d, A.slots)
-    problems: list[str] = []
-    # swap two pairs without touching the ladders: alignment breaks
-    flipped = CoverPairSet((A.pairs.pairs[1], A.pairs.pairs[0]) + A.pairs.pairs[2:])
-    assert not validate_absorber(
-        D, Absorber(flipped, A.ladders, A.hosts, A.d, A.slots), problems
-    )
-    assert problems
+    # K is the ladders' ends, so ladders sharing an end can't even be built
+    assert A.pairs.pairs == tuple((L.start, L.end) for L in A.ladders)
+    with pytest.raises(BadParameter, match="disjoint"):
+        Absorber(A.ladders + A.ladders[:1], A.hosts, A.d, A.slots)
     # a slot on a path the host lacks carries nothing
-    problems = []
+    problems: list[str] = []
     assert not validate_absorber(D, dataclasses.replace(A, slots=((0, (9, 9)),)), problems)
     assert problems == ["slot 0 names no host path"]
     # claim a higher multiplicity than the cover provides
-    greedy = Absorber(A.pairs, A.ladders, A.hosts, 64, A.slots)
+    greedy = Absorber(A.ladders, A.hosts, 64, A.slots)
     assert not validate_absorber(D, greedy)
 
 
@@ -151,7 +144,7 @@ def test_absorber_refuses_empty_or_repeated_slots(slots):
     # ladder j sits on slots[j % len(slots)]: that needs slots, each named once
     A = build_type1_absorber(_dense(), single_arc_pattern(), {0: 0, 1: 1}, P_DEFAULT, d=3, seed=0)
     with pytest.raises(BadParameter, match="slot"):
-        Absorber(A.pairs, A.ladders, A.hosts, A.d, slots)
+        Absorber(A.ladders, A.hosts, A.d, slots)
 
 
 def test_validate_absorber_flags_ladders_dealt_to_the_wrong_paths():
@@ -173,7 +166,7 @@ def test_validate_absorber_flags_a_pattern_arc_without_ladders():
     A = build_type1_absorber(D, H, {0: 10, 1: 20, 2: 30}, P_DEFAULT, d=3, seed=1)
     # two ladders for three slots: the third slot's path carries none
     _, bare = A.slots[2]
-    T = Absorber(CoverPairSet(A.pairs.pairs[:2]), A.ladders[:2], A.hosts, A.d, A.slots)
+    T = Absorber(A.ladders[:2], A.hosts, A.d, A.slots)
     problems: list[str] = []
     assert not validate_absorber(D, T, problems)
     assert f"host 0 arc {bare} carries no ladder" in problems
@@ -195,10 +188,7 @@ def test_validate_absorber_flags_a_host_without_ladders():
     A = build_type2_absorber(D, H, 2, P_DEFAULT, d=3, seed=0)
     spare = _spare_host(D, H, A, share=False)
     # two ladders for three slots, the third on the spare host
-    T = Absorber(
-        CoverPairSet(A.pairs.pairs[:2]), A.ladders[:2], A.hosts + (spare,), A.d,
-        A.slots + ((2, (0, 1)),),
-    )
+    T = Absorber(A.ladders[:2], A.hosts + (spare,), A.d, A.slots + ((2, (0, 1)),))
     problems: list[str] = []
     assert not validate_absorber(D, T, problems)
     assert problems == [
@@ -211,7 +201,7 @@ def test_validate_absorber_flags_hosts_that_share_a_vertex():
     H = single_arc_pattern()
     A = build_type2_absorber(D, H, 2, P_DEFAULT, d=3, seed=0)
     spare = _spare_host(D, H, A, share=True)
-    T = Absorber(A.pairs, A.ladders, A.hosts + (spare,), A.d, A.slots)
+    T = Absorber(A.ladders, A.hosts + (spare,), A.d, A.slots)
     problems: list[str] = []
     assert not validate_absorber(D, T, problems)
     assert problems == ["host 2 overlaps an earlier host"]
@@ -263,13 +253,7 @@ def test_one_path_at_a_time_matches_batch_absorption():
         v = path[path.index(seg[-1]) + 1]
         j = cur.pairs.pairs.index((u, v))
         keep = [t for t in range(len(cur.pairs)) if t != j]
-        cur = Absorber(
-            CoverPairSet(tuple(cur.pairs.pairs[t] for t in keep)),
-            tuple(cur.ladders[t] for t in keep),
-            (out,),
-            cur.d,
-            cur.slots,
-        )
+        cur = Absorber(tuple(cur.ladders[t] for t in keep), (out,), cur.d, cur.slots)
     assert cur.hosts[0].vertices() == batch.vertices()
     assert validate_subdivision(D, cur.hosts[0])
 
@@ -387,7 +371,7 @@ def test_cut_absorbable_segments_covers_each_segment_from_its_own_slot():
     # two pairs per slot, so many offsets lack a covering pair on some slot
     D = _dense(7)
     A = build_type2_absorber(D, single_arc_pattern(), 2, P_DEFAULT, d=3, seed=0)
-    few = Absorber(CoverPairSet(A.pairs.pairs[:4]), A.ladders[:4], A.hosts, A.d, A.slots)
+    few = Absorber(A.ladders[:4], A.hosts, A.d, A.slots)
     C = _leftover_cycle(D, A)
     sizes = [3, 4]
 

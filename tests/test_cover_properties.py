@@ -6,6 +6,7 @@ guarantees at forced k >= 1."""
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -56,9 +57,9 @@ def dense_digraphs(draw, max_n=12):
 def _provably_none(D, d, usable):
     # the degree proof: too few usable vertices, or a vertex short of
     # d out- or in-neighbours outside avoid
+    M = D.bool_matrix()
     return 2 * d > len(usable) or any(
-        len(set(D.out_neighbors(x)) & usable) < d or len(set(D.in_neighbors(x)) & usable) < d
-        for x in range(D.n)
+        len(set(np.flatnonzero(row).tolist()) & usable) < d for row in (*M, *M.T)
     )
 
 

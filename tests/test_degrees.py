@@ -8,7 +8,6 @@ from dilink import (
     Digraph,
     asymptotic_nash_williams,
     complete_digraph,
-    degree_profile,
     directed_cycle,
     gen_random_digraph,
     nash_williams,
@@ -87,6 +86,12 @@ def test_oriented_checker_on_tournaments():
     assert not rep2.satisfied
 
 
+def _sorted_degrees(D):
+    """D's out-degrees and in-degrees, each sorted nondecreasing."""
+    M = D.bool_matrix()
+    return tuple(sorted(M.sum(axis=1).tolist())), tuple(sorted(M.sum(axis=0).tolist()))
+
+
 def _all_ordered_pairs(n):
     return [(u, v) for u in range(n) for v in range(n) if u != v]
 
@@ -95,14 +100,14 @@ def _digraph_from_mask(n, pairs, mask):
     return Digraph(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
 
 
-def _partner_positions_carry_equal_values(prof, n, g):
+def _partner_positions_carry_equal_values(seqs, n, g):
     # with slack g the second clause reads the sorted sequences at
     # position n-i-g instead of n-i; when both positions hold the same
-    # value (in both profiles, for every i in range) the two checkers
+    # value (in both sequences, for every i in range) the two checkers
     # evaluate literally identical inequalities
     for i in range(1, (n + 1) // 2):
         j = n - i - g
-        for seq in (prof.out_sorted, prof.in_sorted):
+        for seq in seqs:
             if j >= 1 and seq[j - 1] != seq[n - i - 1]:
                 return False
     return True
@@ -119,7 +124,7 @@ def test_slack_variant_vs_exact_variant_at_vanishing_slack():
         # the slack variant reads a lower (hence no larger) sorted entry,
         # so it can only be the more demanding of the two
         assert not (anw and not nw)
-        if _partner_positions_carry_equal_values(degree_profile(D), D.n, 1):
+        if _partner_positions_carry_equal_values(_sorted_degrees(D), D.n, 1):
             assert nw == anw
             return True, nw
         return False, nw
@@ -154,17 +159,17 @@ def test_slack_variant_vs_exact_variant_at_vanishing_slack():
     assert not asymptotic_nash_williams(D, Fraction(1, 10)).satisfied
 
 
-def _recheck_paired(prof, n, rep):
-    first, partner = prof.out_sorted, prof.in_sorted
+def _recheck_paired(seqs, n, rep):
+    first, partner = seqs
     if rep.failing_clause == "in":
         first, partner = partner, first
     i = rep.failing_index
     return first[i - 1] < i + 1 and partner[n - i - 1] < n - i
 
 
-def _recheck_paired_slack(prof, n, rep, gamma):
+def _recheck_paired_slack(seqs, n, rep, gamma):
     g = math.ceil(Fraction(gamma) * n)
-    first, partner = prof.out_sorted, prof.in_sorted
+    first, partner = seqs
     if rep.failing_clause == "in":
         first, partner = partner, first
     i = rep.failing_index
@@ -173,8 +178,8 @@ def _recheck_paired_slack(prof, n, rep, gamma):
     return first[i - 1] < i + g and not partner_holds
 
 
-def _recheck_growth(prof, n, rep, gamma):
-    seq = prof.out_sorted if rep.failing_clause.endswith("out") else prof.in_sorted
+def _recheck_growth(seqs, n, rep, gamma):
+    seq = seqs[0] if rep.failing_clause.endswith("out") else seqs[1]
     i = rep.failing_index
     if rep.failing_clause.startswith("odd"):
         return seq[i - 1] < math.ceil((Fraction(1, 2) + Fraction(gamma)) * n)
@@ -199,12 +204,12 @@ def test_failure_diagnoses_reproduce_on_the_sorted_profiles():
     failures = 0
     clauses = {"paired": set(), "slack": set(), "growth": set()}
     for D in instances:
-        n, prof = D.n, degree_profile(D)
+        n, seqs = D.n, _sorted_degrees(D)
         rep = nash_williams(D)
         if not rep.satisfied:
             failures += 1
             clauses["paired"].add(rep.failing_clause)
-            assert _recheck_paired(prof, n, rep)
+            assert _recheck_paired(seqs, n, rep)
         # small gamma keeps the partner clause alive; large gamma pushes
         # its index below 1 (treated as unsatisfiable)
         for gamma in (Fraction(1, 2 * n), Fraction(2, 5)):
@@ -212,12 +217,12 @@ def test_failure_diagnoses_reproduce_on_the_sorted_profiles():
             if not rep.satisfied:
                 failures += 1
                 clauses["slack"].add(rep.failing_clause)
-                assert _recheck_paired_slack(prof, n, rep, gamma)
+                assert _recheck_paired_slack(seqs, n, rep, gamma)
             rep = posa_type(D, gamma)
             if not rep.satisfied:
                 failures += 1
                 clauses["growth"].add(rep.failing_clause)
-                assert _recheck_growth(prof, n, rep, gamma)
+                assert _recheck_growth(seqs, n, rep, gamma)
 
     assert failures > 300
     assert clauses["paired"] == {"out", "in"}
@@ -252,3 +257,21 @@ def test_monotone_under_arc_addition(seed):
             and not asymptotic_nash_williams(D2, gamma).satisfied
         )
         assert not (posa_type(D, gamma).satisfied and not posa_type(D2, gamma).satisfied)
+
+
+def test_verdicts_are_invariant_under_relabelling():
+    """The checkers read only the sorted degree sequences, so relabelling
+    the vertices leaves every verdict and first failure as it was."""
+    rng = random.Random(31)
+    checks = (
+        nash_williams,
+        lambda G: asymptotic_nash_williams(G, "1/10"),
+        lambda G: posa_type(G, "1/10"),
+    )
+    for _ in range(40):
+        n = rng.randrange(3, 15)
+        D = gen_random_digraph(n, rng.uniform(0, 1), rng.randrange(10**6))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        relabelled = Digraph(n, [(perm[u], perm[v]) for u, v in D.arcs])
+        assert [check(relabelled) for check in checks] == [check(D) for check in checks]

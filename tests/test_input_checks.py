@@ -7,6 +7,7 @@ lives in.  Each of those is an InputError, and every dilink error is of
 exactly one kind: an InputError, a ConstructionFailed or PipelineFailed."""
 
 import functools
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -195,6 +196,26 @@ def test_every_real_arc_probability_still_draws():
     assert gen_random_digraph(6, 0, 0).arc_count == 0
 
 
+@pytest.mark.parametrize(
+    "p",
+    [Decimal("NaN"), Decimal("sNaN"), float("nan"), Fraction(10**400)],
+    ids=["decimal-nan", "decimal-snan", "float-nan", "huge-fraction"],
+)
+def test_an_arc_probability_that_is_nan_or_huge_raises_bad_parameter(p):
+    # compared as given, a Decimal NaN raised a bare decimal.InvalidOperation
+    with pytest.raises(BadParameter, match="^arc probability must lie in"):
+        gen_random_digraph(10, p, 0)
+
+
+def test_a_fraction_arc_probability_draws_as_its_double_and_as_fast():
+    # compared as given, a Fraction made numpy compare Python objects: 1 s at n = 600
+    gen_random_digraph(600, 0.7, 0)
+    start = time.perf_counter()
+    D = gen_random_digraph(600, Fraction(7, 10), 0)
+    assert time.perf_counter() - start < 0.25
+    assert D == gen_random_digraph(600, 0.7, 0)
+
+
 # name -> call with the seed set to x
 SEED_ENTRIES = {
     "PipelineConfig": lambda x: PipelineConfig(**_CFG, seed=x),
@@ -265,9 +286,6 @@ def _leftover():
 # name -> (n, call with one label set to v on a digraph of n vertices)
 LABEL_ENTRIES = {
     "out_neighbors": (6, lambda v: K6.out_neighbors(v)),
-    "in_neighbors": (6, lambda v: K6.in_neighbors(v)),
-    "out_degree": (6, lambda v: K6.out_degree(v)),
-    "in_degree": (6, lambda v: K6.in_degree(v)),
     "remove_vertices": (6, lambda v: remove_vertices(K6, [0, v])),
     "hamilton_cycle-avoid": (6, lambda v: hamilton_cycle(K6, 0, avoid=[0, v])),
     "build_d_cover-avoid": (6, lambda v: build_d_cover(K6, 1, 0, avoid=[v])),
@@ -315,6 +333,15 @@ def test_labels_that_are_not_integers_raise_bad_parameter(entry, v):
     _, call = LABEL_ENTRIES[entry]
     with pytest.raises(BadParameter, match="not an integer label"):
         call(v)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_a_cycle_of_fewer_than_two_vertices_raises_bad_parameter(k):
+    # as hamilton_cycle refuses one; with no offset to draw, random.choice
+    # raised a bare IndexError
+    D, A, C = _leftover()
+    with pytest.raises(BadParameter, match="^a cycle needs at least 2 vertices"):
+        cut_absorbable_segments(D, A, C[:k], [])
 
 
 def test_every_error_is_of_exactly_one_kind():

@@ -1,4 +1,4 @@
-"""A lint over the library source.  Neighbour tuples are built in
+"""A lint over the library source.  Out-neighbour tuples are built in
 digraph.py and read only by one small-n search, the subdivision oracle,
 and single arcs are read with has_arc only by Digraph itself and the
 reference `covers`: everything else reads rows or entries of the
@@ -17,7 +17,8 @@ one place, so every refused arc line is named by the one scan after it,
 and the reader reads its input once: read_digraph opens its path once and
 nothing in fileio seeks, so a pipe reads as a file does.  Every name the
 package exports has a reader outside tests: library code beyond its own
-definition, a demo, or a mention in backticks in README."""
+definition, a demo, or a mention in backticks in README, and so has
+every public method and property of Digraph, read by name."""
 
 import ast
 import re
@@ -28,7 +29,7 @@ import pytest
 from dilink import errors
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dilink"
-TUPLE_READS = {"out_neighbors", "in_neighbors"}
+TUPLE_READS = {"out_neighbors"}
 ALLOWED = {("subdivision", "brute_force_subdivision")}
 ARC_READS = {"has_arc"}
 ARC_READERS = {("cover", "covers"), ("digraph", "Digraph")}
@@ -40,6 +41,8 @@ README = SRC.parent.parent / "README.md"
 DEMOS = sorted((SRC.parent.parent / "demos").glob("*.py"))
 # perfbench reads it; the benchmark change of ROADMAP item 1b deletes it
 NO_READER = {"cut_cycle_segments"}
+# perfbench reads it; the benchmark change of ROADMAP item 1b deletes it
+NO_MEMBER_READER = {"in_masks"}
 
 
 def method_calls(tree: ast.AST, methods):
@@ -91,8 +94,8 @@ def test_only_the_deletion_certifier_removes_vertices(path):
 
 
 def test_the_lint_sees_a_call_inside_a_nested_function():
-    tree = ast.parse("def f(D):\n    def g():\n        return D.in_neighbors(0)\n")
-    assert method_calls(tree, TUPLE_READS) == [(3, "in_neighbors", ("f", "g"))]
+    tree = ast.parse("def f(D):\n    def g():\n        return D.out_neighbors(0)\n")
+    assert method_calls(tree, TUPLE_READS) == [(3, "out_neighbors", ("f", "g"))]
     tree = ast.parse("class C:\n    def m(self, D):\n        return D.has_arc(0, 1)\n")
     assert method_calls(tree, ARC_READS) == [(3, "has_arc", ("C", "m"))]
     tree = ast.parse(
@@ -306,3 +309,30 @@ def test_every_exported_name_has_a_reader_outside_tests():
         and not re.search(rf"\b{public}\b", quoted)
     }
     assert found == NO_READER, found ^ NO_READER
+
+
+def digraph_members():
+    """Every public method and property the Digraph class defines."""
+    tree = ast.parse((SRC / "digraph.py").read_text())
+    [cls] = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Digraph"]
+    return {
+        n.name for n in cls.body if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")
+    }
+
+
+def test_the_lint_sees_every_digraph_member():
+    assert digraph_members() >= {"arcs", "has_arc", "out_neighbors", "bool_matrix", "in_masks"}
+    assert not {"__eq__", "_of_matrix"} & digraph_members()
+
+
+def test_every_digraph_member_has_a_reader_outside_tests():
+    # a query only tests read is a second copy of what the matrix says
+    library = [ast.parse(p.read_text()) for p in MODULES]
+    demos = [ast.parse(p.read_text()) for p in DEMOS]
+    quoted = " ".join(re.findall(r"```.*?```|`[^`\n]+`", README.read_text(), re.S))
+    found = {
+        name for name in digraph_members()
+        if not any(reads(tree, name) for tree in library + demos)
+        and not re.search(rf"\.{name}\b", quoted)
+    }
+    assert found == NO_MEMBER_READER, found ^ NO_MEMBER_READER
