@@ -16,6 +16,7 @@ from dilink import (
     validate_cycle,
     validate_path,
 )
+from dilink.degrees import _sorted_degrees
 from dilink.digraph import MAX_ORDER
 from dilink.errors import BadParameter, LabelOutOfRange, LoopArc
 
@@ -155,6 +156,34 @@ def test_dense_views_agree_with_has_arc():
             toggled = arcs ^ {(0, 1)}
             assert Digraph(n, toggled) != D
         assert Digraph(n + 1, arcs) != D
+
+
+def test_degree_profile():
+    # the degree checkers' sorted sequences, summed from the matrix
+    D = Digraph(3, [(0, 1), (0, 2), (1, 2)])
+    outs, ins = _sorted_degrees(D)
+    assert outs.tolist() == [0, 1, 2]
+    assert ins.tolist() == [0, 1, 2]
+    M = D.bool_matrix()
+    # vertex 1 has out+in = 2, the minimum over vertices
+    assert M[1].sum() + M[:, 1].sum() == 2
+    assert (M.sum(axis=1) + M.sum(axis=0)).min() == 2
+
+
+def test_degree_sums_and_relabelling_invariance():
+    """Both sorted sequences sum to the arc count, and they only depend
+    on the digraph up to relabelling."""
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randrange(1, 15)
+        D = gen_random_digraph(n, rng.uniform(0, 1), rng.randrange(10**6))
+        outs, ins = _sorted_degrees(D)
+        assert outs.sum() == ins.sum() == D.arc_count
+        perm = list(range(n))
+        rng.shuffle(perm)
+        relabelled = Digraph(n, [(perm[u], perm[v]) for u, v in D.arcs])
+        for seq, again in zip((outs, ins), _sorted_degrees(relabelled)):
+            assert np.array_equal(seq, again)
 
 
 def test_validate_path_agrees_with_brute_force_membership_check():

@@ -49,6 +49,7 @@ from dilink import (
     verify_d_cover,
 )
 from dilink.absorber import check_paths, cut_absorbable_segments
+from dilink.subdivision import check_branch_map
 from dilink import errors
 from dilink.errors import (
     BadParameter,
@@ -309,6 +310,7 @@ LABEL_ENTRIES = {
     "certify_survives_deletion": (
         6, lambda v: certify_survives_deletion(K6, ExpansionParams(1, 1), [v])
     ),
+    "check_branch_map": (6, lambda v: check_branch_map(single_arc_pattern(), {0: 0, 1: v}, 6)),
     "brute_force_subdivision": (6, lambda v: brute_force_subdivision(
         K6, single_arc_pattern(), {0: 0, 1: v}, (1,)
     )),
