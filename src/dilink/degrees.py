@@ -3,7 +3,8 @@
 All checkers index sorted degree sequences 1-based (d_1 is the smallest)
 and evaluate real thresholds exactly: a degree satisfies ">= gamma*n" iff
 it is >= ceil(gamma*n), computed in exact rational arithmetic.  A
-slack margin gamma outside (0, 1) raises BadParameter.
+slack margin gamma outside (0, 1), or an oriented margin epsilon outside
+[0, 1), raises BadParameter.
 """
 
 from __future__ import annotations
@@ -134,8 +135,11 @@ class OrientedReport:
 
 def oriented_semidegree(D: Digraph, epsilon: Real) -> OrientedReport:
     """Check (a) min semidegree >= (3/8 + eps) n and (b)
-    delta+ + delta- + delta >= 3n/2 + eps n, on an oriented digraph."""
+    delta+ + delta- + delta >= 3n/2 + eps n, on an oriented digraph.
+    An epsilon outside [0, 1) raises BadParameter, before the digon check."""
     eps = as_fraction(epsilon)
+    if not 0 <= eps < 1:
+        raise BadParameter(f"epsilon must lie in [0, 1), got {epsilon}")
     M = D.bool_matrix()
     digons = np.argwhere(M & M.T)
     if len(digons):

@@ -67,8 +67,9 @@ def test_check_degrees_optional_conditions(graph_file, capsys):
 
 
 @pytest.mark.parametrize(
-    "option", [["--gamma", "-1"], ["--gamma", "2"], ["--epsilon", "x"]],
-    ids=["negative-gamma", "gamma-above-1", "unparsable-epsilon"],
+    "option",
+    [["--gamma", "-1"], ["--gamma", "2"], ["--epsilon", "x"], ["--epsilon=-1"]],
+    ids=["negative-gamma", "gamma-above-1", "unparsable-epsilon", "negative-epsilon"],
 )
 def test_check_degrees_bad_parameter_is_exit_2(graph_file, capsys, option):
     assert main(["check-degrees", graph_file(complete_digraph(10)), *option]) == 2

@@ -1,7 +1,8 @@
 """Property tests: the exact certifiers against the (size, lex)-minimum
 oracle, on both sides of the subset-sum table's 2^14-set block; the
 sampled falsifier against its scalar one-proposal-at-a-time loop, on both
-sides of the 256-trial stream."""
+sides of the 256-trial stream and of a 64-vertex packed word; the packed
+in-counts against row sums."""
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from dilink import (
     remove_vertices,
     shrink_params_for_deletion,
 )
-from dilink.expansion import _grow_greedily
+from dilink.expansion import _column_words, _grow_greedily, _in_counts
 
 from helpers import oracle_falsify_sampled, oracle_min_violating_set
 
@@ -77,6 +78,15 @@ def test_exact_certifiers_match_the_oracle_when_only_the_largest_sets_violate(
     )
 
 
+def two_clusters(n: int, p_in: float, p_out: float, seed: int) -> Digraph:
+    """Two random clusters with arc probability p_in inside, p_out across."""
+    rng = np.random.default_rng(seed)
+    side = rng.random(n) < 0.5
+    M = rng.random((n, n)) < np.where(side[:, None] == side, p_in, p_out)
+    np.fill_diagonal(M, False)
+    return Digraph(n, np.argwhere(M))
+
+
 @st.composite
 def falsifier_digraphs(draw):
     """D(n, p) from sparse to dense, or two random clusters with few arcs
@@ -85,12 +95,7 @@ def falsifier_digraphs(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     if draw(st.booleans()):
         return gen_random_digraph(n, draw(st.floats(0.02, 0.98)), seed)
-    p_in, p_out = draw(st.floats(0.05, 1.0)), draw(st.floats(0.0, 0.3))
-    rng = np.random.default_rng(seed)
-    side = rng.random(n) < 0.5
-    M = rng.random((n, n)) < np.where(side[:, None] == side, p_in, p_out)
-    np.fill_diagonal(M, False)
-    return Digraph(n, np.argwhere(M))
+    return two_clusters(n, draw(st.floats(0.05, 1.0)), draw(st.floats(0.0, 0.3)), seed)
 
 
 @given(
@@ -106,6 +111,43 @@ def test_falsifier_matches_the_scalar_loop(D, nu_tau, trials, seed):
     assert falsify_outexpander_sampled(D, p, trials, seed) == oracle_falsify_sampled(
         D, p, trials, seed
     )
+
+
+@pytest.mark.parametrize("nu_tau", [("1/10", "2/5"), ("1/8", "1/4")])
+@pytest.mark.parametrize("kind", ["gnp", "clusters"])
+@pytest.mark.parametrize("n", [63, 64, 65, 129, 300])
+def test_falsifier_matches_the_scalar_loop_past_one_packed_word(n, kind, nu_tau):
+    # (1/10, 2/5) refutes none of the D(n, 0.3) and each two-cluster digraph
+    # at a greedy trial; (1/8, 1/4) refutes all ten, five at a uniform or
+    # segment trial
+    D = gen_random_digraph(n, 0.3, n) if kind == "gnp" else two_clusters(n, 0.9, 0.05, n)
+    p = ExpansionParams(*nu_tau)
+    for trials in (1, 100, 257):
+        assert falsify_outexpander_sampled(D, p, trials, 7) == oracle_falsify_sampled(
+            D, p, trials, 7
+        )
+
+
+@given(
+    n=st.one_of(st.integers(1, 200), st.sampled_from([63, 64, 65])),
+    density=st.floats(0.0, 1.0),
+    graph_seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_packed_in_counts_are_row_sums(n, density, graph_seed, data):
+    M = gen_random_digraph(n, density, graph_seed).bool_matrix().copy()
+    M[sorted(data.draw(st.sets(st.integers(0, n - 1))))] = False  # arcless rows
+    M = Digraph(n, np.argwhere(M)).bool_matrix()
+    vertex = st.integers(0, n - 1)
+    sets = [[], [data.draw(vertex)], list(range(n))]
+    sets += data.draw(st.lists(st.lists(vertex, unique=True), max_size=5))
+    inside = np.zeros((n, len(sets)), dtype=bool)
+    for j, S in enumerate(sets):
+        inside[S, j] = True
+    counts = _in_counts(_column_words(M), _column_words(inside))
+    assert counts.shape == (len(sets), n)
+    for S, count in zip(sets, counts):
+        assert (count == M[S].sum(axis=0)).all()
 
 
 @given(

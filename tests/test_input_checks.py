@@ -39,6 +39,7 @@ from dilink import (
     hamilton_cycle,
     min_prescribed_length,
     nh_linked_embed,
+    oriented_semidegree,
     perfect_tiling,
     posa_type,
     remove_vertices,
@@ -344,6 +345,20 @@ def test_a_cycle_of_fewer_than_two_vertices_raises_bad_parameter(k):
     D, A, C = _leftover()
     with pytest.raises(BadParameter, match="^a cycle needs at least 2 vertices"):
         cut_absorbable_segments(D, A, C[:k], [])
+
+
+@pytest.mark.parametrize("eps", [-1, "-1/100", 1, "5/4"])
+@pytest.mark.parametrize("D", [Digraph(3, []), K6], ids=["arcless", "digons"])
+def test_an_epsilon_outside_zero_to_one_raises_bad_parameter_before_the_digon_check(D, eps):
+    # epsilon = -1 once passed both conditions on a digraph with no arcs
+    with pytest.raises(BadParameter, match="^epsilon must lie in"):
+        oriented_semidegree(D, eps)
+
+
+@pytest.mark.parametrize("eps", [0, "99/100"])
+def test_an_epsilon_in_zero_to_one_is_read(eps):
+    report = oriented_semidegree(Digraph(3, []), eps)
+    assert not report.semidegree_ok and not report.degree_sum_ok
 
 
 def test_every_error_is_of_exactly_one_kind():
