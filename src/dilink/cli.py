@@ -74,33 +74,30 @@ def _report_line(name: str, report) -> str:
 
 
 def cmd_check_degrees(args) -> int:
+    """Every condition is decided before the first line is printed, so a
+    bad margin exits 2 with nothing on stdout."""
     D = _load_digraph(args.graph)
-    all_ok = True
-    nw = nash_williams(D)
-    print(_report_line("nash-williams", nw))
-    all_ok &= bool(nw)
+    reports = [("nash-williams", nash_williams(D))]
     if args.gamma is not None:
-        a = asymptotic_nash_williams(D, args.gamma)
-        print(_report_line(f"asymptotic-nash-williams(gamma={args.gamma})", a))
-        all_ok &= bool(a)
-        p = posa_type(D, args.gamma)
-        print(_report_line(f"posa-type(gamma={args.gamma})", p))
-        all_ok &= bool(p)
+        reports.append((f"asymptotic-nash-williams(gamma={args.gamma})",
+                        asymptotic_nash_williams(D, args.gamma)))
+        reports.append((f"posa-type(gamma={args.gamma})", posa_type(D, args.gamma)))
+    lines = [_report_line(name, r) for name, r in reports]
+    all_ok = all(r.satisfied for _, r in reports)
     if args.epsilon is not None:
         try:
             o = oriented_semidegree(D, args.epsilon)
             state = "satisfied" if o.satisfied else "failed"
-            print(
+            lines.append(
                 f"oriented-semidegree(epsilon={args.epsilon}): {state} "
                 f"(semidegree_ok={o.semidegree_ok}, degree_sum_ok={o.degree_sum_ok})"
             )
             all_ok &= o.satisfied
         except NotOriented:
-            print(f"oriented-semidegree(epsilon={args.epsilon}): skipped (digon present)")
+            lines.append(f"oriented-semidegree(epsilon={args.epsilon}): skipped (digon present)")
     sc = is_strongly_connected(D)
-    print(f"strongly-connected: {sc}")
-    all_ok &= sc
-    return 0 if all_ok else 1
+    print("\n".join([*lines, f"strongly-connected: {sc}"]))
+    return 0 if all_ok and sc else 1
 
 
 def cmd_certify_expander(args) -> int:

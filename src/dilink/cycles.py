@@ -203,10 +203,13 @@ def cut_cycle_segments(
     C: Sequence[int], sizes: Sequence[int], seed: int = 0
 ) -> list[tuple[int, ...]]:
     """Cut consecutive disjoint subpaths of the given vertex counts from
-    the cycle, starting at a seed-chosen offset."""
+    the cycle, starting at a seed-chosen offset.  A C of fewer than 2
+    vertices raises BadParameter."""
     C = tuple(C)
     sizes = [as_count(s, "every segment size") for s in sizes]
     seed = as_count(seed, "seed", least=None)
+    if len(C) < 2:
+        raise BadParameter("a cycle needs at least 2 vertices")
     if sum(sizes) > len(C):
         raise BadParameter(
             f"segment sizes sum to {sum(sizes)} on a cycle of {len(C)} vertices"

@@ -5,20 +5,21 @@ ceil(nu*n) in-neighbors inside S.  D is a robust (nu, tau)-out-expander if
 |RN+(S)| >= |S| + nu*n for every S with tau*n < |S| < (1-tau)*n (strict,
 exact rational comparisons).  Certification decides every subset at once,
 up to a size cap, from a subset-sum table of matrix rows; the falsifier
-samples structured candidate sets.  The neighbourhood function, and the
-re-check of every counterexample the falsifier returns, count
-in-neighbours inside S as the sum of the rows of S in the bool adjacency
-matrix; the falsifier tests a stream of drawn proposals with packed
-popcounts instead, each set's membership words ANDed with D's
-in-neighbour columns packed into uint64 words.  The robust
-in-neighbourhood is the out-neighbourhood in D.reverse().
+samples structured candidate sets, drawing each stream of up to 256
+trials as one membership matrix from a numpy Generator seeded by (seed,
+stream): a size and a start per trial, one vertex ordering, and one
+permutation per uniform trial, so no draw is a Python call per vertex.
+The neighbourhood function, and the re-check of every counterexample the
+falsifier returns, count in-neighbours inside S as the sum of the rows of
+S in the bool adjacency matrix; the falsifier tests a stream's uniform
+and segment sets with packed popcounts instead, each set's membership
+words ANDed with D's in-neighbour columns packed into uint64 words.  The
+robust in-neighbourhood is the out-neighbourhood in D.reverse().
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -231,19 +232,25 @@ def falsify_outexpander_sampled(
 ) -> ExpansionReport:
     """Search for a violating subset with seeded random proposals.
 
-    Proposals mix uniform subsets across the quantified sizes, contiguous
-    segments of random vertex orderings, and greedily grown candidate
-    sets.  Trials are partitioned into fixed-size streams with derived
-    seeds, so the outcome depends only on (seed, trials).  Each stream
-    draws every proposal's random values first, grows all its greedy
-    proposals together, one numpy step per set size, counts the drawn
-    proposals' in-neighbours at once, as popcounts of their packed
-    membership words against D's packed in-neighbour columns, then tests
-    every proposal in one comparison and takes the first violating one in
-    trial order; the draws and the answers are those of growing and
-    testing each set one at a time.  A returned counterexample is counted
-    again as a sum of its rows of the bool matrix and always re-verifies
-    against the definition.
+    Trials are partitioned into streams of at most 256 with derived seeds,
+    so the outcome depends only on (seed, trials); the draws after the
+    sizes depend on the stream's length, so a shorter stream is not the
+    start of a longer one.  Each stream is one membership matrix, a row
+    per trial, drawn by one numpy Generator in this order: a size per row,
+    uniform over the quantified sizes; a start per row, uniform over
+    0..n-1; an ordering of the vertices; and a permutation of the vertices
+    per uniform row.  Row j is a uniform subset, its permutation's first
+    size entries, when j % 3 == 0; a segment, the vertices at size
+    consecutive places of the ordering from place start on, wrapping
+    around, when j % 3 == 1; and when j % 3 == 2 the set grown greedily
+    from {start}, adding the outside vertex with the most in-neighbours
+    inside it (the lowest label among ties) until it has size vertices.
+    The greedy rows grow together, one numpy step per set size, and bring
+    their in-counts; the other rows' in-counts are popcounts of their
+    packed membership words against D's packed in-neighbour columns.  One
+    comparison tests every row, and the first violating trial wins.  A
+    returned counterexample is counted again as a sum of its rows of the
+    bool matrix and always re-verifies against the definition.
     """
     trials = as_count(trials, "trials")
     seed = as_count(seed, "seed", least=None)
@@ -258,43 +265,29 @@ def falsify_outexpander_sampled(
     stream = 0
     done = 0
     while done < trials:
-        rng = random.Random((seed * 1_000_003 + stream) & 0xFFFFFFFF)
+        rng = np.random.default_rng((seed * 1_000_003 + stream) & 0xFFFFFFFF)
         stream += 1
-        order = list(range(n))
-        rng.shuffle(order)
-        order2 = order + order  # a segment is a slice of the ordering twice over
         budget = min(256, trials - done)
-        drawn = []  # drawn set j - j // 3 serves trial j, for j % 3 != 2
-        starts, targets = [], []  # greedy proposal j // 3 serves trial j
-        for j in range(budget):
-            kind = j % 3
-            if kind == 0:  # uniform subset at a uniform in-range size
-                s = rng.choice(sizes)
-                drawn.append(rng.sample(range(n), s))
-            elif kind == 1:  # contiguous segment of the shuffled ordering
-                s = rng.choice(sizes)
-                start = rng.randrange(n)
-                drawn.append(order2[start : start + s])
-            else:  # greedy growth: repeatedly add the most-dominated vertex
-                starts.append(rng.randrange(n))
-                targets.append(rng.choice(sizes))
-        lengths = np.array([len(S) for S in drawn], dtype=np.int64)
-        flat = np.fromiter(itertools.chain.from_iterable(drawn), np.intp, int(lengths.sum()))
-        inside = np.zeros((n, len(drawn)), dtype=bool)  # inside[v, i]: v in drawn set i
-        inside[flat, np.repeat(np.arange(len(drawn)), lengths)] = True
-        counts = _in_counts(cols, _column_words(inside))
-        members, grown = _grow_greedily(M, starts, targets)
-        bad = np.empty(budget, dtype=bool)
-        bad[np.arange(budget) % 3 != 2] = (counts >= t).sum(axis=1) < lengths + t
-        bad[2::3] = (grown >= t).sum(axis=1) < np.array(targets, dtype=np.int64) + t
+        size = rng.choice(sizes, budget)
+        start = rng.integers(n, size=budget)
+        pos = rng.permutation(n)  # pos[v]: v's place in the stream's ordering
+        perms = rng.permuted(np.broadcast_to(np.arange(n), (len(size[0::3]), n)), axis=1)
+        inside = np.empty((budget, n), dtype=bool)  # inside[j, v]: v in trial j's set
+        np.put_along_axis(inside[0::3], perms, np.arange(n) < size[0::3, None], axis=1)
+        inside[1::3] = (pos - start[1::3, None]) % n < size[1::3, None]
+        drawn = np.arange(budget) % 3 != 2
+        counts = np.empty((budget, n), dtype=np.int32)  # counts[j, x]: x's in-neighbours in set j
+        counts[drawn] = _in_counts(cols, _column_words(inside[drawn].T))
+        inside[2::3], counts[2::3] = _grow_greedily(M, start[2::3], size[2::3])
+        bad = (counts >= t).sum(axis=1) < size + t
         if bad.any():
             j = int(bad.argmax())
-            S = np.flatnonzero(members[j // 3]).tolist() if j % 3 == 2 else drawn[j - j // 3]
+            S = np.flatnonzero(inside[j])
             # counted again from its rows
             if (M[S].sum(axis=0, dtype=np.int32) >= t).sum() >= len(S) + t:
-                raise AssertionError(f"set {sorted(S)} does not re-verify")
+                raise AssertionError(f"set {S.tolist()} does not re-verify")
             return ExpansionReport(
-                Verdict.REFUTED, counterexample=frozenset(S), sampled_trials=done + j + 1
+                Verdict.REFUTED, counterexample=frozenset(S.tolist()), sampled_trials=done + j + 1
             )
         done += budget
     return ExpansionReport(Verdict.NO_COUNTEREXAMPLE_FOUND, sampled_trials=trials)

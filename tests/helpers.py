@@ -199,10 +199,12 @@ def oracle_min_violating_set(D: Digraph, nu, tau):
 
 def oracle_falsify_sampled(D: Digraph, p, trials: int, seed: int):
     """The sampled falsifier as one scalar loop: per stream of at most 256
-    trials, each proposal is drawn, grown one vertex at a time when
-    greedy, and tested before the next is drawn.  The library grows the
-    greedy proposals of a stream together and must return the same
-    ExpansionReport."""
+    trials, the same numpy Generator calls in the same order give each
+    trial's size and start, the ordering and the uniform rows'
+    permutations; then each proposal is built as a list, grown one vertex
+    at a time when greedy, and tested with a row sum before the next.
+    The library draws a stream as one membership matrix, grows its greedy
+    proposals together and must return the same ExpansionReport."""
     from dilink.expansion import (
         ExpansionReport,
         Verdict,
@@ -221,35 +223,33 @@ def oracle_falsify_sampled(D: Digraph, p, trials: int, seed: int):
     stream = 0
     done = 0
     while done < trials:
-        rng = random.Random((seed * 1_000_003 + stream) & 0xFFFFFFFF)
+        rng = np.random.default_rng((seed * 1_000_003 + stream) & 0xFFFFFFFF)
         stream += 1
-        order = list(range(n))
-        rng.shuffle(order)
         budget = min(256, trials - done)
+        size = rng.choice(sizes, budget).tolist()
+        start = rng.integers(n, size=budget).tolist()
+        pos = rng.permutation(n).tolist()  # pos[v]: v's place in the ordering
+        perms = rng.permuted(np.tile(np.arange(n), ((budget + 2) // 3, 1)), axis=1).tolist()
+        order = sorted(range(n), key=pos.__getitem__)  # order[i]: the vertex at place i
         for j in range(budget):
+            s, a = size[j], start[j]
             kind = j % 3
-            if kind == 0:  # uniform subset at a uniform in-range size
-                s = rng.choice(sizes)
-                S = rng.sample(range(n), s)
-                counts = M[S].sum(axis=0)  # in-neighbours inside S
-            elif kind == 1:  # contiguous segment of the shuffled ordering
-                s = rng.choice(sizes)
-                start = rng.randrange(n)
-                S = [order[(start + k) % n] for k in range(s)]
-                counts = M[S].sum(axis=0)
+            if kind == 0:  # uniform subset: the first s entries of its permutation
+                S = perms[j // 3][:s]
+            elif kind == 1:  # s consecutive places of the ordering from place a
+                S = [order[(a + k) % n] for k in range(s)]
             else:  # greedy growth: repeatedly add the most-dominated vertex
-                S = [rng.randrange(n)]
-                target = rng.choice(sizes)
-                counts = M[S[0]].astype(np.int64)  # kept up to date as S grows
+                S = [a]
+                counts = M[a].astype(np.int64)  # kept up to date as S grows
                 outside = np.ones(n, dtype=bool)
-                outside[S[0]] = False
-                while len(S) < target:
+                outside[a] = False
+                while len(S) < s:
                     # argmax takes the lowest label among the best scores
                     best = int(np.argmax(np.where(outside, counts, -1)))
                     S.append(best)
                     counts += M[best]
                     outside[best] = False
-            if (counts >= t).sum() < len(S) + t:
+            if (M[S].sum(axis=0) >= t).sum() < len(S) + t:
                 return ExpansionReport(
                     Verdict.REFUTED, counterexample=frozenset(S), sampled_trials=done + j + 1
                 )
@@ -308,6 +308,15 @@ def threshold_digraph(n: int, seed: int, cut: float = 0.85, noise: float = 0.02)
     rng = np.random.default_rng(seed)
     rank = rng.permutation(n)
     M = (rank[:, None] + rank[None, :] >= cut * n) | (rng.random((n, n)) < noise)
+    np.fill_diagonal(M, False)
+    return Digraph(n, np.argwhere(M))
+
+
+def two_clusters(n: int, p_in: float, p_out: float, seed: int) -> Digraph:
+    """Two random clusters with arc probability p_in inside, p_out across."""
+    rng = np.random.default_rng(seed)
+    side = rng.random(n) < 0.5
+    M = rng.random((n, n)) < np.where(side[:, None] == side, p_in, p_out)
     np.fill_diagonal(M, False)
     return Digraph(n, np.argwhere(M))
 

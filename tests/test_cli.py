@@ -68,12 +68,16 @@ def test_check_degrees_optional_conditions(graph_file, capsys):
 
 @pytest.mark.parametrize(
     "option",
-    [["--gamma", "-1"], ["--gamma", "2"], ["--epsilon", "x"], ["--epsilon=-1"]],
-    ids=["negative-gamma", "gamma-above-1", "unparsable-epsilon", "negative-epsilon"],
+    [["--gamma", "-1"], ["--gamma", "2"], ["--epsilon", "x"], ["--epsilon=-1"],
+     ["--gamma", "0"], ["--epsilon", "2"], ["--gamma", "0.2", "--epsilon", "2"]],
+    ids=["negative-gamma", "gamma-above-1", "unparsable-epsilon", "negative-epsilon",
+         "zero-gamma", "epsilon-above-1", "good-gamma-bad-epsilon"],
 )
 def test_check_degrees_bad_parameter_is_exit_2(graph_file, capsys, option):
+    # every margin is read before any report line is printed
     assert main(["check-degrees", graph_file(complete_digraph(10)), *option]) == 2
-    assert "error:" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err
 
 
 def test_gen_random_bad_order_is_exit_2(capsys):

@@ -24,7 +24,7 @@ from dilink import (
 )
 from dilink.expansion import _column_words, _grow_greedily, _in_counts
 
-from helpers import oracle_falsify_sampled, oracle_min_violating_set
+from helpers import oracle_falsify_sampled, oracle_min_violating_set, two_clusters
 
 
 @settings(max_examples=24)  # each example runs the oracle three times on up to 2^17 sets
@@ -78,15 +78,6 @@ def test_exact_certifiers_match_the_oracle_when_only_the_largest_sets_violate(
     )
 
 
-def two_clusters(n: int, p_in: float, p_out: float, seed: int) -> Digraph:
-    """Two random clusters with arc probability p_in inside, p_out across."""
-    rng = np.random.default_rng(seed)
-    side = rng.random(n) < 0.5
-    M = rng.random((n, n)) < np.where(side[:, None] == side, p_in, p_out)
-    np.fill_diagonal(M, False)
-    return Digraph(n, np.argwhere(M))
-
-
 @st.composite
 def falsifier_digraphs(draw):
     """D(n, p) from sparse to dense, or two random clusters with few arcs
@@ -117,9 +108,9 @@ def test_falsifier_matches_the_scalar_loop(D, nu_tau, trials, seed):
 @pytest.mark.parametrize("kind", ["gnp", "clusters"])
 @pytest.mark.parametrize("n", [63, 64, 65, 129, 300])
 def test_falsifier_matches_the_scalar_loop_past_one_packed_word(n, kind, nu_tau):
-    # (1/10, 2/5) refutes none of the D(n, 0.3) and each two-cluster digraph
-    # at a greedy trial; (1/8, 1/4) refutes all ten, five at a uniform or
-    # segment trial
+    # from 100 trials on, (1/10, 2/5) refutes none of the D(n, 0.3) and
+    # each two-cluster digraph at a greedy trial; (1/8, 1/4) refutes all
+    # ten, four of the D(n, 0.3) at a segment trial
     D = gen_random_digraph(n, 0.3, n) if kind == "gnp" else two_clusters(n, 0.9, 0.05, n)
     p = ExpansionParams(*nu_tau)
     for trials in (1, 100, 257):

@@ -341,10 +341,13 @@ def test_labels_that_are_not_integers_raise_bad_parameter(entry, v):
 @pytest.mark.parametrize("k", [0, 1])
 def test_a_cycle_of_fewer_than_two_vertices_raises_bad_parameter(k):
     # as hamilton_cycle refuses one; with no offset to draw, random.choice
-    # raised a bare IndexError
+    # raised a bare IndexError in the absorbable cut, and randrange a bare
+    # ValueError in the plain one
     D, A, C = _leftover()
     with pytest.raises(BadParameter, match="^a cycle needs at least 2 vertices"):
         cut_absorbable_segments(D, A, C[:k], [])
+    with pytest.raises(BadParameter, match="^a cycle needs at least 2 vertices"):
+        cut_cycle_segments(C[:k], [])
 
 
 @pytest.mark.parametrize("eps", [-1, "-1/100", 1, "5/4"])

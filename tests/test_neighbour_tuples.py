@@ -6,7 +6,9 @@ adjacency matrix.  Only the deletion certifier calls remove_vertices,
 whose relabelled copy costs three n^2 gathers: the leftover cycle masks
 vertices out instead.  expansion.py holds no matrix product, so the
 certifiers and the falsifier never wait on BLAS threads, nor does the
-d-cover grower or any cover.py code it calls, and no module
+d-cover grower or any cover.py code it calls; expansion.py imports no
+random module, so the falsifier draws each stream with numpy calls, not
+one Python call per drawn vertex; and no module
 holds an assert statement, which python -O would strip.  Failures are
 routed by kind: no handler names a single kind of refusal (a subclass
 of InputError) to recover from it, only the CLI's main catches
@@ -131,6 +133,29 @@ def matrix_products(tree: ast.AST):
 def test_expansion_holds_no_matrix_product():
     found = matrix_products(ast.parse((SRC / "expansion.py").read_text()))
     assert not found, found
+
+
+def random_imports(tree: ast.AST):
+    """Lines of every import of the standard random module."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "random" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "random"
+    )
+
+
+def test_expansion_imports_no_random_module():
+    found = random_imports(ast.parse((SRC / "expansion.py").read_text()))
+    assert not found, found
+
+
+def test_the_lint_sees_every_kind_of_random_import():
+    tree = ast.parse(
+        "import random\nimport os, random as r\nfrom random import sample\n"
+        "import numpy as np\nfrom numpy import random as nr\nrng = np.random.default_rng(0)\n"
+    )
+    assert random_imports(tree) == [1, 2, 3]
 
 
 def test_the_cover_grower_holds_no_matrix_product():
