@@ -45,7 +45,7 @@ print("sparse D(200, 0.12) at (1/4, 1/4):",
       falsify_outexpander_sampled(D, q, trials=2000, seed=0).verdict.value)
 
 # a minimum-semidegree margin gamma implies concrete (nu, tau) values
-print("params from a degree margin of 1/2:", derive_params_from_degrees(100, "1/2"))
+print("params from a degree margin of 1/2:", derive_params_from_degrees("1/2"))
 
 # deleting up to floor(nu*n/4) vertices cannot destroy expansion, at the
 # price of halving nu and doubling tau

@@ -68,8 +68,7 @@ def absorber_size_bound(n: int, nu: Real, gamma: Real, d: int) -> float:
     Needs n, d >= 1, nu in (0, 1] and gamma in (0, 1)."""
     nu_f = float(as_density(nu, "nu", closed=True))
     g = float(as_density(gamma, "gamma"))
-    if n < 1 or d < 1:
-        raise BadParameter(f"n and d must be >= 1, got n = {n}, d = {d}")
+    n, d = as_count(n, "n"), as_count(d, "d")
     return 1600 * nu_f**-2 * g**-2 * (d * math.log(d * g**-2) + math.log(n)) + 3 * nu_f**-2 * d
 
 
@@ -258,7 +257,7 @@ def validate_absorber(
         if lv & seen:
             ok = fail(f"ladder {i} overlaps an earlier ladder")
         seen |= lv
-    if not verify_d_cover(D, A.pairs, None, A.d):
+    if not verify_d_cover(D, A.pairs, A.d):
         ok = fail(f"K is not a {A.d}-cover of the whole vertex set")
     in_hosts: set[int] = set()
     for hi, host in enumerate(A.hosts):

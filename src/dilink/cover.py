@@ -99,30 +99,23 @@ def cover_arcs(M: np.ndarray, pairs: Sequence[Pair]) -> tuple[np.ndarray, np.nda
     return P, Q
 
 
-def verify_d_cover(
-    D: Digraph, K: CoverPairSet | Sequence[Pair], U: Iterable[int] | None = None, d: int = 1
-) -> bool:
-    """Check that every ordered pair of distinct vertices of U is covered
-    by at least d pairs of K: the counts are the product Q[:, U]^T P[:, U]
-    of K's cover_arcs rows, taken in float32 one block of rows at a time,
-    so memory stays O(|K| |U| + block |U|).  A d that is not an integer
-    >= 0 raises BadParameter, a label of U or K outside 0..n-1
-    LabelOutOfRange."""
+def verify_d_cover(D: Digraph, K: CoverPairSet | Sequence[Pair], d: int = 1) -> bool:
+    """Check that every ordered pair of distinct vertices of D is covered
+    by at least d pairs of K: the counts are the product Q^T P of K's
+    cover_arcs rows, taken in float32 one block of rows at a time, so
+    memory stays O(|K| n + block n).  A d that is not an integer >= 0
+    raises BadParameter, a label of K outside 0..n-1 LabelOutOfRange."""
     pairs = list(K.pairs if isinstance(K, CoverPairSet) else K)
-    uset = sorted(range(D.n) if U is None else set(U))
     d = as_count(d, "d", least=0)
-    check_labels(D.n, [*(() if U is None else uset), *(v for pair in pairs for v in pair)])
-    if len(uset) < 2 or d == 0:
+    check_labels(D.n, [v for pair in pairs for v in pair])
+    if D.n < 2 or d == 0:
         return True
     P, Q = cover_arcs(D.bool_matrix(), pairs)
-    if len(uset) < D.n:
-        idx = np.array(uset, dtype=np.intp)
-        P, Q = P[:, idx], Q[:, idx]
     # float32 lets numpy hand the products to BLAS; every entry is a count
     # of at most n/2 < 2**24 pairs, so each partial sum is exact
     P, Q = P.astype(np.float32), Q.astype(np.float32)
-    rows = max(1, _BLOCK_BYTES // (4 * len(uset)))
-    for s in range(0, len(uset), rows):
+    rows = max(1, _BLOCK_BYTES // (4 * D.n))
+    for s in range(0, D.n, rows):
         sub = Q[:, s : s + rows].T @ P  # sub[y - s, x]
         np.fill_diagonal(sub[:, s:], d)  # ignore x == y
         if sub.min() < d:
@@ -134,9 +127,7 @@ def cover_size_formula(n: int, gamma: Real, d: int) -> int:
     """Number of pairs sufficient for a d-cover of an n-vertex digraph
     with min semidegree gamma*n (natural logarithms), before capping."""
     g = float(as_density(gamma, "gamma"))
-    d = as_count(d, "d")
-    if n < 1:
-        raise BadParameter(f"n must be >= 1, got {n}")
+    n, d = as_count(n, "n"), as_count(d, "d")
     return math.ceil(24 * g**-2 * (d * math.log(24 * d * g**-2) + 2 * math.log(n)))
 
 
@@ -295,15 +286,14 @@ def shortest_path_avoiding(
     t: int,
     blocked: set[int],
     max_order: int,
-    rng: random.Random | None = None,
+    rng: random.Random,
 ) -> tuple[int, ...] | None:
     """A shortest s->t path of order <= max_order whose interior avoids
     `blocked`, or None if there is none; s and t may lie in `blocked`.
     Breadth-first over matrix rows, a layer at a time, then walked back
-    through the layers' in-neighbours, each pick uniform when an rng is
-    given and the lowest label when not.  A label of s, t or `blocked`
-    outside 0..n-1 raises LabelOutOfRange, a max_order that is not an
-    integer >= 0 BadParameter."""
+    through the layers' in-neighbours, each pick drawn uniformly by rng.
+    A label of s, t or `blocked` outside 0..n-1 raises LabelOutOfRange, a
+    max_order that is not an integer >= 0 BadParameter."""
     check_labels(D.n, (s, t, *blocked))
     max_order = as_count(max_order, "max_order", least=0)
     if s == t or max_order < 2:
@@ -325,7 +315,7 @@ def shortest_path_avoiding(
     path = [t]
     for layer in layers[:0:-1]:  # back to layer 1; layer 0 is s alone
         cand = layer[M[layer, path[-1]]]
-        path.append(int(cand[rng.randrange(len(cand))] if rng is not None else cand[0]))
+        path.append(int(cand[rng.randrange(len(cand))]))
     return (s, *reversed(path))
 
 

@@ -9,6 +9,7 @@ slack margin gamma outside (0, 1), or an oriented margin epsilon outside
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .digraph import Digraph
 from .errors import BadParameter, NotOriented
-from .ratio import Real, as_density, as_fraction, ceil_frac
+from .ratio import Real, as_density, as_fraction
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,7 @@ def asymptotic_nash_williams(D: Digraph, gamma: Real) -> ConditionReport:
     n = D.n
     if n < 1:
         raise BadParameter("empty digraph")
-    g = ceil_frac(as_density(gamma, "gamma") * n)
+    g = math.ceil(as_density(gamma, "gamma") * n)
     return _paired(*_sorted_degrees(D), g, g, (n + 1) // 2)
 
 
@@ -105,11 +106,11 @@ def posa_type(D: Digraph, gamma: Real) -> ConditionReport:
     frac_g = as_density(gamma, "gamma")
     dout, din = _sorted_degrees(D)
     # lag n puts every partner index below 1, so only d_i >= i + margin counts
-    if not (report := _paired(dout, din, ceil_frac(frac_g * n), n, n // 2)):  # all i < (n-1)/2
+    if not (report := _paired(dout, din, math.ceil(frac_g * n), n, n // 2)):  # all i < (n-1)/2
         return report
     if n % 2 == 1:
         mid = (n + 1) // 2
-        need = ceil_frac((Fraction(1, 2) + frac_g) * n)
+        need = math.ceil((Fraction(1, 2) + frac_g) * n)
         if dout[mid - 1] < need:
             return ConditionReport(False, mid, "odd-out")
         if din[mid - 1] < need:
@@ -149,6 +150,6 @@ def oriented_semidegree(D: Digraph, epsilon: Real) -> OrientedReport:
     outs, ins = M.sum(axis=1), M.sum(axis=0)
     # initial=2n lies above every degree sum, and makes each minimum 0 at n = 0
     dplus, dminus, dtotal = (int(x.min(initial=2 * n)) for x in (outs, ins, outs + ins))
-    semi_ok = min(dplus, dminus) >= ceil_frac((Fraction(3, 8) + eps) * n)
-    sum_ok = dplus + dminus + dtotal >= ceil_frac(Fraction(3, 2) * n + eps * n)
+    semi_ok = min(dplus, dminus) >= math.ceil((Fraction(3, 8) + eps) * n)
+    sum_ok = dplus + dminus + dtotal >= math.ceil(Fraction(3, 2) * n + eps * n)
     return OrientedReport(semi_ok, sum_ok)

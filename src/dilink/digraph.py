@@ -24,16 +24,22 @@ Arc = tuple[int, int]
 MAX_ORDER = 1 << 15  # largest n Digraph() accepts: its bool matrix is then 1 GiB
 
 
+def _integer(v) -> bool:
+    """Whether v is an int or a numpy integer, and not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def check_labels(n: int, labels: Iterable[int], what: str = "vertex {}") -> None:
     """Raise BadParameter for the first of `labels` that is not an integer
     (a bool, a float), else LabelOutOfRange for the first outside 0..n-1,
     named in the message by `what` formatted with that label.  Every
-    function taking vertex labels checks them here: numpy would read -1
-    as row n-1, True as row 1 and 2.0 not at all."""
+    function taking vertex labels checks them here (has_arc, which has
+    no arc outside 0..n-1, checks only the type): numpy would read -1 as
+    row n-1, True as row 1 and 2.0 not at all."""
     for v in labels:
         # plain ints, what hot callers pass, skip the full type check
-        if type(v) is not int and (isinstance(v, bool) or not isinstance(v, (int, np.integer))):
-            raise BadParameter(f"{what.format(v)} is not an integer label")
+        if type(v) is not int and not _integer(v):
+            raise BadParameter(f"{what.format(repr(v))} is not an integer label")
         if not 0 <= v < n:
             raise LabelOutOfRange(f"{what.format(v)} outside 0..{n - 1}")
 
@@ -106,6 +112,11 @@ class Digraph:
         return int(np.count_nonzero(self._matrix))
 
     def has_arc(self, u: int, v: int) -> bool:
+        """Whether u->v is an arc: False for an integer label outside
+        0..n-1, BadParameter for a label that is not an integer."""
+        for w in (u, v):
+            if type(w) is not int and not _integer(w):
+                raise BadParameter(f"vertex {w!r} is not an integer label")
         return 0 <= u < self.n and 0 <= v < self.n and self._matrix.item(u, v)
 
     def out_neighbors(self, v: int) -> tuple[int, ...]:

@@ -20,6 +20,7 @@ robust in-neighbourhood is the out-neighbourhood in D.reverse().
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -28,7 +29,7 @@ import numpy as np
 
 from .digraph import Digraph, check_labels, remove_vertices
 from .errors import BadParameter
-from .ratio import Real, as_count, as_density, as_fraction, ceil_frac
+from .ratio import Real, as_count, as_density, as_fraction
 
 DEFAULT_EXACT_CAP = 20
 _TABLE_BITS = 14  # low vertices of the subset-sum table; one block is 2^14 x n counts
@@ -78,12 +79,20 @@ def robust_out_neighbourhood(D: Digraph, S: Iterable[int], nu: Real) -> frozense
     rows = sorted(set(S))
     check_labels(D.n, rows)
     counts = D.bool_matrix()[rows].sum(axis=0)
-    return frozenset(np.flatnonzero(counts >= ceil_frac(nu * D.n)).tolist())
+    return frozenset(np.flatnonzero(counts >= math.ceil(nu * D.n)).tolist())
 
 
 def _quantified_sizes(n: int, tau: Fraction) -> range:
     """Sizes s with tau*n < s < (1-tau)*n."""
-    return range(int(tau * n) + 1, ceil_frac((1 - tau) * n))
+    return range(int(tau * n) + 1, math.ceil((1 - tau) * n))
+
+
+def _check_exact_cap(n: int, max_exact_n: int) -> None:
+    """Refuse, with BadParameter, an n above the subset cap max_exact_n
+    or a cap that is not an integer >= 0."""
+    max_exact_n = as_count(max_exact_n, "max_exact_n", least=0)
+    if n > max_exact_n:
+        raise BadParameter(f"n={n} exceeds the exact enumeration cap {max_exact_n}")
 
 
 def certify_outexpander_exact(
@@ -104,16 +113,14 @@ def certify_outexpander_exact(
     counterexample: the first, in lexicographic order of the sorted vertex
     tuple, among the smallest violating sets.  Raises BadParameter
     above the subset cap max_exact_n, or for a cap that is not an integer
-    >= 0; the in- and deletion certifiers check theirs here.
+    >= 0.
     """
     n = D.n
-    max_exact_n = as_count(max_exact_n, "max_exact_n", least=0)
-    if n > max_exact_n:
-        raise BadParameter(f"n={n} exceeds the exact enumeration cap {max_exact_n}")
+    _check_exact_cap(n, max_exact_n)
     sizes = _quantified_sizes(n, p.tau)
     if not sizes:
         return ExpansionReport(Verdict.CERTIFIED_EXACT)
-    t = ceil_frac(p.nu * n)
+    t = math.ceil(p.nu * n)
     need = np.zeros(n + 1, dtype=np.int64)  # least |RN+(S)| by |S|; 0 outside the range
     need[sizes] = np.array(sizes) + t
     dt = np.min_scalar_type(n)  # holds every in-count, so no sum can wrap
@@ -168,7 +175,9 @@ def certify_inexpander_exact(
     D: Digraph, p: ExpansionParams, max_exact_n: int = DEFAULT_EXACT_CAP
 ) -> ExpansionReport:
     """Exact decision of the robust (nu, tau)-in-expansion property,
-    computed as out-expansion of the reversed digraph."""
+    computed as out-expansion of the reversed digraph; the subset cap is
+    checked before D is reversed."""
+    _check_exact_cap(D.n, max_exact_n)
     return certify_outexpander_exact(D.reverse(), p, max_exact_n)
 
 
@@ -258,7 +267,7 @@ def falsify_outexpander_sampled(
     sizes = _quantified_sizes(n, p.tau)
     if not sizes:
         return ExpansionReport(Verdict.NO_COUNTEREXAMPLE_FOUND, sampled_trials=trials)
-    t = ceil_frac(p.nu * n)
+    t = math.ceil(p.nu * n)
     M = D.bool_matrix()
     cols = _column_words(M)  # cols[w, x]: in-neighbours 64w..64w+63 of x
 
@@ -293,7 +302,7 @@ def falsify_outexpander_sampled(
     return ExpansionReport(Verdict.NO_COUNTEREXAMPLE_FOUND, sampled_trials=trials)
 
 
-def derive_params_from_degrees(n: int, gamma: Real) -> ExpansionParams:
+def derive_params_from_degrees(gamma: Real) -> ExpansionParams:
     """Expansion parameters implied by a degree margin gamma:
     tau = gamma/16 and nu = tau**2."""
     g = as_density(gamma, "gamma")
@@ -338,7 +347,8 @@ def certify_survives_deletion(
     """Certify D - removed as a robust (nu/2, 2*tau)-out-expander.
 
     The removed set must have size at most deletion_tolerance(D, p);
-    min semidegree gamma*n is not assumed here.
+    min semidegree gamma*n is not assumed here.  The subset cap is
+    checked on n - |removed| before D - removed is built.
     """
     removed = set(removed)
     if len(removed) > deletion_tolerance(D, p):
@@ -346,5 +356,7 @@ def certify_survives_deletion(
             f"removed set of size {len(removed)} exceeds tolerance "
             f"{deletion_tolerance(D, p)}"
         )
+    check_labels(D.n, removed)
+    _check_exact_cap(D.n - len(removed), max_exact_n)
     sub = remove_vertices(D, removed)
     return certify_outexpander_exact(sub, shrink_params_for_deletion(p), max_exact_n)

@@ -14,6 +14,7 @@ build, the segment sizes and the final check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -28,7 +29,7 @@ from .cycles import hamilton_cycle
 from .digraph import Digraph
 from .errors import BadParameter, ConstructionFailed, PipelineFailed
 from .expansion import ExpansionParams
-from .ratio import Real, as_count, ceil_frac
+from .ratio import Real, as_count
 from .subdivision import (
     HSubdivision,
     PatternDigraph,
@@ -64,7 +65,7 @@ class PipelineConfig:
 
     def __post_init__(self):
         p = ExpansionParams(self.nu, self.tau, self.gamma)
-        d = ceil_frac(64 / p.nu**2) if self.d is None else as_count(self.d, "d")
+        d = math.ceil(64 / p.nu**2) if self.d is None else as_count(self.d, "d")
         object.__setattr__(self, "nu", p.nu)
         object.__setattr__(self, "tau", p.tau)
         object.__setattr__(self, "gamma", p.gamma)

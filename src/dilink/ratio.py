@@ -66,7 +66,3 @@ def as_count(x, name: str, least: int | None = 1) -> int:
     if least is not None and x < least:
         raise BadParameter(f"{name} must be >= {least}")
     return int(x)
-
-
-def ceil_frac(x: Fraction) -> int:
-    return math.ceil(x)

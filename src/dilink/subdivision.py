@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .digraph import Arc, Digraph, check_labels, validate_path
+from .digraph import MAX_ORDER, Arc, Digraph, check_labels, validate_path
 from .errors import BadParameter, InputError
 from .ratio import Real, as_count, as_density
 
@@ -46,8 +46,9 @@ class PatternDigraph:
 def pattern_from_arcs(arcs: Sequence[Arc]) -> PatternDigraph:
     if not arcs:
         raise BadParameter("pattern needs at least one arc")
-    n = 1 + max(max(a) for a in arcs)
-    return PatternDigraph(Digraph(n, arcs))
+    labels = [v for arc in arcs for v in arc]
+    check_labels(MAX_ORDER, labels)  # integers, before max compares them
+    return PatternDigraph(Digraph(1 + max(labels), arcs))
 
 
 def single_arc_pattern() -> PatternDigraph:

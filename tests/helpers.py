@@ -8,6 +8,7 @@ test.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -210,7 +211,6 @@ def oracle_falsify_sampled(D: Digraph, p, trials: int, seed: int):
         Verdict,
         _quantified_sizes,
     )
-    from dilink.ratio import ceil_frac
 
     if trials < 1:
         raise BadParameter(f"trials must be >= 1, got {trials}")
@@ -218,7 +218,7 @@ def oracle_falsify_sampled(D: Digraph, p, trials: int, seed: int):
     sizes = _quantified_sizes(n, p.tau)
     if not sizes:
         return ExpansionReport(Verdict.NO_COUNTEREXAMPLE_FOUND, sampled_trials=trials)
-    t = ceil_frac(p.nu * n)
+    t = math.ceil(p.nu * n)
     M = D.bool_matrix()
     stream = 0
     done = 0

@@ -222,8 +222,8 @@ def test_criterion_05_cover_construction_size_and_validity():
             continue
         succeeded += 1
         sizes.append(len(K))
-        bad += not verify_d_cover(D, K, range(500), 8)
-        unneeded += verify_d_cover(D, K.pairs[:-1], range(500), 8)
+        bad += not verify_d_cover(D, K, 8)
+        unneeded += verify_d_cover(D, K.pairs[:-1], 8)
         oversized += len(K) > bound
     ok = succeeded >= 99 and bad == unneeded == oversized == 0
     _report(5, "cover construction", ok,

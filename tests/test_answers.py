@@ -17,6 +17,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 from pathlib import Path
 
 import numpy as np
@@ -82,9 +83,11 @@ ANSWERS = {
     "nh_linked_embed": lambda: subdivision_to_json(
         nh_linked_embed(G(300, 0.7, 1), triangle_pattern(), {0: 0, 1: 1, 2: 2}, [55, 60, 70], CFG)
     ),
-    # the lowest-label walk back, which no pipeline takes
+    # the walk back, each route drawn by its own seeded rng
     "shortest_path_avoiding": lambda: [
-        shortest_path_avoiding(G(200, 0.03, 6), s, s + 100, set(range(0, 200, 9)), 12)
+        shortest_path_avoiding(
+            G(200, 0.03, 6), s, s + 100, set(range(0, 200, 9)), 12, random.Random(s)
+        )
         for s in range(1, 9)
     ],
     "threshold-stall": _stall,

@@ -175,7 +175,7 @@ def test_build_cover_output(graph_file, capsys):
     pairs = [tuple(map(int, l.split())) for l in lines[1:]]
     assert len(pairs) == int(head[2]) and all(len(p) == 2 for p in pairs)
     D = gen_random_digraph(100, 0.7, 0)
-    assert verify_d_cover(D, pairs, None, 3) and not verify_d_cover(D, pairs[:-1], None, 3)
+    assert verify_d_cover(D, pairs, 3) and not verify_d_cover(D, pairs[:-1], 3)
 
 
 def test_find_subdivision_json(graph_file, pattern_file, capsys):

@@ -34,17 +34,6 @@ def digraphs(draw, max_n=10):
     return Digraph(n, arcs)
 
 
-@given(st.data())
-def test_verify_d_cover_agrees_with_the_definition(data):
-    D = data.draw(digraphs())
-    order = data.draw(st.permutations(range(D.n)))
-    m = data.draw(st.integers(0, D.n // 2))
-    pairs = [(order[2 * i], order[2 * i + 1]) for i in range(m)]
-    U = data.draw(st.sets(st.integers(0, D.n - 1)))
-    d = data.draw(st.integers(0, 3))
-    assert verify_d_cover(D, pairs, U, d) == oracle_d_cover(D, pairs, U, d)
-
-
 @st.composite
 def dense_digraphs(draw, max_n=12):
     # complete digraphs less a few arcs, so that most instances have a cover
@@ -52,6 +41,16 @@ def dense_digraphs(draw, max_n=12):
     vertex = st.integers(0, n - 1)
     gone = draw(st.sets(st.tuples(vertex, vertex), max_size=2 * n))
     return Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and (u, v) not in gone])
+
+
+@given(st.data())
+def test_verify_d_cover_agrees_with_the_definition(data):
+    D = data.draw(digraphs() | dense_digraphs())
+    order = data.draw(st.permutations(range(D.n)))
+    m = data.draw(st.integers(0, D.n // 2))
+    pairs = [(order[2 * i], order[2 * i + 1]) for i in range(m)]
+    d = data.draw(st.integers(0, 3))
+    assert verify_d_cover(D, pairs, d) == oracle_d_cover(D, pairs, range(D.n), d)
 
 
 def _provably_none(D, d, usable):
@@ -104,7 +103,7 @@ def test_grow_d_cover_stops_at_the_shortest_covering_prefix(data):
     prefixes = (K.pairs[:-1], K.pairs)
     covered = [oracle_d_cover(D, P, range(D.n), d) for P in prefixes]
     assert covered == [False, True]  # the shortest covering prefix
-    assert [verify_d_cover(D, P, None, d) for P in prefixes] == covered
+    assert [verify_d_cover(D, P, d) for P in prefixes] == covered
 
 
 @given(st.data())
@@ -129,9 +128,8 @@ def test_shortest_path_avoiding_agrees_with_a_breadth_first_reference(data):
     s, t = data.draw(st.lists(st.integers(0, D.n - 1), min_size=2, max_size=2, unique=True))
     blocked = data.draw(st.sets(st.integers(0, D.n - 1)))  # may hold s or t
     max_order = data.draw(st.integers(2, 6))
-    seed = data.draw(st.none() | st.integers(0, 2**32 - 1))
-    rng = None if seed is None else random.Random(seed)
-    got = shortest_path_avoiding(D, s, t, blocked, max_order, rng)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    got = shortest_path_avoiding(D, s, t, blocked, max_order, random.Random(seed))
     best = oracle_shortest_order(D, s, t, blocked)
     if best is None or best > max_order:
         assert got is None
@@ -140,8 +138,8 @@ def test_shortest_path_avoiding_agrees_with_a_breadth_first_reference(data):
     assert (got[0], got[-1]) == (s, t) and len(set(got)) == len(got)
     assert all((a, b) in D.arcs for a, b in zip(got, got[1:]))
     assert not set(got[1:-1]) & blocked
-    if rng is None:  # without an rng the route is fixed
-        assert shortest_path_avoiding(D, s, t, blocked, max_order) == got
+    # the seed fixes the route
+    assert shortest_path_avoiding(D, s, t, blocked, max_order, random.Random(seed)) == got
 
 
 @given(st.data())

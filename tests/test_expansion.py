@@ -20,6 +20,7 @@ from dilink import (
     robust_out_neighbourhood,
     shrink_params_for_deletion,
 )
+from dilink import expansion
 from dilink.errors import BadParameter, LabelOutOfRange
 
 from helpers import oracle_min_violating_set, oracle_robust_outexpander, random_arc_set
@@ -152,6 +153,27 @@ def test_exact_cap_is_enforced():
         certify_outexpander_exact(complete_digraph(9), p, max_exact_n=8)
 
 
+def test_the_in_and_deletion_certifiers_refuse_above_the_cap_before_any_copy(monkeypatch):
+    # each once built its n^2 copy first: 0.5 s and 61 MB at n = 8000
+    def copied(*args):
+        raise RuntimeError("copied")
+
+    monkeypatch.setattr(Digraph, "reverse", copied)
+    monkeypatch.setattr(expansion, "remove_vertices", copied)
+    p = ExpansionParams("1/3", "1/3")  # deletion tolerance floor(n/12)
+    with pytest.raises(BadParameter, match="n=30 exceeds the exact enumeration cap 20"):
+        certify_inexpander_exact(complete_digraph(30), p)
+    # the cap is on the vertices left, after the size and label checks
+    with pytest.raises(BadParameter, match="n=28 exceeds the exact enumeration cap 20"):
+        certify_survives_deletion(complete_digraph(30), p, [0, 29])
+    with pytest.raises(LabelOutOfRange):
+        certify_survives_deletion(complete_digraph(30), p, [0, 30])
+    with pytest.raises(BadParameter, match="exceeds tolerance"):
+        certify_survives_deletion(complete_digraph(30), p, [0, 1, 2])
+    with pytest.raises(RuntimeError, match="copied"):
+        certify_survives_deletion(complete_digraph(21), p, [0], max_exact_n=20)
+
+
 @pytest.mark.parametrize("nu,tau", [("1/6", "1/6"), ("1/3", "1/3")])
 def test_certifier_matches_definition_checker(nu, tau):
     rng = random.Random(42)
@@ -245,12 +267,12 @@ def test_falsifier_is_deterministic_in_seed_and_trials():
 
 
 def test_derived_parameters_are_exact():
-    p = derive_params_from_degrees(100, "1/2")
+    p = derive_params_from_degrees("1/2")
     assert p.tau == Fraction(1, 32)
     assert p.nu == Fraction(1, 1024)
     assert p.gamma == Fraction(1, 2)
     with pytest.raises(BadParameter):
-        derive_params_from_degrees(10, 0)
+        derive_params_from_degrees(0)
 
 
 def test_deletion_parameters_and_tolerance():

@@ -1,12 +1,15 @@
 """The input-check contract: every public entry that takes a density
 parameter rejects one outside its range with BadParameter, every entry
-that takes an integer count rejects a fraction, a bool or a count below
-its floor with BadParameter, and every entry that takes vertex labels
-rejects one outside 0..n-1 with LabelOutOfRange, whichever module it
-lives in.  Each of those is an InputError, and every dilink error is of
+that takes an integer count rejects a fraction, a bool, a string or a
+count below its floor with BadParameter, and every entry that takes
+vertex labels rejects one outside 0..n-1 with LabelOutOfRange and one
+that is not an integer with BadParameter (has_arc and pattern_from_arcs
+check only the latter), whichever module it lives in.  Each of those is an InputError, and every dilink error is of
 exactly one kind: an InputError, a ConstructionFailed or PipelineFailed."""
 
 import functools
+import random
+import re
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -40,6 +43,7 @@ from dilink import (
     min_prescribed_length,
     nh_linked_embed,
     oriented_semidegree,
+    pattern_from_arcs,
     perfect_tiling,
     posa_type,
     remove_vertices,
@@ -72,7 +76,7 @@ DENSITY_ENTRIES = {
     "asymptotic_nash_williams": ("gamma", lambda x: asymptotic_nash_williams(K6, x)),
     "posa_type": ("gamma", lambda x: posa_type(K6, x)),
     "cover_size_formula": ("gamma", lambda x: cover_size_formula(100, x, 3)),
-    "derive_params_from_degrees": ("gamma", lambda x: derive_params_from_degrees(100, x)),
+    "derive_params_from_degrees": ("gamma", lambda x: derive_params_from_degrees(x)),
     "absorber_size_bound-nu": ("nu", lambda x: absorber_size_bound(100, x, "1/2", 3)),
     "absorber_size_bound-gamma": ("gamma", lambda x: absorber_size_bound(100, "3/4", x, 3)),
     "build_disjoint_ladders": ("nu", lambda x: build_disjoint_ladders(K6, [(0, 1)], x, 0)),
@@ -106,7 +110,7 @@ COUNT_ENTRIES = {
         K6, single_arc_pattern(), {0: 0, 1: 1}, (x,), PipelineConfig(**_CFG)
     )),
     "shortest_path_avoiding": (
-        "max_order", 0, lambda x: shortest_path_avoiding(K6, 0, 1, set(), x)
+        "max_order", 0, lambda x: shortest_path_avoiding(K6, 0, 1, set(), x, random.Random(0))
     ),
     "certify_outexpander_exact": (
         "max_exact_n", 0, lambda x: certify_outexpander_exact(K6, _Q, x)
@@ -116,7 +120,7 @@ COUNT_ENTRIES = {
         "max_exact_n", 0, lambda x: certify_survives_deletion(K6, _Q, [], x)
     ),
     "perfect_tiling": ("every order", 1, lambda x: perfect_tiling(
-        K6, single_arc_pattern(), [x, 6 - x], PipelineConfig(**_CFG)
+        K6, single_arc_pattern(), [x, 4], PipelineConfig(**_CFG)
     )),
     "cut_cycle_segments": ("every segment size", 1, lambda x: cut_cycle_segments(range(6), [2, x])),
     "cut_absorbable_segments": (
@@ -140,7 +144,10 @@ COUNT_ENTRIES = {
     )),
     "build_d_cover": ("d", 1, lambda x: build_d_cover(complete_digraph(8), x, 0)),
     "cover_size_formula": ("d", 1, lambda x: cover_size_formula(100, "1/2", x)),
-    "verify_d_cover": ("d", 0, lambda x: verify_d_cover(K6, [(0, 1)], [2, 3], x)),
+    "cover_size_formula-n": ("n", 1, lambda x: cover_size_formula(x, "1/2", 3)),
+    "absorber_size_bound-n": ("n", 1, lambda x: absorber_size_bound(x, "3/4", "1/2", 3)),
+    "absorber_size_bound-d": ("d", 1, lambda x: absorber_size_bound(600, "3/4", "1/2", x)),
+    "verify_d_cover": ("d", 0, lambda x: verify_d_cover(K6, [(0, 1)], x)),
     "falsify_outexpander_sampled": ("trials", 1, lambda x: falsify_outexpander_sampled(
         K6, ExpansionParams("1/6", "1/6"), x, 0
     )),
@@ -152,11 +159,13 @@ COUNT_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("bad", ["fraction", "bool", "below"])
+@pytest.mark.parametrize("bad", ["fraction", "bool", "below", "string"])
 @pytest.mark.parametrize("entry", COUNT_ENTRIES)
 def test_counts_that_are_not_integers_at_least_their_floor_raise_bad_parameter(entry, bad):
+    # unchecked, the size formulas' n and d returned a number for 2.5 and
+    # failed in their arithmetic with a bare TypeError for a string
     name, least, call = COUNT_ENTRIES[entry]
-    x = {"fraction": least + 1.5, "bool": True, "below": least - 1}[bad]
+    x = {"fraction": least + 1.5, "bool": True, "below": least - 1, "string": str(least + 2)}[bad]
     with pytest.raises(BadParameter, match=f"^{name} must be ") as e:
         call(x)
     assert isinstance(e.value, InputError)
@@ -166,9 +175,11 @@ def test_counts_that_are_not_integers_at_least_their_floor_raise_bad_parameter(e
 def test_a_path_order_cap_that_is_not_a_count_raises_bad_parameter(cap):
     # unchecked, 2.5 caps nothing (the 6-vertex path comes back) and "3"
     # fails in a comparison with a bare TypeError
+    rng = random.Random(0)
     with pytest.raises(BadParameter, match="^max_order must be an integer"):
-        shortest_path_avoiding(directed_cycle(10), 0, 5, set(), cap)
-    assert shortest_path_avoiding(directed_cycle(10), 0, 5, set(), 6.0) == tuple(range(6))
+        shortest_path_avoiding(directed_cycle(10), 0, 5, set(), cap, rng)
+    assert shortest_path_avoiding(directed_cycle(10), 0, 5, set(), 6.0, rng) == tuple(range(6))
+
 
 
 @pytest.mark.parametrize(
@@ -285,17 +296,20 @@ def _leftover():
     return D, A, hamilton_cycle(D, 0, avoid=A.vertices())
 
 
+_R = random.Random(0)
+
 # name -> (n, call with one label set to v on a digraph of n vertices)
 LABEL_ENTRIES = {
     "out_neighbors": (6, lambda v: K6.out_neighbors(v)),
     "remove_vertices": (6, lambda v: remove_vertices(K6, [0, v])),
     "hamilton_cycle-avoid": (6, lambda v: hamilton_cycle(K6, 0, avoid=[0, v])),
     "build_d_cover-avoid": (6, lambda v: build_d_cover(K6, 1, 0, avoid=[v])),
-    "verify_d_cover-U": (6, lambda v: verify_d_cover(K6, [(0, 1)], [0, v, 5])),
-    "verify_d_cover-K": (6, lambda v: verify_d_cover(K6, [(0, v)], [2, 3])),
-    "shortest_path_avoiding-s": (6, lambda v: shortest_path_avoiding(K6, v, 0, set(), 4)),
-    "shortest_path_avoiding-t": (6, lambda v: shortest_path_avoiding(K6, 0, v, set(), 4)),
-    "shortest_path_avoiding-blocked": (6, lambda v: shortest_path_avoiding(K6, 0, 1, {v}, 4)),
+    "verify_d_cover-K": (6, lambda v: verify_d_cover(K6, [(0, v)])),
+    "shortest_path_avoiding-s": (6, lambda v: shortest_path_avoiding(K6, v, 0, set(), 4, _R)),
+    "shortest_path_avoiding-t": (6, lambda v: shortest_path_avoiding(K6, 0, v, set(), 4, _R)),
+    "shortest_path_avoiding-blocked": (
+        6, lambda v: shortest_path_avoiding(K6, 0, 1, {v}, 4, _R)
+    ),
     "robust_out_neighbourhood": (6, lambda v: robust_out_neighbourhood(K6, [0, v, 5], "1/2")),
     "build_disjoint_ladders": (6, lambda v: build_disjoint_ladders(K6, [(0, v)], "1/2", 0, 0)),
     "build_disjoint_ladders-avoid": (
@@ -336,6 +350,26 @@ def test_labels_that_are_not_integers_raise_bad_parameter(entry, v):
     _, call = LABEL_ENTRIES[entry]
     with pytest.raises(BadParameter, match="not an integer label"):
         call(v)
+
+
+# name -> call with one label set to v; has_arc answers False outside
+# 0..n-1, and a pattern's labels set its order
+UNRANGED_LABEL_ENTRIES = {
+    "has_arc-u": lambda v: K6.has_arc(v, 0),
+    "has_arc-v": lambda v: K6.has_arc(0, v),
+    "pattern_from_arcs": lambda v: pattern_from_arcs([(0, 1), (0, v)]),
+}
+
+
+@pytest.mark.parametrize(
+    "v", [2.5, 4.0, True, "1", "a"], ids=["fraction", "float", "bool", "digit", "letter"]
+)
+@pytest.mark.parametrize("entry", UNRANGED_LABEL_ENTRIES)
+def test_unranged_labels_that_are_not_integers_raise_bad_parameter(entry, v):
+    # each once ended in a bare TypeError, and pattern_from_arcs([(0, 1.5)])
+    # blamed the vertex count 2.5 it had derived
+    with pytest.raises(BadParameter, match=rf"^vertex {re.escape(repr(v))} is not an integer label"):
+        UNRANGED_LABEL_ENTRIES[entry](v)
 
 
 @pytest.mark.parametrize("k", [0, 1])

@@ -20,7 +20,9 @@ and the reader reads its input once: read_digraph opens its path once and
 nothing in fileio seeks, so a pipe reads as a file does.  Every name the
 package exports has a reader outside tests: library code beyond its own
 definition, a demo, or a mention in backticks in README, and so has
-every public method and property of Digraph, read by name."""
+every public method and property of Digraph, read by name.  Every
+parameter of every function and method is read in its body: a
+parameter nothing reads is a knob that turns nothing."""
 
 import ast
 import re
@@ -361,3 +363,45 @@ def test_every_digraph_member_has_a_reader_outside_tests():
         and not re.search(rf"\.{name}\b", quoted)
     }
     assert found == NO_MEMBER_READER, found ^ NO_MEMBER_READER
+
+
+def unread_parameters(tree: ast.AST):
+    """(line, function, parameter) of every parameter of a function,
+    method or lambda that its body never reads; a read inside a nested
+    function counts."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "<lambda>")
+            found += [(node.lineno, name, q.arg) for q in params if q.arg not in read]
+    return sorted(found)
+
+
+def test_the_lint_sees_an_unread_parameter_in_a_method_and_a_nested_function():
+    tree = ast.parse(
+        "class C:\n"
+        "    def m(self, D, n):\n"
+        "        return D.n\n"
+        "def f(D, *, k=1):\n"
+        "    def g(x, y):\n"
+        "        y = D\n"
+        "        return x + k\n"
+        "    return g\n"
+    )
+    assert unread_parameters(tree) == [(2, "m", "n"), (2, "m", "self"), (5, "g", "y")]
+    # a parameter read only by a nested function or a lambda is read
+    tree = ast.parse("def f(D, n):\n    def g():\n        return D\n    return lambda: n + g()\n")
+    assert unread_parameters(tree) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    found = unread_parameters(ast.parse(path.read_text()))
+    assert not found, found

@@ -4,7 +4,6 @@ import pytest
 
 from dilink import as_fraction
 from dilink.errors import BadParameter
-from dilink.ratio import ceil_frac
 
 
 def test_int_and_fraction_pass_through():
@@ -28,8 +27,3 @@ def test_rejects_non_rationals(bad):
     with pytest.raises(BadParameter):
         as_fraction(bad)
 
-
-def test_ceil_frac():
-    assert ceil_frac(Fraction(7, 2)) == 4
-    assert ceil_frac(Fraction(4)) == 4
-    assert ceil_frac(Fraction(-1, 2)) == 0
