@@ -10,6 +10,8 @@ disjoint paths between prescribed terminal pairs, routed one at a time.
 
 import random
 
+import numpy as np
+
 from dilink import (
     Digraph,
     build_d_cover,
@@ -39,19 +41,21 @@ print(f"pair ({x}, {y}) is covered by {len(witnesses)} pairs, e.g. {witnesses[:3
 
 # connectors: five terminal pairs routed one after another by shortest
 # paths of at most 5 vertices, as the absorber threads its host paths:
-# the terminals are blocked first, then each path's interior
+# one mask of free vertices, the terminals taken first, then each path's
+# interior
 G = gen_random_digraph(100, 0.5, seed=3)
 pairs = ((0, 50), (1, 60), (2, 70), (3, 80), (4, 90))
 
 
 def route(D, pairs, max_order, rng):
-    blocked = {v for pair in pairs for v in pair}
+    free = np.ones(D.n, dtype=bool)
+    free[[v for pair in pairs for v in pair]] = False
     paths = []
     for s, t in pairs:
-        path = shortest_path_avoiding(D, s, t, blocked, max_order, rng)
+        path = shortest_path_avoiding(D, s, t, free, max_order, rng)
         paths.append(path)
         if path is not None:
-            blocked.update(path[1:-1])
+            free[list(path[1:-1])] = False
     return paths
 
 

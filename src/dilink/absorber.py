@@ -13,8 +13,9 @@ random, with a slot on each host's first path.  Each makes one attempt
 per seed: K is grown until it d-covers V(D), so its size follows the
 digraph.  Neither builder knows the lengths or orders the hosts must
 reach; the pipelines check that each slot leaves room to absorb a
-segment.  A failed step raises its own ConstructionFailed, and only the
-pipelines retry.  Once built, an absorber swallows any d or fewer
+segment.  Hosts are threaded on one bool mask of free vertices.  A
+failed step raises its own ConstructionFailed, and only the pipelines
+retry.  Once built, an absorber swallows any d or fewer
 disjoint outside paths of two or more vertices, by counting: K d-covers
 V(D), so each path's ends have d covering pairs, at most d - 1 taken by
 the other paths.  Each path takes the first free pair covering its ends
@@ -79,7 +80,8 @@ class Absorber:
     Ladder j's rungs lie on the path of slots[j % len(slots)], a
     (host index, pattern arc); the slots are nonempty and distinct.
     The cover pairs K are the ladders' ends: pairs lists each ladder's
-    (start, end) in order, and ladders sharing an end raise BadParameter.
+    (start, end) in order, and ladders sharing an end raise BadParameter,
+    as does a d that is not an integer >= 1.
     """
 
     ladders: tuple[Ladder, ...]
@@ -97,8 +99,7 @@ class Absorber:
             raise BadParameter("at least one slot required, and no slot twice")
         if not self.hosts:
             raise BadParameter("at least one host subdivision required")
-        if self.d < 1:
-            raise BadParameter("d must be >= 1")
+        object.__setattr__(self, "d", as_count(self.d, "d"))
 
     def vertices(self) -> frozenset[int]:
         return frozenset().union(*(h.vertices() for h in self.hosts))
@@ -115,27 +116,23 @@ def _thread_group(
     start: int,
     ladder_group: Sequence[Ladder],
     end: int,
-    blocked: set[int],
+    free: np.ndarray,
     cap: int,
     rng: random.Random,
 ) -> tuple[int, ...]:
     """One subdivided path: start, then every rung of every ladder in
     order, then end, with short connectors routed between consecutive
-    pieces.  Connector interiors are added to blocked as they are used;
-    a connector that cannot be routed raises ConstructionFailed."""
-    blocks: list[tuple[int, ...]] = []
-    for L in ladder_group:
-        blocks.extend(rung_paths(L))
+    pieces, each interior drawn from the bool mask free and cleared in
+    it; a connector that cannot be routed raises ConstructionFailed."""
+    blocks = [r for L in ladder_group for r in rung_paths(L)]
     full = [start]
-    prev = start
     for bi, block in enumerate(blocks + [(end,)]):
-        conn = shortest_path_avoiding(D, prev, block[0], blocked, cap, rng)
+        conn = shortest_path_avoiding(D, full[-1], block[0], free, cap, rng)
         if conn is None:
             raise ConstructionFailed(f"threading failed at connector {bi}")
-        blocked.update(conn[1:-1])
+        free[list(conn[1:-1])] = False
         full.extend(conn[1:])
         full.extend(block[1:])
-        prev = block[-1]
     return tuple(full)
 
 
@@ -164,7 +161,7 @@ def _build_absorber(
     removal_cap = int(p.nu * n / 4)
     s = (seed * 9_176_941) & 0xFFFFFFFF
     rng = random.Random(s ^ 0x5EED)
-    avoid = set().union(*(f.values() for f in maps))
+    avoid = [v for f in maps for v in f.values()]
     K = build_d_cover(D, d, s, avoid=avoid)
     ladders = build_disjoint_ladders(D, K.pairs, p.nu, s, avoid=avoid)
     rung_interiors = sum(len(r) - 2 for L in ladders for r in rung_paths(L))
@@ -172,12 +169,13 @@ def _build_absorber(
         raise ConstructionFailed(
             f"rung interiors ({rung_interiors}) exceed nu*n/4 = {removal_cap}"
         )
-    blocked = avoid.union(*(L.vertices() for L in ladders))
+    free = np.ones(n, dtype=bool)  # what connectors may route through
+    free[[*avoid, *(v for L in ladders for v in L.vertices())]] = False
     cap = _connector_cap(p.nu)
     groups = {slot: ladders[g::len(slots)] for g, slot in enumerate(slots)}
     hosts = [
         HSubdivision(H, dict(f), {
-            a: _thread_group(D, f[a[0]], groups.get((hi, a), ()), f[a[1]], blocked, cap, rng)
+            a: _thread_group(D, f[a[0]], groups.get((hi, a), ()), f[a[1]], free, cap, rng)
             for a in H.arc_order
         })
         for hi, f in enumerate(maps)

@@ -18,13 +18,15 @@ fewer than d times; then a list of only those short entries.
 `verify_d_cover` checks any pair set independently, with products of Q
 and P taken in float32 one block of rows at a time.  The one router,
 `shortest_path_avoiding`, goes breadth-first over matrix rows, a layer
-at a time, with a random walk back through the parents.  Ladder
-connectors and the absorber's threading both route through it, one path
-at a time, blocking each path's interior before the next.  A k >= 1
-ladder's rows are drawn from matrix rows too, each vertex uniformly
-among the free vertices the skeleton allows; the sample is kept when
-validate_ladder accepts it, that is, when its rungs are disjoint paths
-of D and its alternative rungs (none at k = 0) are paths of D.
+at a time, through the caller's bool mask of free vertices, with a
+random walk back through the parents.  Ladder connectors and the
+absorber's threading route through it one path at a time, each on one
+mask in which every path's interior is cleared before the next.  A
+k >= 1 ladder's rows are drawn from matrix rows too, each vertex
+uniformly among the free vertices the skeleton allows; the sample is
+kept when validate_ladder accepts it, that is, when its rungs are
+disjoint paths of D and its alternative rungs (none at k = 0) are
+paths of D.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .digraph import Digraph, check_labels
+from .digraph import MAX_ORDER, Digraph, check_labels
 from .errors import BadParameter, ConstructionFailed
 from .ladder import Ladder, single_arc_ladder, validate_ladder
 from .ratio import Real, as_count, as_density
@@ -55,11 +57,12 @@ _FLOOR = 1024
 
 @dataclass(frozen=True)
 class CoverPairSet:
-    """Pairwise-disjoint ordered vertex pairs."""
+    """Pairwise-disjoint ordered vertex pairs, labels checked by check_labels."""
 
     pairs: tuple[Pair, ...]
 
     def __post_init__(self):
+        check_labels(MAX_ORDER, [v for pair in self.pairs for v in pair])
         object.__setattr__(self, "pairs", tuple((int(u), int(v)) for u, v in self.pairs))
         seen: set[int] = set()
         for u, v in self.pairs:
@@ -284,25 +287,26 @@ def shortest_path_avoiding(
     D: Digraph,
     s: int,
     t: int,
-    blocked: set[int],
+    free: np.ndarray,
     max_order: int,
     rng: random.Random,
 ) -> tuple[int, ...] | None:
-    """A shortest s->t path of order <= max_order whose interior avoids
-    `blocked`, or None if there is none; s and t may lie in `blocked`.
-    Breadth-first over matrix rows, a layer at a time, then walked back
-    through the layers' in-neighbours, each pick drawn uniformly by rng.
-    A label of s, t or `blocked` outside 0..n-1 raises LabelOutOfRange, a
-    max_order that is not an integer >= 0 BadParameter."""
-    check_labels(D.n, (s, t, *blocked))
+    """A shortest s->t path of order <= max_order whose interior lies in
+    `free`, a length-n bool mask that is read and never written, or None
+    if there is none; s and t need not be free.  Breadth-first over
+    matrix rows, a layer at a time, then walked back through the layers'
+    in-neighbours, each pick drawn uniformly by rng.  A label of s or t
+    outside 0..n-1 raises LabelOutOfRange; any other mask, or a max_order
+    that is not an integer >= 0, BadParameter."""
+    check_labels(D.n, (s, t))
+    if not isinstance(free, np.ndarray) or free.dtype != bool or free.shape != (D.n,):
+        raise BadParameter(f"free must be a bool array of length n = {D.n}")
     max_order = as_count(max_order, "max_order", least=0)
     if s == t or max_order < 2:
         return None
     M = D.bool_matrix()
-    if M.item(s, t):  # the one-arc path; nothing to pick
-        return (s, t)
-    open_ = np.ones(D.n, dtype=bool)
-    open_[[s, t, *blocked]] = False
+    open_ = free.copy()
+    open_[[s, t]] = False
     layers = [np.array([s])]
     while not M[layers[-1], t].any():
         if len(layers) + 1 == max_order:  # paths via a next layer exceed max_order
@@ -343,14 +347,15 @@ def build_disjoint_ladders(
     if ladder_k is not None:
         ladder_k = as_count(ladder_k, "ladder_k", least=0)
     flat = [v for t in terminals for v in t]
-    avoid = set(avoid)
+    avoid = list(avoid)
     check_labels(D.n, [*flat, *avoid])
     if len(set(flat)) != len(flat):
         raise BadParameter("terminal vertices must be pairwise distinct")
     max_size = int(12 / nu**2)
     max_rows = int(8 / nu)
     rng = random.Random(seed)
-    used: set[int] = set(flat) | avoid
+    free = np.ones(D.n, dtype=bool)  # vertices no ladder or terminal holds, outside avoid
+    free[[*flat, *avoid]] = False
     M = D.bool_matrix()
     out: list[Ladder] = []
     for idx, (u, v) in enumerate(terminals):
@@ -366,10 +371,10 @@ def build_disjoint_ladders(
             raise ConstructionFailed(
                 f"ladder #{idx}: k={want_k} violates the nu={nu} size bounds"
             )
-        L = _sample_ladder(D, u, v, want_k, used, max_size, rng)
+        L = _sample_ladder(D, u, v, want_k, free, max_size, rng)
         if L is None:
             raise ConstructionFailed(f"could not build ladder #{idx}")
-        used |= L.vertices()
+        free[list(L.vertices())] = False
         out.append(L)
     return out
 
@@ -379,7 +384,7 @@ def _sample_ladder(
     u: int,
     v: int,
     k: int,
-    used: set[int],
+    free: np.ndarray,
     max_vertices: int,
     rng: random.Random,
 ) -> Ladder | None:
@@ -388,31 +393,28 @@ def _sample_ladder(
     Row step i draws v_i from the out-row of v_(i-1) when i is odd and
     from its in-row when i is even, and v_i* the other way round, each
     uniformly among the vertices still free; then a shortest connector
-    of order <= 4 joins v_i to v_i* for each odd i."""
+    of order <= 4 joins v_i to v_i* for each odd i, all on a copy of free."""
     M = D.bool_matrix()
-    start = np.ones(D.n, dtype=bool)
-    start[[*used, u, v]] = False
     for _ in range(_LADDER_TRIES):
-        free = start.copy()
+        left = free.copy()
         lower, upper = [u], [v]
         for i, row in product(range(1, 2 * k + 1), (lower, upper)):
             line = M[row[-1]] if (i % 2 == 1) == (row is lower) else M[:, row[-1]]
-            cand = np.flatnonzero(line & free)
+            cand = np.flatnonzero(line & left)
             if not len(cand):
                 break
             row.append(int(cand[rng.randrange(len(cand))]))
-            free[row[-1]] = False
+            left[row[-1]] = False
         if len(upper) <= 2 * k or not M.item(lower[-1], upper[-1]):
             continue
         connectors: dict[int, tuple[int, ...]] = {}
         for j in range(1, 2 * k, 2):
             room = max_vertices - (4 * k + 2) - sum(len(q) - 2 for q in connectors.values())
-            blocked = set(np.flatnonzero(~free).tolist())
-            q = shortest_path_avoiding(D, lower[j], upper[j], blocked, min(room + 2, 4), rng)
+            q = shortest_path_avoiding(D, lower[j], upper[j], left, min(room + 2, 4), rng)
             if q is None:
                 break
             connectors[j] = q
-            free[list(q[1:-1])] = False
+            left[list(q[1:-1])] = False
         else:
             L = Ladder(tuple(lower), tuple(upper), connectors)
             if len(L.vertices()) <= max_vertices and validate_ladder(D, L):

@@ -46,7 +46,10 @@ class PatternDigraph:
 def pattern_from_arcs(arcs: Sequence[Arc]) -> PatternDigraph:
     if not arcs:
         raise BadParameter("pattern needs at least one arc")
-    labels = [v for arc in arcs for v in arc]
+    try:
+        labels = [v for u, v in arcs for v in (u, v)]
+    except (TypeError, ValueError):  # an arc that does not unpack to two labels
+        raise BadParameter("arcs must be pairs (u, v)") from None
     check_labels(MAX_ORDER, labels)  # integers, before max compares them
     return PatternDigraph(Digraph(1 + max(labels), arcs))
 

@@ -439,6 +439,14 @@ def oracle_connect(D: Digraph, terminals, forbidden, max_order: int):
     return list(chosen) if place(0, set()) else None
 
 
+def free_mask(n: int, taken=()) -> np.ndarray:
+    """The length-n bool mask shortest_path_avoiding reads: every vertex
+    usable but the labels of `taken`."""
+    free = np.ones(n, dtype=bool)
+    free[list(taken)] = False
+    return free
+
+
 def oracle_shortest_order(D: Digraph, s: int, t: int, blocked) -> int | None:
     """Order of a shortest s->t path whose interior avoids `blocked`, or
     None: a breadth-first search over D.arcs from s that enters no

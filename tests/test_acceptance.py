@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from helpers import (
     ACCEPTANCE_LINES,
+    free_mask,
     make_ladder_instance,
     oracle_connect,
     oracle_robust_outexpander,
@@ -238,15 +239,16 @@ def test_criterion_05_cover_construction_size_and_validity():
 
 def _route_in_turn(D, pairs, max_order, rng):
     """Route the pairs one after another as the absorber threads its
-    hosts: every terminal blocked first, then each path's interior."""
-    blocked = {v for pair in pairs for v in pair}
+    hosts, on one mask of free vertices: every terminal taken first, then
+    each path's interior."""
+    free = free_mask(D.n, [v for pair in pairs for v in pair])
     paths = []
     for s, t in pairs:
-        path = shortest_path_avoiding(D, s, t, blocked, max_order, rng)
+        path = shortest_path_avoiding(D, s, t, free, max_order, rng)
         if path is None:
             return None
         paths.append(path)
-        blocked.update(path[1:-1])
+        free[list(path[1:-1])] = False
     return paths
 
 
@@ -283,7 +285,7 @@ def test_criterion_06_disjoint_connector_routing():
         blocked = set(rng.sample(range(n), rng.randint(0, n - 2))) - {s, t}
         cap = rng.randint(2, 5)
         expected = oracle_connect(T, ((s, t),), blocked, cap)
-        path = shortest_path_avoiding(T, s, t, blocked, cap, random.Random(trials))
+        path = shortest_path_avoiding(T, s, t, free_mask(n, blocked), cap, random.Random(trials))
         trials += 1
         if expected is None:
             absent_agreed += path is None
@@ -421,7 +423,7 @@ def test_criterion_10_tiny_scale_oracle_equivalence():
         none_cases += 1
         # constructive routing must not conjure a witness the exhaustive
         # search proved absent
-        path = shortest_path_avoiding(D, x, y, {x, y}, l + 1, random.Random(t))
+        path = shortest_path_avoiding(D, x, y, free_mask(n), l + 1, random.Random(t))
         if path is None:
             continue
         cand = HSubdivision(H, {0: x, 1: y}, {(0, 1): path})

@@ -27,6 +27,7 @@ from dilink import (
     ExpansionParams,
     PipelineConfig,
     build_d_cover,
+    build_disjoint_ladders,
     falsify_outexpander_sampled,
     gen_random_digraph,
     hamilton_cycle,
@@ -52,6 +53,15 @@ def _stall():
     except ConstructionFailed as e:
         return str(e)
     return None
+
+
+def _ladders(k, avoid=()):
+    # six terminal pairs on a sparse digraph, so that connectors route
+    # through one or two interior vertices as well as along an arc
+    terminals = [(1 + 2 * i, 2 + 2 * i) for i in range(6)]
+    D = gen_random_digraph(200, 0.08, 11)
+    ladders = build_disjoint_ladders(D, terminals, "3/4", 4, k, avoid)
+    return [(L.lower, L.upper, sorted(L.connectors.items())) for L in ladders]
 
 
 def _cli(*argv):
@@ -86,10 +96,15 @@ ANSWERS = {
     # the walk back, each route drawn by its own seeded rng
     "shortest_path_avoiding": lambda: [
         shortest_path_avoiding(
-            G(200, 0.03, 6), s, s + 100, set(range(0, 200, 9)), 12, random.Random(s)
+            G(200, 0.03, 6), s, s + 100, np.arange(200) % 9 != 0, 12, random.Random(s)
         )
         for s in range(1, 9)
     ],
+    # pipeline ladders are single arcs; these pin the k >= 1 sampler
+    "build_disjoint_ladders-k1": lambda: _ladders(1),
+    "build_disjoint_ladders-k1-avoid": lambda: _ladders(1, range(20, 200, 5)),
+    "build_disjoint_ladders-k2": lambda: _ladders(2),
+    "build_disjoint_ladders-k2-avoid": lambda: _ladders(2, range(20, 200, 5)),
     "threshold-stall": _stall,
     "absorb-demo": lambda: _cli("absorb-demo", "--seed", "1"),
     "absorb-demo-type2": lambda: _cli("absorb-demo", "--seed", "1", "--type", "2"),

@@ -24,7 +24,13 @@ import dilink.cover as cover_module
 from dilink.cover import _random_pairs
 from dilink.errors import BadParameter, ConstructionFailed, LabelOutOfRange
 
-from helpers import oracle_d_cover, oracle_grow_d_cover, random_arc_set, threshold_digraph
+from helpers import (
+    free_mask,
+    oracle_d_cover,
+    oracle_grow_d_cover,
+    random_arc_set,
+    threshold_digraph,
+)
 
 
 def test_pair_set_validation():
@@ -36,6 +42,22 @@ def test_pair_set_validation():
         CoverPairSet(((0, 1), (1, 2)))  # shared vertex
     with pytest.raises(BadParameter):
         CoverPairSet(((0, 0),))
+    assert CoverPairSet([(np.int64(0), np.uint16(1))]).pairs == ((0, 1),)
+
+
+@pytest.mark.parametrize(
+    "pairs", [[(0.5, 2.7)], [(0, 2.0)], [(True, 4)], [(0, 1), (2, "3")]],
+    ids=["fraction", "float", "bool", "string"],
+)
+def test_pair_labels_that_are_not_integers_raise_bad_parameter(pairs):
+    # int() once truncated them: [(0.5, 2.7), (True, 4.9)] read as ((0, 2), (1, 4))
+    with pytest.raises(BadParameter, match="is not an integer label"):
+        CoverPairSet(pairs)
+
+
+def test_pair_labels_outside_every_digraph_raise_label_out_of_range():
+    with pytest.raises(LabelOutOfRange):
+        CoverPairSet([(-1, 2)])
 
 
 def test_covers_requires_distinctness_and_both_arcs():
@@ -359,30 +381,38 @@ def test_shortest_path_avoiding_basics():
     # 0 -> 2 -> 1 plus a long detour 0 -> 3 -> 4 -> 1
     D = Digraph(5, [(0, 2), (2, 1), (0, 3), (3, 4), (4, 1)])
     rng = random.Random(0)
-    assert shortest_path_avoiding(D, 0, 1, set(), 3, rng) == (0, 2, 1)
-    assert shortest_path_avoiding(D, 0, 1, {2}, 3, rng) is None
-    assert shortest_path_avoiding(D, 0, 1, {2}, 4, rng) == (0, 3, 4, 1)
-    assert shortest_path_avoiding(D, 0, 1, set(), 2, rng) is None  # no direct arc
-    assert shortest_path_avoiding(D, 0, 0, set(), 4, rng) is None
-    assert shortest_path_avoiding(D, 0, 1, {0, 1}, 3, rng) == (0, 2, 1)  # ends may be blocked
+    assert shortest_path_avoiding(D, 0, 1, free_mask(5), 3, rng) == (0, 2, 1)
+    assert shortest_path_avoiding(D, 0, 1, free_mask(5, {2}), 3, rng) is None
+    assert shortest_path_avoiding(D, 0, 1, free_mask(5, {2}), 4, rng) == (0, 3, 4, 1)
+    assert shortest_path_avoiding(D, 0, 1, free_mask(5), 2, rng) is None  # no direct arc
+    assert shortest_path_avoiding(D, 0, 0, free_mask(5), 4, rng) is None
+    # the ends need not be free
+    assert shortest_path_avoiding(D, 0, 1, free_mask(5, {0, 1}), 3, rng) == (0, 2, 1)
     # a tie is drawn by the rng, so both middles turn up
     two_ways = Digraph(4, [(0, 3), (3, 1), (0, 2), (2, 1)])
-    routes = {shortest_path_avoiding(two_ways, 0, 1, set(), 3, rng) for _ in range(40)}
+    routes = {shortest_path_avoiding(two_ways, 0, 1, free_mask(4), 3, rng) for _ in range(40)}
     assert routes == {(0, 2, 1), (0, 3, 1)}
 
 
+def test_shortest_path_avoiding_draws_nothing_for_an_arc():
+    # the search's first test returns the one-arc path, before any walk back
+    D = Digraph(3, [(0, 1), (0, 2), (2, 1)])
+    rng = random.Random(5)
+    state = rng.getstate()
+    assert shortest_path_avoiding(D, 0, 1, free_mask(3), 3, rng) == (0, 1)
+    assert rng.getstate() == state
+
+
 @pytest.mark.parametrize(
-    "s, t, blocked",
-    [(-1, 1, set()), (4, 1, set()), (5, 1, set()), (0, -1, set()), (0, 4, set()),
-     (0, 2, {-1}), (0, 2, {1, 4})],
-    ids=["negative-s", "s-is-n", "s-above-n", "negative-t", "t-is-n",
-         "negative-in-blocked", "n-in-blocked"],
+    "s, t",
+    [(-1, 1), (4, 1), (5, 1), (0, -1), (0, 4)],
+    ids=["negative-s", "s-is-n", "s-above-n", "negative-t", "t-is-n"],
 )
-def test_shortest_path_avoiding_rejects_labels_outside_the_digraph(s, t, blocked):
+def test_shortest_path_avoiding_rejects_labels_outside_the_digraph(s, t):
     # numpy would wrap -1 to row n-1 and route (-1, 1) as (-1, 0, 1)
     D = Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     with pytest.raises(LabelOutOfRange):
-        shortest_path_avoiding(D, s, t, blocked, 4, random.Random(0))
+        shortest_path_avoiding(D, s, t, free_mask(4), 4, random.Random(0))
 
 
 def test_shortest_path_is_genuinely_shortest():
@@ -393,7 +423,7 @@ def test_shortest_path_is_genuinely_shortest():
         s, t = rng.sample(range(n), 2)
         blocked = set(rng.sample(range(n), rng.randrange(0, 3))) - {s, t}
         # walked back by two seeded rngs, as the absorber routes
-        found = [shortest_path_avoiding(D, s, t, blocked, 6, random.Random(seed))
+        found = [shortest_path_avoiding(D, s, t, free_mask(n, blocked), 6, random.Random(seed))
                  for seed in (trial, -1 - trial)]
         # reference: breadth-first distances through allowed interiors
         dist = {s: 1}

@@ -23,7 +23,7 @@ from dilink import (
 )
 from dilink.errors import ConstructionFailed
 
-from helpers import oracle_d_cover, oracle_grow_d_cover, oracle_shortest_order
+from helpers import free_mask, oracle_d_cover, oracle_grow_d_cover, oracle_shortest_order
 
 
 @st.composite
@@ -129,7 +129,9 @@ def test_shortest_path_avoiding_agrees_with_a_breadth_first_reference(data):
     blocked = data.draw(st.sets(st.integers(0, D.n - 1)))  # may hold s or t
     max_order = data.draw(st.integers(2, 6))
     seed = data.draw(st.integers(0, 2**32 - 1))
-    got = shortest_path_avoiding(D, s, t, blocked, max_order, random.Random(seed))
+    free = free_mask(D.n, blocked)
+    got = shortest_path_avoiding(D, s, t, free, max_order, random.Random(seed))
+    assert np.array_equal(free, free_mask(D.n, blocked))  # read, never written
     best = oracle_shortest_order(D, s, t, blocked)
     if best is None or best > max_order:
         assert got is None
@@ -139,7 +141,7 @@ def test_shortest_path_avoiding_agrees_with_a_breadth_first_reference(data):
     assert all((a, b) in D.arcs for a, b in zip(got, got[1:]))
     assert not set(got[1:-1]) & blocked
     # the seed fixes the route
-    assert shortest_path_avoiding(D, s, t, blocked, max_order, random.Random(seed)) == got
+    assert shortest_path_avoiding(D, s, t, free, max_order, random.Random(seed)) == got
 
 
 @given(st.data())

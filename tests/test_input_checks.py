@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from dilink import (
+    Absorber,
     Digraph,
     ExpansionParams,
     PipelineConfig,
@@ -66,6 +67,7 @@ from dilink.errors import (
 )
 
 K6 = complete_digraph(6)
+FREE6 = np.ones(6, dtype=bool)  # every vertex of K6 free to route through
 
 # name -> (parameter, call with that parameter set to x)
 DENSITY_ENTRIES = {
@@ -110,7 +112,7 @@ COUNT_ENTRIES = {
         K6, single_arc_pattern(), {0: 0, 1: 1}, (x,), PipelineConfig(**_CFG)
     )),
     "shortest_path_avoiding": (
-        "max_order", 0, lambda x: shortest_path_avoiding(K6, 0, 1, set(), x, random.Random(0))
+        "max_order", 0, lambda x: shortest_path_avoiding(K6, 0, 1, FREE6, x, random.Random(0))
     ),
     "certify_outexpander_exact": (
         "max_exact_n", 0, lambda x: certify_outexpander_exact(K6, _Q, x)
@@ -133,6 +135,9 @@ COUNT_ENTRIES = {
     "build_disjoint_ladders": (
         "ladder_k", 0, lambda x: build_disjoint_ladders(K6, [(0, 1)], "1/2", 0, x)
     ),
+    "Absorber-d": ("d", 1, lambda x: Absorber(
+        _absorber()[1].ladders, _absorber()[1].hosts, x, _absorber()[1].slots
+    )),
     "build_type1_absorber-d": ("d", 1, lambda x: build_type1_absorber(
         K6, single_arc_pattern(), {0: 0, 1: 1}, ExpansionParams(1, 1), x, 0
     )),
@@ -176,9 +181,23 @@ def test_a_path_order_cap_that_is_not_a_count_raises_bad_parameter(cap):
     # unchecked, 2.5 caps nothing (the 6-vertex path comes back) and "3"
     # fails in a comparison with a bare TypeError
     rng = random.Random(0)
+    free = np.ones(10, dtype=bool)
     with pytest.raises(BadParameter, match="^max_order must be an integer"):
-        shortest_path_avoiding(directed_cycle(10), 0, 5, set(), cap, rng)
-    assert shortest_path_avoiding(directed_cycle(10), 0, 5, set(), 6.0, rng) == tuple(range(6))
+        shortest_path_avoiding(directed_cycle(10), 0, 5, free, cap, rng)
+    assert shortest_path_avoiding(directed_cycle(10), 0, 5, free, 6.0, rng) == tuple(range(6))
+
+
+@pytest.mark.parametrize(
+    "free",
+    [{2}, [True] * 6, np.ones(6, dtype=np.uint8), np.ones(6), np.ones(5, dtype=bool),
+     np.ones(7, dtype=bool), np.ones((1, 6), dtype=bool)],
+    ids=["set", "list", "uint8", "float", "short", "long", "two-dimensional"],
+)
+def test_a_free_mask_that_is_not_a_bool_array_of_length_n_raises_bad_parameter(free):
+    # the router takes no label set: {2} would fail in numpy's indexing,
+    # and a mask of another length in its broadcasting
+    with pytest.raises(BadParameter, match="^free must be a bool array of length n = 6"):
+        shortest_path_avoiding(K6, 0, 1, free, 4, random.Random(0))
 
 
 
@@ -191,6 +210,16 @@ def test_arcs_that_are_not_pairs_raise_bad_parameter(arcs):
     # numpy itself refuses a ragged list, with its own ValueError
     with pytest.raises(BadParameter, match="^arcs must be pairs"):
         Digraph(3, arcs)
+
+
+@pytest.mark.parametrize(
+    "arcs", [[5], [(0, 1), 2], [(0, 1, 2)], [(0, 1), (2,)]],
+    ids=["int", "pair-then-int", "triple", "single"],
+)
+def test_pattern_arcs_that_are_not_pairs_raise_bad_parameter(arcs):
+    # [5] once ended in a bare TypeError ("'int' object is not iterable")
+    with pytest.raises(BadParameter, match="^arcs must be pairs"):
+        pattern_from_arcs(arcs)
 
 
 @pytest.mark.parametrize("p", ["0.5", True, False, None, 1j])
@@ -305,11 +334,8 @@ LABEL_ENTRIES = {
     "hamilton_cycle-avoid": (6, lambda v: hamilton_cycle(K6, 0, avoid=[0, v])),
     "build_d_cover-avoid": (6, lambda v: build_d_cover(K6, 1, 0, avoid=[v])),
     "verify_d_cover-K": (6, lambda v: verify_d_cover(K6, [(0, v)])),
-    "shortest_path_avoiding-s": (6, lambda v: shortest_path_avoiding(K6, v, 0, set(), 4, _R)),
-    "shortest_path_avoiding-t": (6, lambda v: shortest_path_avoiding(K6, 0, v, set(), 4, _R)),
-    "shortest_path_avoiding-blocked": (
-        6, lambda v: shortest_path_avoiding(K6, 0, 1, {v}, 4, _R)
-    ),
+    "shortest_path_avoiding-s": (6, lambda v: shortest_path_avoiding(K6, v, 0, FREE6, 4, _R)),
+    "shortest_path_avoiding-t": (6, lambda v: shortest_path_avoiding(K6, 0, v, FREE6, 4, _R)),
     "robust_out_neighbourhood": (6, lambda v: robust_out_neighbourhood(K6, [0, v, 5], "1/2")),
     "build_disjoint_ladders": (6, lambda v: build_disjoint_ladders(K6, [(0, v)], "1/2", 0, 0)),
     "build_disjoint_ladders-avoid": (

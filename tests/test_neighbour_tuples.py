@@ -22,7 +22,11 @@ package exports has a reader outside tests: library code beyond its own
 definition, a demo, or a mention in backticks in README, and so has
 every public method and property of Digraph, read by name.  Every
 parameter of every function and method is read in its body: a
-parameter nothing reads is a knob that turns nothing."""
+parameter nothing reads is a knob that turns nothing.  No function
+builds a set from the indices np.flatnonzero or .nonzero() return: the
+router, the ladder sampler and the threading share one bool mask of
+free vertices, and a label set made from a mask is a second copy of it
+(robust_out_neighbourhood, whose answer is a set, aside)."""
 
 import ast
 import re
@@ -49,23 +53,38 @@ NO_READER = {"cut_cycle_segments"}
 NO_MEMBER_READER = {"in_masks"}
 
 
-def method_calls(tree: ast.AST, methods):
-    """(line, method, enclosing classes and functions) of every call of
-    one of the methods, as an attribute or as a bare name."""
+def scoped_nodes(tree: ast.AST, pick):
+    """(node, enclosing classes and functions) of every node below tree
+    that pick accepts."""
 
     def walk(node, scope):
         for child in ast.iter_child_nodes(node):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = scope + (child.name,)
-            if isinstance(child, ast.Call):
-                f = child.func
-                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
-                if name in methods:
-                    yield child.lineno, name, scope
+            if pick(child):
+                yield child, scope
             yield from walk(child, inner)
 
     return list(walk(tree, ()))
+
+
+def called_name(node: ast.AST):
+    """The name a call calls, as an attribute or as a bare name; None for
+    anything but a call."""
+    if not isinstance(node, ast.Call):
+        return None
+    f = node.func
+    return f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+
+
+def method_calls(tree: ast.AST, methods):
+    """(line, method, enclosing classes and functions) of every call of
+    one of the methods, as an attribute or as a bare name."""
+    return [
+        (n.lineno, called_name(n), scope)
+        for n, scope in scoped_nodes(tree, lambda n: called_name(n) in methods)
+    ]
 
 
 def calls_outside(path: Path, methods, allowed) -> list[str]:
@@ -404,4 +423,43 @@ def test_the_lint_sees_an_unread_parameter_in_a_method_and_a_nested_function():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
     found = unread_parameters(ast.parse(path.read_text()))
+    assert not found, found
+
+
+INDEX_CALLS = {"flatnonzero", "nonzero"}
+# its answer is a vertex set by definition, returned, not a working copy
+SET_ANSWERS = {("expansion", "robust_out_neighbourhood")}
+
+
+def sets_of_indices(tree: ast.AST):
+    """(line, enclosing classes and functions) of every set or frozenset
+    call and set comprehension that reads a flatnonzero or nonzero call."""
+
+    def builds_from_indices(node):
+        builds = isinstance(node, ast.SetComp) or (
+            isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("set", "frozenset")
+        )
+        return builds and bool(method_calls(node, INDEX_CALLS))
+
+    return [(n.lineno, scope) for n, scope in scoped_nodes(tree, builds_from_indices)]
+
+
+def test_the_lint_sees_a_set_built_from_mask_indices():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "def f(free):\n"
+        "    blocked = set(np.flatnonzero(~free).tolist())\n"
+        "    def g():\n"
+        "        return frozenset(free.nonzero()[0]), {int(v) for v in nonzero(free)}\n"
+        "    return list(np.flatnonzero(free)), {1, 2}, set(range(3))\n"
+    )
+    assert sets_of_indices(tree) == [(3, ("f",)), (5, ("f", "g")), (5, ("f", "g"))]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_turns_a_mask_into_a_label_set(path):
+    found = [
+        (line, scope) for line, scope in sets_of_indices(ast.parse(path.read_text()))
+        if not any((path.stem, f) in SET_ANSWERS for f in scope)
+    ]
     assert not found, found
