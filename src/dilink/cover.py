@@ -53,6 +53,11 @@ _BLOCK_BYTES = 1 << 20  # size of one row block of an n x n pass
 # numpy keeps freed buffers under 1 KiB for reuse, a few of each size, and
 # ever new short lengths would fill that cache and stay resident
 _FLOOR = 1024
+# _RANK[w, k]: one past the place of the k-th set bit of byte w (0 if k = 0 or k > popcount(w))
+_RANK = np.array(
+    [[0, *(i + 1 for i in range(8) if w >> i & 1), *[0] * (8 - w.bit_count())] for w in range(256)],
+    dtype=np.uint8,
+)
 
 
 @dataclass(frozen=True)
@@ -62,8 +67,12 @@ class CoverPairSet:
     pairs: tuple[Pair, ...]
 
     def __post_init__(self):
-        check_labels(MAX_ORDER, [v for pair in self.pairs for v in pair])
-        object.__setattr__(self, "pairs", tuple((int(u), int(v)) for u, v in self.pairs))
+        try:
+            pairs = [(u, v) for u, v in self.pairs]
+        except (TypeError, ValueError):
+            raise BadParameter("each cover pair must unpack to two labels (u, v)") from None
+        check_labels(MAX_ORDER, [v for pair in pairs for v in pair])
+        object.__setattr__(self, "pairs", tuple((int(u), int(v)) for u, v in pairs))
         seen: set[int] = set()
         for u, v in self.pairs:
             if u == v or u in seen or v in seen:
@@ -155,19 +164,18 @@ def _random_pairs(M: np.ndarray, usable: list[int], seed: int):
             yield u, v
 
 
-def _least_prefix(slack: np.ndarray, w: np.ndarray, m: int, mid: int, spare: np.ndarray) -> int:
-    """The least m' in m..8 whose first m' pairs of a group leave no count
-    below d: slack is each count after the group less d, w the group's
-    covering byte (bit j for pair j), and the pairs from m' on add
-    popcount(w >> m').  Tries mid first, then halves the range left,
-    through the uint8 array spare of w's shape."""
-    hi = 8
-    while m < hi:
-        np.bitwise_and(w, 256 - (1 << mid), out=spare)
-        np.less(slack, np.bitwise_count(spare, out=spare), out=spare.view(bool))
-        m, hi = (mid + 1, hi) if spare.view(bool).any() else (m, mid)
-        mid = (m + hi) // 2
-    return m
+def _prefix_needed(w: np.ndarray, count: np.ndarray, d: int) -> int:
+    """The least m whose first m pairs of the last group leave no count
+    below d: count holds each entry's count after the whole group, none
+    below d, and w its covering byte (bit j for pair j), so an entry needs
+    the first max(0, d + popcount(w) - count) of w's set bits, which end
+    at _RANK.  That is taken as popcount(w) - min(popcount(w), count - d),
+    in count's own unsigned type, so no wider copy of a block is made."""
+    need = np.bitwise_count(w)
+    slack = count - d
+    need -= np.minimum(slack, need, out=slack)
+    del slack  # freed before the lookup
+    return int(_RANK[w, need].max())
 
 
 def _short_entries(C: np.ndarray, d: int, tmp: np.ndarray) -> np.ndarray:
@@ -199,7 +207,8 @@ def build_d_cover(D: Digraph, d: int, seed: int, *, avoid: Iterable[int] = ()) -
     those are kept, as (xs, ys, count), and each further group adds
     popcount(p[xs] & q[ys]); entries that reach d are dropped, keeping
     at least _FLOOR listed.  Growth stops after the group that leaves no
-    entry short, cut to its shortest covering prefix by _least_prefix.
+    entry short, cut to the shortest prefix that meets every entry's
+    need, read from the rank table _RANK by _prefix_needed.
     Running out of pairs raises the plain ConstructionFailed.  A d
     that is not an integer >= 1, or a seed that is not an integer, raises
     BadParameter, a label of `avoid` outside 0..n-1 LabelOutOfRange.
@@ -268,17 +277,13 @@ def build_d_cover(D: Digraph, d: int, seed: int, *, avoid: Iterable[int] = ()) -
             below = np.less(count, d, out=below[: len(count)])
     # the last group completed the cover; keep its shortest prefix
     first = 8 * ((len(pairs) - 1) // 8)
-    m = max(1, d - first)  # each pair adds at most 1 to a count
     if short:
-        m = _least_prefix(count - d, w, m, (m + 8) // 2, np.empty_like(w))
-    else:
-        spare = np.empty_like(tmp)
+        m = _prefix_needed(w, count, d)
+    else:  # block by block; the diagonal, preset to d, needs no pair
+        m = 0
         for s in range(0, n, len(tmp)):
             w = np.bitwise_and(p[s : s + len(tmp), None], q, out=tmp[: n - s])
-            # the first block halves m..8, the others try the m it needs; the
-            # preset diagonal leaves every slack there >= popcount(w), never short
-            slack = np.subtract(C[s : s + len(w)], d, out=C[s : s + len(w)])
-            m = _least_prefix(slack, w, m, m if s else (m + 8) // 2, spare[: len(w)])
+            m = max(m, _prefix_needed(w, C[s : s + len(w)], d))
     del pairs[first + m :]
     return CoverPairSet(tuple(pairs))
 

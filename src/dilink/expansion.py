@@ -11,9 +11,10 @@ stream): a size and a start per trial, one vertex ordering, and one
 permutation per uniform trial, so no draw is a Python call per vertex.
 The neighbourhood function, and the re-check of every counterexample the
 falsifier returns, count in-neighbours inside S as the sum of the rows of
-S in the bool adjacency matrix; the falsifier tests a stream's uniform
-and segment sets with packed popcounts instead, each set's membership
-words ANDed with D's in-neighbour columns packed into uint64 words.  The
+S in the bool adjacency matrix; the falsifier counts every set of a
+stream, uniform, segment or greedy, with packed popcounts instead, each
+set's membership words ANDed with D's in-neighbour columns packed into
+uint64 words.  The
 robust in-neighbourhood is the out-neighbourhood in D.reverse().
 """
 
@@ -181,13 +182,11 @@ def certify_inexpander_exact(
     return certify_outexpander_exact(D.reverse(), p, max_exact_n)
 
 
-def _grow_greedily(
-    M: np.ndarray, starts: list[int], targets: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(members, in-counts) of greedily grown sets, one row per (start,
-    target) in the given order.  Each set starts as {start} and adds the
-    outside vertex with the most in-neighbours inside it (the lowest label
-    among ties) until it has target vertices.  All sets grow together, one
+def _grow_greedily(M: np.ndarray, starts: list[int], targets: list[int]) -> np.ndarray:
+    """The members of greedily grown sets, a bool row per (start, target)
+    in the given order.  Each set starts as {start} and adds the outside
+    vertex with the most in-neighbours inside it (the lowest label among
+    ties) until it has target vertices.  All sets grow together, one
     numpy step per set size, on rows sorted by target, largest first, so
     that the rows still growing are a prefix.  An outside vertex scores
     its count, a member its count minus n + 1, below every outside
@@ -204,10 +203,9 @@ def _grow_greedily(
         best = score[:a].argmax(axis=1)  # argmax takes the lowest label among ties
         score[:a] += M[best]
         score[rows[:a], best] -= n + 1
-    out = np.empty_like(score)
-    out[by_target] = score
-    inside = out < 0
-    return inside, np.where(inside, out + n + 1, out)
+    inside = np.empty(score.shape, dtype=bool)
+    inside[by_target] = score < 0
+    return inside
 
 
 def _column_words(B: np.ndarray) -> np.ndarray:
@@ -254,10 +252,10 @@ def falsify_outexpander_sampled(
     around, when j % 3 == 1; and when j % 3 == 2 the set grown greedily
     from {start}, adding the outside vertex with the most in-neighbours
     inside it (the lowest label among ties) until it has size vertices.
-    The greedy rows grow together, one numpy step per set size, and bring
-    their in-counts; the other rows' in-counts are popcounts of their
-    packed membership words against D's packed in-neighbour columns.  One
-    comparison tests every row, and the first violating trial wins.  A
+    The greedy rows grow together, one numpy step per set size.  Every
+    row's in-counts are popcounts of its packed membership words against
+    D's packed in-neighbour columns, one call per stream, and one
+    comparison tests every row; the first violating trial wins.  A
     returned counterexample is counted again as a sum of its rows of the
     bool matrix and always re-verifies against the definition.
     """
@@ -284,10 +282,8 @@ def falsify_outexpander_sampled(
         inside = np.empty((budget, n), dtype=bool)  # inside[j, v]: v in trial j's set
         np.put_along_axis(inside[0::3], perms, np.arange(n) < size[0::3, None], axis=1)
         inside[1::3] = (pos - start[1::3, None]) % n < size[1::3, None]
-        drawn = np.arange(budget) % 3 != 2
-        counts = np.empty((budget, n), dtype=np.int32)  # counts[j, x]: x's in-neighbours in set j
-        counts[drawn] = _in_counts(cols, _column_words(inside[drawn].T))
-        inside[2::3], counts[2::3] = _grow_greedily(M, start[2::3], size[2::3])
+        inside[2::3] = _grow_greedily(M, start[2::3], size[2::3])
+        counts = _in_counts(cols, _column_words(inside.T))  # [j, x]: x's in-arcs from set j
         bad = (counts >= t).sum(axis=1) < size + t
         if bad.any():
             j = int(bad.argmax())

@@ -44,6 +44,7 @@ class PatternDigraph:
 
 
 def pattern_from_arcs(arcs: Sequence[Arc]) -> PatternDigraph:
+    arcs = list(arcs)  # rows of an (m, 2) array, which has no truth value
     if not arcs:
         raise BadParameter("pattern needs at least one arc")
     try:

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import random
 
@@ -7,17 +8,20 @@ from dilink import (
     Absorber,
     ExpansionParams,
     HSubdivision,
+    Ladder,
     PipelineConfig,
     absorb_paths,
     absorber_size_bound,
     build_type1_absorber,
     build_type2_absorber,
+    complete_digraph,
     covers,
     cut_cycle_segments,
     gen_random_digraph,
     hamilton_cycle,
     ladder_on_path,
     path_lengths,
+    single_arc_ladder,
     single_arc_pattern,
     subdivision_order,
     triangle_pattern,
@@ -145,6 +149,35 @@ def test_absorber_refuses_empty_or_repeated_slots(slots):
     A = build_type1_absorber(_dense(), single_arc_pattern(), {0: 0, 1: 1}, P_DEFAULT, d=3, seed=0)
     with pytest.raises(BadParameter, match="slot"):
         Absorber(A.ladders, A.hosts, A.d, slots)
+
+
+K12 = complete_digraph(12)
+# on K12 every row of distinct vertices is a path: a k = 1 ladder from 0
+# to 3 with its connector 1 -> 4, and a host path from 10 to 11
+K12_LADDER = Ladder((0, 1, 2), (3, 4, 5), {1: (1, 4)})
+K12_HOST = HSubdivision(single_arc_pattern(), {0: 10, 1: 11}, {(0, 1): (10, 11)})
+
+
+@pytest.mark.parametrize(
+    "ladders, host, problem",
+    [
+        ((Ladder((0, 1), (3, 4), {}),), K12_HOST, "ladder 0 invalid"),
+        ((K12_LADDER, single_arc_ladder(1, 6)), K12_HOST, "ladder 1 overlaps an earlier ladder"),
+        ((K12_LADDER,), dataclasses.replace(K12_HOST, paths={(0, 1): (10, 9)}),
+         "host 0 subdivision invalid"),
+    ],
+    ids=["ladder-of-even-rows", "ladder-through-another", "host-path-off-its-branch-vertex"],
+)
+def test_validate_absorber_names_the_ladder_or_host_at_fault(ladders, host, problem):
+    A = Absorber(ladders, (host,), 1, ((0, (0, 1)),))
+    problems: list[str] = []
+    assert not validate_absorber(K12, A, problems)
+    assert problem in problems
+
+
+def test_absorber_refuses_no_hosts():
+    with pytest.raises(BadParameter, match="^at least one host subdivision required$"):
+        Absorber((K12_LADDER,), (), 1, ((0, (0, 1)),))
 
 
 def test_validate_absorber_flags_ladders_dealt_to_the_wrong_paths():
@@ -438,6 +471,28 @@ def test_absorb_paths_rejects_unservable_targets():
     segs3 = _leftover_segments(_dense(7), A2, [4, 4])
     with pytest.raises(BadParameter, match="distinct slot"):
         absorb_paths(_dense(7), A2, segs3, [A2.slots[0], A2.slots[0]])
+
+
+def test_absorb_paths_names_the_first_path_left_without_a_pair():
+    # claiming d = 64 of a 3-cover lets 2-vertex paths through the count
+    # check until first fit runs out of pairs; nothing changes before that
+    D = _dense()
+    A = build_type1_absorber(D, single_arc_pattern(), {0: 0, 1: 1}, P_DEFAULT, d=3, seed=0)
+    greedy = dataclasses.replace(A, d=64)
+    paths = _leftover_segments(D, A, [2] * 64)
+    free, stuck = list(A.pairs), None
+    for i, (x, y) in enumerate(paths):  # first fit, pair by pair
+        pair = next((q for q in free if covers(D, q, (x, y))), None)
+        if pair is None:
+            stuck = i
+            break
+        free.remove(pair)
+    assert stuck is not None
+    hosts = copy.deepcopy(A.hosts)
+    with pytest.raises(ConstructionFailed, match=rf"^no unused covering pair for path #{stuck}$"):
+        absorb_paths(D, greedy, paths)
+    assert A.hosts == greedy.hosts == hosts
+    assert len(absorb_paths(D, greedy, paths[:stuck])) == 1
 
 
 def test_build_rejects_bad_arguments():

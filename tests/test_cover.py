@@ -21,7 +21,7 @@ from dilink import (
     verify_d_cover,
 )
 import dilink.cover as cover_module
-from dilink.cover import _random_pairs
+from dilink.cover import _RANK, _prefix_needed, _random_pairs
 from dilink.errors import BadParameter, ConstructionFailed, LabelOutOfRange
 
 from helpers import (
@@ -52,6 +52,17 @@ def test_pair_set_validation():
 def test_pair_labels_that_are_not_integers_raise_bad_parameter(pairs):
     # int() once truncated them: [(0.5, 2.7), (True, 4.9)] read as ((0, 2), (1, 4))
     with pytest.raises(BadParameter, match="is not an integer label"):
+        CoverPairSet(pairs)
+
+
+@pytest.mark.parametrize(
+    "pairs", [[5], [(0, 1, 2)], [(0, 1), (2,)], [(0.5, 1, 2)], [(0, 1), None]],
+    ids=["int", "triple", "single", "fraction-triple", "none"],
+)
+def test_pairs_that_are_not_pairs_raise_bad_parameter(pairs):
+    # [5] once ended in a bare TypeError and [(0, 1, 2)] in a bare
+    # ValueError; the shape is checked before the labels
+    with pytest.raises(BadParameter, match="^each cover pair must unpack to two labels"):
         CoverPairSet(pairs)
 
 
@@ -358,6 +369,65 @@ def test_grow_cover_counts_past_one_byte(d):
     K = build_d_cover(D, d, 0)
     assert len(K) > d
     assert K.pairs == oracle_grow_d_cover(D, d, 0)
+
+
+def _least_prefix_by_recount(w, count, d):
+    """The least m whose first m pairs of a group leave every count at
+    least d, each count recounted without the group's later pairs."""
+    before = count.astype(np.int64) - np.bitwise_count(w)
+    return next(
+        m for m in range(9)
+        if (before + np.bitwise_count(w & ((1 << m) - 1)) >= d).all()
+    )
+
+
+def test_the_rank_table_matches_a_recount_of_every_byte():
+    for w in range(256):
+        bits = [i for i in range(8) if w >> i & 1]
+        assert _RANK[w, 0] == 0
+        for k in range(1, 9):
+            assert _RANK[w, k] == (bits[k - 1] + 1 if k <= len(bits) else 0), (w, k)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+def test_the_needed_prefix_matches_a_recount_of_every_single_entry(dtype):
+    # every byte with every count it can leave after a completing group:
+    # from d (or popcount(w), if more) to d + 8, past which nothing is
+    # needed; d + 8 passes a signed 16-bit range at d = 2**15 - 1
+    for d in (1, 3, 250, 2**15 - 1) if dtype == np.uint16 else (1, 3, 120):
+        for w in range(256):
+            for c in range(max(d, w.bit_count()), d + 9):
+                w1, c1 = np.array([w], dtype=np.uint8), np.array([c], dtype=dtype)
+                assert _prefix_needed(w1, c1, d) == _least_prefix_by_recount(w1, c1, d)
+
+
+def test_the_needed_prefix_matches_a_recount_over_random_lists_and_blocks():
+    rng = np.random.default_rng(40)
+    for _ in range(300):
+        shape = rng.choice([1, 7, 1000]), rng.choice([1, 3, 30])
+        d = int(rng.choice([1, 2, 3, 9, 127, 300, 2**15 - 1]))
+        dtype = np.uint8 if d < 128 else np.uint16
+        w = rng.integers(0, 256, shape, dtype=np.uint8)
+        # every count after a completing group is at least d
+        count = (d + rng.integers(0, 12, shape)).astype(dtype)
+        assert _prefix_needed(w, count, d) == _least_prefix_by_recount(w, count, d)
+
+
+@pytest.mark.parametrize("n, d", [(8, 1), (12, 2), (16, 6), (24, 7), (24, 10)])
+def test_a_cover_of_a_complete_digraph_completes_in_the_dense_count(n, d, monkeypatch):
+    # an ordered pair meets at most two of the disjoint pairs, so on the
+    # complete digraph d + 2 pairs are the least d-cover; at these n more
+    # than n^2/64 entries are short until the group that completes the
+    # cover, the first (d <= 6) or the second (1 or 4 pairs of it at d = 7
+    # and 10), so its cut reads the dense count
+    def not_handed_over(*args):
+        raise AssertionError("the count left the dense matrix")
+
+    monkeypatch.setattr(cover_module, "_short_entries", not_handed_over)
+    D = complete_digraph(n)
+    for seed in range(3):
+        K = build_d_cover(D, d, seed)
+        assert len(K) == d + 2 and K.pairs == oracle_grow_d_cover(D, d, seed)
 
 
 def test_cover_memory_stays_within_a_few_matrix_sizes():

@@ -62,6 +62,14 @@ def test_slack_conditions_reject_gamma_outside_the_unit_interval(gamma):
             check(complete_digraph(6), gamma)
 
 
+def test_slack_conditions_refuse_digraphs_too_small_to_judge():
+    with pytest.raises(BadParameter, match="^empty digraph$"):
+        asymptotic_nash_williams(Digraph(0, []), "1/4")
+    for n in range(3):
+        with pytest.raises(BadParameter, match=f"^need at least 3 vertices, got {n}$"):
+            posa_type(complete_digraph(n), "1/4")
+
+
 def test_sorted_growth_condition():
     assert posa_type(complete_digraph(9), 0.25).satisfied
     rep = posa_type(directed_cycle(9), 0.25)

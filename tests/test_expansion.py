@@ -6,6 +6,7 @@ import pytest
 from dilink import (
     Digraph,
     ExpansionParams,
+    ExpansionReport,
     Verdict,
     certify_inexpander_exact,
     certify_outexpander_exact,
@@ -35,6 +36,20 @@ def test_params_validation():
         ExpansionParams(0, "1/3")
     with pytest.raises(BadParameter):
         ExpansionParams("1/6", "1/6", gamma=1)
+
+
+@pytest.mark.parametrize(
+    "verdict, counterexample",
+    [
+        (Verdict.REFUTED, None),
+        (Verdict.CERTIFIED_EXACT, frozenset({0})),
+        (Verdict.NO_COUNTEREXAMPLE_FOUND, frozenset()),
+    ],
+    ids=["refuted-without", "certified-with", "not-found-with-empty"],
+)
+def test_a_report_holds_a_counterexample_exactly_when_it_refutes(verdict, counterexample):
+    with pytest.raises(BadParameter, match="^counterexample present iff verdict is refuted$"):
+        ExpansionReport(verdict, counterexample)
 
 
 def test_robust_neighbourhoods_by_hand():

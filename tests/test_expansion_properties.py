@@ -152,8 +152,9 @@ def test_lock_step_growth_counts_each_set_from_its_rows(n, density, graph_seed, 
     k = data.draw(st.integers(0, 6))
     starts = data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))
     targets = data.draw(st.lists(st.integers(1, n - 1), min_size=k, max_size=k))
-    members, counts = _grow_greedily(M, starts, targets)
-    assert members.shape == counts.shape == (k, n)
+    members = _grow_greedily(M, starts, targets)
+    assert members.shape == (k, n) and members.dtype == bool
+    counts = _in_counts(_column_words(M), _column_words(members.T))
     for row, start, target, count in zip(members, starts, targets, counts):
         S = np.flatnonzero(row)
         assert start in S and len(S) == target

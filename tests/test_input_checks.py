@@ -213,13 +213,22 @@ def test_arcs_that_are_not_pairs_raise_bad_parameter(arcs):
 
 
 @pytest.mark.parametrize(
-    "arcs", [[5], [(0, 1), 2], [(0, 1, 2)], [(0, 1), (2,)]],
-    ids=["int", "pair-then-int", "triple", "single"],
+    "arcs", [[5], [(0, 1), 2], [(0, 1, 2)], [(0, 1), (2,)], np.array([[0, 1, 2], [1, 2, 0]])],
+    ids=["int", "pair-then-int", "triple", "single", "triples-array"],
 )
 def test_pattern_arcs_that_are_not_pairs_raise_bad_parameter(arcs):
-    # [5] once ended in a bare TypeError ("'int' object is not iterable")
+    # [5] once ended in a bare TypeError ("'int' object is not iterable"),
+    # and an array in numpy's ValueError for its truth value
     with pytest.raises(BadParameter, match="^arcs must be pairs"):
         pattern_from_arcs(arcs)
+
+
+def test_pattern_arcs_may_be_an_array_of_pairs_as_for_a_digraph():
+    arcs = [(0, 1), (1, 2), (2, 0)]
+    assert pattern_from_arcs(np.array(arcs)) == pattern_from_arcs(arcs)
+    assert pattern_from_arcs(iter(arcs)) == pattern_from_arcs(arcs)
+    with pytest.raises(BadParameter, match="^pattern needs at least one arc"):
+        pattern_from_arcs(np.empty((0, 2), dtype=int))
 
 
 @pytest.mark.parametrize("p", ["0.5", True, False, None, 1j])

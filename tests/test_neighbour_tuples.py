@@ -20,7 +20,9 @@ and the reader reads its input once: read_digraph opens its path once and
 nothing in fileio seeks, so a pipe reads as a file does.  Every name the
 package exports has a reader outside tests: library code beyond its own
 definition, a demo, or a mention in backticks in README, and so has
-every public method and property of Digraph, read by name.  Every
+every public method and property of Digraph, read by name; and every
+private name a module defines at its top level is read in the library
+beyond its own definition, so no helper lives on for tests alone.  Every
 parameter of every function and method is read in its body: a
 parameter nothing reads is a knob that turns nothing.  No function
 builds a set from the indices np.flatnonzero or .nonzero() return: the
@@ -190,7 +192,7 @@ def test_the_cover_grower_holds_no_matrix_product():
         if name not in reached:
             reached.add(name)
             todo += [n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name) and n.id in defs]
-    assert {"cover_arcs", "_random_pairs", "_least_prefix", "_short_entries"} < reached
+    assert {"cover_arcs", "_random_pairs", "_prefix_needed", "_short_entries"} < reached
     assert "verify_d_cover" not in reached
     found = [(name, *hit) for name in sorted(reached) for hit in matrix_products(defs[name])]
     assert not found, found
@@ -331,8 +333,9 @@ def reads(tree: ast.Module, name: str) -> bool:
     """Whether the module reads name, as a bare name or an attribute,
     outside a top-level definition of that name."""
     return any(
-        isinstance(node, ast.Name) and node.id == name
-        or isinstance(node, ast.Attribute) and node.attr == name
+        (isinstance(node, ast.Name) and node.id == name
+         or isinstance(node, ast.Attribute) and node.attr == name)
+        and isinstance(node.ctx, ast.Load)
         for stmt in tree.body
         if getattr(stmt, "name", None) != name
         for node in ast.walk(stmt)
@@ -342,6 +345,8 @@ def reads(tree: ast.Module, name: str) -> bool:
 def test_the_lint_reads_past_a_names_own_definition():
     assert not reads(ast.parse("def f(n):\n    return f(n - 1)\n"), "f")
     assert reads(ast.parse("def f():\n    pass\ndef g(m):\n    return m.f\n"), "f")
+    # an assignment, to a name or to an attribute, is no read
+    assert not reads(ast.parse("_T = 1\ndef g(m):\n    m._T = 2\n"), "_T")
 
 
 def test_every_exported_name_has_a_reader_outside_tests():
@@ -462,4 +467,48 @@ def test_no_function_turns_a_mask_into_a_label_set(path):
         (line, scope) for line, scope in sets_of_indices(ast.parse(path.read_text()))
         if not any((path.stem, f) in SET_ANSWERS for f in scope)
     ]
+    assert not found, found
+
+
+def private_definitions(tree: ast.Module) -> set[str]:
+    """The private names a module defines at its top level, as a
+    function, a class or an assigned variable; dunders aside."""
+    names = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return {n for n in names if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))}
+
+
+def unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """module.name of every private top-level name that no module reads
+    beyond the name's own definition."""
+    return [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in sorted(private_definitions(tree))
+        if not any(reads(other, name) for other in trees.values())
+    ]
+
+
+def test_the_lint_sees_an_unread_private_helper():
+    trees = {
+        "a": ast.parse(
+            "_K = 3\n_L: int = 4\n__all__ = []\n"
+            "def _unused(n):\n    return _unused(n - 1)\n"
+            "def _used():\n    return _K\n"
+            "class _Spare:\n    pass\n"
+            "def f():\n    return _used()\n"
+        ),
+        "b": ast.parse("from a import _L\ndef g():\n    return _L\n"),
+    }
+    assert unread_private_names(trees) == ["a._Spare", "a._unused"]
+
+
+def test_every_private_name_is_read_in_the_library():
+    # a helper nothing calls is code kept alive by tests alone
+    found = unread_private_names({p.stem: ast.parse(p.read_text()) for p in MODULES})
     assert not found, found

@@ -30,6 +30,10 @@ def test_pattern_basics():
     assert single_arc_pattern().arc_order == ((0, 1),)
     with pytest.raises(BadParameter):
         pattern_from_arcs([])
+    with pytest.raises(BadParameter, match="^pattern needs at least one arc"):
+        from dilink import PatternDigraph
+
+        PatternDigraph(Digraph(3, []))
     # isolated pattern vertices are rejected
     with pytest.raises(BadParameter):
         from dilink import PatternDigraph
